@@ -3,8 +3,9 @@
 The package has three layers that deliberately do not share arithmetic:
 
 * :mod:`twophoton.fock`, :mod:`twophoton.elements`, :mod:`twophoton.engine`
-  build detection probabilities from annihilation-operator algebra on the
-  two-photon Fock space (the brute-force reference path);
+  build detection probabilities from the splitter transfer coefficients:
+  each detector operator is a row over the four occupied input modes, and
+  each pair amplitude is a 2x2 permanent (the operator-algebra route);
 * :mod:`twophoton.formulas` carries the factorized closed forms for the
   same probabilities;
 * :mod:`twophoton.montecarlo` samples click-level runs from a full outcome
@@ -21,7 +22,6 @@ from .elements import (
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
-    bs_output_ops,
     detector_operator,
     phase_from_positions,
     same_arm_operator_pair,
@@ -42,14 +42,9 @@ from .engine import (
 )
 from .fock import (
     Arm,
-    FreqSlot,
     IncidentPolarization,
-    Mode,
-    OperatorExpr,
     Pol,
-    TwoPhotonState,
-    apply_annihilation,
-    apply_operator_expr,
+    mode_index,
     product_state,
     vacuum_amplitude,
 )
@@ -84,21 +79,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Arm",
     "Pol",
-    "FreqSlot",
-    "Mode",
-    "TwoPhotonState",
     "IncidentPolarization",
-    "OperatorExpr",
+    "mode_index",
     "product_state",
-    "apply_annihilation",
-    "apply_operator_expr",
     "vacuum_amplitude",
     "BeamSplitterSpec",
     "AnalyzerSetting",
     "Port",
     "PhaseGeometry",
     "phase_from_positions",
-    "bs_output_ops",
     "detector_operator",
     "same_arm_operator_pair",
     "InputSpec",

@@ -5,7 +5,8 @@ Subcommands
 -----------
 sweep    Evaluate one experiment along a swept parameter and emit CSV.
 compare  Run the full agreement grid between the operator engine and the
-         closed forms; nonzero exit if any point deviates beyond tolerance.
+         closed forms; nonzero exit if any point deviates beyond tolerance,
+         and each failing family names its worst point.
 mc       Sample a detection run and report counts and corrected estimates.
 
 Configuration is a JSON object with a `schema_version` field; every value
@@ -458,6 +459,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point_text(point: dict[str, float | str]) -> str:
+    """A compare worst point as CLI text: angles in degrees, splitter
+    amplitudes and the arm as they are."""
+    parts = []
+    for name, value in point.items():
+        if isinstance(value, str) or name in ("tx", "ty"):
+            parts.append(f"{name}={value}")
+        else:
+            parts.append(f"{name}_deg={math.degrees(value):.15g}")
+    return " ".join(parts)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     perturbations: dict[str, float] = {}
     for pair in args.perturb or []:
@@ -484,6 +497,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{r.name:24s} n={r.n_points:6d}  max|dev|={r.max_dev:.3e}  "
             f"mean|dev|={r.mean_dev:.3e}  {'pass' if ok else 'FAIL'}"
         )
+        if not ok:
+            print(f"    worst point: {_point_text(r.worst_point)}")
     print(f"tolerance {tol:g}: {'all checks passed' if all_ok else 'DISAGREEMENT FOUND'}")
     if args.out is not None:
         _write_out(_csv(header, rows), args.out)

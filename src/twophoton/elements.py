@@ -15,16 +15,22 @@ Conventions fixed here and relied on everywhere else:
   term of the first operator of the pair.  Equal displacement of both
   detectors leaves these relative phases (and hence all probabilities)
   unchanged; `phase_from_positions` is the documented fold-in map.
+
+A detector operator is linear in the input annihilators, so it is returned
+as its coefficient row over the four occupied input modes (`fock.mode_index`
+order).  Angles, phases and splitter amplitudes may be numpy arrays; they
+broadcast, and the rows gain the broadcast shape as leading axes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fock import TOL, Arm, FreqSlot, Mode, OperatorExpr, Pol
+import numpy as np
+
+from .fock import N_MODES, TOL, Arm, Pol, _all_finite, mode_index
 
 
 @dataclass(frozen=True)
@@ -39,12 +45,12 @@ class BeamSplitterSpec:
     def __post_init__(self) -> None:
         for name in ("tx", "ty", "rx", "ry"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and -TOL <= v <= 1.0 + TOL):
+            if not (_all_finite(v) and np.all((-TOL <= v) & (v <= 1.0 + TOL))):
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if abs(self.tx**2 + self.rx**2 - 1.0) > TOL:
-            raise ValueError(f"lossy x axis: tx^2 + rx^2 = {self.tx**2 + self.rx**2!r}")
-        if abs(self.ty**2 + self.ry**2 - 1.0) > TOL:
-            raise ValueError(f"lossy y axis: ty^2 + ry^2 = {self.ty**2 + self.ry**2!r}")
+        for axis, t, r in (("x", self.tx, self.rx), ("y", self.ty, self.ry)):
+            norm = t**2 + r**2
+            if np.any(np.abs(norm - 1.0) > TOL):
+                raise ValueError(f"lossy {axis} axis: t{axis}^2 + r{axis}^2 = {norm!r}")
 
     @classmethod
     def from_transmission(cls, tx: float, ty: float) -> "BeamSplitterSpec":
@@ -82,12 +88,12 @@ class AnalyzerSetting:
     port: Port = Port.PARALLEL
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
+        if not _all_finite(self.theta):
             raise ValueError(f"analyzer angle must be finite, got {self.theta!r}")
 
     def weights(self) -> tuple[float, float]:
         """Projection weights (wx, wy) of this port."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
+        c, s = np.cos(self.theta), np.sin(self.theta)
         if self.port is Port.PARALLEL:
             return c, s
         return -s, c
@@ -102,7 +108,7 @@ class PhaseGeometry:
 
     def __post_init__(self) -> None:
         for name in ("phi", "psi"):
-            if not math.isfinite(getattr(self, name)):
+            if not _all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 
@@ -117,53 +123,42 @@ def phase_from_positions(z1: float, z2: float, fringe_spacing: float) -> float:
     return 2.0 * math.pi * (z2 - z1) / fringe_spacing
 
 
-def _input_mode(arm: Arm, pol: Pol) -> Mode:
-    """Occupied input mode on a given side (side 1 carries W1, side 2 W2)."""
-    freq = FreqSlot.W1 if arm is Arm.SIDE1 else FreqSlot.W2
-    return Mode(arm, pol, freq)
+# For each output side: (polarization, transmitted input mode, reflected
+# input mode) per axis.
+_PATHS = {
+    arm: [(pol, mode_index(arm, pol), mode_index(other, pol)) for pol in Pol]
+    for arm, other in ((Arm.SIDE1, Arm.SIDE2), (Arm.SIDE2, Arm.SIDE1))
+}
 
 
-def _other(arm: Arm) -> Arm:
-    return Arm.SIDE2 if arm is Arm.SIDE1 else Arm.SIDE1
-
-
-def bs_output_ops(bs: BeamSplitterSpec) -> dict[tuple[Arm, Pol], OperatorExpr]:
-    """Substitution table: each output-side annihilator as input annihilators.
-
-    For output side j and polarization p:  t_p * (same-side input) +
-    i * r_p * (other-side input).  The frequency slot rides with the input
-    side, since each source feeds one side with one frequency.
-    """
-    table: dict[tuple[Arm, Pol], OperatorExpr] = {}
-    for arm in Arm:
-        for pol in Pol:
-            expr = OperatorExpr.from_terms(
-                [
-                    (bs.t(pol), (_input_mode(arm, pol),)),
-                    (1j * bs.r(pol), (_input_mode(_other(arm), pol),)),
-                ]
-            )
-            table[(arm, pol)] = expr
-    return table
+def _port_row(
+    setting: AnalyzerSetting, bs: BeamSplitterSpec, t_phase: complex, r_phase: complex
+) -> np.ndarray:
+    """Row of one analyzer port: the splitter outputs of its side, weighted
+    by the port, with `t_phase` on the transmitted (same-side) terms and
+    `r_phase` on the reflected (other-side) terms."""
+    entries = {}
+    for (pol, transmitted, reflected), w in zip(_PATHS[setting.arm], setting.weights()):
+        entries[transmitted] = t_phase * w * bs.t(pol)
+        entries[reflected] = 1j * r_phase * w * bs.r(pol)
+    row = np.empty(np.broadcast(*entries.values()).shape + (N_MODES,), dtype=complex)
+    for index, value in entries.items():
+        row[..., index] = value
+    return row
 
 
 def detector_operator(
     setting: AnalyzerSetting, bs: BeamSplitterSpec, geom: PhaseGeometry
-) -> OperatorExpr:
-    """Field operator for one analyzer port behind the splitter.
+) -> np.ndarray:
+    """Field operator for one analyzer port behind the splitter, as its row.
 
     Transmitted and reflected input terms are combined with the analyzer
     projection weights; the side-1 operator's reflected term carries
     exp(i*phi) so that the two-path relative phase of an opposite-side
     coincidence is exactly `phi`.
     """
-    wx, wy = setting.weights()
-    refl_phase = cmath.exp(1j * geom.phi) if setting.arm is Arm.SIDE1 else 1.0
-    terms = []
-    for pol, w in ((Pol.X, wx), (Pol.Y, wy)):
-        terms.append((w * bs.t(pol), (_input_mode(setting.arm, pol),)))
-        terms.append((1j * refl_phase * w * bs.r(pol), (_input_mode(_other(setting.arm), pol),)))
-    return OperatorExpr.from_terms(terms)
+    r_phase = np.exp(1j * geom.phi) if setting.arm is Arm.SIDE1 else 1.0
+    return _port_row(setting, bs, 1.0, r_phase)
 
 
 def same_arm_operator_pair(
@@ -172,23 +167,14 @@ def same_arm_operator_pair(
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
     ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
-) -> tuple[OperatorExpr, OperatorExpr]:
-    """Operators for the two detectors of a same-side pair measurement.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the two detectors of a same-side pair measurement.
 
     Both detectors sit on `arm`; the first analyzes at thetas[0], the second
     at thetas[1].  The first operator's transmitted term carries exp(i*psi),
     which makes `psi` the relative phase between the two pairings
     (which photon reaches which detector) of a same-side pair detection.
     """
-    ops = []
-    for theta, port, t_phase in (
-        (thetas[0], ports[0], cmath.exp(1j * geom.psi)),
-        (thetas[1], ports[1], 1.0),
-    ):
-        wx, wy = AnalyzerSetting(arm, theta, port).weights()
-        terms = []
-        for pol, w in ((Pol.X, wx), (Pol.Y, wy)):
-            terms.append((t_phase * w * bs.t(pol), (_input_mode(arm, pol),)))
-            terms.append((1j * w * bs.r(pol), (_input_mode(_other(arm), pol),)))
-        ops.append(OperatorExpr.from_terms(terms))
-    return ops[0], ops[1]
+    first = _port_row(AnalyzerSetting(arm, thetas[0], ports[0]), bs, np.exp(1j * geom.psi), 1.0)
+    second = _port_row(AnalyzerSetting(arm, thetas[1], ports[1]), bs, 1.0, 1.0)
+    return first, second

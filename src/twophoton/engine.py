@@ -1,13 +1,20 @@
-"""Detection probabilities computed by brute-force operator algebra.
+"""Detection probabilities from the two-photon amplitude rule.
 
-Every probability here comes from one mechanism: build the input state,
-apply a product of detector operators, and take the squared magnitude of
-the vacuum amplitude.  No closed-form trigonometric shortcuts are used, so
-this module serves as the independent oracle for `formulas`.
+Every probability here comes from one mechanism: write each detector
+operator as its row over the four occupied input modes (`elements`), take
+the pair amplitude <0| d_a d_b |psi> of the input product state as a 2x2
+permanent (`fock.vacuum_amplitude`), and square its magnitude.  No
+closed-form trigonometric shortcuts are used, so this module serves as the
+independent oracle for `formulas`.
 
 Unpolarized input is handled as an incoherent, equal-weight mixture of the
 four basis polarization products; probabilities, never amplitudes, are
 averaged.
+
+Every angle, phase and splitter amplitude may be a numpy array: the
+arguments broadcast, and the result is an array of the broadcast shape (a
+float when every argument is scalar).  `full_outcome_distribution` takes
+scalars only.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .elements import (
     AnalyzerSetting,
@@ -25,21 +34,19 @@ from .elements import (
     detector_operator,
     same_arm_operator_pair,
 )
-from .fock import (
-    TOL,
-    Arm,
-    IncidentPolarization,
-    apply_operator_expr,
-    product_state,
-    vacuum_amplitude,
-)
+from .fock import TOL, Arm, IncidentPolarization, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
+# Pair bookkeeping of a one-sided detection: the pair could equally have
+# taken the other side.
+ONE_SIDED = 0.5
+
 # The four equally weighted polarization products that make up unpolarized
 # light on both sides: (x,x), (x,y), (y,x), (y,y).
-_UNPOLARIZED_COMPONENTS = tuple(
-    IncidentPolarization(a, b) for a in (0.0, HALF_PI) for b in (0.0, HALF_PI)
+_UNPOLARIZED_WEIGHTS = np.full(4, 0.25)
+_UNPOLARIZED_STATE = product_state(
+    IncidentPolarization(np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI]))
 )
 
 
@@ -61,13 +68,13 @@ class InputSpec:
     def is_polarized(self) -> bool:
         return self.polarization is not None
 
-    def components(self) -> Iterator[tuple[float, IncidentPolarization]]:
-        """Weighted pure components for probability averaging."""
-        if self.polarization is not None:
-            yield 1.0, self.polarization
-        else:
-            for inc in _UNPOLARIZED_COMPONENTS:
-                yield 0.25, inc
+    def components(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Weights (C,) and photon rows (..., C, 4) of the pure components
+        whose probabilities are averaged."""
+        if self.polarization is None:
+            return _UNPOLARIZED_WEIGHTS, _UNPOLARIZED_STATE
+        p1, p2 = product_state(self.polarization)
+        return np.ones(1), (p1[..., None, :], p2[..., None, :])
 
 
 class OutcomeKind(Enum):
@@ -125,6 +132,9 @@ def all_outcomes() -> tuple[Outcome, ...]:
     return tuple(sorted(out, key=Outcome.sort_key))
 
 
+_OUTCOMES = all_outcomes()
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities over the twelve exclusive pair outcomes."""
@@ -146,16 +156,15 @@ class OutcomeDistribution:
         return sum(p for o, p in self.probabilities.items() if o.kind is kind)
 
 
-def _pure_coincidence(
-    inc: IncidentPolarization,
-    set1: AnalyzerSetting,
-    set2: AnalyzerSetting,
-    bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
-) -> float:
-    state = product_state(inc)
-    op = detector_operator(set1, bs, geom) * detector_operator(set2, bs, geom)
-    return abs(vacuum_amplitude(apply_operator_expr(state, op))) ** 2
+def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b."""
+    weights, state = inp.components()
+    amp = vacuum_amplitude(u_a[..., None, :], u_b[..., None, :], state)
+    return np.abs(amp) ** 2 @ weights
+
+
+def _result(p: np.ndarray) -> float | np.ndarray:
+    return float(p) if p.ndim == 0 else p
 
 
 def coincidence_probability(
@@ -171,9 +180,9 @@ def coincidence_probability(
     Side-1 analyzer at theta1, side-2 at theta2 (given ports); the fringe
     phase `geom.phi` sets the relative phase of the two contributing paths.
     """
-    set1 = AnalyzerSetting(Arm.SIDE1, theta1, ports[0])
-    set2 = AnalyzerSetting(Arm.SIDE2, theta2, ports[1])
-    return sum(w * _pure_coincidence(inc, set1, set2, bs, geom) for w, inc in inp.components())
+    u1 = detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, ports[0]), bs, geom)
+    u2 = detector_operator(AnalyzerSetting(Arm.SIDE2, theta2, ports[1]), bs, geom)
+    return _result(_detect(inp, u1, u2))
 
 
 def coincidence_no_polarizers(
@@ -195,22 +204,6 @@ def coincidence_no_polarizers(
     )
 
 
-def _pure_same_arm(
-    inc: IncidentPolarization,
-    arm: Arm,
-    thetas: tuple[float, float],
-    ports: tuple[Port, Port],
-    bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
-) -> float:
-    state = product_state(inc)
-    op_a, op_b = same_arm_operator_pair(arm, thetas, bs, geom, ports)
-    amp = vacuum_amplitude(apply_operator_expr(state, op_a * op_b))
-    # The leading 1/2 accounts for the pair bookkeeping of a one-sided
-    # detection (the pair could equally have taken the other side).
-    return 0.5 * abs(amp) ** 2
-
-
 def same_arm_probability(
     inp: InputSpec,
     arm: Arm,
@@ -224,12 +217,11 @@ def same_arm_probability(
     detectors fire at analyzer angles (theta_a, theta_b).
 
     `geom.psi` is the relative phase between the two photon-to-detector
-    pairings.
+    pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
+    one-sided detection.
     """
-    return sum(
-        w * _pure_same_arm(inc, arm, (theta_a, theta_b), ports, bs, geom)
-        for w, inc in inp.components()
-    )
+    u_a, u_b = same_arm_operator_pair(arm, (theta_a, theta_b), bs, geom, ports)
+    return _result(ONE_SIDED * _detect(inp, u_a, u_b))
 
 
 def same_arm_both_arms(
@@ -272,14 +264,8 @@ def double_trigger_probability(
     is halved, and the same one-sided 1/2 bookkeeping as in
     `same_arm_probability` applies.
     """
-    geom = PhaseGeometry(0.0, 0.0)
-    total = 0.0
-    for w, inc in inp.components():
-        state = product_state(inc)
-        op, _ = same_arm_operator_pair(arm, (theta, theta), bs, geom)
-        amp = vacuum_amplitude(apply_operator_expr(state, op * op))
-        total += w * 0.25 * abs(amp) ** 2
-    return total
+    u, _ = same_arm_operator_pair(arm, (theta, theta), bs, PhaseGeometry(0.0, 0.0))
+    return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
 
 def full_outcome_distribution(
@@ -297,18 +283,28 @@ def full_outcome_distribution(
     (cos(phi) = cos(psi), e.g. the symmetric geometry phi = psi), which is
     the regime where the twelve outcomes are one experiment's event space.
     Single-detector double triggers are a different event space and are not
-    part of this partition.
+    part of this partition.  All twelve amplitudes come from one stacked
+    evaluation.
     """
-    probs: dict[Outcome, float] = {}
-    for outcome in all_outcomes():
+    opposite = {
+        (arm, port): detector_operator(AnalyzerSetting(arm, theta, port), bs, geom)
+        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
+        for port in Port
+    }
+    same = {
+        (arm, port): same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
+        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
+        for port in Port
+    }
+    rows_a, rows_b, factors = [], [], []
+    for outcome in _OUTCOMES:
         if outcome.kind is OutcomeKind.OPPOSITE:
-            p = coincidence_probability(
-                inp, theta1, theta2, bs, geom, (outcome.port1, outcome.port2)
-            )
+            rows_a.append(opposite[Arm.SIDE1, outcome.port1])
+            rows_b.append(opposite[Arm.SIDE2, outcome.port2])
+            factors.append(1.0)
         else:
-            base = theta1 if outcome.arm is Arm.SIDE1 else theta2
-            p = same_arm_probability(
-                inp, outcome.arm, base, base, bs, geom, (outcome.port1, outcome.port2)
-            )
-        probs[outcome] = p
-    return OutcomeDistribution(probs)
+            rows_a.append(same[outcome.arm, outcome.port1][0])
+            rows_b.append(same[outcome.arm, outcome.port2][1])
+            factors.append(ONE_SIDED)
+    probs = np.array(factors) * _detect(inp, np.stack(rows_a), np.stack(rows_b))
+    return OutcomeDistribution(dict(zip(_OUTCOMES, probs.tolist())))

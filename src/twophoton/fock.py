@@ -1,25 +1,30 @@
-"""Two-photon Fock space over eight optical modes.
+"""Two-photon states over the four occupied input modes, and the amplitude rule.
 
-A mode is a triple (side, polarization, frequency slot).  Photon pairs enter
-the beam splitter from opposite sides, one photon per side, and each side
-carries its own frequency slot, so the physically occupied input modes are
-four of the eight; the full eight-mode space is kept so that every occupation
-pattern with at most two photons is representable (36 two-photon patterns,
-8 one-photon patterns, vacuum).
+Photon pairs enter the beam splitter from opposite sides, one photon per
+side, and each side carries its own frequency slot, so only four input modes
+are ever occupied: (side1, x), (side1, y), (side2, x), (side2, y), in that
+order (`mode_index`).  A photon is a row vector over these modes, and so is
+every detector field operator d = sum_m u_m a_m, which is linear in the
+input annihilators.
 
-States are sparse maps from occupation tuples to complex amplitudes.
-Operators are sums of products of at most two annihilators; applying a
-product works right-to-left, and lowering |n> contributes the usual sqrt(n).
+For the product state |psi> = a^dag(p1) a^dag(p2)|0>, the pair amplitude
+<0| d_a d_b |psi> is the permanent of the 2x2 matrix of overlaps,
+(u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1): the standard amplitude rule of linear
+optics (Scheel, quant-ph/0406127; Aaronson & Arkhipov, arXiv:1011.3245).
+Every array argument broadcasts over leading batch axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+
+import numpy as np
 
 TOL = 1e-12  # repo-wide numeric tolerance
+
+N_MODES = 4
 
 
 class Arm(Enum):
@@ -36,91 +41,23 @@ class Pol(Enum):
     Y = 1
 
 
-class FreqSlot(Enum):
-    """Frequency slot label; side 1 carries W1, side 2 carries W2."""
-
-    W1 = 0
-    W2 = 1
+def mode_index(arm: Arm, pol: Pol) -> int:
+    """Position of the occupied input mode (arm, pol) in every row vector."""
+    return 2 * arm.value + pol.value
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One optical mode: (arm, polarization, frequency slot)."""
-
-    arm: Arm
-    pol: Pol
-    freq: FreqSlot
-
-    @property
-    def index(self) -> int:
-        """Position of this mode in the fixed total order (0..7)."""
-        return self.arm.value * 4 + self.pol.value * 2 + self.freq.value
-
-    def label(self) -> str:
-        return f"{self.arm.name.lower()}:{self.pol.name.lower()}:{self.freq.name.lower()}"
-
-
-MODES: tuple[Mode, ...] = tuple(
-    sorted(
-        (Mode(a, p, f) for a in Arm for p in Pol for f in FreqSlot),
-        key=lambda m: m.index,
-    )
-)
-
-N_MODES = len(MODES)
-
-# Occupation pattern: tuple of 8 photon counts, indexed by Mode.index.
-OccupationConfig = tuple[int, ...]
-
-VACUUM: OccupationConfig = (0,) * N_MODES
-
-
-def occupy(*modes: Mode) -> OccupationConfig:
-    """Occupation pattern with one photon added per listed mode."""
-    counts = [0] * N_MODES
-    for m in modes:
-        counts[m.index] += 1
-    return tuple(counts)
-
-
-def _check_config(config: OccupationConfig) -> None:
-    if len(config) != N_MODES:
-        raise ValueError(f"occupation pattern must have {N_MODES} entries, got {len(config)}")
-    if any(n < 0 for n in config):
-        raise ValueError(f"negative occupation in {config}")
-    if sum(config) > 2:
-        raise ValueError(f"more than two photons in {config}")
-
-
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Sparse state over occupation patterns with at most two photons total.
-
-    Treat instances as immutable: every operation returns a new state.
-    """
-
-    amplitudes: Mapping[OccupationConfig, complex]
-
-    def __post_init__(self) -> None:
-        for config in self.amplitudes:
-            _check_config(config)
-
-    def amplitude(self, config: OccupationConfig) -> complex:
-        return self.amplitudes.get(config, 0.0 + 0.0j)
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def is_normalized(self, tol: float = TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-
-ZERO_STATE = TwoPhotonState({})
+def _all_finite(v) -> bool:
+    if isinstance(v, (int, float)):
+        return math.isfinite(v)
+    return bool(np.all(np.isfinite(v)))
 
 
 @dataclass(frozen=True)
 class IncidentPolarization:
-    """Linear polarization angles (radians) of the photons on side 1 and side 2."""
+    """Linear polarization angles (radians) of the photons on side 1 and side 2.
+
+    The angles may be numpy arrays; they broadcast against each other.
+    """
 
     theta1: float
     theta2: float
@@ -128,114 +65,33 @@ class IncidentPolarization:
     def __post_init__(self) -> None:
         for name in ("theta1", "theta2"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not _all_finite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-def product_state(inc: IncidentPolarization) -> TwoPhotonState:
-    """Normalized product of two linearly polarized one-photon wave packets.
+def product_state(inc: IncidentPolarization) -> tuple[np.ndarray, np.ndarray]:
+    """Row vectors (p1, p2) of the two photons of a linearly polarized pair.
 
-    The side-1 photon occupies (side1, ., w1) and the side-2 photon
-    (side2, ., w2); the polarization of each is cos(theta)|x> + sin(theta)|y>.
+    The side-1 photon is cos(theta1)|side1 x> + sin(theta1)|side1 y> and the
+    side-2 photon likewise on the side-2 modes; the amplitude of the pattern
+    with one photon in mode m1 and one in mode m2 is p1[m1] * p2[m2].
     """
-    c1, s1 = math.cos(inc.theta1), math.sin(inc.theta1)
-    c2, s2 = math.cos(inc.theta2), math.sin(inc.theta2)
-    amps: dict[OccupationConfig, complex] = {}
-    for p1, w1 in ((Pol.X, c1), (Pol.Y, s1)):
-        for p2, w2 in ((Pol.X, c2), (Pol.Y, s2)):
-            amp = w1 * w2
-            if amp != 0.0:
-                m1 = Mode(Arm.SIDE1, p1, FreqSlot.W1)
-                m2 = Mode(Arm.SIDE2, p2, FreqSlot.W2)
-                amps[occupy(m1, m2)] = complex(amp)
-    return TwoPhotonState(amps)
+    shape = np.broadcast(inc.theta1, inc.theta2).shape + (N_MODES,)
+    p1, p2 = np.zeros(shape), np.zeros(shape)
+    p1[..., 0], p1[..., 1] = np.cos(inc.theta1), np.sin(inc.theta1)
+    p2[..., 2], p2[..., 3] = np.cos(inc.theta2), np.sin(inc.theta2)
+    return p1, p2
 
 
-def apply_annihilation(state: TwoPhotonState, mode: Mode) -> TwoPhotonState:
-    """Lower the occupation of `mode` by one, with the bosonic sqrt(n) factor.
+def vacuum_amplitude(
+    u_a: np.ndarray, u_b: np.ndarray, state: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """<0| d_a d_b |psi> for detector rows u_a, u_b and photon rows (p1, p2).
 
-    Patterns with no photon in `mode` are dropped; annihilating the vacuum
-    gives the zero state.
+    The 2x2 permanent (u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1); its squared
+    magnitude is a joint detection probability.
     """
-    idx = mode.index
-    out: dict[OccupationConfig, complex] = {}
-    for config, amp in state.amplitudes.items():
-        n = config[idx]
-        if n == 0:
-            continue
-        lowered = config[:idx] + (n - 1,) + config[idx + 1 :]
-        out[lowered] = out.get(lowered, 0.0 + 0.0j) + amp * math.sqrt(n)
-    return TwoPhotonState(out)
-
-
-@dataclass(frozen=True)
-class OperatorExpr:
-    """Sum of complex-weighted products of at most two annihilators.
-
-    `terms` holds (coefficient, modes) pairs; `modes` is an ordered tuple and
-    application is right-to-left, matching operator composition.
-    """
-
-    terms: tuple[tuple[complex, tuple[Mode, ...]], ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        for _, modes in self.terms:
-            if len(modes) > 2:
-                raise ValueError("operator products beyond two annihilators are not supported")
-
-    @classmethod
-    def zero(cls) -> "OperatorExpr":
-        return cls(())
-
-    @classmethod
-    def annihilator(cls, mode: Mode, coeff: complex = 1.0) -> "OperatorExpr":
-        if coeff == 0:
-            return cls(())
-        return cls(((complex(coeff), (mode,)),))
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[complex, tuple[Mode, ...]]]) -> "OperatorExpr":
-        return cls(tuple((complex(c), tuple(ms)) for c, ms in terms if c != 0))
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr(self.terms + other.terms)
-
-    def scaled(self, factor: complex) -> "OperatorExpr":
-        if factor == 0:
-            return OperatorExpr(())
-        return OperatorExpr(tuple((c * factor, ms) for c, ms in self.terms))
-
-    def __mul__(self, other):
-        """Operator product (right factor applies first) or scalar multiple."""
-        if isinstance(other, OperatorExpr):
-            return OperatorExpr.from_terms(
-                (c1 * c2, ms1 + ms2) for c1, ms1 in self.terms for c2, ms2 in other.terms
-            )
-        return self.scaled(other)
-
-    def __rmul__(self, factor: complex) -> "OperatorExpr":
-        return self.scaled(factor)
-
-    def coefficient_map(self) -> dict[tuple[Mode, ...], complex]:
-        """Collected coefficients keyed by mode product (for structural tests)."""
-        out: dict[tuple[Mode, ...], complex] = {}
-        for c, ms in self.terms:
-            out[ms] = out.get(ms, 0.0 + 0.0j) + c
-        return {ms: c for ms, c in out.items() if c != 0}
-
-
-def apply_operator_expr(state: TwoPhotonState, expr: OperatorExpr) -> TwoPhotonState:
-    """Apply a sum of annihilator products to a state (linear extension)."""
-    total: dict[OccupationConfig, complex] = {}
-    for coeff, modes in expr.terms:
-        partial = state
-        for mode in reversed(modes):
-            partial = apply_annihilation(partial, mode)
-        for config, amp in partial.amplitudes.items():
-            total[config] = total.get(config, 0.0 + 0.0j) + coeff * amp
-    return TwoPhotonState(total)
-
-
-def vacuum_amplitude(state: TwoPhotonState) -> complex:
-    """Overlap <0|state>; squared magnitude is a joint detection probability."""
-    return state.amplitude(VACUUM)
+    p1, p2 = state
+    a1, a2 = (u_a * p1).sum(axis=-1), (u_a * p2).sum(axis=-1)
+    b1, b2 = (u_b * p1).sum(axis=-1), (u_b * p2).sum(axis=-1)
+    return a1 * b2 + a2 * b1

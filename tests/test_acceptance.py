@@ -92,9 +92,8 @@ def test_criterion_3_distribution_normalization():
     rng = np.random.default_rng(2026)
     zero = PhaseGeometry(0.0, 0.0)
     devs = []
-    # polarized inputs over the four-angle grid (strided for runtime)
-    grid = itertools.islice(itertools.product(ANGLES, repeat=4), 0, None, 7)
-    for pol1, pol2, ana1, ana2 in grid:
+    # polarized inputs over the whole four-angle grid
+    for pol1, pol2, ana1, ana2 in itertools.product(ANGLES, repeat=4):
         dist = full_outcome_distribution(InputSpec.polarized(pol1, pol2), ana1, ana2, BS, zero)
         devs.append(abs(dist.total() - 1.0))
     n_polarized = len(devs)

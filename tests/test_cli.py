@@ -300,6 +300,12 @@ def test_compare_detects_perturbed_constant(tmp_path, capsys):
     assert code == 2
     text = capsys.readouterr().out
     assert "DISAGREEMENT" in text
+    # only the failing family names its worst point, on the line after it
+    lines = text.splitlines()
+    worst = [i for i, line in enumerate(lines) if line.startswith("    worst point: ")]
+    assert len(worst) == 1
+    assert lines[worst[0] - 1].startswith("unpolarized_5050 ") and lines[worst[0] - 1].endswith("FAIL")
+    assert "phi_deg=180" in lines[worst[0]]
     report = out_csv.read_text()
     assert "unpolarized_5050" in report and "FAIL" in report
 

@@ -9,12 +9,11 @@ from twophoton.elements import (
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
-    bs_output_ops,
     detector_operator,
     phase_from_positions,
     same_arm_operator_pair,
 )
-from twophoton.fock import TOL, Arm, FreqSlot, Mode, Pol
+from twophoton.fock import TOL, Arm, Pol, mode_index
 
 RNG = np.random.default_rng(411)
 
@@ -24,6 +23,9 @@ def test_beam_splitter_rejects_lossy_amplitudes():
         BeamSplitterSpec(0.9, 0.6, 0.9, 0.8)  # tx^2 + rx^2 != 1
     with pytest.raises(ValueError):
         BeamSplitterSpec(1.2, 0.0, 0.0, 1.0)  # out of range
+    s = 1.0 / math.sqrt(2.0)
+    with pytest.raises(ValueError):  # one lossy entry of an array-valued splitter
+        BeamSplitterSpec(np.array([s, 0.9]), s, np.array([s, 0.9]), s)
 
 
 def test_from_transmission_is_lossless():
@@ -50,6 +52,16 @@ def test_splitter_transform_is_unitary_per_polarization():
         for t, r in ((bs.tx, bs.rx), (bs.ty, bs.ry)):
             m = np.array([[t, 1j * r], [1j * r, t]])
             assert np.max(np.abs(m @ m.conj().T - np.eye(2))) < TOL
+        # the detector rows of analyzers along x and y on both sides are the
+        # splitter's output rows, so together they form a unitary matrix
+        rows = np.stack(
+            [
+                detector_operator(AnalyzerSetting(arm, theta), bs, PhaseGeometry())
+                for arm in Arm
+                for theta in (0.0, math.pi / 2.0)
+            ]
+        )
+        assert np.max(np.abs(rows @ rows.conj().T - np.eye(4))) < TOL
 
 
 def test_parallel_port_projects_along_analyzer_angle():
@@ -88,48 +100,47 @@ def test_phase_from_positions_depends_only_on_separation():
         phase_from_positions(0.0, 1.0, math.inf)
 
 
+def splitter_output(bs: BeamSplitterSpec, arm: Arm, pol: Pol) -> np.ndarray:
+    """Row of one splitter output annihilator: t on the same side, i*r on
+    the other side, same polarization."""
+    other = Arm.SIDE2 if arm is Arm.SIDE1 else Arm.SIDE1
+    row = np.zeros(4, dtype=complex)
+    row[mode_index(arm, pol)] = bs.t(pol)
+    row[mode_index(other, pol)] = 1j * bs.r(pol)
+    return row
+
+
 def test_splitter_output_mixes_sides_with_i_reflection():
+    # an analyzer along x (y) passes exactly the x (y) splitter output
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
-    table = bs_output_ops(bs)
-    out = table[(Arm.SIDE1, Pol.X)].coefficient_map()
-    same = (Mode(Arm.SIDE1, Pol.X, FreqSlot.W1),)
-    other = (Mode(Arm.SIDE2, Pol.X, FreqSlot.W2),)
-    assert abs(out[same] - bs.tx) < TOL
-    assert abs(out[other] - 1j * bs.rx) < TOL
-    out2 = table[(Arm.SIDE2, Pol.Y)].coefficient_map()
-    assert abs(out2[(Mode(Arm.SIDE2, Pol.Y, FreqSlot.W2),)] - bs.ty) < TOL
-    assert abs(out2[(Mode(Arm.SIDE1, Pol.Y, FreqSlot.W1),)] - 1j * bs.ry) < TOL
-
-
-def test_frequency_slot_rides_with_input_side():
-    table = bs_output_ops(BeamSplitterSpec.fifty_fifty())
-    for (arm, pol), expr in table.items():
-        for _, modes in expr.terms:
-            (mode,) = modes
-            expected = FreqSlot.W1 if mode.arm is Arm.SIDE1 else FreqSlot.W2
-            assert mode.freq is expected
-            assert mode.pol is pol
+    out = detector_operator(AnalyzerSetting(Arm.SIDE1, 0.0), bs, PhaseGeometry())
+    assert abs(out[mode_index(Arm.SIDE1, Pol.X)] - bs.tx) < TOL
+    assert abs(out[mode_index(Arm.SIDE2, Pol.X)] - 1j * bs.rx) < TOL
+    assert out[mode_index(Arm.SIDE1, Pol.Y)] == 0.0 and out[mode_index(Arm.SIDE2, Pol.Y)] == 0.0
+    out2 = detector_operator(AnalyzerSetting(Arm.SIDE2, math.pi / 2.0), bs, PhaseGeometry())
+    assert abs(out2[mode_index(Arm.SIDE2, Pol.Y)] - bs.ty) < TOL
+    assert abs(out2[mode_index(Arm.SIDE1, Pol.Y)] - 1j * bs.ry) < TOL
+    assert np.max(np.abs(out2 - splitter_output(bs, Arm.SIDE2, Pol.Y))) < TOL
 
 
 def test_detector_operator_phase_sits_on_side1_reflected_terms():
     bs = BeamSplitterSpec.fifty_fifty()
     phi = 1.2
     theta = 0.4
-    op1 = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry(phi=phi))
-    plain = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry())
-    got = op1.coefficient_map()
-    ref = plain.coefficient_map()
-    for modes, coeff in ref.items():
-        (mode,) = modes
-        factor = cmath.exp(1j * phi) if mode.arm is Arm.SIDE2 else 1.0  # reflected into side 1
-        assert abs(got[modes] - coeff * factor) < TOL
+    got = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry(phi=phi))
+    ref = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry())
+    for arm in Arm:
+        for pol in Pol:
+            m = mode_index(arm, pol)
+            factor = cmath.exp(1j * phi) if arm is Arm.SIDE2 else 1.0  # reflected into side 1
+            assert abs(got[m] - ref[m] * factor) < TOL
 
 
 def test_side2_detector_operator_ignores_phi():
     bs = BeamSplitterSpec.from_transmission(0.8, 0.7)
     op_a = detector_operator(AnalyzerSetting(Arm.SIDE2, 0.3), bs, PhaseGeometry(phi=2.0))
     op_b = detector_operator(AnalyzerSetting(Arm.SIDE2, 0.3), bs, PhaseGeometry(phi=0.0))
-    assert op_a.coefficient_map() == op_b.coefficient_map()
+    assert np.array_equal(op_a, op_b)
 
 
 def test_detector_operator_matches_weighted_splitter_outputs():
@@ -138,12 +149,22 @@ def test_detector_operator_matches_weighted_splitter_outputs():
     setting = AnalyzerSetting(Arm.SIDE2, theta, Port.PERPENDICULAR)
     op = detector_operator(setting, bs, PhaseGeometry())
     wx, wy = setting.weights()
-    table = bs_output_ops(bs)
-    combo = table[(Arm.SIDE2, Pol.X)].scaled(wx) + table[(Arm.SIDE2, Pol.Y)].scaled(wy)
-    got, want = op.coefficient_map(), combo.coefficient_map()
-    assert set(got) == set(want)
-    for modes in got:
-        assert abs(got[modes] - want[modes]) < TOL
+    combo = wx * splitter_output(bs, Arm.SIDE2, Pol.X) + wy * splitter_output(bs, Arm.SIDE2, Pol.Y)
+    assert np.max(np.abs(op - combo)) < TOL
+
+
+def test_detector_operator_broadcasts_over_array_parameters():
+    thetas = np.array([0.1, 0.8, 2.5])
+    phis = np.array([0.0, 1.0, 4.0])
+    splitters = [BeamSplitterSpec.from_transmission(*t) for t in ((0.9, 0.6), (0.5, 0.5), (0.1, 1.0))]
+    fields = np.array([[s.tx, s.ty, s.rx, s.ry] for s in splitters]).T
+    setting = AnalyzerSetting(Arm.SIDE1, thetas, Port.PERPENDICULAR)
+    rows = detector_operator(setting, BeamSplitterSpec(*fields), PhaseGeometry(phi=phis))
+    assert rows.shape == (3, 4)
+    for k, bs in enumerate(splitters):
+        setting = AnalyzerSetting(Arm.SIDE1, float(thetas[k]), Port.PERPENDICULAR)
+        single = detector_operator(setting, bs, PhaseGeometry(phi=float(phis[k])))
+        assert np.max(np.abs(rows[k] - single)) < TOL
 
 
 def test_same_arm_pair_phase_sits_on_first_transmitted_term():
@@ -152,12 +173,13 @@ def test_same_arm_pair_phase_sits_on_first_transmitted_term():
     thetas = (0.2, 1.3)
     op_a, op_b = same_arm_operator_pair(Arm.SIDE2, thetas, bs, PhaseGeometry(psi=psi))
     ref_a, ref_b = same_arm_operator_pair(Arm.SIDE2, thetas, bs, PhaseGeometry())
-    for modes, coeff in ref_a.coefficient_map().items():
-        (mode,) = modes
-        factor = cmath.exp(1j * psi) if mode.arm is Arm.SIDE2 else 1.0  # transmitted term
-        assert abs(op_a.coefficient_map()[modes] - coeff * factor) < TOL
+    for arm in Arm:
+        for pol in Pol:
+            m = mode_index(arm, pol)
+            factor = cmath.exp(1j * psi) if arm is Arm.SIDE2 else 1.0  # transmitted term
+            assert abs(op_a[m] - ref_a[m] * factor) < TOL
     # second operator of the pair carries no psi
-    assert op_b.coefficient_map() == ref_b.coefficient_map()
+    assert np.array_equal(op_b, ref_b)
 
 
 def test_same_arm_pair_honors_ports_and_angles():
@@ -168,7 +190,4 @@ def test_same_arm_pair_honors_ports_and_angles():
     op_rot, _ = same_arm_operator_pair(
         Arm.SIDE1, (0.5 + math.pi / 2.0, 0.5), bs, PhaseGeometry()
     )
-    got, want = op_perp.coefficient_map(), op_rot.coefficient_map()
-    assert set(got) == set(want)
-    for modes in got:
-        assert abs(got[modes] - want[modes]) < TOL
+    assert np.max(np.abs(op_perp - op_rot)) < TOL

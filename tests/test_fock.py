@@ -4,86 +4,77 @@ import numpy as np
 import pytest
 
 from twophoton.fock import (
-    MODES,
     N_MODES,
     TOL,
-    VACUUM,
-    ZERO_STATE,
     Arm,
-    FreqSlot,
     IncidentPolarization,
-    Mode,
-    OperatorExpr,
     Pol,
-    TwoPhotonState,
-    apply_annihilation,
-    apply_operator_expr,
-    occupy,
+    mode_index,
     product_state,
     vacuum_amplitude,
 )
 
-M1X = Mode(Arm.SIDE1, Pol.X, FreqSlot.W1)
-M1Y = Mode(Arm.SIDE1, Pol.Y, FreqSlot.W1)
-M2X = Mode(Arm.SIDE2, Pol.X, FreqSlot.W2)
-M2Y = Mode(Arm.SIDE2, Pol.Y, FreqSlot.W2)
+
+def unit(arm: Arm, pol: Pol) -> np.ndarray:
+    """Row of the bare annihilator of one occupied input mode."""
+    row = np.zeros(N_MODES, dtype=complex)
+    row[mode_index(arm, pol)] = 1.0
+    return row
+
+
+A1X, A1Y = unit(Arm.SIDE1, Pol.X), unit(Arm.SIDE1, Pol.Y)
+A2X, A2Y = unit(Arm.SIDE2, Pol.X), unit(Arm.SIDE2, Pol.Y)
+
+
+def pattern_amplitudes(inc: IncidentPolarization) -> dict[tuple[int, int], float]:
+    """Amplitude of each one-photon-per-side occupation pattern (m1, m2)."""
+    p1, p2 = product_state(inc)
+    return {(m1, m2): p1[m1] * p2[m2] for m1 in range(N_MODES) for m2 in range(N_MODES)}
 
 
 def test_mode_indexing_is_a_bijection():
-    assert N_MODES == 8
-    indices = [m.index for m in MODES]
-    assert indices == list(range(8))
-    assert len({(m.arm, m.pol, m.freq) for m in MODES}) == 8
-
-
-def test_mode_labels():
-    assert M1X.label() == "side1:x:w1"
-    assert Mode(Arm.SIDE2, Pol.Y, FreqSlot.W1).label() == "side2:y:w1"
-
-
-def test_occupy_counts_photons_per_mode():
-    config = occupy(M1X, M2Y)
-    assert sum(config) == 2
-    assert config[M1X.index] == 1
-    assert config[M2Y.index] == 1
-    double = occupy(M1X, M1X)
-    assert double[M1X.index] == 2
-
-
-def test_state_rejects_bad_occupation_patterns():
-    with pytest.raises(ValueError):
-        TwoPhotonState({(0,) * 7: 1.0})  # wrong length
-    with pytest.raises(ValueError):
-        TwoPhotonState({(-1,) + (0,) * 7: 1.0})  # negative count
-    with pytest.raises(ValueError):
-        TwoPhotonState({(2, 1) + (0,) * 6: 1.0})  # three photons
+    assert N_MODES == 4
+    indices = [mode_index(arm, pol) for arm in Arm for pol in Pol]
+    assert sorted(indices) == list(range(4))
 
 
 def test_product_state_amplitudes_are_weight_products():
     inc = IncidentPolarization(math.pi / 6, math.pi / 3)
-    state = product_state(inc)
+    amps = pattern_amplitudes(inc)
     c1, s1 = math.cos(inc.theta1), math.sin(inc.theta1)
     c2, s2 = math.cos(inc.theta2), math.sin(inc.theta2)
-    assert abs(state.amplitude(occupy(M1X, M2X)) - c1 * c2) < TOL
-    assert abs(state.amplitude(occupy(M1X, M2Y)) - c1 * s2) < TOL
-    assert abs(state.amplitude(occupy(M1Y, M2X)) - s1 * c2) < TOL
-    assert abs(state.amplitude(occupy(M1Y, M2Y)) - s1 * s2) < TOL
-    assert state.is_normalized()
+    i = {(arm, pol): mode_index(arm, pol) for arm in Arm for pol in Pol}
+    assert abs(amps[i[Arm.SIDE1, Pol.X], i[Arm.SIDE2, Pol.X]] - c1 * c2) < TOL
+    assert abs(amps[i[Arm.SIDE1, Pol.X], i[Arm.SIDE2, Pol.Y]] - c1 * s2) < TOL
+    assert abs(amps[i[Arm.SIDE1, Pol.Y], i[Arm.SIDE2, Pol.X]] - s1 * c2) < TOL
+    assert abs(amps[i[Arm.SIDE1, Pol.Y], i[Arm.SIDE2, Pol.Y]] - s1 * s2) < TOL
+    assert abs(sum(a * a for a in amps.values()) - 1.0) < TOL
 
 
 def test_diagonal_product_state_spreads_evenly():
     # both photons at 45 degrees: amplitude 1/2 on each of the four patterns
-    state = product_state(IncidentPolarization(math.pi / 4, math.pi / 4))
-    assert len(state.amplitudes) == 4
-    for amp in state.amplitudes.values():
+    amps = pattern_amplitudes(IncidentPolarization(math.pi / 4, math.pi / 4))
+    populated = [a for a in amps.values() if a != 0.0]
+    assert len(populated) == 4
+    for amp in populated:
         assert abs(amp - 0.5) < TOL
 
 
 def test_product_state_drops_zero_amplitudes():
     # Aligned x polarizations populate exactly one pattern.
-    state = product_state(IncidentPolarization(0.0, 0.0))
-    assert set(state.amplitudes) == {occupy(M1X, M2X)}
-    assert abs(state.amplitude(occupy(M1X, M2X)) - 1.0) < TOL
+    amps = pattern_amplitudes(IncidentPolarization(0.0, 0.0))
+    x1, x2 = mode_index(Arm.SIDE1, Pol.X), mode_index(Arm.SIDE2, Pol.X)
+    assert {m for m, a in amps.items() if a != 0.0} == {(x1, x2)}
+    assert abs(amps[x1, x2] - 1.0) < TOL
+
+
+def test_product_state_broadcasts_over_angle_arrays():
+    theta1 = np.array([0.1, 0.7, 2.0])
+    p1, p2 = product_state(IncidentPolarization(theta1, 0.4))
+    assert p1.shape == p2.shape == (3, N_MODES)
+    for k, t in enumerate(theta1):
+        q1, q2 = product_state(IncidentPolarization(float(t), 0.4))
+        assert np.max(np.abs(p1[k] - q1)) < TOL and np.max(np.abs(p2[k] - q2)) < TOL
 
 
 def test_incident_polarization_rejects_nonfinite_angles():
@@ -91,81 +82,60 @@ def test_incident_polarization_rejects_nonfinite_angles():
         IncidentPolarization(math.nan, 0.0)
     with pytest.raises(ValueError):
         IncidentPolarization(0.0, math.inf)
+    with pytest.raises(ValueError):
+        IncidentPolarization(np.array([0.0, math.nan]), 0.0)
 
 
 def test_annihilation_lowers_with_sqrt_n():
-    doubly = TwoPhotonState({occupy(M1X, M1X): 1.0})
-    once = apply_annihilation(doubly, M1X)
-    assert abs(once.amplitude(occupy(M1X)) - math.sqrt(2.0)) < TOL
-    twice = apply_annihilation(once, M1X)
-    # <0| a a |2> = sqrt(2)
-    assert abs(vacuum_amplitude(twice) - math.sqrt(2.0)) < TOL
+    # both photons in one mode: a^dag a^dag |0> = sqrt(2) |2>, and the
+    # permanent counts both pairings, so <0| a a |2> = sqrt(2)
+    doubly = (A1X.real, A1X.real)
+    assert abs(vacuum_amplitude(A1X, A1X, doubly) / math.sqrt(2.0) - math.sqrt(2.0)) < TOL
 
 
 def test_annihilation_of_empty_mode_gives_zero_state():
-    state = TwoPhotonState({occupy(M1X, M2X): 1.0})
-    assert apply_annihilation(state, M1Y).amplitudes == {}
-    assert apply_annihilation(ZERO_STATE, M1X).amplitudes == {}
-
-
-def test_operator_expr_drops_zero_coefficients():
-    assert OperatorExpr.annihilator(M1X, 0.0).terms == ()
-    expr = OperatorExpr.from_terms([(0.0, (M1X,)), (2.0, (M1Y,))])
-    assert expr.coefficient_map() == {(M1Y,): 2.0 + 0.0j}
-
-
-def test_operator_expr_rejects_long_products():
-    with pytest.raises(ValueError):
-        OperatorExpr(((1.0 + 0.0j, (M1X, M1Y, M2X)),))
-
-
-def test_operator_product_concatenates_modes_in_order():
-    a = OperatorExpr.annihilator(M1X, 2.0)
-    b = OperatorExpr.annihilator(M2Y, 3.0j)
-    prod = a * b
-    assert prod.coefficient_map() == {(M1X, M2Y): 6.0j}
+    state = product_state(IncidentPolarization(0.0, 0.0))  # x photons only
+    assert vacuum_amplitude(A1Y, A2X, state) == 0.0
+    assert vacuum_amplitude(A1X, A2Y, state) == 0.0
+    assert abs(vacuum_amplitude(A1X, A2X, state) - 1.0) < TOL
 
 
 def test_operator_scalar_multiplication_both_sides():
-    a = OperatorExpr.annihilator(M1X, 2.0)
-    assert (a * 3.0).coefficient_map() == {(M1X,): 6.0 + 0.0j}
-    assert (3.0 * a).coefficient_map() == {(M1X,): 6.0 + 0.0j}
-    assert a.scaled(0.0).terms == ()
+    # a scalar on the pair operator d_a d_b can ride on either factor
+    state = product_state(IncidentPolarization(0.3, 1.1))
+    u_a, u_b = A1X + 0.5j * A2Y, A2X - 0.2 * A1Y
+    base = vacuum_amplitude(u_a, u_b, state)
+    assert abs(vacuum_amplitude(3.0 * u_a, u_b, state) - 3.0 * base) < TOL
+    assert abs(vacuum_amplitude(u_a, 3.0 * u_b, state) - 3.0 * base) < TOL
 
 
-def test_coefficient_map_collects_and_cancels():
-    expr = OperatorExpr.from_terms(
-        [(1.5, (M1X,)), (0.5, (M1X,)), (1.0, (M2X,)), (-1.0, (M2X,))]
-    )
-    assert expr.coefficient_map() == {(M1X,): 2.0 + 0.0j}
-
-
-def test_apply_operator_expr_is_linear():
+def test_vacuum_amplitude_is_linear_in_each_operator():
     rng = np.random.default_rng(20260823)
     state = product_state(IncidentPolarization(rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
-    op1 = OperatorExpr.annihilator(M1X, 1.3) * OperatorExpr.annihilator(M2X)
-    op2 = OperatorExpr.annihilator(M1Y, 0.7j) * OperatorExpr.annihilator(M2Y)
-    combined = vacuum_amplitude(apply_operator_expr(state, op1 + op2))
-    separate = vacuum_amplitude(apply_operator_expr(state, op1)) + vacuum_amplitude(
-        apply_operator_expr(state, op2)
-    )
+    op1, op2 = 1.3 * A1X, 0.7j * A1Y
+    combined = vacuum_amplitude(op1 + op2, A2X + A2Y, state)
+    separate = vacuum_amplitude(op1, A2X + A2Y, state) + vacuum_amplitude(op2, A2X + A2Y, state)
     assert abs(combined - separate) < TOL
+    # the two operators commute
+    assert abs(vacuum_amplitude(A2X + A2Y, op1 + op2, state) - combined) < TOL
+
+
+def test_vacuum_amplitude_broadcasts_over_batch_axes():
+    rows = np.stack([A1X, A1Y, A1X + A1Y])
+    state = product_state(IncidentPolarization(np.array([[0.2], [0.9]]), 0.5))
+    amps = vacuum_amplitude(rows, A2X, state)
+    assert amps.shape == (2, 3)
+    for i, theta1 in enumerate((0.2, 0.9)):
+        single = product_state(IncidentPolarization(theta1, 0.5))
+        for j, row in enumerate(rows):
+            assert abs(amps[i, j] - vacuum_amplitude(row, A2X, single)) < TOL
 
 
 def test_two_photon_state_needs_two_annihilations_for_vacuum_overlap():
+    # one annihilation per photon: two side-1 operators cannot empty a
+    # state with one photon per side
     state = product_state(IncidentPolarization(0.3, 1.1))
-    assert vacuum_amplitude(state) == 0.0
-    one = apply_operator_expr(state, OperatorExpr.annihilator(M1X))
-    assert vacuum_amplitude(one) == 0.0
-    two = apply_operator_expr(
-        state, OperatorExpr.annihilator(M1X) * OperatorExpr.annihilator(M2X)
-    )
+    assert vacuum_amplitude(A1X, A1Y, state) == 0.0
+    assert vacuum_amplitude(A2X, A2Y, state) == 0.0
     expected = math.cos(0.3) * math.cos(1.1)
-    assert abs(vacuum_amplitude(two) - expected) < TOL
-
-
-def test_norm_sq_sums_squared_magnitudes():
-    state = TwoPhotonState({occupy(M1X, M2X): 0.6, occupy(M1Y, M2Y): 0.8j})
-    assert abs(state.norm_sq() - 1.0) < TOL
-    assert state.is_normalized()
-    assert not TwoPhotonState({occupy(M1X): 0.5}).is_normalized()
+    assert abs(vacuum_amplitude(A1X, A2X, state) - expected) < TOL
