@@ -9,11 +9,13 @@ The package has three layers that deliberately do not share arithmetic:
 * :mod:`twophoton.formulas` carries the factorized closed forms for the
   same probabilities;
 * :mod:`twophoton.montecarlo` samples click-level runs from a full outcome
-  distribution, and :mod:`twophoton.compare` sweeps engine against formulas
-  over dense parameter grids.
+  distribution.
 
-`twophoton.cli` exposes the `twophoton` command with `sweep`, `compare`,
-and `mc` subcommands.
+:mod:`twophoton.compare` declares every experiment once, in the table
+`EXPERIMENTS`: its parameters, accepted inputs, domain, engine route,
+closed-form route and agreement grid.  It checks engine against formulas
+over dense parameter grids, and `twophoton.cli` exposes the `twophoton`
+command, whose `sweep`, `compare` and `mc` subcommands read that table.
 """
 
 from .compare import DEFAULT_TOL, CheckResult, run_comparison

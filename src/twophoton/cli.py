@@ -3,7 +3,8 @@ and Monte Carlo runs.
 
 Subcommands
 -----------
-sweep    Evaluate one experiment along a swept parameter and emit CSV.
+sweep    Evaluate one experiment of `compare.EXPERIMENTS` along a swept
+         parameter and emit CSV; the engine runs once on the whole sweep.
 compare  Run the full agreement grid between the operator engine and the
          closed forms; nonzero exit if any point deviates beyond tolerance,
          and each failing family names its worst point.
@@ -12,8 +13,11 @@ mc       Sample a detection run and report counts and corrected estimates.
 Configuration is a JSON object with a `schema_version` field; every value
 can be overridden on the command line with repeated `--set key=value`
 (dotted paths reach into `sweep`).  Angles cross this boundary in degrees
-and are converted to radians internally.  CSV output uses a comma
-delimiter, `.` decimal separator, and 15 significant digits, and is
+and are converted to radians internally; `LIBRARY_NAMES` maps each config
+key to the library parameter it sets.  The sweepable parameters, accepted
+inputs and domain (50:50 splitter; cos(phi) = cos(psi) at every swept
+point) of each experiment come from its table entry.  CSV output uses a
+comma delimiter, `.` decimal separator, and 15 significant digits, and is
 byte-stable for a fixed configuration and seed.
 
 Exit codes: 0 success, 1 invalid configuration, 2 comparison failure,
@@ -26,21 +30,13 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from . import compare as comparemod
-from . import formulas
-from .elements import BeamSplitterSpec, PhaseGeometry
-from .engine import (
-    Arm,
-    InputSpec,
-    OutcomeKind,
-    coincidence_no_polarizers,
-    coincidence_probability,
-    double_trigger_probability,
-    full_outcome_distribution,
-    same_arm_probability,
-)
+from .elements import BeamSplitterSpec
+from .engine import Arm
 from .montecarlo import CountTable, RunConfig, consistency_z, estimate, sample_run
 
 SCHEMA_VERSION = 1
@@ -62,7 +58,6 @@ DEFAULTS: dict[str, Any] = {
     "arm": "side2",
     "n_pairs": 100000,
     "efficiency": 1.0,
-    "window_ns": 5.0,
     "seed": 0,
     "sweep": {
         "param": "phi_deg",
@@ -72,49 +67,14 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# Sweepable parameters and accepted input kinds per experiment; experiments
-# whose closed form exists only for the 50:50 splitter are marked.
-EXPERIMENTS: dict[str, dict[str, Any]] = {
-    "coincidence": {
-        "params": {"theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "phi_deg"},
-        "inputs": {"polarized"},
-        "needs_5050": False,
-    },
-    "no_polarizers": {
-        "params": {"theta1p_deg", "theta2p_deg", "phi_deg"},
-        "inputs": {"polarized"},
-        "needs_5050": True,
-    },
-    "same_arm": {
-        "params": {"theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "psi_deg"},
-        "inputs": {"polarized"},
-        "needs_5050": False,
-    },
-    "double_trigger": {
-        "params": {"theta1p_deg", "theta2p_deg", "theta1_deg"},
-        "inputs": {"polarized"},
-        "needs_5050": True,
-    },
-    "unpolarized": {
-        "params": {"theta1_deg", "theta2_deg", "phi_deg"},
-        "inputs": {"unpolarized"},
-        "needs_5050": False,
-    },
-    "classical": {
-        "params": {"theta1_deg", "theta2_deg", "phi_deg"},
-        "inputs": {"polarized", "unpolarized"},
-        "needs_5050": False,
-    },
-    "full_distribution": {
-        "params": {"theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "phi_deg", "psi_deg"},
-        "inputs": {"polarized", "unpolarized"},
-        "needs_5050": False,
-    },
-    "mc_run": {
-        "params": {"theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "phi_deg", "psi_deg"},
-        "inputs": {"polarized", "unpolarized"},
-        "needs_5050": False,
-    },
+# Config key of each angle (degrees) -> the library parameter (radians).
+LIBRARY_NAMES = {
+    "theta1p_deg": "pol1",
+    "theta2p_deg": "pol2",
+    "theta1_deg": "ana1",
+    "theta2_deg": "ana2",
+    "phi_deg": "phi",
+    "psi_deg": "psi",
 }
 
 
@@ -143,11 +103,15 @@ def _merge(base: dict[str, Any], override: dict[str, Any], path: str, problems: 
     return out
 
 
-def _coerce_set_value(key: str, raw: str, template: Any) -> Any:
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(raw)
+def _coerce_set_value(raw: str, template: Any) -> Any:
+    if isinstance(template, int):
+        try:
+            return int(raw)
+        except ValueError:
+            value = float(raw)  # integral float text such as 1e6
+        if not value.is_integer():  # also false for inf and nan
+            raise ValueError(raw)
+        return int(value)
     if isinstance(template, float):
         return float(raw)
     return raw
@@ -158,31 +122,26 @@ def apply_set_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, 
     problems: list[tuple[str, str]] = []
     out = json.loads(json.dumps(cfg))  # deep copy of plain data
     for pair in pairs:
-        if "=" not in pair:
-            problems.append((pair, "expected key=value"))
-            continue
-        key, raw = pair.split("=", 1)
-        node = out
-        template = DEFAULTS
-        parts = key.split(".")
-        ok = True
-        for part in parts[:-1]:
+        key, sep, raw = pair.partition("=")
+        *parents, leaf = key.split(".")
+        node, template = out, DEFAULTS
+        for part in parents:
             if not isinstance(template.get(part), dict):
-                problems.append((key, "unknown key"))
-                ok = False
+                template = {}  # no such object, so no such leaf
                 break
-            node = node.setdefault(part, {})
-            template = template[part]
-        if not ok:
-            continue
-        leaf = parts[-1]
-        if leaf not in template or isinstance(template[leaf], dict):
+            node, template = node.setdefault(part, {}), template[part]
+        if not sep:
+            problems.append((pair, "expected key=value"))
+        elif leaf not in template:
             problems.append((key, "unknown key"))
-            continue
-        try:
-            node[leaf] = _coerce_set_value(key, raw, template[leaf])
-        except ValueError:
-            problems.append((key, f"cannot parse {raw!r} as {type(template[leaf]).__name__}"))
+        elif isinstance(template[leaf], dict):
+            example = ", ".join(f"{key}.{sub}=..." for sub in template[leaf])
+            problems.append((key, f"is an object; set its keys with dotted paths ({example})"))
+        else:
+            try:
+                node[leaf] = _coerce_set_value(raw, template[leaf])
+            except ValueError:
+                problems.append((key, f"cannot parse {raw!r} as {type(template[leaf]).__name__}"))
     if problems:
         raise ConfigError(problems)
     return out
@@ -196,13 +155,13 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     cfg = _merge(DEFAULTS, data, "", problems)
     if cfg["schema_version"] != SCHEMA_VERSION:
         problems.append(("schema_version", f"expected {SCHEMA_VERSION}, got {cfg['schema_version']!r}"))
-    if cfg["experiment"] not in EXPERIMENTS:
+    if cfg["experiment"] not in comparemod.EXPERIMENTS:
         problems.append(("experiment", f"unknown experiment {cfg['experiment']!r}"))
     if cfg["input"] not in ("polarized", "unpolarized"):
         problems.append(("input", f"must be 'polarized' or 'unpolarized', got {cfg['input']!r}"))
     if cfg["arm"] not in ("side1", "side2"):
         problems.append(("arm", f"must be 'side1' or 'side2', got {cfg['arm']!r}"))
-    for key in ("theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "phi_deg", "psi_deg"):
+    for key in LIBRARY_NAMES:
         v = cfg[key]
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             problems.append((key, f"must be a finite number, got {v!r}"))
@@ -215,9 +174,6 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     v = cfg["efficiency"]
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
         problems.append(("efficiency", f"must lie in [0, 1], got {v!r}"))
-    v = cfg["window_ns"]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-        problems.append(("window_ns", f"must be positive, got {v!r}"))
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         problems.append(("seed", f"must be a nonnegative integer, got {cfg['seed']!r}"))
     sweep = cfg["sweep"]
@@ -227,21 +183,22 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
         v = sweep.get(key)
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             problems.append((f"sweep.{key}", f"must be a finite number, got {v!r}"))
-    exp = EXPERIMENTS.get(cfg["experiment"])
-    if exp is not None:
-        if sweep.get("param") not in exp["params"]:
+    entry = comparemod.EXPERIMENTS.get(cfg["experiment"])
+    if entry is not None:
+        sweepable = sorted(key for key, name in LIBRARY_NAMES.items() if name in entry.params)
+        if sweep.get("param") not in sweepable:
             problems.append(
                 (
                     "sweep.param",
                     f"{sweep.get('param')!r} is not sweepable for experiment "
-                    f"{cfg['experiment']!r} (allowed: {sorted(exp['params'])})",
+                    f"{cfg['experiment']!r} (allowed: {sweepable})",
                 )
             )
-        if cfg["input"] not in exp["inputs"]:
+        if cfg["input"] not in entry.inputs:
             problems.append(
-                ("input", f"experiment {cfg['experiment']!r} requires input in {sorted(exp['inputs'])}")
+                ("input", f"experiment {cfg['experiment']!r} requires input in {sorted(entry.inputs)}")
             )
-        if exp["needs_5050"] and not (
+        if entry.only_5050 and not (
             abs(cfg["tx"] - _SQRT_HALF) <= 1e-12 and abs(cfg["ty"] - _SQRT_HALF) <= 1e-12
         ):
             problems.append(
@@ -276,160 +233,46 @@ def _sweep_values(sweep: dict[str, Any]) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def _point_values(cfg: dict[str, Any]) -> Callable[[float], tuple]:
-    """Build the per-point evaluator for the configured experiment.
+def _library_args(cfg: dict[str, Any]) -> dict[str, Any]:
+    """Every library parameter of the experiments, from a validated config."""
+    args: dict[str, Any] = {name: math.radians(cfg[key]) for key, name in LIBRARY_NAMES.items()}
+    args.update(
+        bs=BeamSplitterSpec.from_transmission(cfg["tx"], cfg["ty"]),
+        arm=Arm[cfg["arm"].upper()],
+        input_kind=cfg["input"],
+        run=RunConfig(cfg["n_pairs"], cfg["efficiency"], cfg["seed"]),
+    )
+    return args
 
-    Returns a function mapping the swept value (degrees) to a row tuple; the
-    header is attached as an attribute.
-    """
-    bs = BeamSplitterSpec.from_transmission(cfg["tx"], cfg["ty"])
-    experiment = cfg["experiment"]
-    param = cfg["sweep"]["param"]
-    arm = Arm.SIDE1 if cfg["arm"] == "side1" else Arm.SIDE2
-    header = [param, "analytic", "engine", "abs_deviation"]
 
-    def angles(value_deg: float) -> dict[str, float]:
-        d = {k: cfg[k] for k in ("theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg", "phi_deg", "psi_deg")}
-        d[param] = value_deg
-        return {k: math.radians(v) for k, v in d.items()}
-
-    def dual(analytic: float, engine: float, value: float) -> tuple:
-        return (value, analytic, engine, abs(analytic - engine))
-
-    if experiment == "coincidence":
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            ana = formulas.p_coincidence(
-                a["theta1p_deg"], a["theta2p_deg"], a["theta1_deg"], a["theta2_deg"], bs, a["phi_deg"]
-            )
-            eng = coincidence_probability(
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"]),
-                a["theta1_deg"],
-                a["theta2_deg"],
-                bs,
-                PhaseGeometry(phi=a["phi_deg"]),
-            )
-            return dual(ana, eng, value)
-
-    elif experiment == "no_polarizers":
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            ana = formulas.p_no_polarizers(a["theta1p_deg"], a["theta2p_deg"], a["phi_deg"])
-            eng = coincidence_no_polarizers(
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"]),
-                bs,
-                PhaseGeometry(phi=a["phi_deg"]),
-            )
-            return dual(ana, eng, value)
-
-    elif experiment == "same_arm":
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            if arm is Arm.SIDE2:
-                ana = formulas.p_same_arm(
-                    a["theta1p_deg"], a["theta2p_deg"], a["theta1_deg"], a["theta2_deg"], bs, a["psi_deg"]
-                )
-            else:  # mirror image of the side-2 form
-                ana = formulas.p_same_arm(
-                    a["theta2p_deg"], a["theta1p_deg"], a["theta2_deg"], a["theta1_deg"], bs, a["psi_deg"]
-                )
-            eng = same_arm_probability(
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"]),
-                arm,
-                a["theta1_deg"],
-                a["theta2_deg"],
-                bs,
-                PhaseGeometry(psi=a["psi_deg"]),
-            )
-            return dual(ana, eng, value)
-
-    elif experiment == "double_trigger":
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            ana = formulas.p_double_trigger(a["theta1p_deg"], a["theta2p_deg"], a["theta1_deg"])
-            eng = double_trigger_probability(
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"]), arm, a["theta1_deg"], bs
-            )
-            return dual(ana, eng, value)
-
-    elif experiment == "unpolarized":
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            ana = formulas.p_unpolarized(a["theta1_deg"], a["theta2_deg"], bs, a["phi_deg"])
-            eng = coincidence_probability(
-                InputSpec.unpolarized(),
-                a["theta1_deg"],
-                a["theta2_deg"],
-                bs,
-                PhaseGeometry(phi=a["phi_deg"]),
-            )
-            return dual(ana, eng, value)
-
-    elif experiment == "classical":
-        # benchmark rate only; there is no quantum-engine counterpart
-        def row(value: float) -> tuple:
-            a = angles(value)
-            ana = formulas.p_classical(a["theta1_deg"], a["theta2_deg"], a["phi_deg"])
-            return (value, ana, None, None)
-
-    elif experiment == "full_distribution":
-        # analytic column: the expected total of the exclusive partition
-        def row(value: float) -> tuple:
-            a = angles(value)
-            inp = (
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"])
-                if cfg["input"] == "polarized"
-                else InputSpec.unpolarized()
-            )
-            dist = full_outcome_distribution(
-                inp,
-                a["theta1_deg"],
-                a["theta2_deg"],
-                bs,
-                PhaseGeometry(a["phi_deg"], a["psi_deg"]),
-            )
-            return dual(1.0, dist.total(), value)
-
-    else:  # mc_run: exact opposite-side total vs its Monte Carlo estimate
-        header = [param, "exact", "estimate", "abs_deviation"]
-
-        def row(value: float) -> tuple:
-            a = angles(value)
-            inp = (
-                InputSpec.polarized(a["theta1p_deg"], a["theta2p_deg"])
-                if cfg["input"] == "polarized"
-                else InputSpec.unpolarized()
-            )
-            dist = full_outcome_distribution(
-                inp,
-                a["theta1_deg"],
-                a["theta2_deg"],
-                bs,
-                PhaseGeometry(a["phi_deg"], a["psi_deg"]),
-            )
-            exact = dist.subtotal(OutcomeKind.OPPOSITE)
-            run = RunConfig(cfg["n_pairs"], cfg["efficiency"], cfg["window_ns"], cfg["seed"])
-            table = sample_run(dist, run)
-            opp = sum(
-                table.counts[o] for o in table.counts if o.kind is OutcomeKind.OPPOSITE
-            )
-            est = opp / (run.n_pairs * run.efficiency**2)
-            return (value, exact, est, abs(exact - est))
-
-    row.header = header  # type: ignore[attr-defined]
-    return row
+def _check_phases(phi_deg: float, psi_deg: float) -> None:
+    """The twelve outcomes are one experiment's event space (their
+    probabilities sum to one) only where cos(phi) = cos(psi)."""
+    if abs(math.cos(math.radians(phi_deg)) - math.cos(math.radians(psi_deg))) > comparemod.DEFAULT_TOL:
+        got = f"phi_deg={phi_deg:.15g}, psi_deg={psi_deg:.15g}"
+        message = f"the outcome distribution needs cos(phi) = cos(psi), got {got}"
+        raise ConfigError([("phi_deg/psi_deg", message)])
 
 
 def run_sweep(cfg: dict[str, Any]) -> str:
     """Evaluate the configured sweep and return its CSV text."""
-    row = _point_values(cfg)
-    rows = [row(v) for v in _sweep_values(cfg["sweep"])]
-    return _csv(row.header, rows)
+    entry = comparemod.EXPERIMENTS[cfg["experiment"]]
+    param = cfg["sweep"]["param"]
+    values = _sweep_values(cfg["sweep"])
+    if entry.matched_phases:
+        for value in values:
+            point = {**cfg, param: value}
+            _check_phases(point["phi_deg"], point["psi_deg"])
+    swept = LIBRARY_NAMES[param]
+    args = _library_args(cfg)
+    fixed = {name: args[name] for name in entry.params if name != swept}
+    radians = [math.radians(v) for v in values]
+    ana, eng = comparemod.evaluate(entry, entry.formula, fixed, {swept: (np.array(radians), radians)})
+    if eng is None:
+        rows = [(v, a, None, None) for v, a in zip(values, ana.tolist())]
+    else:
+        rows = [(v, a, e, abs(a - e)) for v, a, e in zip(values, ana.tolist(), eng.tolist())]
+    return _csv([param, *entry.columns, "abs_deviation"], rows)
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
@@ -505,7 +348,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all_ok else 2
 
 
-def _mc_report(cfg: dict[str, Any], table: CountTable, dist) -> str:
+def _mc_report(table: CountTable, dist) -> str:
     ests = estimate(table)
     header = ["outcome", "count", "estimate", "stderr", "exact", "z"]
     rows = []
@@ -519,25 +362,11 @@ def _mc_report(cfg: dict[str, Any], table: CountTable, dist) -> str:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    bs = BeamSplitterSpec.from_transmission(cfg["tx"], cfg["ty"])
-    inp = (
-        InputSpec.polarized(math.radians(cfg["theta1p_deg"]), math.radians(cfg["theta2p_deg"]))
-        if cfg["input"] == "polarized"
-        else InputSpec.unpolarized()
-    )
-    dist = full_outcome_distribution(
-        inp,
-        math.radians(cfg["theta1_deg"]),
-        math.radians(cfg["theta2_deg"]),
-        bs,
-        PhaseGeometry(math.radians(cfg["phi_deg"]), math.radians(cfg["psi_deg"])),
-    )
-    run = RunConfig(cfg["n_pairs"], cfg["efficiency"], cfg["window_ns"], cfg["seed"])
-    try:
-        table = sample_run(dist, run)
-    except ValueError as exc:
-        raise ConfigError([("phi_deg/psi_deg", str(exc))]) from None
-    text = _mc_report(cfg, table, dist)
+    _check_phases(cfg["phi_deg"], cfg["psi_deg"])
+    point = _library_args(cfg)
+    dist = comparemod.outcome_distribution(**{name: point[name] for name in comparemod.DISTRIBUTION_PARAMS})
+    table = sample_run(dist, point["run"])
+    text = _mc_report(table, dist)
     _write_out(text, args.out)
     if args.out is not None:
         print(f"recorded {sum(table.counts.values())} of {table.n_emitted} pairs -> {args.out}")

@@ -1,4 +1,9 @@
-"""Point-by-point agreement checks between the engine and the closed forms.
+"""Every experiment, declared once, and the engine-versus-closed-form check.
+
+`EXPERIMENTS` is the one table of the package's observables (see
+`Experiment`).  `twophoton sweep` evaluates one entry along one parameter,
+and `run_comparison` checks every entry that has a grid; both go through
+`evaluate`: the engine once on arrays, the closed form at every point.
 
 The default grid steps every angle by pi/12 over a half turn (all
 probabilities are pi-periodic in every angle), crosses the fringe phases
@@ -6,21 +11,20 @@ probabilities are pi-periodic in every angle), crosses the fringe phases
 window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
-(1e-12 unless overridden).
-
-Each family evaluates the engine on whole arrays, one chunk per value of its
-first parameter, which bounds the memory a chunk needs; the closed form is
-called at every point.  A result names its worst point and its wall time.
+(1e-12 unless overridden).  Each family runs the engine in chunks, one per
+value of its first parameter, which bounds the memory a chunk needs; a
+result names its worst point and its wall time.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,13 +33,17 @@ from .elements import BeamSplitterSpec, PhaseGeometry
 from .engine import (
     Arm,
     InputSpec,
+    OutcomeDistribution,
+    OutcomeKind,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
+    full_outcome_distribution,
     same_arm_both_arms,
     same_arm_no_polarizers,
     same_arm_probability,
 )
+from .montecarlo import RunConfig, sample_run
 
 DEFAULT_TOL = 1e-12
 
@@ -51,6 +59,233 @@ def standard_splitters() -> tuple[BeamSplitterSpec, ...]:
         BeamSplitterSpec.from_transmission(1.0, 1.0),  # clear window
         BeamSplitterSpec.from_transmission(0.0, 0.0),  # perfect mirror
     )
+
+
+Params = Sequence[tuple[str, Sequence]]
+
+POLARIZED = ("polarized",)
+UNPOLARIZED = ("unpolarized",)
+BOTH_INPUTS = ("polarized", "unpolarized")
+
+# the parameters of the twelve-outcome distribution at one point
+DISTRIBUTION_PARAMS = ("input_kind", "pol1", "pol2", "ana1", "ana2", "phi", "psi", "bs")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One observable, computed by the engine and by a closed form.
+
+    `params` are library names: incident polarizations `pol1`, `pol2`,
+    analyzer angles `ana1`, `ana2`, fringe phases `phi`, `psi` (radians),
+    the splitter `bs`, the side `arm`, the input kind `input_kind`
+    ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
+    callables take them: `engine` as keywords, broadcasting over numpy
+    arrays; `formula` as scalars, its leading parameters being exactly the
+    entry's (in any order).  An `on_distribution` entry is evaluated point
+    by point, and both callables take the point's `outcome_distribution`
+    in place of `DISTRIBUTION_PARAMS`.  `columns` names the two values in a
+    sweep's CSV.  Domain: `only_5050` entries hold for the 50:50 splitter
+    only, `matched_phases` entries only where cos(phi) = cos(psi).  `grid`
+    and `cycle` are the `compare` grid (see `_check`); an entry without a
+    grid is not compared.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    inputs: tuple[str, ...]
+    formula: Callable[..., float]
+    engine: Callable[..., Any] | None
+    only_5050: bool = False
+    matched_phases: bool = False
+    on_distribution: bool = False
+    columns: tuple[str, str] = ("analytic", "engine")
+    grid: Params = ()
+    cycle: Params = ()
+
+
+def outcome_distribution(
+    input_kind: str,
+    pol1: float,
+    pol2: float,
+    ana1: float,
+    ana2: float,
+    phi: float,
+    psi: float,
+    bs: BeamSplitterSpec,
+) -> OutcomeDistribution:
+    """The engine's twelve-outcome distribution at one point."""
+    inp = InputSpec.polarized(pol1, pol2) if input_kind == "polarized" else InputSpec.unpolarized()
+    return full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phi, psi))
+
+
+def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
+    if arm is Arm.SIDE1:  # mirror image of the side-2 form
+        return formulas.p_same_arm(pol2, pol1, ana2, ana1, bs, psi)
+    return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
+
+
+def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
+    return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
+
+
+def _opposite_estimate(dist: OutcomeDistribution, run: RunConfig) -> float:
+    """Monte Carlo estimate of the opposite-side total, efficiency-corrected."""
+    table = sample_run(dist, run)
+    opp = sum(table.counts[o] for o in table.counts if o.kind is OutcomeKind.OPPOSITE)
+    return opp / (run.n_pairs * run.efficiency**2)
+
+
+# 50:50-only entries take the splitter so that a sweep runs the engine on the
+# configured amplitudes; `compare` gives them this one.
+FIFTY_FIFTY = ("bs", (BeamSplitterSpec.fifty_fifty(),))
+
+EXPERIMENTS: dict[str, Experiment] = {
+    e.name: e
+    for e in (
+        Experiment(
+            "coincidence",
+            ("pol1", "pol2", "ana1", "ana2", "phi", "bs"),
+            POLARIZED,
+            formulas.p_coincidence,
+            lambda pol1, pol2, ana1, ana2, phi, bs: coincidence_probability(
+                InputSpec.polarized(pol1, pol2), ana1, ana2, bs, PhaseGeometry(phi=phi)
+            ),
+            grid=[(n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2")],
+            cycle=[("phi", PHASES), ("bs", standard_splitters())],
+        ),
+        Experiment(
+            "same_arm",
+            ("arm", "pol1", "pol2", "ana1", "ana2", "psi", "bs"),
+            POLARIZED,
+            _same_arm_formula,
+            lambda arm, pol1, pol2, ana1, ana2, psi, bs: same_arm_probability(
+                InputSpec.polarized(pol1, pol2), arm, ana1, ana2, bs, PhaseGeometry(psi=psi)
+            ),
+            grid=[("arm", (Arm.SIDE2,)), *((n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2"))],
+            cycle=[("psi", PHASES), ("bs", standard_splitters())],
+        ),
+        Experiment(
+            "unpolarized",
+            ("ana1", "ana2", "phi", "bs"),
+            UNPOLARIZED,
+            formulas.p_unpolarized,
+            _unpolarized_coincidence,
+            grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES), ("bs", standard_splitters())],
+        ),
+        Experiment(
+            "unpolarized_5050",
+            ("ana1", "ana2", "phi", "bs"),
+            UNPOLARIZED,
+            lambda ana1, ana2, phi, bs, **perturbed: formulas.p_unpolarized_5050(
+                ana1, ana2, phi, **perturbed
+            ),
+            _unpolarized_coincidence,
+            only_5050=True,
+            grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
+        ),
+        Experiment(
+            "no_polarizers",
+            ("pol1", "pol2", "phi", "bs"),
+            POLARIZED,
+            lambda pol1, pol2, phi, bs: formulas.p_no_polarizers(pol1, pol2, phi),
+            lambda pol1, pol2, phi, bs: coincidence_no_polarizers(
+                InputSpec.polarized(pol1, pol2), bs, PhaseGeometry(phi=phi)
+            ),
+            only_5050=True,
+            grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
+        ),
+        Experiment(
+            "same_arm_no_polarizers",
+            ("pol1", "pol2", "bs"),
+            POLARIZED,
+            lambda pol1, pol2, bs: formulas.p_same_arm_no_polarizers(pol1, pol2),
+            lambda pol1, pol2, bs: same_arm_no_polarizers(
+                InputSpec.polarized(pol1, pol2), bs, PhaseGeometry()
+            ),
+            only_5050=True,
+            grid=[("pol1", ANGLES), ("pol2", ANGLES), FIFTY_FIFTY],
+        ),
+        Experiment(
+            "unpolarized_same_arm",
+            ("ana1", "ana2", "bs"),
+            UNPOLARIZED,
+            lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
+            lambda ana1, ana2, bs: same_arm_both_arms(
+                InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry()
+            ),
+            only_5050=True,
+            grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
+        ),
+        Experiment(
+            "double_trigger",
+            ("arm", "pol1", "pol2", "ana1", "bs"),
+            POLARIZED,
+            lambda arm, pol1, pol2, ana1, bs: formulas.p_double_trigger(pol1, pol2, ana1),
+            lambda arm, pol1, pol2, ana1, bs: double_trigger_probability(
+                InputSpec.polarized(pol1, pol2), arm, ana1, bs
+            ),
+            only_5050=True,
+            # the arm is the first parameter, so each engine call sees one arm
+            grid=[("arm", tuple(Arm)), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
+        ),
+        # benchmark rate only; there is no quantum-engine counterpart
+        Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None),
+        # the closed form is the expected total of the exclusive partition
+        Experiment(
+            "full_distribution",
+            DISTRIBUTION_PARAMS,
+            BOTH_INPUTS,
+            lambda dist: 1.0,
+            lambda dist: dist.total(),
+            matched_phases=True,
+            on_distribution=True,
+        ),
+        # the engine's opposite-side total against its Monte Carlo estimate
+        Experiment(
+            "mc_run",
+            (*DISTRIBUTION_PARAMS, "run"),
+            BOTH_INPUTS,
+            lambda dist, run: dist.subtotal(OutcomeKind.OPPOSITE),
+            _opposite_estimate,
+            matched_phases=True,
+            on_distribution=True,
+            columns=("exact", "estimate"),
+        ),
+    )
+}
+
+
+def evaluate(
+    entry: Experiment,
+    formula: Callable[..., float],
+    fixed: dict[str, Any],
+    columns: dict[str, tuple[Any, list]],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Closed-form and engine values of `entry` at a batch of points.
+
+    `fixed` holds the parameters shared by every point; `columns` maps each
+    other parameter to its engine array and its list of per-point values.
+    `formula` (the entry's, or a perturbed one) runs at every point and the
+    engine once on the arrays; an `on_distribution` entry runs both per
+    point.  The engine value is None for an entry without an engine.
+    """
+    n = len(next(iter(columns.values()))[1])
+    values = {name: [value] * n for name, value in fixed.items()}
+    values.update((name, points) for name, (_, points) in columns.items())
+    if entry.on_distribution:
+        ana, eng = np.empty(n), np.empty(n)
+        for i, p in enumerate(zip(*values.values())):
+            point = dict(zip(values, p))
+            dist = outcome_distribution(**{k: point.pop(k) for k in DISTRIBUTION_PARAMS})
+            ana[i], eng[i] = formula(dist, **point), entry.engine(dist, **point)
+        return ana, eng
+    # called positionally, in its own parameter order: a dict per point costs
+    # about as much as the closed form itself
+    order = list(inspect.signature(formula).parameters)[: len(values)]
+    ana = np.fromiter(itertools.starmap(formula, zip(*(values[name] for name in order))), float, n)
+    if entry.engine is None:
+        return ana, None
+    return ana, entry.engine(**fixed, **{name: array for name, (array, _) in columns.items()})
 
 
 @dataclass(frozen=True)
@@ -71,9 +306,6 @@ class CheckResult:
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_dev <= tol
-
-
-Params = Sequence[tuple[str, Sequence]]
 
 
 def _column(values: Sequence, index: np.ndarray) -> tuple[object, list]:
@@ -98,29 +330,23 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
     return out
 
 
-def _check(
-    name: str,
-    grid: Params,
-    engine: Callable[..., np.ndarray],
-    formula: Callable[..., float],
-    cycle: Params = (),
-    step: int = 1,
-) -> CheckResult:
-    """Compare `engine` with `formula` over a parameter grid.
+def _check(entry: Experiment, formula: Callable[..., float], step: int = 1) -> CheckResult:
+    """Compare the engine of `entry` with `formula` over the entry's grid.
 
     `grid` parameters are crossed in order and every `step`-th point is
     kept; the j-th kept point takes the (j % n)-th of the n combinations of
-    the `cycle` parameters (crossed in order).  Both callables take the
-    parameters as keywords: `engine` once per value of the first grid
-    parameter, with that value and arrays of the others, `formula` at
-    every point.
+    the `cycle` parameters (crossed in order).  A grid parameter with one
+    value is passed as it is; the engine runs once per value of the first
+    other grid parameter, with that value and arrays of the rest.
     """
     t0 = time.perf_counter()
-    first_name, first_values = grid[0]
-    rest = [*grid[1:], *cycle]
-    shape = tuple(len(values) for _, values in grid[1:])
+    order = [name for name, _ in (*entry.grid, *entry.cycle)]
+    fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
+    (first_name, first_values), *grid = [(name, values) for name, values in entry.grid if len(values) > 1]
+    rest = [*grid, *entry.cycle]
+    shape = tuple(len(values) for _, values in grid)
     chunk = math.prod(shape)
-    combos = np.array(list(itertools.product(*(range(len(values)) for _, values in cycle))), dtype=int)
+    combos = np.array(list(itertools.product(*(range(len(values)) for _, values in entry.cycle))), dtype=int)
     n_points, total, max_dev, worst_point = 0, 0.0, 0.0, {}
     for k, first in enumerate(first_values):
         flat = np.arange(k * chunk, (k + 1) * chunk)
@@ -130,10 +356,7 @@ def _check(
         combo = combos[(flat // step) % len(combos)]
         indices = [*np.unravel_index(flat - k * chunk, shape), *combo.T]
         columns = {n: _column(values, i) for (n, values), i in zip(rest, indices)}
-        eng = engine(**{first_name: first}, **{n: c[0] for n, c in columns.items()})
-        at_first = functools.partial(formula, **{first_name: first})
-        points = zip(*(c[1] for c in columns.values()))
-        ana = np.fromiter((at_first(**dict(zip(columns, p))) for p in points), float, flat.size)
+        ana, eng = evaluate(entry, formula, {**fixed, first_name: first}, columns)
         dev = np.abs(eng - ana)
         dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
         n_points += dev.size
@@ -141,122 +364,28 @@ def _check(
         i = int(np.argmax(dev))
         if not worst_point or dev[i] > max_dev:
             max_dev = float(dev[i])
-            worst_point = _describe({first_name: first, **{n: c[1][i] for n, c in columns.items()}})
+            point = {**fixed, first_name: first, **{n: c[1][i] for n, c in columns.items()}}
+            worst_point = _describe({name: point[name] for name in order})
     mean_dev = total / n_points if n_points else 0.0
-    return CheckResult(name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)
-
-
-def check_coincidence(step: int = 1) -> CheckResult:
-    return _check(
-        "coincidence",
-        [(n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2")],
-        lambda pol1, pol2, ana1, ana2, phi, bs: coincidence_probability(
-            InputSpec.polarized(pol1, pol2), ana1, ana2, bs, PhaseGeometry(phi=phi)
-        ),
-        formulas.p_coincidence,
-        cycle=[("phi", PHASES), ("bs", standard_splitters())],
-        step=step,
-    )
-
-
-def check_same_arm(step: int = 1) -> CheckResult:
-    return _check(
-        "same_arm",
-        [(n, ANGLES) for n in ("pol1", "pol2", "ana_a", "ana_b")],
-        lambda pol1, pol2, ana_a, ana_b, psi, bs: same_arm_probability(
-            InputSpec.polarized(pol1, pol2), Arm.SIDE2, ana_a, ana_b, bs, PhaseGeometry(psi=psi)
-        ),
-        formulas.p_same_arm,
-        cycle=[("psi", PHASES), ("bs", standard_splitters())],
-        step=step,
-    )
-
-
-def check_unpolarized() -> CheckResult:
-    return _check(
-        "unpolarized",
-        [("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES), ("bs", standard_splitters())],
-        lambda ana1, ana2, phi, bs: coincidence_probability(
-            InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi)
-        ),
-        formulas.p_unpolarized,
-    )
-
-
-def check_unpolarized_5050(prefactor: float = 0.125) -> CheckResult:
-    return _check(
-        "unpolarized_5050",
-        [("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES)],
-        lambda ana1, ana2, phi: coincidence_probability(
-            InputSpec.unpolarized(), ana1, ana2, BeamSplitterSpec.fifty_fifty(), PhaseGeometry(phi=phi)
-        ),
-        functools.partial(formulas.p_unpolarized_5050, prefactor=prefactor),
-    )
-
-
-def check_no_polarizers() -> CheckResult:
-    return _check(
-        "no_polarizers",
-        [("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES)],
-        lambda pol1, pol2, phi: coincidence_no_polarizers(
-            InputSpec.polarized(pol1, pol2), BeamSplitterSpec.fifty_fifty(), PhaseGeometry(phi=phi)
-        ),
-        formulas.p_no_polarizers,
-    )
-
-
-def check_same_arm_no_polarizers() -> CheckResult:
-    return _check(
-        "same_arm_no_polarizers",
-        [("pol1", ANGLES), ("pol2", ANGLES)],
-        lambda pol1, pol2: same_arm_no_polarizers(
-            InputSpec.polarized(pol1, pol2), BeamSplitterSpec.fifty_fifty(), PhaseGeometry()
-        ),
-        formulas.p_same_arm_no_polarizers,
-    )
-
-
-def check_unpolarized_same_arm() -> CheckResult:
-    return _check(
-        "unpolarized_same_arm",
-        [("ana_a", ANGLES), ("ana_b", ANGLES)],
-        lambda ana_a, ana_b: same_arm_both_arms(
-            InputSpec.unpolarized(), ana_a, ana_b, BeamSplitterSpec.fifty_fifty(), PhaseGeometry()
-        ),
-        formulas.p_unpolarized_same_arm,
-    )
-
-
-def check_double_trigger() -> CheckResult:
-    # the arm is the first parameter, so each engine call sees one arm
-    return _check(
-        "double_trigger",
-        [("arm", tuple(Arm)), ("pol1", ANGLES), ("pol2", ANGLES), ("theta", ANGLES)],
-        lambda arm, pol1, pol2, theta: double_trigger_probability(
-            InputSpec.polarized(pol1, pol2), arm, theta, BeamSplitterSpec.fifty_fifty()
-        ),
-        lambda arm, pol1, pol2, theta: formulas.p_double_trigger(pol1, pol2, theta),
-    )
+    return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)
 
 
 def run_comparison(
     perturbations: dict[str, float] | None = None, step: int = 1
 ) -> list[CheckResult]:
-    """Run every check; `perturbations` may override named constants (used as
-    a negative control), and `step` thins the four-angle grids."""
+    """Check every experiment that has a grid; `perturbations` may override
+    named constants (used as a negative control), and `step` thins the
+    four-angle grids, the ones that interleave phases and splitters."""
     perturbations = perturbations or {}
     unknown = set(perturbations) - {"unpolarized_5050_prefactor"}
     if unknown:
         raise ValueError(f"unknown perturbation(s): {sorted(unknown)}")
-    prefactor = perturbations.get("unpolarized_5050_prefactor", 0.125)
-    checks: list[Callable[[], CheckResult]] = [
-        lambda: check_coincidence(step),
-        lambda: check_same_arm(step),
-        check_unpolarized,
-        lambda: check_unpolarized_5050(prefactor),
-        check_no_polarizers,
-        check_same_arm_no_polarizers,
-        check_unpolarized_same_arm,
-        check_double_trigger,
-    ]
-    return [c() for c in checks]
+    results = []
+    for entry in EXPERIMENTS.values():
+        if not entry.grid:
+            continue
+        formula = entry.formula
+        if entry.name == "unpolarized_5050" and perturbations:
+            formula = functools.partial(formula, prefactor=perturbations["unpolarized_5050_prefactor"])
+        results.append(_check(entry, formula, step if entry.cycle else 1))
+    return results

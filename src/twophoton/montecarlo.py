@@ -32,13 +32,11 @@ RNG_ALGORITHM = "philox4x64/block-v1"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Simulated run: emitted pair count, detector efficiency, coincidence
-    window (retained for reporting; the source emits one pair per window),
-    and the seed that fully determines the run."""
+    """Simulated run: emitted pair count, detector efficiency, and the seed
+    that fully determines the run."""
 
     n_pairs: int
     efficiency: float = 1.0
-    window_ns: float = 5.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,8 +44,6 @@ class RunConfig:
             raise ValueError(f"n_pairs must be >= 0, got {self.n_pairs}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
-        if not (math.isfinite(self.window_ns) and self.window_ns > 0.0):
-            raise ValueError(f"window_ns must be positive, got {self.window_ns!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -93,6 +93,46 @@ def test_set_overrides_coerce_by_key_type():
         apply_set_overrides(cfg, ["missing-equals"])
 
 
+def test_set_on_an_object_suggests_dotted_keys():
+    with pytest.raises(ConfigError) as err:
+        apply_set_overrides(parse_config({}), ["sweep=3"])
+    [(path, message)] = err.value.problems
+    assert path == "sweep"
+    assert "is an object" in message and "sweep.steps=" in message
+
+
+def test_set_integer_keys_accept_integral_float_text():
+    cfg = parse_config({})
+    out = apply_set_overrides(cfg, ["n_pairs=1e6", "sweep.steps=7.0"])
+    assert out["n_pairs"] == 1000000 and isinstance(out["n_pairs"], int)
+    assert out["sweep"]["steps"] == 7 and isinstance(out["sweep"]["steps"], int)
+    for raw in ("1.5", "inf", "nan"):
+        with pytest.raises(ConfigError) as err:
+            apply_set_overrides(cfg, [f"n_pairs={raw}"])
+        assert err.value.problems == [("n_pairs", f"cannot parse {raw!r} as int")]
+
+
+def test_removed_window_ns_key_is_unknown(tmp_path, capsys):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "window_ns": 5.0}))
+    assert main(["mc", "--config", str(cfg_path), "--set", "n_pairs=10"]) == 1
+    assert "config error at window_ns: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["experiment=mc_run"],  # the default sweep moves phi away from psi = 0
+        ["experiment=full_distribution", "sweep.stop=360", "sweep.steps=3"],
+    ],
+)
+def test_sweeps_off_the_matched_phase_surface_exit_one(sets, capsys):
+    assert main(["sweep", *(a for s in sets for a in ("--set", s))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error at phi_deg/psi_deg" in captured.err
+
+
 def test_sweep_csv_engine_matches_analytic(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

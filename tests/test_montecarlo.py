@@ -49,8 +49,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(10, efficiency=1.5)
     with pytest.raises(ValueError):
-        RunConfig(10, window_ns=0.0)
-    with pytest.raises(ValueError):
         RunConfig(10, seed=-3)
 
 
