@@ -4,7 +4,8 @@ and Monte Carlo runs.
 Subcommands
 -----------
 sweep    Evaluate one experiment of `compare.EXPERIMENTS` along a swept
-         parameter and emit CSV; the engine runs once on the whole sweep.
+         parameter and emit CSV; the engine and the closed form each run
+         once on the whole sweep.
 compare  Run the full agreement grid between the operator engine and the
          closed forms; nonzero exit if any point deviates beyond tolerance,
          and each failing family names its worst point.
@@ -172,8 +173,9 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     if not isinstance(cfg["n_pairs"], int) or isinstance(cfg["n_pairs"], bool) or cfg["n_pairs"] < 1:
         problems.append(("n_pairs", f"must be a positive integer, got {cfg['n_pairs']!r}"))
     v = cfg["efficiency"]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
-        problems.append(("efficiency", f"must lie in [0, 1], got {v!r}"))
+    # the estimates divide by efficiency**2
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 < v <= 1.0:
+        problems.append(("efficiency", f"must lie in (0, 1], got {v!r}"))
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         problems.append(("seed", f"must be a nonnegative integer, got {cfg['seed']!r}"))
     sweep = cfg["sweep"]
@@ -266,8 +268,8 @@ def run_sweep(cfg: dict[str, Any]) -> str:
     swept = LIBRARY_NAMES[param]
     args = _library_args(cfg)
     fixed = {name: args[name] for name in entry.params if name != swept}
-    radians = [math.radians(v) for v in values]
-    ana, eng = comparemod.evaluate(entry, entry.formula, fixed, {swept: (np.array(radians), radians)})
+    radians = np.array([math.radians(v) for v in values])
+    ana, eng = comparemod.evaluate(entry, entry.formula, fixed, {swept: radians})
     if eng is None:
         rows = [(v, a, None, None) for v, a in zip(values, ana.tolist())]
     else:

@@ -3,7 +3,8 @@
 `EXPERIMENTS` is the one table of the package's observables (see
 `Experiment`).  `twophoton sweep` evaluates one entry along one parameter,
 and `run_comparison` checks every entry that has a grid; both go through
-`evaluate`: the engine once on arrays, the closed form at every point.
+`evaluate`, which runs the closed form and the engine once each on the same
+arrays.
 
 The default grid steps every angle by pi/12 over a half turn (all
 probabilities are pi-periodic in every angle), crosses the fringe phases
@@ -11,15 +12,14 @@ probabilities are pi-periodic in every angle), crosses the fringe phases
 window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
-(1e-12 unless overridden).  Each family runs the engine in chunks, one per
-value of its first parameter, which bounds the memory a chunk needs; a
-result names its worst point and its wall time.
+(1e-12 unless overridden).  Each family runs in chunks, one per value of
+its first parameter, which bounds the memory a chunk needs; a result names
+its worst point and its wall time.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import time
@@ -79,11 +79,10 @@ class Experiment:
     analyzer angles `ana1`, `ana2`, fringe phases `phi`, `psi` (radians),
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
-    callables take them: `engine` as keywords, broadcasting over numpy
-    arrays; `formula` as scalars, its leading parameters being exactly the
-    entry's (in any order).  An `on_distribution` entry is evaluated point
-    by point, and both callables take the point's `outcome_distribution`
-    in place of `DISTRIBUTION_PARAMS`.  `columns` names the two values in a
+    callables take them as keywords and broadcast over numpy arrays.  An
+    `on_distribution` entry is evaluated point by point, and both callables
+    take the point's `outcome_distribution` in place of
+    `DISTRIBUTION_PARAMS`.  `columns` names the two values in a
     sweep's CSV.  Domain: `only_5050` entries hold for the 50:50 splitter
     only, `matched_phases` entries only where cos(phi) = cos(psi).  `grid`
     and `cycle` are the `compare` grid (see `_check`); an entry without a
@@ -93,7 +92,7 @@ class Experiment:
     name: str
     params: tuple[str, ...]
     inputs: tuple[str, ...]
-    formula: Callable[..., float]
+    formula: Callable[..., Any]
     engine: Callable[..., Any] | None
     only_5050: bool = False
     matched_phases: bool = False
@@ -257,35 +256,30 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 def evaluate(
     entry: Experiment,
-    formula: Callable[..., float],
+    formula: Callable[..., Any],
     fixed: dict[str, Any],
-    columns: dict[str, tuple[Any, list]],
+    columns: dict[str, Any],
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form and engine values of `entry` at a batch of points.
 
     `fixed` holds the parameters shared by every point; `columns` maps each
-    other parameter to its engine array and its list of per-point values.
-    `formula` (the entry's, or a perturbed one) runs at every point and the
-    engine once on the arrays; an `on_distribution` entry runs both per
+    other parameter to its per-point values, an array (or a splitter of
+    arrays).  `formula` (the entry's, or a perturbed one) and the engine
+    each run once on the arrays; an `on_distribution` entry runs both per
     point.  The engine value is None for an entry without an engine.
     """
-    n = len(next(iter(columns.values()))[1])
-    values = {name: [value] * n for name, value in fixed.items()}
-    values.update((name, points) for name, (_, points) in columns.items())
     if entry.on_distribution:
+        n = len(next(iter(columns.values())))
         ana, eng = np.empty(n), np.empty(n)
-        for i, p in enumerate(zip(*values.values())):
-            point = dict(zip(values, p))
+        for i in range(n):
+            point = {**fixed, **{name: column[i] for name, column in columns.items()}}
             dist = outcome_distribution(**{k: point.pop(k) for k in DISTRIBUTION_PARAMS})
             ana[i], eng[i] = formula(dist, **point), entry.engine(dist, **point)
         return ana, eng
-    # called positionally, in its own parameter order: a dict per point costs
-    # about as much as the closed form itself
-    order = list(inspect.signature(formula).parameters)[: len(values)]
-    ana = np.fromiter(itertools.starmap(formula, zip(*(values[name] for name in order))), float, n)
+    ana = formula(**fixed, **columns)
     if entry.engine is None:
         return ana, None
-    return ana, entry.engine(**fixed, **{name: array for name, (array, _) in columns.items()})
+    return ana, entry.engine(**fixed, **columns)
 
 
 @dataclass(frozen=True)
@@ -308,14 +302,13 @@ class CheckResult:
         return self.max_dev <= tol
 
 
-def _column(values: Sequence, index: np.ndarray) -> tuple[object, list]:
-    """Per-point values of one parameter: an array (or a splitter of arrays)
-    for the engine, and a list of the values themselves for the closed form."""
-    points = [values[i] for i in index.tolist()]
+def _column(values: Sequence, index: np.ndarray) -> Any:
+    """One parameter's values at the points `index`: an array, or a
+    splitter of arrays."""
     if isinstance(values[0], BeamSplitterSpec):
         fields = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[index]
-        return BeamSplitterSpec(*fields.T), points
-    return np.asarray(values)[index], points
+        return BeamSplitterSpec(*fields.T)
+    return np.asarray(values)[index]
 
 
 def _describe(point: dict[str, object]) -> dict[str, float | str]:
@@ -330,14 +323,14 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
     return out
 
 
-def _check(entry: Experiment, formula: Callable[..., float], step: int = 1) -> CheckResult:
+def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> CheckResult:
     """Compare the engine of `entry` with `formula` over the entry's grid.
 
     `grid` parameters are crossed in order and every `step`-th point is
     kept; the j-th kept point takes the (j % n)-th of the n combinations of
     the `cycle` parameters (crossed in order).  A grid parameter with one
-    value is passed as it is; the engine runs once per value of the first
-    other grid parameter, with that value and arrays of the rest.
+    value is passed as it is; the engine and `formula` run once per value of
+    the first other grid parameter, with that value and arrays of the rest.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]
@@ -364,7 +357,7 @@ def _check(entry: Experiment, formula: Callable[..., float], step: int = 1) -> C
         i = int(np.argmax(dev))
         if not worst_point or dev[i] > max_dev:
             max_dev = float(dev[i])
-            point = {**fixed, first_name: first, **{n: c[1][i] for n, c in columns.items()}}
+            point = {**fixed, first_name: first, **{n: values[j[i]] for (n, values), j in zip(rest, indices)}}
             worst_point = _describe({name: point[name] for name in order})
     mean_dev = total / n_points if n_points else 0.0
     return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)

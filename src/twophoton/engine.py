@@ -185,20 +185,15 @@ def coincidence_probability(
     return _result(_detect(inp, u1, u2))
 
 
-def coincidence_no_polarizers(
-    inp: InputSpec,
-    bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
-    dummy_thetas: tuple[float, float] = (0.0, 0.0),
-) -> float:
+def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
     """Opposite-side coincidence with analyzers removed.
 
     Removing an analyzer is summing its two ports, so this is the four-port
-    sum of `coincidence_probability`; the result does not depend on the
-    dummy analyzer angles.
+    sum of `coincidence_probability`; the analyzer angle drops out of the
+    sum and is taken as 0.
     """
     return sum(
-        coincidence_probability(inp, dummy_thetas[0], dummy_thetas[1], bs, geom, (p1, p2))
+        coincidence_probability(inp, 0.0, 0.0, bs, geom, (p1, p2))
         for p1 in Port
         for p2 in Port
     )
@@ -238,15 +233,11 @@ def same_arm_both_arms(
     )
 
 
-def same_arm_no_polarizers(
-    inp: InputSpec,
-    bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
-    dummy_thetas: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """Same-side pair probability, both sides, analyzers removed (all ports summed)."""
+def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
+    """Same-side pair probability, both sides, analyzers removed (all ports
+    summed, so the analyzer angle drops out and is taken as 0)."""
     return sum(
-        same_arm_both_arms(inp, dummy_thetas[0], dummy_thetas[1], bs, geom, (pa, pb))
+        same_arm_both_arms(inp, 0.0, 0.0, bs, geom, (pa, pb))
         for pa in Port
         for pb in Port
     )

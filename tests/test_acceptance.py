@@ -4,12 +4,15 @@ per test name)."""
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import twophoton
 from twophoton import formulas
 from twophoton.compare import ANGLES, run_comparison
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry
@@ -185,6 +188,9 @@ def test_criterion_6_monte_carlo_consistency():
 
 
 def test_criterion_7_compare_negative_control():
+    # the child imports the same package as this process
+    package_root = str(Path(twophoton.__file__).resolve().parents[1])
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [
             sys.executable,
@@ -198,6 +204,7 @@ def test_criterion_7_compare_negative_control():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     ok = proc.returncode == 2 and "unpolarized_5050" in proc.stdout and "FAIL" in proc.stdout
     line = report(

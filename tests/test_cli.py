@@ -291,6 +291,21 @@ def test_mc_rejects_unnormalizable_phases(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_mc_rejects_zero_efficiency(capsys):
+    assert main(["mc", "--set", "efficiency=0", "--set", "n_pairs=10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error at efficiency" in captured.err
+
+
+def test_mc_run_sweep_rejects_zero_efficiency(capsys):
+    sets = ["experiment=mc_run", "sweep.param=theta1_deg", "efficiency=0", "n_pairs=10"]
+    assert main(["sweep", *(a for s in sets for a in ("--set", s))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error at efficiency" in captured.err
+
+
 def test_validation_failures_exit_one(capsys):
     code = main(["sweep", "--set", "experiment=bogus"])
     assert code == 1

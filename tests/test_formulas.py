@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import numpy as np
 
+from twophoton import formulas
 from twophoton.elements import BeamSplitterSpec
 from twophoton.formulas import (
     bunch_path_amplitudes,
@@ -174,3 +176,28 @@ def test_classical_rate_floor_and_peak():
 def test_quantum_rate_nulls_where_classical_cannot():
     assert abs(p_unpolarized_5050(0.4, 0.4, 0.0)) < TOL
     assert p_classical(0.4, 0.4, 0.0) == 3.0
+
+
+def test_every_closed_form_broadcasts_bitwise_like_its_scalar_calls():
+    # sweep CSV stays byte-stable only if an array call rounds exactly as
+    # the per-point calls
+    n = 200
+    transmissions = [(1.0, 1.0), (0.0, 0.0), *RNG.uniform(0.0, 1.0, size=(n - 4, 2))]
+    splitters = [BS, ASYM, *(BeamSplitterSpec.from_transmission(*t) for t in transmissions)]
+    bs_array = BeamSplitterSpec(*np.array([[b.tx, b.ty, b.rx, b.ry] for b in splitters]).T)
+    phases = np.where(RNG.random(n) < 0.25, 0.0, RNG.uniform(0.0, 2.0 * math.pi, n))
+    forms = [getattr(formulas, name) for name in dir(formulas) if name.startswith("p_")]
+    assert len(forms) == 9
+    for form in forms:
+        args = {}
+        for name, param in inspect.signature(form).parameters.items():
+            if name == "bs":
+                args[name] = bs_array
+            elif name in ("phi", "psi"):
+                args[name] = phases
+            elif param.default is inspect.Parameter.empty:  # an angle
+                args[name] = RNG.uniform(-math.pi, math.pi, n)
+        got = form(**args)
+        for i in range(n):
+            point = {k: splitters[i] if k == "bs" else float(v[i]) for k, v in args.items()}
+            assert got[i] == form(**point), (form.__name__, point)

@@ -3,7 +3,9 @@
 `compare` samples every angle on the pi/12 lattice and four fixed phases and
 splitters, so an error term that vanishes on that lattice (say, one
 proportional to sin(12*theta)) would pass it.  These properties draw
-angles, fringe phases and splitter transmissions continuously instead.
+angles, fringe phases and splitter transmissions continuously instead, and
+check two symmetries of both routes: swapping the sides, and turning both
+analyzers together on unpolarized light.
 """
 
 import math
@@ -83,3 +85,26 @@ def test_outcome_partition_sums_to_one_at_matched_phases(polarized, pol1, pol2, 
     dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phase, phase))
     assert all(is_probability(p) for p in dist.probabilities.values())
     assert abs(dist.total() - 1.0) <= TOL
+
+
+@EXAMPLES
+@given(angles, angles, angles, angles, splitters, phases)
+def test_coincidence_is_unchanged_when_the_sides_swap(pol1, pol2, ana1, ana2, bs, phi):
+    geom = PhaseGeometry(phi=phi)
+    eng = coincidence_probability(InputSpec.polarized(pol1, pol2), ana1, ana2, bs, geom)
+    swapped = coincidence_probability(InputSpec.polarized(pol2, pol1), ana2, ana1, bs, geom)
+    assert abs(swapped - eng) <= TOL
+    form = formulas.p_coincidence(pol1, pol2, ana1, ana2, bs, phi)
+    assert abs(formulas.p_coincidence(pol2, pol1, ana2, ana1, bs, phi) - form) <= TOL
+
+
+@EXAMPLES
+@given(angles, angles, angles, st.floats(min_value=0.0, max_value=1.0), phases)
+def test_unpolarized_coincidence_is_unchanged_under_co_rotation(ana1, ana2, turn, t, phi):
+    # only a polarization-independent splitter (tx = ty) has no preferred axis
+    bs, geom = BeamSplitterSpec.from_transmission(t, t), PhaseGeometry(phi=phi)
+    eng = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, geom)
+    turned = coincidence_probability(InputSpec.unpolarized(), ana1 + turn, ana2 + turn, bs, geom)
+    assert abs(turned - eng) <= TOL
+    form = formulas.p_unpolarized(ana1, ana2, bs, phi)
+    assert abs(formulas.p_unpolarized(ana1 + turn, ana2 + turn, bs, phi) - form) <= TOL
