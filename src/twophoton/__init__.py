@@ -73,6 +73,7 @@ from .montecarlo import (
     RunConfig,
     consistency_z,
     estimate,
+    pearson_chi2,
     sample_run,
 )
 
@@ -123,6 +124,7 @@ __all__ = [
     "sample_run",
     "estimate",
     "consistency_z",
+    "pearson_chi2",
     "BLOCK_PAIRS",
     "RNG_ALGORITHM",
     "run_comparison",

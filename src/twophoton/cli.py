@@ -9,7 +9,8 @@ sweep    Evaluate one experiment of `compare.EXPERIMENTS` along a swept
 compare  Run the full agreement grid between the operator engine and the
          closed forms; nonzero exit if any point deviates beyond tolerance,
          and each failing family names its worst point.
-mc       Sample a detection run and report counts and corrected estimates.
+mc       Sample a detection run and report counts and corrected estimates;
+         with --out, also a Pearson chi-square of the run.
 
 Configuration is a JSON object with a `schema_version` field; every value
 can be overridden on the command line with repeated `--set key=value`
@@ -38,7 +39,7 @@ import numpy as np
 from . import compare as comparemod
 from .elements import BeamSplitterSpec
 from .engine import Arm
-from .montecarlo import CountTable, RunConfig, consistency_z, estimate, sample_run
+from .montecarlo import CountTable, RunConfig, consistency_z, estimate, pearson_chi2, sample_run
 
 SCHEMA_VERSION = 1
 
@@ -371,7 +372,11 @@ def cmd_mc(args: argparse.Namespace) -> int:
     text = _mc_report(table, dist)
     _write_out(text, args.out)
     if args.out is not None:
-        print(f"recorded {sum(table.counts.values())} of {table.n_emitted} pairs -> {args.out}")
+        stat, dof = pearson_chi2(table, dist)
+        print(
+            f"recorded {sum(table.counts.values())} of {table.n_emitted} pairs -> {args.out}"
+            f" chi2={stat:.2f} dof={dof}"
+        )
     return 0
 
 

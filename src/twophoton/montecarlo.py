@@ -13,7 +13,12 @@ workers and adding the counts reproduces the single-process result exactly.
 Within a block the uniform draws are consumed in a fixed order (outcome
 draw, then one efficiency draw per detector), and efficiency draws are made
 even at efficiency 1 so that runs with the same seed share their random
-numbers across efficiency settings.
+numbers across efficiency settings.  block-v1 fixes only these draws: how a
+block tallies them into outcome counts is free to change, as long as the
+counts stay the same.
+
+The efficiency lies in (0, 1] wherever a run or its counts are used: every
+estimate divides by efficiency**2.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Outcome, OutcomeDistribution
+from .fock import TOL
 
 BLOCK_PAIRS = 1 << 16
 
@@ -42,8 +48,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_pairs < 0:
             raise ValueError(f"n_pairs must be >= 0, got {self.n_pairs}")
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
+        _check_efficiency(self.efficiency)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -57,6 +62,9 @@ class CountTable:
     n_emitted: int
     efficiency: float
 
+    def __post_init__(self) -> None:
+        _check_efficiency(self.efficiency)
+
 
 @dataclass(frozen=True)
 class OutcomeEstimate:
@@ -66,6 +74,11 @@ class OutcomeEstimate:
     stderr: float
     n_recorded: int
     zero_count: bool  # no events recorded; estimate is a lower-bound 0
+
+
+def _check_efficiency(efficiency: float) -> None:
+    if not (0.0 < efficiency <= 1.0):
+        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency!r}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -80,16 +93,21 @@ def sample_run(dist: OutcomeDistribution, cfg: RunConfig) -> CountTable:
     probs = np.array([max(0.0, dist.probabilities[o]) for o in outcomes])
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard the final edge against rounding
-    counts = np.zeros(len(outcomes), dtype=np.int64)
+    # below[k] counts the recorded draws u < edges[k], i.e. those in outcomes
+    # 0..k; the final edge is 1.0 > u, so a cumulative sum that rounds past
+    # 1.0 before it only empties the outcomes after the crossing.
+    below = np.zeros(len(outcomes), dtype=np.int64)
     n_blocks = (cfg.n_pairs + BLOCK_PAIRS - 1) // BLOCK_PAIRS
     for block in range(n_blocks):
         start = block * BLOCK_PAIRS
         m = min(BLOCK_PAIRS, cfg.n_pairs - start)
         rng = _block_rng(cfg.seed, block)
-        drawn = np.searchsorted(edges, rng.random(m), side="right")
+        u = rng.random(m)
         fired = rng.random(m) < cfg.efficiency
         fired &= rng.random(m) < cfg.efficiency
-        counts += np.bincount(drawn[fired], minlength=len(outcomes))
+        u = u[fired]
+        below += [np.count_nonzero(u < edge) for edge in edges]
+    counts = np.diff(below, prepend=0)
     return CountTable(
         counts={o: int(c) for o, c in zip(outcomes, counts)},
         n_emitted=cfg.n_pairs,
@@ -113,8 +131,6 @@ def estimate(table: CountTable) -> dict[Outcome, OutcomeEstimate]:
         if count == 0:
             out[outcome] = OutcomeEstimate(0.0, 0.0, 0, True)
             continue
-        if correction <= 0.0:
-            raise ValueError("recorded counts with zero efficiency")
         p_rec = count / n
         se_rec = math.sqrt(p_rec * (1.0 - p_rec) / n)
         out[outcome] = OutcomeEstimate(p_rec / correction, se_rec / correction, count, False)
@@ -124,8 +140,35 @@ def estimate(table: CountTable) -> dict[Outcome, OutcomeEstimate]:
 def consistency_z(est: OutcomeEstimate, p_true: float, n_emitted: int, efficiency: float) -> float:
     """Deviation of an estimate from a reference probability in units of the
     binomial standard deviation of the recorded rate."""
+    _check_efficiency(efficiency)
     p_rec = p_true * efficiency**2
     sigma = math.sqrt(p_rec * (1.0 - p_rec) / n_emitted) / efficiency**2
     if sigma == 0.0:
         return 0.0 if est.probability == p_true else math.inf
     return (est.probability - p_true) / sigma
+
+
+def pearson_chi2(table: CountTable, dist: OutcomeDistribution) -> tuple[float, int]:
+    """Pearson chi-square of a run against the distribution it was drawn from.
+
+    The cells are the outcomes plus the pairs not recorded: outcome o has
+    probability p_o * efficiency**2 and the unrecorded cell the rest.  A cell
+    whose probability is at most TOL cannot hold counts; it is left out of
+    the sum and of the degrees of freedom (the remaining cells less one, 12
+    when all twelve outcomes can occur at efficiency below 1), and a count
+    in it makes the statistic infinite.
+    """
+    n = table.n_emitted
+    if n <= 0:
+        raise ValueError("cannot test a run with no emitted pairs")
+    outcomes = list(table.counts)
+    q = np.array([dist.probabilities[o] * table.efficiency**2 for o in outcomes])
+    q = np.append(q, 1.0 - q.sum())
+    observed = np.array([table.counts[o] for o in outcomes])
+    observed = np.append(observed, n - observed.sum())
+    live = q > TOL
+    dof = int(live.sum()) - 1
+    if np.any(observed[~live]):
+        return math.inf, dof
+    expected = n * q[live]
+    return float(np.sum((observed[live] - expected) ** 2 / expected)), dof

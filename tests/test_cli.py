@@ -285,6 +285,36 @@ def test_mc_runs_are_seed_deterministic(tmp_path):
     assert header == "outcome,count,estimate,stderr,exact,z"
 
 
+MC_BULK_SETS = [
+    "experiment=mc_run",
+    "input=unpolarized",
+    "theta1_deg=0",
+    "theta2_deg=30",
+    "phi_deg=60",
+    "psi_deg=60",
+    "efficiency=0.9",
+    "n_pairs=131072",
+]
+MC_BULK_COUNTS = [8242, 11646, 11579, 8411, 10050, 6606, 6703, 9941, 9965, 6675, 6585, 9842]
+
+
+def test_mc_counts_are_pinned_under_block_v1(capsys):
+    # Two whole blocks at the default seed 0; these counts are the run whose
+    # digest the benchmark pins, so any change to the draws shows here.
+    assert main(["mc", *(a for s in MC_BULK_SETS for a in ("--set", s))]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    counts = [int(row.split(",")[1]) for row in rows]
+    assert counts == MC_BULK_COUNTS
+
+
+def test_mc_out_reports_pearson_chi2(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert main(["mc", *(a for s in MC_BULK_SETS for a in ("--set", s)), "--out", str(out)]) == 0
+    # 6.0496 over the pinned counts, by the benchmark's own chi-square
+    expected = f"recorded {sum(MC_BULK_COUNTS)} of 131072 pairs -> {out} chi2=6.05 dof=12\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_mc_rejects_unnormalizable_phases(capsys):
     code = main(["mc", "--set", "phi_deg=0", "--set", "psi_deg=180", "--set", "n_pairs=10"])
     assert code == 1

@@ -11,6 +11,7 @@ from twophoton.engine import (
     OutcomeKind,
     full_outcome_distribution,
 )
+from twophoton.fock import TOL
 from twophoton.montecarlo import (
     BLOCK_PAIRS,
     RNG_ALGORITHM,
@@ -18,6 +19,7 @@ from twophoton.montecarlo import (
     RunConfig,
     consistency_z,
     estimate,
+    pearson_chi2,
     sample_run,
 )
 
@@ -48,6 +50,8 @@ def test_run_config_validation():
         RunConfig(-1)
     with pytest.raises(ValueError):
         RunConfig(10, efficiency=1.5)
+    with pytest.raises(ValueError):
+        RunConfig(10, efficiency=0.0)
     with pytest.raises(ValueError):
         RunConfig(10, seed=-3)
 
@@ -114,6 +118,59 @@ def test_blockwise_reference_reimplementation():
         done += m
         block += 1
     assert table.counts == {o: int(c) for o, c in zip(outcomes, counts)}
+
+
+def _searchsorted_replay(dist, cfg):
+    # The searchsorted/bincount tally of test_blockwise_reference_reimplementation.
+    outcomes = sorted(dist.probabilities, key=lambda o: o.sort_key())
+    edges = np.cumsum([dist.probabilities[o] for o in outcomes])
+    edges[-1] = 1.0
+    counts = np.zeros(len(outcomes), dtype=np.int64)
+    for block in range(-(-cfg.n_pairs // BLOCK_PAIRS)):
+        m = min(BLOCK_PAIRS, cfg.n_pairs - block * BLOCK_PAIRS)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(block,))))
+        drawn = np.searchsorted(edges, rng.random(m), side="right")
+        fired = rng.random(m) < cfg.efficiency
+        fired &= rng.random(m) < cfg.efficiency
+        counts += np.bincount(drawn[fired], minlength=len(outcomes))
+    return {o: int(c) for o, c in zip(outcomes, counts)}
+
+
+TWELVE = sorted(unpolarized_distribution().probabilities, key=Outcome.sort_key)
+
+
+def zero_first_and_last():
+    return OutcomeDistribution({o: 0.0 if k in (0, 11) else 0.1 for k, o in enumerate(TWELVE)})
+
+
+def point_mass_on_last():
+    return OutcomeDistribution({o: float(k == 11) for k, o in enumerate(TWELVE)})
+
+
+def rounds_past_one_before_the_last_edge():
+    # Normalized within TOL, but the cumulative sum passes 1.0 at the
+    # eleventh edge, so edges[-1] = 1.0 leaves `edges` non-monotone.
+    probs = [(1.0 + 5e-13) / 11] * 11 + [1e-13]
+    assert np.cumsum(probs)[-2] > 1.0 and abs(sum(probs) - 1.0) <= TOL
+    return OutcomeDistribution(dict(zip(TWELVE, probs)))
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 10_000, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
+@pytest.mark.parametrize("efficiency", [1.0, 0.37])
+@pytest.mark.parametrize(
+    "make_dist",
+    [
+        unpolarized_distribution,
+        singlet_like_distribution,
+        zero_first_and_last,
+        point_mass_on_last,
+        rounds_past_one_before_the_last_edge,
+    ],
+)
+def test_tally_is_bit_identical_to_the_searchsorted_replay(make_dist, efficiency, n_pairs):
+    dist = make_dist()
+    cfg = RunConfig(n_pairs, efficiency=efficiency, seed=4)
+    assert sample_run(dist, cfg).counts == _searchsorted_replay(dist, cfg)
 
 
 def test_block_decomposition_makes_shards_additive():
@@ -238,3 +295,39 @@ def test_opposite_side_share_concentrates_at_one_quarter():
         z = (opp / n - 0.25) / math.sqrt(0.25 * 0.75 / n)
         hits += abs(z) <= 3.0
     assert hits >= 4
+
+
+def test_pearson_chi2_matches_a_hand_computed_table():
+    # n = 1200, p = 1/12, efficiency 0.5: every outcome expects 25 counts and
+    # the unrecorded cell 900.  Two outcomes off by 5 add 25/25 each; the
+    # unrecorded cell is exact.
+    dist = OutcomeDistribution({o: 1.0 / 12.0 for o in TWELVE})
+    counts = {o: 25 for o in TWELVE}
+    counts[TWELVE[0]] += 5
+    counts[TWELVE[7]] -= 5
+    stat, dof = pearson_chi2(CountTable(counts, n_emitted=1200, efficiency=0.5), dist)
+    assert abs(stat - 2.0) < 1e-12 and dof == 12
+
+
+def test_pearson_chi2_leaves_out_cells_that_cannot_hold_counts():
+    # At efficiency 1 the unrecorded cell is empty by construction, and so
+    # are zero-probability outcomes: 10 cells remain, 9 degrees of freedom.
+    # Counts of 11 and 9 against 10 add 1/10 each; a count in an impossible
+    # cell makes the statistic infinite.
+    dist = zero_first_and_last()
+    counts = {o: 0 if k in (0, 11) else 10 + (k == 1) - (k == 2) for k, o in enumerate(TWELVE)}
+    stat, dof = pearson_chi2(CountTable(counts, n_emitted=100, efficiency=1.0), dist)
+    assert abs(stat - 0.2) < 1e-12 and dof == 9
+    counts[TWELVE[11]] = 1
+    counts[TWELVE[1]] -= 1
+    assert pearson_chi2(CountTable(counts, n_emitted=100, efficiency=1.0), dist) == (math.inf, 9)
+    with pytest.raises(ValueError):
+        pearson_chi2(CountTable(dict.fromkeys(TWELVE, 0), n_emitted=0, efficiency=1.0), dist)
+
+
+def test_efficiency_domain_is_enforced_where_it_is_used():
+    table = CountTable({SURE_OUTCOME: 5}, n_emitted=10, efficiency=1.0)
+    with pytest.raises(ValueError):
+        CountTable({SURE_OUTCOME: 5}, n_emitted=10, efficiency=0.0)
+    with pytest.raises(ValueError):
+        consistency_z(estimate(table)[SURE_OUTCOME], 0.5, 10, 0.0)
