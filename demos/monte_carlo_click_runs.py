@@ -18,6 +18,7 @@ from twophoton import (
     OutcomeKind,
     PhaseGeometry,
     RunConfig,
+    all_outcomes,
     consistency_z,
     estimate,
     full_outcome_distribution,
@@ -47,9 +48,8 @@ def main() -> None:
     print(f"run: {args.pairs} pairs, efficiency {args.efficiency}, seed {args.seed}")
     print(f"recorded {recorded} events ({recorded / args.pairs:.1%} of emitted pairs)")
     print(f"{'outcome':<26} {'count':>7} {'estimate':>10} {'exact':>10} {'z':>6}")
-    for outcome in sorted(dist.probabilities, key=lambda o: o.sort_key()):
+    for outcome, exact in zip(all_outcomes(), dist.tolist()):
         est = ests[outcome]
-        exact = dist.probabilities[outcome]
         z = consistency_z(est, exact, table.n_emitted, table.efficiency)
         print(f"{outcome.label():<26} {table.counts[outcome]:>7} "
               f"{est.probability:>10.5f} {exact:>10.5f} {z:>6.2f}")

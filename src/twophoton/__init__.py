@@ -31,7 +31,6 @@ from .elements import (
 from .engine import (
     InputSpec,
     Outcome,
-    OutcomeDistribution,
     OutcomeKind,
     all_outcomes,
     coincidence_no_polarizers,
@@ -96,7 +95,6 @@ __all__ = [
     "InputSpec",
     "Outcome",
     "OutcomeKind",
-    "OutcomeDistribution",
     "all_outcomes",
     "coincidence_probability",
     "coincidence_no_polarizers",

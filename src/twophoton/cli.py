@@ -38,7 +38,7 @@ import numpy as np
 
 from . import compare as comparemod
 from .elements import BeamSplitterSpec
-from .engine import Arm
+from .engine import Arm, all_outcomes
 from .montecarlo import CountTable, RunConfig, consistency_z, estimate, pearson_chi2, sample_run
 
 SCHEMA_VERSION = 1
@@ -175,8 +175,8 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
         problems.append(("n_pairs", f"must be a positive integer, got {cfg['n_pairs']!r}"))
     v = cfg["efficiency"]
     # the estimates divide by efficiency**2
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 < v <= 1.0:
-        problems.append(("efficiency", f"must lie in (0, 1], got {v!r}"))
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not (0.0 < v <= 1.0 and v**2 > 0.0):
+        problems.append(("efficiency", f"must lie in (0, 1] with efficiency**2 > 0, got {v!r}"))
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         problems.append(("seed", f"must be a nonnegative integer, got {cfg['seed']!r}"))
     sweep = cfg["sweep"]
@@ -329,8 +329,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError([(name, f"cannot parse {raw!r} as float")]) from None
     try:
         results = comparemod.run_comparison(perturbations, step=args.step)
-    except ValueError as exc:
-        raise ConfigError([("perturb", str(exc))]) from None
+    except ValueError as exc:  # a step below 1 or an unknown perturbation
+        raise ConfigError([("step" if args.step < 1 else "perturb", str(exc))]) from None
     tol = comparemod.DEFAULT_TOL
     header = ["check", "n_points", "max_abs_deviation", "mean_abs_deviation", "status"]
     rows = []
@@ -351,13 +351,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all_ok else 2
 
 
-def _mc_report(table: CountTable, dist) -> str:
+def _mc_report(table: CountTable, probs: np.ndarray) -> str:
     ests = estimate(table)
     header = ["outcome", "count", "estimate", "stderr", "exact", "z"]
     rows = []
-    for outcome in sorted(table.counts, key=lambda o: o.sort_key()):
+    for outcome, exact in zip(all_outcomes(), probs.tolist()):
         est = ests[outcome]
-        exact = dist.probabilities[outcome]
         z = consistency_z(est, exact, table.n_emitted, table.efficiency)
         rows.append((outcome.label(), table.counts[outcome], est.probability, est.stderr, exact, z))
     return _csv(header, rows)
@@ -367,12 +366,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     _check_phases(cfg["phi_deg"], cfg["psi_deg"])
     point = _library_args(cfg)
-    dist = comparemod.outcome_distribution(**{name: point[name] for name in comparemod.DISTRIBUTION_PARAMS})
-    table = sample_run(dist, point["run"])
-    text = _mc_report(table, dist)
+    probs = comparemod.outcome_distribution(**{name: point[name] for name in comparemod.DISTRIBUTION_PARAMS})
+    table = sample_run(probs, point["run"])
+    text = _mc_report(table, probs)
     _write_out(text, args.out)
     if args.out is not None:
-        stat, dof = pearson_chi2(table, dist)
+        stat, dof = pearson_chi2(table, probs)
         print(
             f"recorded {sum(table.counts.values())} of {table.n_emitted} pairs -> {args.out}"
             f" chi2={stat:.2f} dof={dof}"
@@ -432,6 +431,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"config error: not UTF-8 text ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ from .elements import BeamSplitterSpec, PhaseGeometry
 from .engine import (
     Arm,
     InputSpec,
-    OutcomeDistribution,
     OutcomeKind,
+    all_outcomes,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
@@ -67,8 +67,9 @@ POLARIZED = ("polarized",)
 UNPOLARIZED = ("unpolarized",)
 BOTH_INPUTS = ("polarized", "unpolarized")
 
-# the parameters of the twelve-outcome distribution at one point
+# the parameters of the twelve-outcome distribution
 DISTRIBUTION_PARAMS = ("input_kind", "pol1", "pol2", "ana1", "ana2", "phi", "psi", "bs")
+OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in all_outcomes()])
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,11 @@ class Experiment:
     analyzer angles `ana1`, `ana2`, fringe phases `phi`, `psi` (radians),
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
-    callables take them as keywords and broadcast over numpy arrays.  An
-    `on_distribution` entry is evaluated point by point, and both callables
-    take the point's `outcome_distribution` in place of
-    `DISTRIBUTION_PARAMS`.  `columns` names the two values in a
-    sweep's CSV.  Domain: `only_5050` entries hold for the 50:50 splitter
-    only, `matched_phases` entries only where cos(phi) = cos(psi).  `grid`
-    and `cycle` are the `compare` grid (see `_check`); an entry without a
-    grid is not compared.
+    callables take them as keywords and broadcast over numpy arrays.
+    `columns` names the two values in a sweep's CSV.  Domain: `only_5050`
+    entries hold for the 50:50 splitter only, `matched_phases` entries only
+    where cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid
+    (see `_check`); an entry without a grid is not compared.
     """
 
     name: str
@@ -96,7 +94,6 @@ class Experiment:
     engine: Callable[..., Any] | None
     only_5050: bool = False
     matched_phases: bool = False
-    on_distribution: bool = False
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
     cycle: Params = ()
@@ -111,10 +108,26 @@ def outcome_distribution(
     phi: float,
     psi: float,
     bs: BeamSplitterSpec,
-) -> OutcomeDistribution:
-    """The engine's twelve-outcome distribution at one point."""
+) -> np.ndarray:
+    """The engine's twelve-outcome distribution, on a last axis.
+
+    The other axes broadcast every parameter, including `pol1` and `pol2`,
+    which unpolarized light ignores: a sweep of them still has its points.
+    """
     inp = InputSpec.polarized(pol1, pol2) if input_kind == "polarized" else InputSpec.unpolarized()
-    return full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phi, psi))
+    dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phi, psi))
+    shape = np.broadcast_shapes(np.shape(pol1), np.shape(pol2), dist.shape[:-1])
+    return np.broadcast_to(dist, (*shape, dist.shape[-1]))
+
+
+def _running_total(probs: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, added left to right."""
+    return np.cumsum(probs, axis=-1)[..., -1][()]
+
+
+def _unit_total(input_kind, bs, **angles) -> np.ndarray:
+    """The expected total of the exclusive partition: 1 at every point."""
+    return np.ones(np.broadcast(*angles.values(), bs.tx, bs.ty).shape)[()]
 
 
 def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
@@ -127,11 +140,16 @@ def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
     return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
 
 
-def _opposite_estimate(dist: OutcomeDistribution, run: RunConfig) -> float:
-    """Monte Carlo estimate of the opposite-side total, efficiency-corrected."""
-    table = sample_run(dist, run)
-    opp = sum(table.counts[o] for o in table.counts if o.kind is OutcomeKind.OPPOSITE)
-    return opp / (run.n_pairs * run.efficiency**2)
+def _opposite_estimate(run: RunConfig, **point) -> np.ndarray:
+    """Monte Carlo estimate of the opposite-side total, efficiency-corrected:
+    one run of `run` at every point."""
+    dist = outcome_distribution(**point)
+    estimates = []
+    for probs in dist.reshape(-1, dist.shape[-1]):
+        table = sample_run(probs, run)
+        opp = sum(table.counts[o] for o in table.counts if o.kind is OutcomeKind.OPPOSITE)
+        estimates.append(opp / (run.n_pairs * run.efficiency**2))
+    return np.array(estimates).reshape(dist.shape[:-1])[()]
 
 
 # 50:50-only entries take the splitter so that a sweep runs the engine on the
@@ -234,20 +252,18 @@ EXPERIMENTS: dict[str, Experiment] = {
             "full_distribution",
             DISTRIBUTION_PARAMS,
             BOTH_INPUTS,
-            lambda dist: 1.0,
-            lambda dist: dist.total(),
+            _unit_total,
+            lambda **point: _running_total(outcome_distribution(**point)),
             matched_phases=True,
-            on_distribution=True,
         ),
         # the engine's opposite-side total against its Monte Carlo estimate
         Experiment(
             "mc_run",
             (*DISTRIBUTION_PARAMS, "run"),
             BOTH_INPUTS,
-            lambda dist, run: dist.subtotal(OutcomeKind.OPPOSITE),
+            lambda run, **point: _running_total(outcome_distribution(**point)[..., OPPOSITE]),
             _opposite_estimate,
             matched_phases=True,
-            on_distribution=True,
             columns=("exact", "estimate"),
         ),
     )
@@ -265,17 +281,9 @@ def evaluate(
     `fixed` holds the parameters shared by every point; `columns` maps each
     other parameter to its per-point values, an array (or a splitter of
     arrays).  `formula` (the entry's, or a perturbed one) and the engine
-    each run once on the arrays; an `on_distribution` entry runs both per
-    point.  The engine value is None for an entry without an engine.
+    each run once on the arrays.  The engine value is None for an entry
+    without an engine.
     """
-    if entry.on_distribution:
-        n = len(next(iter(columns.values())))
-        ana, eng = np.empty(n), np.empty(n)
-        for i in range(n):
-            point = {**fixed, **{name: column[i] for name, column in columns.items()}}
-            dist = outcome_distribution(**{k: point.pop(k) for k in DISTRIBUTION_PARAMS})
-            ana[i], eng[i] = formula(dist, **point), entry.engine(dist, **point)
-        return ana, eng
     ana = formula(**fixed, **columns)
     if entry.engine is None:
         return ana, None
@@ -367,8 +375,11 @@ def run_comparison(
     perturbations: dict[str, float] | None = None, step: int = 1
 ) -> list[CheckResult]:
     """Check every experiment that has a grid; `perturbations` may override
-    named constants (used as a negative control), and `step` thins the
-    four-angle grids, the ones that interleave phases and splitters."""
+    named constants (used as a negative control), and `step` (at least 1)
+    thins the four-angle grids, the ones that interleave phases and
+    splitters."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step!r}")
     perturbations = perturbations or {}
     unknown = set(perturbations) - {"unpolarized_5050_prefactor"}
     if unknown:

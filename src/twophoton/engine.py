@@ -13,8 +13,8 @@ averaged.
 
 Every angle, phase and splitter amplitude may be a numpy array: the
 arguments broadcast, and the result is an array of the broadcast shape (a
-float when every argument is scalar).  `full_outcome_distribution` takes
-scalars only.
+float when every argument is scalar); `full_outcome_distribution` adds a
+last axis of the twelve outcomes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .elements import (
     detector_operator,
     same_arm_operator_pair,
 )
-from .fock import TOL, Arm, IncidentPolarization, product_state, vacuum_amplitude
+from .fock import Arm, IncidentPolarization, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -103,14 +102,6 @@ class Outcome:
         """Detectors that must fire to record this outcome."""
         return 2
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (
-            self.kind.value,
-            -1 if self.arm is None else self.arm.value,
-            self.port1.value,
-            self.port2.value,
-        )
-
     def label(self) -> str:
         p = {Port.PARALLEL: "par", Port.PERPENDICULAR: "perp"}
         if self.kind is OutcomeKind.OPPOSITE:
@@ -119,37 +110,19 @@ class Outcome:
 
 
 def all_outcomes() -> tuple[Outcome, ...]:
-    """The twelve exclusive pair outcomes in canonical order."""
+    """The twelve exclusive pair outcomes in canonical order: the four
+    opposite-side outcomes, then side 1's and side 2's four same-side ones,
+    ports in `Port` order."""
     out = [
         Outcome(OutcomeKind.OPPOSITE, p1, p2) for p1 in Port for p2 in Port
     ]
     for arm in Arm:
         out.extend(Outcome(OutcomeKind.SAME_ARM, pa, pb, arm) for pa in Port for pb in Port)
-    return tuple(sorted(out, key=Outcome.sort_key))
+    return tuple(out)
 
 
 _OUTCOMES = all_outcomes()
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities over the twelve exclusive pair outcomes."""
-
-    probabilities: Mapping[Outcome, float]
-
-    def __post_init__(self) -> None:
-        for outcome, p in self.probabilities.items():
-            if p < -TOL:
-                raise ValueError(f"negative probability {p!r} for {outcome.label()}")
-
-    def total(self) -> float:
-        return sum(self.probabilities.values())
-
-    def is_normalized(self, tol: float = TOL) -> bool:
-        return abs(self.total() - 1.0) <= tol
-
-    def subtotal(self, kind: OutcomeKind) -> float:
-        return sum(p for o, p in self.probabilities.items() if o.kind is kind)
+_FACTORS = np.array([1.0 if o.kind is OutcomeKind.OPPOSITE else ONE_SIDED for o in _OUTCOMES])
 
 
 def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
@@ -265,8 +238,9 @@ def full_outcome_distribution(
     theta2: float,
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
-) -> OutcomeDistribution:
-    """Distribution over the twelve exclusive pair outcomes.
+) -> np.ndarray:
+    """Probabilities of the twelve exclusive pair outcomes, on a last axis
+    in `all_outcomes()` order.
 
     All analyzers on side 1 sit at theta1 and all on side 2 at theta2.
     Opposite-side entries use `geom.phi`, same-side entries `geom.psi`; the
@@ -277,31 +251,25 @@ def full_outcome_distribution(
     part of this partition.  All twelve amplitudes come from one stacked
     evaluation.
     """
-    opposite = {
-        (arm, port): detector_operator(AnalyzerSetting(arm, theta, port), bs, geom)
-        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-        for port in Port
-    }
-    same = {
-        (arm, port): same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
-        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-        for port in Port
-    }
-    rows_a, rows_b, factors = [], [], []
-    for outcome in _OUTCOMES:
-        if outcome.kind is OutcomeKind.OPPOSITE:
-            rows_a.append(opposite[Arm.SIDE1, outcome.port1])
-            rows_b.append(opposite[Arm.SIDE2, outcome.port2])
-            factors.append(1.0)
-        else:
-            rows_a.append(same[outcome.arm, outcome.port1][0])
-            rows_b.append(same[outcome.arm, outcome.port2][1])
-            factors.append(ONE_SIDED)
-    weights, state = inp.components()
-    amp = vacuum_amplitude(np.stack(rows_a)[:, None, :], np.stack(rows_b)[:, None, :], state)
-    # Unlike `_detect`, the matrix product adds the four unpolarized
-    # components as (p0 + p2) + (p1 + p3) with numpy's BLAS; it is kept so
-    # that the distributions, and the Monte Carlo counts drawn from them,
-    # stay bit-identical.
-    probs = np.array(factors) * (np.abs(amp) ** 2 @ weights)
-    return OutcomeDistribution(dict(zip(_OUTCOMES, probs.tolist())))
+    theta = {Arm.SIDE1: theta1, Arm.SIDE2: theta2}
+    pairs = [
+        (
+            detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, o.port1), bs, geom),
+            detector_operator(AnalyzerSetting(Arm.SIDE2, theta2, o.port2), bs, geom),
+        )
+        if o.kind is OutcomeKind.OPPOSITE
+        else same_arm_operator_pair(o.arm, (theta[o.arm],) * 2, bs, geom, (o.port1, o.port2))
+        for o in _OUTCOMES
+    ]
+    # the detector rows of all twelve outcomes, stacked: (..., 12, 1, 4)
+    u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2)[..., None, :] for rows in zip(*pairs))
+    _, (p1, p2) = inp.components()
+    p = np.abs(vacuum_amplitude(u_a, u_b, (p1[..., None, :, :], p2[..., None, :, :]))) ** 2
+    if inp.polarization is None:
+        # Unlike `_detect`, the four components are added as
+        # (p0 + p2) + (p1 + p3): the Monte Carlo counts drawn from the
+        # distribution depend on this order.
+        p = ((p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])) * 0.25
+    else:
+        p = p[..., 0]
+    return _FACTORS * p

@@ -1,7 +1,8 @@
 """Click-level Monte Carlo sampling of pair-detection outcomes.
 
-Pairs are independent: each drawn pair selects one outcome from an
-`OutcomeDistribution`, then every detector of that outcome fires
+Pairs are independent: each drawn pair selects one outcome from a
+distribution, the twelve probabilities of `full_outcome_distribution` in
+`all_outcomes()` order; then every detector of that outcome fires
 independently with the configured efficiency, and the outcome is recorded
 only if all its detectors fired.
 
@@ -15,10 +16,12 @@ draw, then one efficiency draw per detector), and efficiency draws are made
 even at efficiency 1 so that runs with the same seed share their random
 numbers across efficiency settings.  block-v1 fixes only these draws: how a
 block tallies them into outcome counts is free to change, as long as the
-counts stay the same.
+counts stay the same.  The counts also depend on the last bit of every
+probability, so on the order in which `full_outcome_distribution` adds the
+four components of unpolarized light: (p0 + p2) + (p1 + p3).
 
-The efficiency lies in (0, 1] wherever a run or its counts are used: every
-estimate divides by efficiency**2.
+The efficiency lies in (0, 1], with efficiency**2 > 0, wherever a run or
+its counts are used: every estimate divides by efficiency**2.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Outcome, OutcomeDistribution
+from .engine import Outcome, all_outcomes
 from .fock import TOL
 
 BLOCK_PAIRS = 1 << 16
 
 RNG_ALGORITHM = "philox4x64/block-v1"
+
+OUTCOMES = all_outcomes()
 
 
 @dataclass(frozen=True)
@@ -77,26 +82,32 @@ class OutcomeEstimate:
 
 
 def _check_efficiency(efficiency: float) -> None:
-    if not (0.0 < efficiency <= 1.0):
-        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    if not (0.0 < efficiency <= 1.0 and efficiency**2 > 0.0):
+        raise ValueError(f"efficiency must lie in (0, 1] with efficiency**2 > 0, got {efficiency!r}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def sample_run(dist: OutcomeDistribution, cfg: RunConfig) -> CountTable:
-    """Draw cfg.n_pairs pairs from `dist` and tally recorded outcomes."""
-    if not dist.is_normalized():
-        raise ValueError(f"distribution must be normalized to sample, total={dist.total()!r}")
-    outcomes = sorted(dist.probabilities, key=Outcome.sort_key)
-    probs = np.array([max(0.0, dist.probabilities[o]) for o in outcomes])
-    edges = np.cumsum(probs)
+def sample_run(probs: np.ndarray, cfg: RunConfig) -> CountTable:
+    """Draw cfg.n_pairs pairs from the twelve outcome probabilities `probs`
+    (in `all_outcomes()` order) and tally recorded outcomes."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(OUTCOMES),):
+        raise ValueError(f"expected {len(OUTCOMES)} outcome probabilities, got shape {probs.shape}")
+    if np.any(probs < -TOL):
+        k = int(np.argmin(probs))
+        raise ValueError(f"negative probability {float(probs[k])!r} for {OUTCOMES[k].label()}")
+    total = float(np.cumsum(probs)[-1])
+    if not abs(total - 1.0) <= TOL:
+        raise ValueError(f"distribution must be normalized to sample, total={total!r}")
+    edges = np.cumsum(np.maximum(probs, 0.0))
     edges[-1] = 1.0  # guard the final edge against rounding
     # below[k] counts the recorded draws u < edges[k], i.e. those in outcomes
     # 0..k; the final edge is 1.0 > u, so a cumulative sum that rounds past
     # 1.0 before it only empties the outcomes after the crossing.
-    below = np.zeros(len(outcomes), dtype=np.int64)
+    below = np.zeros(len(OUTCOMES), dtype=np.int64)
     n_blocks = (cfg.n_pairs + BLOCK_PAIRS - 1) // BLOCK_PAIRS
     for block in range(n_blocks):
         start = block * BLOCK_PAIRS
@@ -109,7 +120,7 @@ def sample_run(dist: OutcomeDistribution, cfg: RunConfig) -> CountTable:
         below += [np.count_nonzero(u < edge) for edge in edges]
     counts = np.diff(below, prepend=0)
     return CountTable(
-        counts={o: int(c) for o, c in zip(outcomes, counts)},
+        counts={o: int(c) for o, c in zip(OUTCOMES, counts)},
         n_emitted=cfg.n_pairs,
         efficiency=cfg.efficiency,
     )
@@ -148,8 +159,9 @@ def consistency_z(est: OutcomeEstimate, p_true: float, n_emitted: int, efficienc
     return (est.probability - p_true) / sigma
 
 
-def pearson_chi2(table: CountTable, dist: OutcomeDistribution) -> tuple[float, int]:
-    """Pearson chi-square of a run against the distribution it was drawn from.
+def pearson_chi2(table: CountTable, probs: np.ndarray) -> tuple[float, int]:
+    """Pearson chi-square of a run against the twelve outcome probabilities
+    `probs` (in `all_outcomes()` order) it was drawn from.
 
     The cells are the outcomes plus the pairs not recorded: outcome o has
     probability p_o * efficiency**2 and the unrecorded cell the rest.  A cell
@@ -161,10 +173,9 @@ def pearson_chi2(table: CountTable, dist: OutcomeDistribution) -> tuple[float, i
     n = table.n_emitted
     if n <= 0:
         raise ValueError("cannot test a run with no emitted pairs")
-    outcomes = list(table.counts)
-    q = np.array([dist.probabilities[o] * table.efficiency**2 for o in outcomes])
+    q = np.asarray(probs, dtype=float) * table.efficiency**2
     q = np.append(q, 1.0 - q.sum())
-    observed = np.array([table.counts[o] for o in outcomes])
+    observed = np.array([table.counts.get(o, 0) for o in OUTCOMES])
     observed = np.append(observed, n - observed.sum())
     live = q > TOL
     dof = int(live.sum()) - 1

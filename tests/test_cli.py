@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -328,6 +329,14 @@ def test_mc_rejects_zero_efficiency(capsys):
     assert "config error at efficiency" in captured.err
 
 
+def test_mc_rejects_an_efficiency_whose_square_underflows(capsys):
+    # 1e-170 lies in (0, 1], but every estimate divides by its square, 0.0
+    assert main(["mc", "--set", "efficiency=1e-170", "--set", "n_pairs=10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error at efficiency" in captured.err
+
+
 def test_mc_run_sweep_rejects_zero_efficiency(capsys):
     sets = ["experiment=mc_run", "sweep.param=theta1_deg", "efficiency=0", "n_pairs=10"]
     assert main(["sweep", *(a for s in sets for a in ("--set", s))]) == 1
@@ -360,6 +369,15 @@ def test_invalid_json_config_exits_one(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["sweep", "--config", str(bad)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["sweep", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
 
 
 def test_compare_quick_grid_passes(capsys):
@@ -400,9 +418,81 @@ def test_compare_rejects_unknown_perturbation(capsys):
     assert "unknown perturbation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "-5"])
+def test_compare_rejects_a_step_below_one(step, capsys):
+    # checked before any family runs, so nothing is printed and no warning raised
+    assert main(["compare", "--step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error at step: step must be at least 1, got {step}\n"
+
+
 def test_run_sweep_single_step_uses_start_value():
     cfg = parse_config({"sweep": {"param": "phi_deg", "start": 180.0, "stop": 360.0, "steps": 1}})
     text = run_sweep(cfg)
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("180,")
+
+
+# Distribution-backed CLI output off the pi/12 lattice, at a non-50:50
+# splitter and phi = psi != 0 (and once at phi = -psi).  The digests were
+# recorded while the distribution was still evaluated one point at a time,
+# so any change to its rounding, or to the counts drawn from it, shows here.
+# (`mc` ignores the experiment; `mc_run` only makes theta1_deg sweepable.)
+OFF_LATTICE_SETS = [
+    "theta1p_deg=17.3",
+    "theta2p_deg=71.9",
+    "theta1_deg=23.1",
+    "theta2_deg=-41.7",
+    "tx=0.83",
+    "ty=0.37",
+    "sweep.param=theta1_deg",
+    "sweep.start=-13.4",
+    "sweep.stop=200.2",
+    "sweep.steps=29",
+    "n_pairs=20000",
+    "efficiency=0.9",
+    "seed=7",
+]
+INPUT_CASES = {
+    "polarized": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7"],
+    "unpolarized": ["input=unpolarized", "phi_deg=37.7", "psi_deg=37.7"],
+    "opposite_phases": ["input=unpolarized", "phi_deg=-151.3", "psi_deg=151.3"],
+    # unpolarized light ignores the swept incident angle, yet every row is kept
+    "unpolarized_ignored_angle": [
+        "input=unpolarized", "phi_deg=37.7", "psi_deg=37.7", "sweep.param=theta1p_deg"
+    ],
+}
+PINNED_SHA256 = {
+    ("sweep", "full_distribution", "polarized"):
+        "36c8368dbe72b58860f9ce68b4e4a197a3be22d329265410936739e492db7cd6",
+    ("sweep", "full_distribution", "unpolarized"):
+        "e4d1f20344e737275ef44d9f119914529099046d10673b228917fb59e7848804",
+    ("sweep", "full_distribution", "opposite_phases"):
+        "3b994ed7015cd9c426a84e8299a604f52534adff4aff8afacb6a0c2a483e2f29",
+    ("sweep", "mc_run", "polarized"):
+        "8d31a86b67013d4b8e25828045f11c661e0c7c68eb900c5c03dc5c50af417b47",
+    ("sweep", "mc_run", "unpolarized"):
+        "23286ec1941a9316af72a7b0c5ab4115ee3fefdace30bb93057b1e9a29631847",
+    ("sweep", "mc_run", "opposite_phases"):
+        "d5ccd5fc24ebb5a118e2f9574e806389188a7ae8fe6aa89c1f9ef238a358056c",
+    ("sweep", "full_distribution", "unpolarized_ignored_angle"):
+        "9c7716fc9535c277d117644e33d0d58f1dafff2b568b10aa0675bb3a55f218b4",
+    ("sweep", "mc_run", "unpolarized_ignored_angle"):
+        "cb373b9f07c8bd8496eabf986e8f504b2272a83763cf1c8234e777d74085e82c",
+    ("mc", "mc_run", "polarized"):
+        "199a84302dd5a6ff0030d8e37ad01331fb1827d15a45e0f33089b79508cd7bcf",
+    ("mc", "mc_run", "unpolarized"):
+        "0b88e5f7f76410a58dc386ab34eac4ccf288fe7e73f802bd109792f6cfd6cf30",
+    ("mc", "mc_run", "opposite_phases"):
+        "31741a6b0239770422b2bd5026037d05a3c899052547463e47cc61a980628910",
+}
+
+
+@pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)
+def test_distribution_outputs_are_pinned(command, experiment, case, capsys):
+    sets = [*OFF_LATTICE_SETS, *INPUT_CASES[case], f"experiment={experiment}"]
+    assert main([command, *(a for s in sets for a in ("--set", s))]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command, experiment, case]

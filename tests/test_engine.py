@@ -9,7 +9,6 @@ from twophoton.engine import (
     Arm,
     InputSpec,
     Outcome,
-    OutcomeDistribution,
     OutcomeKind,
     all_outcomes,
     coincidence_no_polarizers,
@@ -25,6 +24,7 @@ from twophoton.fock import TOL
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(77)
+OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in all_outcomes()])
 
 
 def test_aligned_photons_never_coincide_at_zero_phase():
@@ -207,6 +207,9 @@ def test_outcome_partition_has_twelve_exclusive_entries():
     same = [o for o in outcomes if o.kind is OutcomeKind.SAME_ARM]
     assert len(opposite) == 4 and len(same) == 8
     assert all(o.n_detectors == 2 for o in outcomes)
+    # opposite side first, then side 1 before side 2, ports in Port order
+    key = lambda o: (o.kind.value, -1 if o.arm is None else o.arm.value, o.port1.value, o.port2.value)
+    assert outcomes == tuple(sorted(outcomes, key=key))
 
 
 def test_outcome_validation():
@@ -216,23 +219,17 @@ def test_outcome_validation():
         Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL, arm=Arm.SIDE1)
 
 
-def test_distribution_rejects_negative_probabilities():
-    bad = Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL)
-    with pytest.raises(ValueError):
-        OutcomeDistribution({bad: -0.01})
-
-
 def test_full_distribution_normalizes_at_matched_fringe_phases():
     for pol1, pol2, ana1, ana2, phase in RNG.uniform(0.0, math.pi, size=(8, 5)):
         dist = full_outcome_distribution(
             InputSpec.polarized(pol1, pol2), ana1, ana2, BS, PhaseGeometry(phase, phase)
         )
-        assert dist.is_normalized()
+        assert abs(dist.sum() - 1.0) <= TOL
     dist = full_outcome_distribution(
         InputSpec.unpolarized(), 0.3, 1.2, BeamSplitterSpec.from_transmission(0.9, 0.6),
         PhaseGeometry(0.0, 0.0),
     )
-    assert dist.is_normalized()
+    assert abs(dist.sum() - 1.0) <= TOL
 
 
 def test_full_distribution_total_deviation_law_for_unequal_phases():
@@ -247,7 +244,7 @@ def test_full_distribution_total_deviation_law_for_unequal_phases():
                 pol1
             ) * math.sin(pol2)
             expected = 1.0 + 2.0 * g * g * (math.cos(psi) - math.cos(phi))
-            assert abs(dist.total() - expected) < TOL
+            assert abs(dist.sum() - expected) < TOL
 
 
 def test_unpolarized_opposite_subtotal_is_one_quarter_at_zero_phase():
@@ -255,8 +252,33 @@ def test_unpolarized_opposite_subtotal_is_one_quarter_at_zero_phase():
         dist = full_outcome_distribution(
             InputSpec.unpolarized(), ana1, ana2, BS, PhaseGeometry(0.0, 0.0)
         )
-        assert abs(dist.subtotal(OutcomeKind.OPPOSITE) - 0.25) < TOL
-        assert abs(dist.subtotal(OutcomeKind.SAME_ARM) - 0.75) < TOL
+        assert abs(dist[OPPOSITE].sum() - 0.25) < TOL
+        assert abs(dist[~OPPOSITE].sum() - 0.75) < TOL
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
+    # The Monte Carlo counts depend on every bit of the distribution, so a
+    # batch must round exactly as each of its points evaluated alone.
+    rng = np.random.default_rng(12)
+    pol1, pol2, ana1, ana2 = rng.uniform(-math.pi, math.pi, size=(4, 5, 1))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(1, 3))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 5, 3))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+
+    def inp(i):
+        return InputSpec.polarized(pol1[i, 0], pol2[i, 0]) if polarized else InputSpec.unpolarized()
+
+    batch_inp = InputSpec.polarized(pol1, pol2) if polarized else InputSpec.unpolarized()
+    batch = full_outcome_distribution(batch_inp, ana1, ana2, bs, PhaseGeometry(phi, -phi))
+    assert batch.shape == (5, 3, 12)
+    for i, j in np.ndindex(5, 3):
+        one = full_outcome_distribution(
+            inp(i), ana1[i, 0], ana2[i, 0], BeamSplitterSpec(tx[i, j], ty[i, j], bs.rx[i, j], bs.ry[i, j]),
+            PhaseGeometry(phi[0, j], -phi[0, j]),
+        )
+        assert one.shape == (12,)
+        assert np.array_equal(batch[i, j], one)
 
 
 def test_unpolarized_coincidence_depends_only_on_analyzer_difference():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophoton.cli import LIBRARY_NAMES, _csv, _library_args, _sweep_values, parse_config, run_sweep
-from twophoton.compare import DISTRIBUTION_PARAMS, EXPERIMENTS, outcome_distribution
+from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import Arm
 
@@ -31,10 +31,6 @@ splitters = st.builds(
 
 def values_at(entry, point):
     """(closed form, engine) of `entry` at one point of scalar parameters."""
-    point = dict(point)
-    if entry.on_distribution:
-        dist = outcome_distribution(**{k: point.pop(k) for k in DISTRIBUTION_PARAMS})
-        return entry.formula(dist, **point), entry.engine(dist, **point)
     return entry.formula(**point), None if entry.engine is None else entry.engine(**point)
 
 

@@ -7,8 +7,8 @@ from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
 from twophoton.engine import (
     InputSpec,
     Outcome,
-    OutcomeDistribution,
     OutcomeKind,
+    all_outcomes,
     full_outcome_distribution,
 )
 from twophoton.fock import TOL
@@ -24,7 +24,9 @@ from twophoton.montecarlo import (
 )
 
 BS = BeamSplitterSpec.fifty_fifty()
+TWELVE = all_outcomes()
 SURE_OUTCOME = Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL)
+POINT_MASS = np.array([float(o == SURE_OUTCOME) for o in TWELVE])
 
 
 def singlet_like_distribution():
@@ -53,18 +55,20 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(10, efficiency=0.0)
     with pytest.raises(ValueError):
+        RunConfig(10, efficiency=1e-170)  # its square, which every estimate divides by, is 0
+    with pytest.raises(ValueError):
         RunConfig(10, seed=-3)
 
 
 def test_point_mass_at_full_efficiency_records_every_pair():
-    dist = OutcomeDistribution({SURE_OUTCOME: 1.0})
+    dist = POINT_MASS
     table = sample_run(dist, RunConfig(5000, efficiency=1.0, seed=0))
     assert table.counts[SURE_OUTCOME] == 5000
 
 
 def test_point_mass_at_half_efficiency_records_a_quarter():
     # both detectors must fire independently: 0.5 * 0.5
-    dist = OutcomeDistribution({SURE_OUTCOME: 1.0})
+    dist = POINT_MASS
     n = 200000
     table = sample_run(dist, RunConfig(n, efficiency=0.5, seed=1))
     rate = table.counts[SURE_OUTCOME] / n
@@ -102,8 +106,8 @@ def test_blockwise_reference_reimplementation():
     n, seed, eff = BLOCK_PAIRS + 777, 9, 0.8
     table = sample_run(dist, RunConfig(n, efficiency=eff, seed=seed))
 
-    outcomes = sorted(dist.probabilities, key=lambda o: o.sort_key())
-    edges = np.cumsum([dist.probabilities[o] for o in outcomes])
+    outcomes = TWELVE
+    edges = np.cumsum(dist)
     edges[-1] = 1.0
     counts = np.zeros(len(outcomes), dtype=np.int64)
     done = 0
@@ -122,8 +126,8 @@ def test_blockwise_reference_reimplementation():
 
 def _searchsorted_replay(dist, cfg):
     # The searchsorted/bincount tally of test_blockwise_reference_reimplementation.
-    outcomes = sorted(dist.probabilities, key=lambda o: o.sort_key())
-    edges = np.cumsum([dist.probabilities[o] for o in outcomes])
+    outcomes = TWELVE
+    edges = np.cumsum(dist)
     edges[-1] = 1.0
     counts = np.zeros(len(outcomes), dtype=np.int64)
     for block in range(-(-cfg.n_pairs // BLOCK_PAIRS)):
@@ -136,15 +140,12 @@ def _searchsorted_replay(dist, cfg):
     return {o: int(c) for o, c in zip(outcomes, counts)}
 
 
-TWELVE = sorted(unpolarized_distribution().probabilities, key=Outcome.sort_key)
-
-
 def zero_first_and_last():
-    return OutcomeDistribution({o: 0.0 if k in (0, 11) else 0.1 for k, o in enumerate(TWELVE)})
+    return np.array([0.0 if k in (0, 11) else 0.1 for k in range(12)])
 
 
 def point_mass_on_last():
-    return OutcomeDistribution({o: float(k == 11) for k, o in enumerate(TWELVE)})
+    return np.array([float(k == 11) for k in range(12)])
 
 
 def rounds_past_one_before_the_last_edge():
@@ -152,7 +153,7 @@ def rounds_past_one_before_the_last_edge():
     # eleventh edge, so edges[-1] = 1.0 leaves `edges` non-monotone.
     probs = [(1.0 + 5e-13) / 11] * 11 + [1e-13]
     assert np.cumsum(probs)[-2] > 1.0 and abs(sum(probs) - 1.0) <= TOL
-    return OutcomeDistribution(dict(zip(TWELVE, probs)))
+    return np.array(probs)
 
 
 @pytest.mark.parametrize("n_pairs", [0, 1, 10_000, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
@@ -200,8 +201,24 @@ def test_sampling_requires_a_normalized_distribution():
     dist = full_outcome_distribution(
         InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=0.0, psi=math.pi)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalized"):
         sample_run(dist, RunConfig(100))
+
+
+def test_sampling_rejects_negative_probabilities():
+    dist = POINT_MASS.copy()
+    dist[0], dist[1] = 1.01, -0.01
+    with pytest.raises(ValueError, match=r"negative probability -0.01 for side1\[par\]\+side2\[perp\]"):
+        sample_run(dist, RunConfig(100))
+    # a rounding residue within TOL is sampled as zero
+    dist[0], dist[1] = 1.0 + 1e-13, -1e-13
+    assert sample_run(dist, RunConfig(100)).counts[TWELVE[1]] == 0
+
+
+def test_sampling_rejects_anything_but_twelve_probabilities():
+    for bad in (POINT_MASS[:11], np.stack([POINT_MASS, POINT_MASS]), np.float64(1.0)):
+        with pytest.raises(ValueError, match="expected 12 outcome probabilities"):
+            sample_run(bad, RunConfig(100))
 
 
 def test_estimate_corrects_for_squared_efficiency():
@@ -234,8 +251,8 @@ def test_consistency_z_matches_binomial_scaling():
     n = 100000
     table = sample_run(dist, RunConfig(n, seed=2))
     ests = estimate(table)
-    for outcome, est in ests.items():
-        p_true = dist.probabilities[outcome]
+    for outcome, p_true in zip(TWELVE, dist.tolist()):
+        est = ests[outcome]
         z = consistency_z(est, p_true, n, 1.0)
         if p_true == 0.0 or p_true == 1.0:
             continue
@@ -249,8 +266,8 @@ def test_estimates_track_exact_probabilities():
     n = 200000
     table = sample_run(dist, RunConfig(n, seed=13))
     ests = estimate(table)
-    for outcome, est in ests.items():
-        p_true = dist.probabilities[outcome]
+    for outcome, p_true in zip(TWELVE, dist.tolist()):
+        est = ests[outcome]
         if p_true < 1e-6:
             assert est.probability < 1e-4
             continue
@@ -271,8 +288,8 @@ def test_estimates_converge_across_one_hundred_seeds():
         table = sample_run(dist, RunConfig(n, seed=seed))
         ests = estimate(table)
         seed_clean = True
-        for outcome, est in ests.items():
-            p_true = dist.probabilities[outcome]
+        for outcome, p_true in zip(TWELVE, dist.tolist()):
+            est = ests[outcome]
             if p_true <= 0.0:
                 continue
             z = abs(consistency_z(est, p_true, n, 1.0))
@@ -301,7 +318,7 @@ def test_pearson_chi2_matches_a_hand_computed_table():
     # n = 1200, p = 1/12, efficiency 0.5: every outcome expects 25 counts and
     # the unrecorded cell 900.  Two outcomes off by 5 add 25/25 each; the
     # unrecorded cell is exact.
-    dist = OutcomeDistribution({o: 1.0 / 12.0 for o in TWELVE})
+    dist = np.full(12, 1.0 / 12.0)
     counts = {o: 25 for o in TWELVE}
     counts[TWELVE[0]] += 5
     counts[TWELVE[7]] -= 5

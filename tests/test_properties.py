@@ -83,8 +83,9 @@ def test_double_trigger_matches_closed_form(pol1, pol2, theta, arm):
 def test_outcome_partition_sums_to_one_at_matched_phases(polarized, pol1, pol2, ana1, ana2, bs, phase):
     inp = InputSpec.polarized(pol1, pol2) if polarized else InputSpec.unpolarized()
     dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phase, phase))
-    assert all(is_probability(p) for p in dist.probabilities.values())
-    assert abs(dist.total() - 1.0) <= TOL
+    assert dist.shape == (12,)
+    assert all(is_probability(p) for p in dist)
+    assert abs(dist.sum() - 1.0) <= TOL
 
 
 @EXAMPLES
