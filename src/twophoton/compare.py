@@ -12,9 +12,9 @@ probabilities are pi-periodic in every angle), crosses the fringe phases
 window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
-(1e-12 unless overridden).  Each family runs in chunks, one per value of
-its first parameter, which bounds the memory a chunk needs; a result names
-its worst point and its wall time.
+(1e-12 unless overridden).  Each family runs in consecutive slices of at
+most `SLICE_POINTS` points, which bounds the memory one engine call needs;
+a result names its worst point and its wall time.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .engine import (
 from .montecarlo import RunConfig, sample_run
 
 DEFAULT_TOL = 1e-12
+# the most points one engine call of `compare` sees, which bounds its memory
+SLICE_POINTS = 1728
 
 ANGLE_STEP = math.pi / 12.0
 ANGLES = tuple(k * ANGLE_STEP for k in range(12))  # [0, pi), step pi/12
@@ -242,7 +244,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 InputSpec.polarized(pol1, pol2), arm, ana1, bs
             ),
             only_5050=True,
-            # the arm is the first parameter, so each engine call sees one arm
             grid=[("arm", tuple(Arm)), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
         ),
         # benchmark rate only; there is no quantum-engine counterpart
@@ -337,27 +338,34 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     `grid` parameters are crossed in order and every `step`-th point is
     kept; the j-th kept point takes the (j % n)-th of the n combinations of
     the `cycle` parameters (crossed in order).  A grid parameter with one
-    value is passed as it is; the engine and `formula` run once per value of
-    the first other grid parameter, with that value and arrays of the rest.
+    value is passed as it is.  The kept points run in consecutive slices of
+    at most `SLICE_POINTS`, each one call of the engine and of `formula` on
+    arrays; an `Arm` parameter keeps one value within a slice.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
-    (first_name, first_values), *grid = [(name, values) for name, values in entry.grid if len(values) > 1]
-    rest = [*grid, *entry.cycle]
+    grid = [(name, values) for name, values in entry.grid if len(values) > 1]
+    params = [*grid, *entry.cycle]
+    held = [k for k, (_, values) in enumerate(params) if isinstance(values[0], Arm)]
     shape = tuple(len(values) for _, values in grid)
-    chunk = math.prod(shape)
+    size = math.prod(shape)
+    step = min(step, size)  # a larger stride also keeps only the first point
+    n_kept = len(range(0, size, step))
     combos = np.array(list(itertools.product(*(range(len(values)) for _, values in entry.cycle))), dtype=int)
     n_points, total, max_dev, worst_point = 0, 0.0, 0.0, {}
-    for k, first in enumerate(first_values):
-        flat = np.arange(k * chunk, (k + 1) * chunk)
-        flat = flat[flat % step == 0]
-        if flat.size == 0:
-            continue
-        combo = combos[(flat // step) % len(combos)]
-        indices = [*np.unravel_index(flat - k * chunk, shape), *combo.T]
-        columns = {n: _column(values, i) for (n, values), i in zip(rest, indices)}
-        ana, eng = evaluate(entry, formula, {**fixed, first_name: first}, columns)
+    start = 0
+    while start < n_kept:
+        j = np.arange(start, min(start + SLICE_POINTS, n_kept))
+        indices = [*np.unravel_index(j * step, shape), *combos[j % len(combos)].T]
+        for k in held:  # end the slice where a held parameter changes
+            changed = np.flatnonzero(indices[k] != indices[k][0])
+            if changed.size:
+                indices = [i[: changed[0]] for i in indices]
+        start += indices[0].size
+        point = {**fixed, **{params[k][0]: params[k][1][indices[k][0]] for k in held}}
+        columns = {n: _column(values, i) for (n, values), i in zip(params, indices) if n not in point}
+        ana, eng = evaluate(entry, formula, point, columns)
         dev = np.abs(eng - ana)
         dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
         n_points += dev.size
@@ -365,7 +373,7 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
         i = int(np.argmax(dev))
         if not worst_point or dev[i] > max_dev:
             max_dev = float(dev[i])
-            point = {**fixed, first_name: first, **{n: values[j[i]] for (n, values), j in zip(rest, indices)}}
+            point.update({n: values[idx[i]] for (n, values), idx in zip(params, indices)})
             worst_point = _describe({name: point[name] for name in order})
     mean_dev = total / n_points if n_points else 0.0
     return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)

@@ -89,9 +89,14 @@ def vacuum_amplitude(
     """<0| d_a d_b |psi> for detector rows u_a, u_b and photon rows (p1, p2).
 
     The 2x2 permanent (u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1); its squared
-    magnitude is a joint detection probability.
+    magnitude is a joint detection probability.  Each dot product is four
+    terms added left to right, the order `sum` takes over the mode axis.
     """
     p1, p2 = state
-    a1, a2 = (u_a * p1).sum(axis=-1), (u_a * p2).sum(axis=-1)
-    b1, b2 = (u_b * p1).sum(axis=-1), (u_b * p2).sum(axis=-1)
+    a1, a2 = _dot(u_a, p1), _dot(u_a, p2)
+    b1, b2 = _dot(u_b, p1), _dot(u_b, p2)
     return a1 * b2 + a2 * b1
+
+
+def _dot(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return u[..., 0] * p[..., 0] + u[..., 1] * p[..., 1] + u[..., 2] * p[..., 2] + u[..., 3] * p[..., 3]

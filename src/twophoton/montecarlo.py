@@ -153,7 +153,10 @@ def consistency_z(est: OutcomeEstimate, p_true: float, n_emitted: int, efficienc
     binomial standard deviation of the recorded rate."""
     _check_efficiency(efficiency)
     p_rec = p_true * efficiency**2
-    sigma = math.sqrt(p_rec * (1.0 - p_rec) / n_emitted) / efficiency**2
+    if p_rec == 0.0 and p_true > 0.0:  # the product underflowed; the same sigma, factored
+        sigma = math.sqrt(p_true * (1.0 - p_rec) / n_emitted) / efficiency
+    else:
+        sigma = math.sqrt(p_rec * (1.0 - p_rec) / n_emitted) / efficiency**2
     if sigma == 0.0:
         return 0.0 if est.probability == p_true else math.inf
     return (est.probability - p_true) / sigma

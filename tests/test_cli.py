@@ -337,6 +337,16 @@ def test_mc_rejects_an_efficiency_whose_square_underflows(capsys):
     assert "config error at efficiency" in captured.err
 
 
+def test_mc_z_stays_finite_when_the_recorded_rate_underflows(capsys):
+    # efficiency**2 = 1e-320 is subnormal: the exact rate times it rounds to 0
+    assert main(["mc", "--set", "efficiency=1e-160", "--set", "n_pairs=1000"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert rows[0].endswith(",z")
+    z = [row.rsplit(",", 1)[1] for row in rows[1:]]
+    assert len(z) == 12
+    assert all(math.isfinite(float(v)) for v in z)
+
+
 def test_mc_run_sweep_rejects_zero_efficiency(capsys):
     sets = ["experiment=mc_run", "sweep.param=theta1_deg", "efficiency=0", "n_pairs=10"]
     assert main(["sweep", *(a for s in sets for a in ("--set", s))]) == 1
@@ -425,6 +435,45 @@ def test_compare_rejects_a_step_below_one(step, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error at step: step must be at least 1, got {step}\n"
+
+
+def test_compare_step_beyond_the_grid_keeps_the_first_point(capsys):
+    # a stride past every grid size keeps one point per thinned family
+    assert main(["compare", "--step", str(10**20)]) == 0
+    huge = capsys.readouterr().out
+    assert main(["compare", "--step", "20736"]) == 0
+    assert huge == capsys.readouterr().out
+
+
+# `compare` output, recorded while each family still ran one engine call per
+# value of its first parameter, so a change to how the grid is split into
+# calls, or to the kernel's rounding, shows here.
+COMPARE_SHA256 = {
+    "1": "68ece9aa42bc9323775510987c3eb4ef122ae303f1f44f70d9f9bc65d6b0d248",
+    "7": "30af28db9d592cc6bb8a61ee1745b4c62fbc011d45eac6c2d34d9d30cf5c2410",
+    "16": "73b9dcab9eae01932744cea821fe48ec0c48c3c766c2725c56f7840ec2620439",
+    "4096": "7d47afeecceb263d17f68f235187df8d08ad6f12be938197dd6a47d504701155",
+}
+NEGATIVE_CONTROL_SHA256 = {
+    "stdout": "c6d2ba7f41295181240d4d5ed1945bcbdc2d80e04e928411cd92c2cc22d23056",
+    "csv": "152803b8edc5b708317f05180e6bfc61aa7072c527d20793d703fd092438ee4e",
+}
+
+
+@pytest.mark.parametrize("step", COMPARE_SHA256)
+def test_compare_output_is_pinned(step, capsys):
+    assert main(["compare", "--step", step]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_SHA256[step]
+
+
+def test_compare_negative_control_output_is_pinned(tmp_path, capsys):
+    out_csv = tmp_path / "report.csv"
+    argv = ["compare", "--step", "4096", "--perturb", "unpolarized_5050_prefactor=0.13", "--out", str(out_csv)]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == NEGATIVE_CONTROL_SHA256["stdout"]
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == NEGATIVE_CONTROL_SHA256["csv"]
 
 
 def test_run_sweep_single_step_uses_start_value():

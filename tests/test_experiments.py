@@ -5,6 +5,7 @@ random parameters inside its domain, and every experiment's sweep is
 checked against its row-by-row evaluation with scalar parameters.
 """
 
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twophoton import compare
 from twophoton.cli import LIBRARY_NAMES, _csv, _library_args, _sweep_values, parse_config, run_sweep
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
@@ -95,3 +97,34 @@ def test_sweep_csv_equals_its_scalar_rows(name):
         ana, eng = values_at(entry, {k: args[k] for k in entry.params})
         rows.append((value, ana, eng, None if eng is None else abs(ana - eng)))
     assert run_sweep(cfg) == _csv([param, *entry.columns, "abs_deviation"], rows)
+
+
+def test_slicing_does_not_change_a_check(monkeypatch):
+    # 97 divides no family's grid, so slices straddle every grid row and
+    # double_trigger's slices must also end where its arm changes
+    runs = []
+    for points in (97, 1728, 10**6):
+        monkeypatch.setattr(compare, "SLICE_POINTS", points)
+        runs.append(compare.run_comparison(step=7))
+    first, *others = runs
+    for other in others:
+        assert [r.name for r in other] == [r.name for r in first]
+        for a, b in zip(first, other):
+            assert (a.n_points, a.max_dev, a.worst_point) == (b.n_points, b.max_dev, b.worst_point)
+            assert a.mean_dev == pytest.approx(b.mean_dev, rel=1e-12)
+
+
+def test_a_slice_holds_one_arm(monkeypatch):
+    # the engine takes one arm per call, so a slice that reaches the grid row
+    # where the arm changes ends there: every arm gets its own 1728 points
+    entry = EXPERIMENTS["double_trigger"]
+    seen = {arm: 0 for arm in Arm}
+
+    def engine(arm, pol1, **rest):
+        seen[arm] += len(pol1)
+        return entry.engine(arm=arm, pol1=pol1, **rest)
+
+    monkeypatch.setattr(compare, "SLICE_POINTS", 97)
+    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
+    assert result.passed()
+    assert seen == {arm: 12**3 for arm in Arm}

@@ -16,6 +16,7 @@ from twophoton.montecarlo import (
     BLOCK_PAIRS,
     RNG_ALGORITHM,
     CountTable,
+    OutcomeEstimate,
     RunConfig,
     consistency_z,
     estimate,
@@ -258,6 +259,17 @@ def test_consistency_z_matches_binomial_scaling():
             continue
         sigma = math.sqrt(p_true * (1.0 - p_true) / n)
         assert abs(z - (est.probability - p_true) / sigma) < 1e-9
+
+
+def test_consistency_z_survives_an_underflowing_recorded_rate():
+    # efficiency**2 = 1e-320 is subnormal, so p_true * efficiency**2 rounds
+    # to 0 while p_true does not; sigma = sqrt(p_true / n) / efficiency
+    p_true, n, eff = 4.93038065763132e-32, 1000, 1e-160
+    assert p_true * eff**2 == 0.0
+    est = OutcomeEstimate(probability=0.0, stderr=0.0, n_recorded=0, zero_count=True)
+    z = consistency_z(est, p_true, n, eff)
+    assert math.isfinite(z)
+    assert z == pytest.approx(-p_true / (math.sqrt(p_true / n) / eff), rel=1e-12)
 
 
 def test_estimates_track_exact_probabilities():
