@@ -14,13 +14,14 @@ mc       Sample a detection run and report counts and corrected estimates;
 
 Configuration is a JSON object with a `schema_version` field; every value
 can be overridden on the command line with repeated `--set key=value`
-(dotted paths reach into `sweep`).  Angles cross this boundary in degrees
-and are converted to radians internally; `LIBRARY_NAMES` maps each config
-key to the library parameter it sets.  The sweepable parameters, accepted
-inputs and domain (50:50 splitter; cos(phi) = cos(psi) at every swept
-point) of each experiment come from its table entry.  CSV output uses a
-comma delimiter, `.` decimal separator, and 15 significant digits, and is
-byte-stable for a fixed configuration and seed.
+(dotted paths reach into `sweep`).  `KEYS` declares each key once: its
+default, its rule and, for an angle, the library parameter it sets.  Angles
+cross this boundary in degrees and are converted to radians internally.
+The sweepable parameters, accepted inputs and domain (50:50 splitter;
+cos(phi) = cos(psi) at every swept point) of each experiment come from its
+table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
+15 significant digits, and is byte-stable for a fixed configuration and
+seed.
 
 Exit codes: 0 success, 1 invalid configuration, 2 comparison failure,
 3 file I/O failure.
@@ -32,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,39 +46,69 @@ SCHEMA_VERSION = 1
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-DEFAULTS: dict[str, Any] = {
-    "schema_version": SCHEMA_VERSION,
-    "experiment": "coincidence",
-    "input": "polarized",
-    "theta1p_deg": 0.0,
-    "theta2p_deg": 0.0,
-    "theta1_deg": 0.0,
-    "theta2_deg": 0.0,
-    "tx": _SQRT_HALF,
-    "ty": _SQRT_HALF,
-    "phi_deg": 0.0,
-    "psi_deg": 0.0,
-    "arm": "side2",
-    "n_pairs": 100000,
-    "efficiency": 1.0,
-    "seed": 0,
-    "sweep": {
-        "param": "phi_deg",
-        "start": 0.0,
-        "stop": 360.0,
-        "steps": 73,
-    },
-}
 
-# Config key of each angle (degrees) -> the library parameter (radians).
-LIBRARY_NAMES = {
-    "theta1p_deg": "pol1",
-    "theta2p_deg": "pol2",
-    "theta1_deg": "ana1",
-    "theta2_deg": "ana2",
-    "phi_deg": "phi",
-    "psi_deg": "psi",
+def _integer(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v: Any) -> bool:
+    return _integer(v) or isinstance(v, float)
+
+
+class Key(NamedTuple):
+    """A config key: its default, the rule a valid value passes, the message
+    for one that fails (`{!r}` is the value) and an angle's library parameter."""
+
+    default: Any
+    rule: Callable[[Any], bool] | None = None
+    message: str = ""
+    library: str | None = None
+
+
+# abs(v) <= the largest float also turns away an int too large to convert
+_FINITE = (lambda v: _real(v) and abs(v) <= sys.float_info.max, "must be a finite number, got {!r}")
+_UNIT = (lambda v: _real(v) and 0.0 <= v <= 1.0, "must lie in [0, 1], got {!r}")
+
+# Every config key, in config order; a dotted name is a key of the `sweep` object.
+KEYS: dict[str, Key] = {
+    "schema_version": Key(
+        SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"
+    ),
+    "experiment": Key(
+        "coincidence",
+        lambda v: isinstance(v, str) and v in comparemod.EXPERIMENTS,  # a list or dict is unhashable
+        "unknown experiment {!r}",
+    ),
+    "input": Key(
+        "polarized",
+        lambda v: v in ("polarized", "unpolarized"),
+        "must be 'polarized' or 'unpolarized', got {!r}",
+    ),
+    "theta1p_deg": Key(0.0, *_FINITE, "pol1"),
+    "theta2p_deg": Key(0.0, *_FINITE, "pol2"),
+    "theta1_deg": Key(0.0, *_FINITE, "ana1"),
+    "theta2_deg": Key(0.0, *_FINITE, "ana2"),
+    "tx": Key(_SQRT_HALF, *_UNIT),
+    "ty": Key(_SQRT_HALF, *_UNIT),
+    "phi_deg": Key(0.0, *_FINITE, "phi"),
+    "psi_deg": Key(0.0, *_FINITE, "psi"),
+    "arm": Key("side2", lambda v: v in ("side1", "side2"), "must be 'side1' or 'side2', got {!r}"),
+    "n_pairs": Key(100000, lambda v: _integer(v) and v >= 1, "must be a positive integer, got {!r}"),
+    # the estimates divide by efficiency**2
+    "efficiency": Key(
+        1.0,
+        lambda v: _real(v) and 0.0 < v <= 1.0 and v**2 > 0.0,
+        "must lie in (0, 1] with efficiency**2 > 0, got {!r}",
+    ),
+    "seed": Key(0, lambda v: _integer(v) and v >= 0, "must be a nonnegative integer, got {!r}"),
+    "sweep.param": Key("phi_deg"),  # checked against the experiment in parse_config
+    "sweep.start": Key(0.0, *_FINITE),
+    "sweep.stop": Key(360.0, *_FINITE),
+    "sweep.steps": Key(73, lambda v: _integer(v) and v >= 1, "must be an integer >= 1, got {!r}"),
 }
+DEFAULTS: dict[str, Any] = {key: spec.default for key, spec in KEYS.items() if "." not in key}
+DEFAULTS["sweep"] = {key.partition(".")[2]: spec.default for key, spec in KEYS.items() if "." in key}
+LIBRARY_NAMES = {key: spec.library for key, spec in KEYS.items() if spec.library}
 
 
 class ConfigError(Exception):
@@ -125,88 +156,52 @@ def apply_set_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, 
     out = json.loads(json.dumps(cfg))  # deep copy of plain data
     for pair in pairs:
         key, sep, raw = pair.partition("=")
-        *parents, leaf = key.split(".")
-        node, template = out, DEFAULTS
-        for part in parents:
-            if not isinstance(template.get(part), dict):
-                template = {}  # no such object, so no such leaf
-                break
-            node, template = node.setdefault(part, {}), template[part]
         if not sep:
             problems.append((pair, "expected key=value"))
-        elif leaf not in template:
-            problems.append((key, "unknown key"))
-        elif isinstance(template[leaf], dict):
-            example = ", ".join(f"{key}.{sub}=..." for sub in template[leaf])
+        elif isinstance(DEFAULTS.get(key), dict):
+            example = ", ".join(f"{key}.{sub}=..." for sub in DEFAULTS[key])
             problems.append((key, f"is an object; set its keys with dotted paths ({example})"))
+        elif key not in KEYS:
+            problems.append((key, "unknown key"))
         else:
+            head, _, leaf = key.rpartition(".")
+            node, template = out.setdefault(head, {}) if head else out, KEYS[key].default
             try:
-                node[leaf] = _coerce_set_value(raw, template[leaf])
+                node[leaf] = _coerce_set_value(raw, template)
             except ValueError:
-                problems.append((key, f"cannot parse {raw!r} as {type(template[leaf]).__name__}"))
+                problems.append((key, f"cannot parse {raw!r} as {type(template).__name__}"))
     if problems:
         raise ConfigError(problems)
     return out
 
 
 def parse_config(data: dict[str, Any]) -> dict[str, Any]:
-    """Merge user data over defaults and validate every field."""
+    """Merge user data over defaults, check each key against its rule in
+    `KEYS`, then check the keys against the experiment's table entry."""
     problems: list[tuple[str, str]] = []
     if not isinstance(data, dict):
         raise ConfigError([("config", "top level must be a JSON object")])
     cfg = _merge(DEFAULTS, data, "", problems)
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        problems.append(("schema_version", f"expected {SCHEMA_VERSION}, got {cfg['schema_version']!r}"))
-    if cfg["experiment"] not in comparemod.EXPERIMENTS:
-        problems.append(("experiment", f"unknown experiment {cfg['experiment']!r}"))
-    if cfg["input"] not in ("polarized", "unpolarized"):
-        problems.append(("input", f"must be 'polarized' or 'unpolarized', got {cfg['input']!r}"))
-    if cfg["arm"] not in ("side1", "side2"):
-        problems.append(("arm", f"must be 'side1' or 'side2', got {cfg['arm']!r}"))
-    for key in LIBRARY_NAMES:
-        v = cfg[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            problems.append((key, f"must be a finite number, got {v!r}"))
-    for key in ("tx", "ty"):
-        v = cfg[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
-            problems.append((key, f"must lie in [0, 1], got {v!r}"))
-    if not isinstance(cfg["n_pairs"], int) or isinstance(cfg["n_pairs"], bool) or cfg["n_pairs"] < 1:
-        problems.append(("n_pairs", f"must be a positive integer, got {cfg['n_pairs']!r}"))
-    v = cfg["efficiency"]
-    # the estimates divide by efficiency**2
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not (0.0 < v <= 1.0 and v**2 > 0.0):
-        problems.append(("efficiency", f"must lie in (0, 1] with efficiency**2 > 0, got {v!r}"))
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
-        problems.append(("seed", f"must be a nonnegative integer, got {cfg['seed']!r}"))
-    sweep = cfg["sweep"]
-    if not isinstance(sweep.get("steps"), int) or isinstance(sweep.get("steps"), bool) or sweep["steps"] < 1:
-        problems.append(("sweep.steps", f"must be an integer >= 1, got {sweep.get('steps')!r}"))
-    for key in ("start", "stop"):
-        v = sweep.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            problems.append((f"sweep.{key}", f"must be a finite number, got {v!r}"))
-    entry = comparemod.EXPERIMENTS.get(cfg["experiment"])
-    if entry is not None:
-        sweepable = sorted(key for key, name in LIBRARY_NAMES.items() if name in entry.params)
-        if sweep.get("param") not in sweepable:
-            problems.append(
-                (
-                    "sweep.param",
-                    f"{sweep.get('param')!r} is not sweepable for experiment "
-                    f"{cfg['experiment']!r} (allowed: {sweepable})",
-                )
-            )
+    failed = set()
+    for key, spec in KEYS.items():
+        head, _, leaf = key.rpartition(".")
+        value = (cfg[head] if head else cfg)[leaf]
+        if spec.rule is not None and not spec.rule(value):
+            failed.add(key)
+            problems.append((key, spec.message.format(value)))
+    if "experiment" not in failed:
+        name = cfg["experiment"]
+        entry = comparemod.EXPERIMENTS[name]
+        sweepable = sorted(key for key, lib in LIBRARY_NAMES.items() if lib in entry.params)
+        if cfg["sweep"]["param"] not in sweepable:
+            message = f"{cfg['sweep']['param']!r} is not sweepable for experiment {name!r}"
+            problems.append(("sweep.param", f"{message} (allowed: {sweepable})"))
         if cfg["input"] not in entry.inputs:
-            problems.append(
-                ("input", f"experiment {cfg['experiment']!r} requires input in {sorted(entry.inputs)}")
-            )
-        if entry.only_5050 and not (
-            abs(cfg["tx"] - _SQRT_HALF) <= 1e-12 and abs(cfg["ty"] - _SQRT_HALF) <= 1e-12
-        ):
-            problems.append(
-                ("tx", f"experiment {cfg['experiment']!r} has a closed form only for the 50:50 splitter")
-            )
+            problems.append(("input", f"experiment {name!r} requires input in {sorted(entry.inputs)}"))
+        # a tx or ty that fails its own rule is not 1/sqrt(2) either
+        half = [key not in failed and abs(cfg[key] - _SQRT_HALF) <= 1e-12 for key in ("tx", "ty")]
+        if entry.only_5050 and not all(half):
+            problems.append(("tx", f"experiment {name!r} has a closed form only for the 50:50 splitter"))
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -233,7 +228,10 @@ def _sweep_values(sweep: dict[str, Any]) -> list[float]:
     if steps == 1:
         return [float(sweep["start"])]
     start, stop = float(sweep["start"]), float(sweep["stop"])
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):  # stop - start, or a multiple of it, overflows
+        raise ConfigError([("sweep", f"the values from start {start!r} to stop {stop!r} overflow a float")])
+    return values
 
 
 def _library_args(cfg: dict[str, Any]) -> dict[str, Any]:

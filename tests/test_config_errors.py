@@ -129,7 +129,9 @@ CASES = {
         sets("experiment=no_polarizers", "tx=0.9", "ty=0.6"),
         ["tx: experiment 'no_polarizers' has a closed form only for the 50:50 splitter"],
     ),
-    # a file with several problems stops before its --set overrides apply
+    # a file with several problems stops before its --set overrides apply;
+    # each key's own problem comes in config key order, the checks against
+    # the experiment last
     "several": (
         "sweep",
         {
@@ -143,13 +145,60 @@ CASES = {
         sets("n_pairs=0"),
         [
             "bogus: unknown key",
-            "arm: must be 'side1' or 'side2', got 'x'",
-            "phi_deg: must be a finite number, got None",
             "tx: must lie in [0, 1], got 1.4",
-            "sweep.steps: must be an integer >= 1, got 0",
+            "phi_deg: must be a finite number, got None",
+            "arm: must be 'side1' or 'side2', got 'x'",
             "sweep.start: must be a finite number, got 'a'",
+            "sweep.steps: must be an integer >= 1, got 0",
             "tx: experiment 'no_polarizers' has a closed form only for the 50:50 splitter",
         ],
+    ),
+    # inputs that once ended in a traceback
+    "experiment_list": (
+        "sweep",
+        {"experiment": ["coincidence"]},
+        [],
+        ["experiment: unknown experiment ['coincidence']"],
+    ),
+    "experiment_dict": (
+        "mc",
+        {"experiment": {"name": "mc_run"}},
+        [],
+        ["experiment: unknown experiment {'name': 'mc_run'}"],
+    ),
+    "tx_string_at_5050": (
+        "sweep",
+        {"experiment": "no_polarizers", "tx": "0.7"},
+        [],
+        [
+            "tx: must lie in [0, 1], got '0.7'",
+            "tx: experiment 'no_polarizers' has a closed form only for the 50:50 splitter",
+        ],
+    ),
+    # an int too large for a float, so it has no value in radians
+    "angle_int_overflow": (
+        "sweep",
+        {"phi_deg": 2**1024},
+        [],
+        [f"phi_deg: must be a finite number, got {2**1024}"],
+    ),
+    "sweep_overflow": (
+        "sweep",
+        None,
+        sets("sweep.start=-1e308", "sweep.stop=1e308", "sweep.steps=3"),
+        ["sweep: the values from start -1e+308 to stop 1e+308 overflow a float"],
+    ),
+    # stop - start is finite, twice it is not
+    "sweep_overflow_distribution": (
+        "sweep",
+        None,
+        sets(
+            "experiment=full_distribution",
+            "sweep.param=theta1_deg",
+            "sweep.start=-8e307",
+            "sweep.stop=8e307",
+        ),
+        ["sweep: the values from start -8e+307 to stop 8e+307 overflow a float"],
     ),
 }
 
