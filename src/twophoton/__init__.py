@@ -73,6 +73,7 @@ from .montecarlo import (
     consistency_z,
     estimate,
     pearson_chi2,
+    sample_counts,
     sample_run,
 )
 
@@ -120,6 +121,7 @@ __all__ = [
     "CountTable",
     "OutcomeEstimate",
     "sample_run",
+    "sample_counts",
     "estimate",
     "consistency_z",
     "pearson_chi2",

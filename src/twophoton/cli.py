@@ -72,7 +72,9 @@ _UNIT = (lambda v: _real(v) and 0.0 <= v <= 1.0, "must lie in [0, 1], got {!r}")
 # Every config key, in config order; a dotted name is a key of the `sweep` object.
 KEYS: dict[str, Key] = {
     "schema_version": Key(
-        SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"
+        SCHEMA_VERSION,
+        lambda v: _integer(v) and v == SCHEMA_VERSION,  # not true or 1.0
+        f"expected {SCHEMA_VERSION}, got {{!r}}",
     ),
     "experiment": Key(
         "coincidence",
@@ -117,6 +119,10 @@ class ConfigError(Exception):
     def __init__(self, problems: list[tuple[str, str]]):
         self.problems = problems
         super().__init__("; ".join(f"{p}: {m}" for p, m in problems))
+
+
+class InvalidJSON(Exception):
+    """A config file that is UTF-8 text but not JSON the parser accepts."""
 
 
 def _merge(base: dict[str, Any], override: dict[str, Any], path: str, problems: list) -> dict:
@@ -280,7 +286,11 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     data: dict[str, Any] = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # malformed, or an int literal past the int-string digit limit
+            raise InvalidJSON(exc) from None
     cfg = parse_config(data)
     if args.set:
         cfg = parse_config(apply_set_overrides(cfg, args.set))
@@ -427,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for path, message in exc.problems:
             print(f"config error at {path}: {message}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except InvalidJSON as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:

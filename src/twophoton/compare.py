@@ -43,7 +43,7 @@ from .engine import (
     same_arm_no_polarizers,
     same_arm_probability,
 )
-from .montecarlo import RunConfig, sample_run
+from .montecarlo import RunConfig, sample_counts
 
 DEFAULT_TOL = 1e-12
 # the most points one engine call of `compare` sees, which bounds its memory
@@ -144,14 +144,9 @@ def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
 
 def _opposite_estimate(run: RunConfig, **point) -> np.ndarray:
     """Monte Carlo estimate of the opposite-side total, efficiency-corrected:
-    one run of `run` at every point."""
-    dist = outcome_distribution(**point)
-    estimates = []
-    for probs in dist.reshape(-1, dist.shape[-1]):
-        table = sample_run(probs, run)
-        opp = sum(table.counts[o] for o in table.counts if o.kind is OutcomeKind.OPPOSITE)
-        estimates.append(opp / (run.n_pairs * run.efficiency**2))
-    return np.array(estimates).reshape(dist.shape[:-1])[()]
+    one run of `run` at every point, all drawing the same random numbers."""
+    counts = sample_counts(outcome_distribution(**point), run)
+    return (counts[..., OPPOSITE].sum(-1) / (run.n_pairs * run.efficiency**2))[()]
 
 
 # 50:50-only entries take the splitter so that a sweep runs the engine on the

@@ -20,6 +20,11 @@ counts stay the same.  The counts also depend on the last bit of every
 probability, so on the order in which `full_outcome_distribution` adds the
 four components of unpolarized light: (p0 + p2) + (p1 + p3).
 
+Since a block's draws depend only on (seed, block), `sample_counts` draws
+each block once and tallies it against a whole stack of distributions.
+Every row of an `mc_run` sweep therefore uses the same seed's draws: the
+rows' estimates are correlated, not independent samples.
+
 The efficiency lies in (0, 1], with efficiency**2 > 0, wherever a run or
 its counts are used: every estimate divides by efficiency**2.
 """
@@ -90,24 +95,47 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def sample_run(probs: np.ndarray, cfg: RunConfig) -> CountTable:
-    """Draw cfg.n_pairs pairs from the twelve outcome probabilities `probs`
-    (in `all_outcomes()` order) and tally recorded outcomes."""
+def _at_row(row: int, lead: tuple[int, ...]) -> str:
+    """The prefix that names row `row` of a stack with leading shape `lead`."""
+    if not lead:
+        return ""
+    index = np.unravel_index(row, lead)
+    return f"row {int(index[0]) if len(lead) == 1 else tuple(map(int, index))}: "
+
+
+def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """Recorded counts of a run of `cfg` drawn from each distribution of
+    `probs`, shape (..., 12) in `all_outcomes()` order: int64, same shape.
+
+    Every row is tallied against the same draws, the ones `sample_run` of
+    that row alone would make, so each block is drawn once for all rows.
+    """
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (len(OUTCOMES),):
-        raise ValueError(f"expected {len(OUTCOMES)} outcome probabilities, got shape {probs.shape}")
-    if np.any(probs < -TOL):
-        k = int(np.argmin(probs))
-        raise ValueError(f"negative probability {float(probs[k])!r} for {OUTCOMES[k].label()}")
-    total = float(np.cumsum(probs)[-1])
-    if not abs(total - 1.0) <= TOL:
-        raise ValueError(f"distribution must be normalized to sample, total={total!r}")
-    edges = np.cumsum(np.maximum(probs, 0.0))
-    edges[-1] = 1.0  # guard the final edge against rounding
-    # below[k] counts the recorded draws u < edges[k], i.e. those in outcomes
-    # 0..k; the final edge is 1.0 > u, so a cumulative sum that rounds past
-    # 1.0 before it only empties the outcomes after the crossing.
-    below = np.zeros(len(OUTCOMES), dtype=np.int64)
+    n = len(OUTCOMES)
+    if probs.ndim == 0 or probs.shape[-1] != n:
+        raise ValueError(f"expected {n} outcome probabilities on the last axis, got shape {probs.shape}")
+    lead = probs.shape[:-1]
+    rows = probs.reshape(-1, n)
+    negative = np.any(rows < -TOL, axis=1)
+    if negative.any():
+        r = int(np.argmax(negative))
+        k = int(np.argmin(rows[r]))
+        value = float(rows[r, k])
+        raise ValueError(f"{_at_row(r, lead)}negative probability {value!r} for {OUTCOMES[k].label()}")
+    totals = np.cumsum(rows, axis=1)[:, -1]
+    unnormalized = ~(np.abs(totals - 1.0) <= TOL)  # a nan total fails too
+    if unnormalized.any():
+        r = int(np.argmax(unnormalized))
+        total = float(totals[r])
+        raise ValueError(f"{_at_row(r, lead)}distribution must be normalized to sample, total={total!r}")
+    edges = np.cumsum(np.maximum(rows, 0.0), axis=1)
+    edges[:, -1] = 1.0  # guard the final edge against rounding
+    # below[r, k] counts the recorded draws u < edges[r, k], i.e. those in
+    # outcomes 0..k of row r; the final edge is 1.0 > u, so a cumulative sum
+    # that rounds past 1.0 before it only empties the outcomes after the
+    # crossing.
+    edges = edges.ravel()
+    below = np.zeros(edges.size, dtype=np.int64)
     n_blocks = (cfg.n_pairs + BLOCK_PAIRS - 1) // BLOCK_PAIRS
     for block in range(n_blocks):
         start = block * BLOCK_PAIRS
@@ -118,7 +146,16 @@ def sample_run(probs: np.ndarray, cfg: RunConfig) -> CountTable:
         fired &= rng.random(m) < cfg.efficiency
         u = u[fired]
         below += [np.count_nonzero(u < edge) for edge in edges]
-    counts = np.diff(below, prepend=0)
+    return np.diff(below.reshape(rows.shape), axis=1, prepend=0).reshape(probs.shape)
+
+
+def sample_run(probs: np.ndarray, cfg: RunConfig) -> CountTable:
+    """Draw cfg.n_pairs pairs from the twelve outcome probabilities `probs`
+    (in `all_outcomes()` order) and tally recorded outcomes."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(OUTCOMES),):
+        raise ValueError(f"expected {len(OUTCOMES)} outcome probabilities, got shape {probs.shape}")
+    counts = sample_counts(probs, cfg)
     return CountTable(
         counts={o: int(c) for o, c in zip(OUTCOMES, counts)},
         n_emitted=cfg.n_pairs,

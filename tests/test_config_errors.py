@@ -51,6 +51,9 @@ CASES = {
     "sweep_steps": ("sweep", None, sets("sweep.steps=0"), ["sweep.steps: must be an integer >= 1, got 0"]),
     "sweep_stop": ("sweep", None, sets("sweep.stop=nan"), ["sweep.stop: must be a finite number, got nan"]),
     "schema_version": ("sweep", None, sets("schema_version=2"), ["schema_version: expected 1, got 2"]),
+    # true == 1 and 1.0 == 1, but neither is the integer 1
+    "schema_version_bool": ("sweep", {"schema_version": True}, [], ["schema_version: expected 1, got True"]),
+    "schema_version_float": ("sweep", {"schema_version": 1.0}, [], ["schema_version: expected 1, got 1.0"]),
     "bool_from_json": (
         "sweep",
         {"tx": True, "theta2_deg": False},
@@ -214,3 +217,17 @@ def test_config_error_text_is_pinned(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "".join(f"config error at {line}\n" for line in lines)
+
+
+def test_an_integer_literal_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for an int
+    # literal longer than the int-string conversion limit (4300 digits)
+    path = tmp_path / "config.json"
+    path.write_text('{"phi_deg": ' + "1" * 4301 + "}")
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit)\n"
+    )

@@ -21,6 +21,7 @@ from twophoton.montecarlo import (
     consistency_z,
     estimate,
     pearson_chi2,
+    sample_counts,
     sample_run,
 )
 
@@ -173,6 +174,61 @@ def test_tally_is_bit_identical_to_the_searchsorted_replay(make_dist, efficiency
     dist = make_dist()
     cfg = RunConfig(n_pairs, efficiency=efficiency, seed=4)
     assert sample_run(dist, cfg).counts == _searchsorted_replay(dist, cfg)
+
+
+def point_mass_on_first():
+    return np.array([float(k == 0) for k in range(12)])
+
+
+def distribution_stack():
+    return np.stack(
+        [
+            unpolarized_distribution(),
+            singlet_like_distribution(),
+            rounds_past_one_before_the_last_edge(),
+            zero_first_and_last(),
+            point_mass_on_first(),
+            point_mass_on_last(),
+        ]
+    )
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
+@pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160])
+def test_sample_counts_equals_sample_run_row_by_row(efficiency, n_pairs):
+    stack = distribution_stack()
+    cfg = RunConfig(n_pairs, efficiency=efficiency, seed=6)
+    counts = sample_counts(stack, cfg)
+    assert counts.shape == stack.shape and counts.dtype == np.int64
+    for row, probs in zip(counts, stack):
+        assert dict(zip(TWELVE, row.tolist())) == sample_run(probs, cfg).counts
+    # more leading axes are rows too, and one row keeps its (12,) shape
+    square = sample_counts(stack.reshape(2, 3, 12), cfg)
+    assert np.array_equal(square, counts.reshape(2, 3, 12))
+    one = sample_counts(stack[1], cfg)
+    assert one.shape == (12,) and np.array_equal(one, counts[1])
+
+
+def test_sample_counts_names_the_row_it_rejects():
+    stack = distribution_stack()
+    width = r"expected 12 outcome probabilities on the last axis, got shape \(6, 11\)"
+    with pytest.raises(ValueError, match=width):
+        sample_counts(stack[:, :11], RunConfig(100))
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        sample_counts(np.float64(1.0), RunConfig(100))
+    negative = stack.copy()
+    negative[4, :2] = 1.01, -0.01
+    with pytest.raises(ValueError, match=r"^row 4: negative probability -0.01 for side1\[par\]\+side2"):
+        sample_counts(negative, RunConfig(100))
+    unnormalized = stack.copy()
+    unnormalized[3, 1] += 1e-9
+    with pytest.raises(ValueError, match=r"^row 3: distribution must be normalized to sample, total="):
+        sample_counts(unnormalized, RunConfig(100))
+    with pytest.raises(ValueError, match=r"^row \(1, 0\): distribution must be normalized"):
+        sample_counts(unnormalized.reshape(2, 3, 12), RunConfig(100))
+    unnormalized[2, 5] = np.nan
+    with pytest.raises(ValueError, match=r"^row 2: distribution must be normalized to sample, total=nan$"):
+        sample_counts(unnormalized, RunConfig(100))
 
 
 def test_block_decomposition_makes_shards_additive():
