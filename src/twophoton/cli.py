@@ -287,9 +287,10 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
+        # malformed, an int literal past the int-string digit limit, or nested past the recursion limit
         try:
             data = json.loads(text)
-        except ValueError as exc:  # malformed, or an int literal past the int-string digit limit
+        except (ValueError, RecursionError) as exc:
             raise InvalidJSON(exc) from None
     cfg = parse_config(data)
     if args.set:

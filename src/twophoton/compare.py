@@ -145,6 +145,8 @@ def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
 def _opposite_estimate(run: RunConfig, **point) -> np.ndarray:
     """Monte Carlo estimate of the opposite-side total, efficiency-corrected:
     one run of `run` at every point, all drawing the same random numbers."""
+    if run.n_pairs == 0:
+        raise ValueError("cannot estimate from a run with no emitted pairs")
     counts = sample_counts(outcome_distribution(**point), run)
     return (counts[..., OPPOSITE].sum(-1) / (run.n_pairs * run.efficiency**2))[()]
 

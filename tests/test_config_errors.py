@@ -219,15 +219,25 @@ def test_config_error_text_is_pinned(name, tmp_path, capsys):
     assert captured.err == "".join(f"config error at {line}\n" for line in lines)
 
 
-def test_an_integer_literal_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
-    # json raises a plain ValueError, not a JSONDecodeError, for an int
-    # literal longer than the int-string conversion limit (4300 digits)
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"phi_deg": ' + "1" * 4301 + "}",  # past the int-string conversion limit of 4300 digits
+        "[" * 10_000 + "]" * 10_000,  # nested past the recursion limit
+    ],
+    ids=["int_past_digit_limit", "nested_past_recursion_limit"],
+)
+def test_json_the_parser_refuses_is_invalid_json(text, tmp_path, capsys):
+    # json raises a plain ValueError or a RecursionError here, not a
+    # JSONDecodeError; the reason in parentheses is the interpreter's own
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc)
     path = tmp_path / "config.json"
-    path.write_text('{"phi_deg": ' + "1" * 4301 + "}")
+    path.write_text(text)
     assert main(["sweep", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "config error: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
-        "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit)\n"
-    )
+    assert captured.err == f"config error: invalid JSON ({reason})\n"
+    assert reason.startswith(("Exceeds the limit (4300", "maximum recursion depth exceeded"))

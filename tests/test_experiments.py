@@ -18,6 +18,7 @@ from twophoton.cli import LIBRARY_NAMES, _csv, _library_args, _sweep_values, par
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import Arm
+from twophoton.montecarlo import RunConfig
 
 TOL = 1e-12
 ANGLE_PARAMS = ("pol1", "pol2", "ana1", "ana2")
@@ -128,3 +129,10 @@ def test_a_slice_holds_one_arm(monkeypatch):
     result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
     assert result.passed()
     assert seen == {arm: 12**3 for arm in Arm}
+
+
+def test_mc_run_needs_emitted_pairs():
+    point = {"input_kind": "unpolarized", "pol1": 0.0, "pol2": 0.0, "ana1": 0.3, "ana2": 1.1, "phi": 0.2,
+             "psi": 0.2, "bs": BeamSplitterSpec.fifty_fifty()}
+    with pytest.raises(ValueError, match="no emitted pairs"):
+        EXPERIMENTS["mc_run"].engine(run=RunConfig(0), **point)

@@ -201,7 +201,8 @@ def test_sample_counts_equals_sample_run_row_by_row(efficiency, n_pairs):
     counts = sample_counts(stack, cfg)
     assert counts.shape == stack.shape and counts.dtype == np.int64
     for row, probs in zip(counts, stack):
-        assert dict(zip(TWELVE, row.tolist())) == sample_run(probs, cfg).counts
+        tallied = dict(zip(TWELVE, row.tolist()))
+        assert tallied == sample_run(probs, cfg).counts == _searchsorted_replay(probs, cfg)
     # more leading axes are rows too, and one row keeps its (12,) shape
     square = sample_counts(stack.reshape(2, 3, 12), cfg)
     assert np.array_equal(square, counts.reshape(2, 3, 12))
