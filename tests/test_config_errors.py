@@ -223,7 +223,7 @@ def test_config_error_text_is_pinned(name, tmp_path, capsys):
     "text",
     [
         '{"phi_deg": ' + "1" * 4301 + "}",  # past the int-string conversion limit of 4300 digits
-        "[" * 10_000 + "]" * 10_000,  # nested past the recursion limit
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
     ],
     ids=["int_past_digit_limit", "nested_past_recursion_limit"],
 )
