@@ -11,18 +11,20 @@ seed alone, and the fixed-block generator makes sharded runs add up exactly.
 import argparse
 import math
 
+import numpy as np
+
 from twophoton import (
     BLOCK_PAIRS,
+    OPPOSITE,
     BeamSplitterSpec,
     InputSpec,
-    OutcomeKind,
     PhaseGeometry,
     RunConfig,
     all_outcomes,
     consistency_z,
     estimate,
     full_outcome_distribution,
-    sample_run,
+    sample_counts,
 )
 
 
@@ -42,35 +44,33 @@ def main() -> None:
     # One run: counts, corrected estimates, pulls against the exact values
     # ------------------------------------------------------------------
     cfg = RunConfig(args.pairs, efficiency=args.efficiency, seed=args.seed)
-    table = sample_run(dist, cfg)
-    ests = estimate(table)
-    recorded = sum(table.counts.values())
+    counts = sample_counts(dist, cfg)
+    probability, _ = estimate(counts, cfg)
+    recorded = counts.sum()
     print(f"run: {args.pairs} pairs, efficiency {args.efficiency}, seed {args.seed}")
     print(f"recorded {recorded} events ({recorded / args.pairs:.1%} of emitted pairs)")
     print(f"{'outcome':<26} {'count':>7} {'estimate':>10} {'exact':>10} {'z':>6}")
-    for outcome, exact in zip(all_outcomes(), dist.tolist()):
-        est = ests[outcome]
-        z = consistency_z(est, exact, table.n_emitted, table.efficiency)
-        print(f"{outcome.label():<26} {table.counts[outcome]:>7} "
-              f"{est.probability:>10.5f} {exact:>10.5f} {z:>6.2f}")
+    for outcome, count, p, exact in zip(all_outcomes(), counts.tolist(), probability.tolist(), dist.tolist()):
+        z = consistency_z(p, exact, cfg)
+        print(f"{outcome.label():<26} {count:>7} {p:>10.5f} {exact:>10.5f} {z:>6.2f}")
     print()
 
     # ------------------------------------------------------------------
     # Aggregate split/bunch shares
     # ------------------------------------------------------------------
-    opp = sum(est.probability for o, est in ests.items() if o.kind is OutcomeKind.OPPOSITE)
-    same = sum(est.probability for o, est in ests.items() if o.kind is OutcomeKind.SAME_ARM)
+    opp = probability[OPPOSITE].sum()
+    same = probability[~OPPOSITE].sum()
     print(f"estimated split share {opp:.4f} (exact 0.25), bunch share {same:.4f} (exact 0.75)")
     print()
 
     # ------------------------------------------------------------------
     # Reproducibility and block sharding
     # ------------------------------------------------------------------
-    again = sample_run(dist, cfg)
-    print(f"same seed reproduces every count exactly: {again.counts == table.counts}")
+    again = sample_counts(dist, cfg)
+    print(f"same seed reproduces every count exactly: {np.array_equal(again, counts)}")
     if args.pairs >= 2 * BLOCK_PAIRS:
-        first = sample_run(dist, RunConfig(BLOCK_PAIRS, efficiency=args.efficiency, seed=args.seed))
-        nested = all(first.counts[o] <= table.counts[o] for o in table.counts)
+        first = sample_counts(dist, RunConfig(BLOCK_PAIRS, efficiency=args.efficiency, seed=args.seed))
+        nested = bool((first <= counts).all())
         print(f"first {BLOCK_PAIRS}-pair block is an exact prefix shard: {nested}")
 
 

@@ -9,7 +9,8 @@ The package has three layers that deliberately do not share arithmetic:
 * :mod:`twophoton.formulas` carries the factorized closed forms for the
   same probabilities;
 * :mod:`twophoton.montecarlo` samples click-level runs from a full outcome
-  distribution.
+  distribution; counts and estimates are arrays with the twelve outcomes
+  on the last axis, and `OPPOSITE` masks the opposite-side ones.
 
 :mod:`twophoton.compare` declares every experiment once, in the table
 `EXPERIMENTS`: its parameters, accepted inputs, domain, engine route,
@@ -29,6 +30,7 @@ from .elements import (
     same_arm_operator_pair,
 )
 from .engine import (
+    OPPOSITE,
     InputSpec,
     Outcome,
     OutcomeKind,
@@ -67,14 +69,11 @@ from .formulas import (
 from .montecarlo import (
     BLOCK_PAIRS,
     RNG_ALGORITHM,
-    CountTable,
-    OutcomeEstimate,
     RunConfig,
     consistency_z,
     estimate,
     pearson_chi2,
     sample_counts,
-    sample_run,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +96,7 @@ __all__ = [
     "Outcome",
     "OutcomeKind",
     "all_outcomes",
+    "OPPOSITE",
     "coincidence_probability",
     "coincidence_no_polarizers",
     "same_arm_probability",
@@ -118,9 +118,6 @@ __all__ = [
     "p_unpolarized_same_arm",
     "p_classical",
     "RunConfig",
-    "CountTable",
-    "OutcomeEstimate",
-    "sample_run",
     "sample_counts",
     "estimate",
     "consistency_z",

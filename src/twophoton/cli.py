@@ -40,7 +40,7 @@ import numpy as np
 from . import compare as comparemod
 from .elements import BeamSplitterSpec
 from .engine import Arm, all_outcomes
-from .montecarlo import CountTable, RunConfig, consistency_z, estimate, pearson_chi2, sample_run
+from .montecarlo import RunConfig, consistency_z, estimate, pearson_chi2, sample_counts
 
 SCHEMA_VERSION = 1
 
@@ -360,14 +360,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all_ok else 2
 
 
-def _mc_report(table: CountTable, probs: np.ndarray) -> str:
-    ests = estimate(table)
+def _mc_report(counts: np.ndarray, probs: np.ndarray, run: RunConfig) -> str:
+    probability, stderr = estimate(counts, run)
     header = ["outcome", "count", "estimate", "stderr", "exact", "z"]
-    rows = []
-    for outcome, exact in zip(all_outcomes(), probs.tolist()):
-        est = ests[outcome]
-        z = consistency_z(est, exact, table.n_emitted, table.efficiency)
-        rows.append((outcome.label(), table.counts[outcome], est.probability, est.stderr, exact, z))
+    rows = [
+        (outcome.label(), count, p, se, exact, consistency_z(p, exact, run))
+        for outcome, count, p, se, exact in zip(
+            all_outcomes(), counts.tolist(), probability.tolist(), stderr.tolist(), probs.tolist()
+        )
+    ]
     return _csv(header, rows)
 
 
@@ -376,15 +377,13 @@ def cmd_mc(args: argparse.Namespace) -> int:
     _check_phases(cfg["phi_deg"], cfg["psi_deg"])
     point = _library_args(cfg)
     probs = comparemod.outcome_distribution(**{name: point[name] for name in comparemod.DISTRIBUTION_PARAMS})
-    table = sample_run(probs, point["run"])
-    text = _mc_report(table, probs)
+    run = point["run"]
+    counts = sample_counts(probs, run)
+    text = _mc_report(counts, probs, run)
     _write_out(text, args.out)
     if args.out is not None:
-        stat, dof = pearson_chi2(table, probs)
-        print(
-            f"recorded {sum(table.counts.values())} of {table.n_emitted} pairs -> {args.out}"
-            f" chi2={stat:.2f} dof={dof}"
-        )
+        stat, dof = pearson_chi2(counts, probs, run)
+        print(f"recorded {counts.sum()} of {run.n_pairs} pairs -> {args.out} chi2={stat:.2f} dof={dof}")
     return 0
 
 

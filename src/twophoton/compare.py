@@ -31,10 +31,9 @@ import numpy as np
 from . import formulas
 from .elements import BeamSplitterSpec, PhaseGeometry
 from .engine import (
+    OPPOSITE,
     Arm,
     InputSpec,
-    OutcomeKind,
-    all_outcomes,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
@@ -71,7 +70,6 @@ BOTH_INPUTS = ("polarized", "unpolarized")
 
 # the parameters of the twelve-outcome distribution
 DISTRIBUTION_PARAMS = ("input_kind", "pol1", "pol2", "ana1", "ana2", "phi", "psi", "bs")
-OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in all_outcomes()])
 
 
 @dataclass(frozen=True)

@@ -97,11 +97,6 @@ class Outcome:
         if self.kind is OutcomeKind.OPPOSITE and self.arm is not None:
             raise ValueError("opposite-arm outcome must not carry an arm")
 
-    @property
-    def n_detectors(self) -> int:
-        """Detectors that must fire to record this outcome."""
-        return 2
-
     def label(self) -> str:
         p = {Port.PARALLEL: "par", Port.PERPENDICULAR: "perp"}
         if self.kind is OutcomeKind.OPPOSITE:
@@ -122,7 +117,11 @@ def all_outcomes() -> tuple[Outcome, ...]:
 
 
 _OUTCOMES = all_outcomes()
-_FACTORS = np.array([1.0 if o.kind is OutcomeKind.OPPOSITE else ONE_SIDED for o in _OUTCOMES])
+# The opposite-side outcomes, as a mask over the last axis of a distribution
+# or of its counts.
+OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in _OUTCOMES])
+OPPOSITE.setflags(write=False)
+_FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
 def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:

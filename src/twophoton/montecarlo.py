@@ -25,8 +25,11 @@ each block once and tallies it against a whole stack of distributions.
 Every row of an `mc_run` sweep therefore uses the same seed's draws: the
 rows' estimates are correlated, not independent samples.
 
-The efficiency lies in (0, 1], with efficiency**2 > 0, wherever a run or
-its counts are used: every estimate divides by efficiency**2.
+Counts and estimates are arrays with the outcomes on the last axis, in
+`all_outcomes()` order, so they broadcast over a (..., 12) stack;
+`engine.OPPOSITE` masks the opposite-side outcomes.  A run's pair count and
+efficiency live only in its `RunConfig`, which holds the efficiency in
+(0, 1] with efficiency**2 > 0: every estimate divides by efficiency**2.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Outcome, all_outcomes
+from .engine import all_outcomes
 from .fock import TOL
 
 BLOCK_PAIRS = 1 << 16
@@ -58,37 +61,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_pairs < 0:
             raise ValueError(f"n_pairs must be >= 0, got {self.n_pairs}")
-        _check_efficiency(self.efficiency)
+        eff = self.efficiency
+        if not (0.0 < eff <= 1.0 and eff**2 > 0.0):
+            raise ValueError(f"efficiency must lie in (0, 1] with efficiency**2 > 0, got {eff!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Recorded counts per outcome, plus the run bookkeeping needed to turn
-    them back into probabilities."""
-
-    counts: dict[Outcome, int]
-    n_emitted: int
-    efficiency: float
-
-    def __post_init__(self) -> None:
-        _check_efficiency(self.efficiency)
-
-
-@dataclass(frozen=True)
-class OutcomeEstimate:
-    """Efficiency-corrected probability estimate for one outcome."""
-
-    probability: float
-    stderr: float
-    n_recorded: int
-    zero_count: bool  # no events recorded; estimate is a lower-bound 0
-
-
-def _check_efficiency(efficiency: float) -> None:
-    if not (0.0 < efficiency <= 1.0 and efficiency**2 > 0.0):
-        raise ValueError(f"efficiency must lie in (0, 1] with efficiency**2 > 0, got {efficiency!r}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -107,8 +84,8 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Recorded counts of a run of `cfg` drawn from each distribution of
     `probs`, shape (..., 12) in `all_outcomes()` order: int64, same shape.
 
-    Every row is tallied against the same draws, the ones `sample_run` of
-    that row alone would make, so each block is drawn once for all rows.
+    Each block is drawn once and every row is tallied against it, so a row
+    gets exactly the counts that a one-row `sample_counts` of it gives.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(OUTCOMES)
@@ -149,59 +126,45 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return np.diff(below.reshape(rows.shape), axis=1, prepend=0).reshape(probs.shape)
 
 
-def sample_run(probs: np.ndarray, cfg: RunConfig) -> CountTable:
-    """Draw cfg.n_pairs pairs from the twelve outcome probabilities `probs`
-    (in `all_outcomes()` order) and tally recorded outcomes."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (len(OUTCOMES),):
-        raise ValueError(f"expected {len(OUTCOMES)} outcome probabilities, got shape {probs.shape}")
-    counts = sample_counts(probs, cfg)
-    return CountTable(
-        counts={o: int(c) for o, c in zip(OUTCOMES, counts)},
-        n_emitted=cfg.n_pairs,
-        efficiency=cfg.efficiency,
-    )
+def estimate(counts: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Efficiency-corrected probability estimates of the recorded `counts` of
+    a run of `cfg`, with binomial standard errors: two float arrays of the
+    shape of `counts`, so a (..., 12) stack gives one row per run.
 
-
-def estimate(table: CountTable) -> dict[Outcome, OutcomeEstimate]:
-    """Efficiency-corrected probability estimates with binomial standard errors.
-
-    The correction divides by efficiency**n_detectors (all detectors of an
-    outcome must fire for it to be recorded).  Outcomes with zero recorded
-    counts are flagged; their estimate and error are reported as 0.
+    Both detectors of an outcome must fire for it to be recorded, so both
+    divide by efficiency**2.  A zero count estimates 0 with error 0.
     """
-    if table.n_emitted <= 0:
+    n = cfg.n_pairs
+    if n == 0:
         raise ValueError("cannot estimate from a run with no emitted pairs")
-    n = table.n_emitted
-    out: dict[Outcome, OutcomeEstimate] = {}
-    for outcome, count in table.counts.items():
-        correction = table.efficiency**outcome.n_detectors
-        if count == 0:
-            out[outcome] = OutcomeEstimate(0.0, 0.0, 0, True)
-            continue
-        p_rec = count / n
-        se_rec = math.sqrt(p_rec * (1.0 - p_rec) / n)
-        out[outcome] = OutcomeEstimate(p_rec / correction, se_rec / correction, count, False)
-    return out
+    correction = cfg.efficiency**2
+    p_rec = np.asarray(counts) / n
+    return p_rec / correction, np.sqrt(p_rec * (1.0 - p_rec) / n) / correction
 
 
-def consistency_z(est: OutcomeEstimate, p_true: float, n_emitted: int, efficiency: float) -> float:
+def consistency_z(probability: float, p_true: float, cfg: RunConfig) -> float:
     """Deviation of an estimate from a reference probability in units of the
-    binomial standard deviation of the recorded rate."""
-    _check_efficiency(efficiency)
-    p_rec = p_true * efficiency**2
+    binomial standard deviation of the recorded rate of a run of `cfg`.
+
+    A reference that rounds past 1 (a sure outcome summed from rounded
+    terms) is taken as 1.
+    """
+    p_true = min(p_true, 1.0)
+    n, eff = cfg.n_pairs, cfg.efficiency
+    p_rec = p_true * eff**2
     if p_rec == 0.0 and p_true > 0.0:  # the product underflowed; the same sigma, factored
-        sigma = math.sqrt(p_true * (1.0 - p_rec) / n_emitted) / efficiency
+        sigma = math.sqrt(p_true * (1.0 - p_rec) / n) / eff
     else:
-        sigma = math.sqrt(p_rec * (1.0 - p_rec) / n_emitted) / efficiency**2
+        sigma = math.sqrt(p_rec * (1.0 - p_rec) / n) / eff**2
     if sigma == 0.0:
-        return 0.0 if est.probability == p_true else math.inf
-    return (est.probability - p_true) / sigma
+        return 0.0 if probability == p_true else math.inf
+    return (probability - p_true) / sigma
 
 
-def pearson_chi2(table: CountTable, probs: np.ndarray) -> tuple[float, int]:
-    """Pearson chi-square of a run against the twelve outcome probabilities
-    `probs` (in `all_outcomes()` order) it was drawn from.
+def pearson_chi2(counts: np.ndarray, probs: np.ndarray, cfg: RunConfig) -> tuple[float, int]:
+    """Pearson chi-square of the twelve recorded `counts` of a run of `cfg`
+    against the twelve outcome probabilities `probs` it was drawn from, both
+    in `all_outcomes()` order.
 
     The cells are the outcomes plus the pairs not recorded: outcome o has
     probability p_o * efficiency**2 and the unrecorded cell the rest.  A cell
@@ -210,13 +173,12 @@ def pearson_chi2(table: CountTable, probs: np.ndarray) -> tuple[float, int]:
     when all twelve outcomes can occur at efficiency below 1), and a count
     in it makes the statistic infinite.
     """
-    n = table.n_emitted
-    if n <= 0:
+    n = cfg.n_pairs
+    if n == 0:
         raise ValueError("cannot test a run with no emitted pairs")
-    q = np.asarray(probs, dtype=float) * table.efficiency**2
+    q = np.asarray(probs, dtype=float) * cfg.efficiency**2
     q = np.append(q, 1.0 - q.sum())
-    observed = np.array([table.counts.get(o, 0) for o in OUTCOMES])
-    observed = np.append(observed, n - observed.sum())
+    observed = np.append(counts, n - np.sum(counts))
     live = q > TOL
     dof = int(live.sum()) - 1
     if np.any(observed[~live]):

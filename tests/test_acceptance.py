@@ -17,12 +17,12 @@ from twophoton import formulas
 from twophoton.compare import ANGLES, run_comparison
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry
 from twophoton.engine import (
+    OPPOSITE,
     InputSpec,
-    OutcomeKind,
     coincidence_probability,
     full_outcome_distribution,
 )
-from twophoton.montecarlo import RunConfig, sample_run
+from twophoton.montecarlo import RunConfig, sample_counts
 
 TOL = 1e-12
 BS = BeamSplitterSpec.fifty_fifty()
@@ -176,8 +176,7 @@ def test_criterion_6_monte_carlo_consistency():
     hits = 0
     worst_z = 0.0
     for seed in range(20):
-        table = sample_run(dist, RunConfig(n, efficiency=1.0, seed=seed))
-        opp = sum(c for o, c in table.counts.items() if o.kind is OutcomeKind.OPPOSITE)
+        opp = sample_counts(dist, RunConfig(n, efficiency=1.0, seed=seed))[OPPOSITE].sum()
         z = (opp / n - 0.25) / sigma
         worst_z = max(worst_z, abs(z))
         hits += abs(z) <= 3.0

@@ -347,6 +347,20 @@ def test_mc_z_stays_finite_when_the_recorded_rate_underflows(capsys):
     assert all(math.isfinite(float(v)) for v in z)
 
 
+def test_mc_z_stays_finite_when_a_sure_outcome_rounds_past_one(capsys):
+    # A perfect mirror with every polarizer and analyzer at 105 degrees: the
+    # engine gives side1[par]+side2[par] = 1.0000000000000009, which is
+    # normalized within TOL, so the run is sampled.
+    sets = ["tx=0", "ty=0", "n_pairs=1000"]
+    sets += [f"{key}=105" for key in ("theta1p_deg", "theta2p_deg", "theta1_deg", "theta2_deg")]
+    assert main(["mc", *(a for s in sets for a in ("--set", s))]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert rows[0][:2] == ["side1[par]+side2[par]", "1000"]
+    z = [float(row[-1]) for row in rows]
+    assert len(z) == 12 and all(math.isfinite(v) for v in z)
+    assert z[0] == 0.0
+
+
 def test_mc_run_sweep_rejects_zero_efficiency(capsys):
     sets = ["experiment=mc_run", "sweep.param=theta1_deg", "efficiency=0", "n_pairs=10"]
     assert main(["sweep", *(a for s in sets for a in ("--set", s))]) == 1

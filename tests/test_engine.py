@@ -6,6 +6,7 @@ import pytest
 from twophoton import formulas
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
 from twophoton.engine import (
+    OPPOSITE,
     Arm,
     InputSpec,
     Outcome,
@@ -24,7 +25,6 @@ from twophoton.fock import TOL
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(77)
-OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in all_outcomes()])
 
 
 def test_aligned_photons_never_coincide_at_zero_phase():
@@ -206,7 +206,7 @@ def test_outcome_partition_has_twelve_exclusive_entries():
     opposite = [o for o in outcomes if o.kind is OutcomeKind.OPPOSITE]
     same = [o for o in outcomes if o.kind is OutcomeKind.SAME_ARM]
     assert len(opposite) == 4 and len(same) == 8
-    assert all(o.n_detectors == 2 for o in outcomes)
+    assert OPPOSITE.tolist() == [o.kind is OutcomeKind.OPPOSITE for o in outcomes]
     # opposite side first, then side 1 before side 2, ports in Port order
     key = lambda o: (o.kind.value, -1 if o.arm is None else o.arm.value, o.port1.value, o.port2.value)
     assert outcomes == tuple(sorted(outcomes, key=key))

@@ -5,6 +5,7 @@ import pytest
 
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
 from twophoton.engine import (
+    OPPOSITE,
     InputSpec,
     Outcome,
     OutcomeKind,
@@ -15,20 +16,17 @@ from twophoton.fock import TOL
 from twophoton.montecarlo import (
     BLOCK_PAIRS,
     RNG_ALGORITHM,
-    CountTable,
-    OutcomeEstimate,
     RunConfig,
     consistency_z,
     estimate,
     pearson_chi2,
     sample_counts,
-    sample_run,
 )
 
 BS = BeamSplitterSpec.fifty_fifty()
 TWELVE = all_outcomes()
-SURE_OUTCOME = Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL)
-POINT_MASS = np.array([float(o == SURE_OUTCOME) for o in TWELVE])
+SURE = TWELVE.index(Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL))
+POINT_MASS = np.array([float(k == SURE) for k in range(12)])
 
 
 def singlet_like_distribution():
@@ -64,40 +62,41 @@ def test_run_config_validation():
 
 def test_point_mass_at_full_efficiency_records_every_pair():
     dist = POINT_MASS
-    table = sample_run(dist, RunConfig(5000, efficiency=1.0, seed=0))
-    assert table.counts[SURE_OUTCOME] == 5000
+    counts = sample_counts(dist, RunConfig(5000, efficiency=1.0, seed=0))
+    assert counts[SURE] == 5000
 
 
 def test_point_mass_at_half_efficiency_records_a_quarter():
     # both detectors must fire independently: 0.5 * 0.5
     dist = POINT_MASS
     n = 200000
-    table = sample_run(dist, RunConfig(n, efficiency=0.5, seed=1))
-    rate = table.counts[SURE_OUTCOME] / n
+    counts = sample_counts(dist, RunConfig(n, efficiency=0.5, seed=1))
+    rate = counts[SURE] / n
     assert abs(rate - 0.25) < 5.0 * math.sqrt(0.25 * 0.75 / n)
 
 
 def test_estimate_binomial_arithmetic():
-    table = CountTable({SURE_OUTCOME: 250}, n_emitted=1000, efficiency=1.0)
-    est = estimate(table)[SURE_OUTCOME]
-    assert est.probability == 0.25
-    assert abs(est.stderr - 0.0137) < 5e-4
-    assert est.n_recorded == 250 and not est.zero_count
+    counts = np.zeros(12, dtype=np.int64)
+    counts[SURE] = 250
+    probability, stderr = estimate(counts, RunConfig(1000))
+    assert probability[SURE] == 0.25
+    assert abs(stderr[SURE] - 0.0137) < 5e-4
+    # a zero count estimates 0 with error 0
+    others = np.arange(12) != SURE
+    assert not probability[others].any() and not stderr[others].any()
 
 
 def test_same_seed_reproduces_counts_exactly():
     dist = singlet_like_distribution()
     cfg = RunConfig(30000, seed=5)
-    a = sample_run(dist, cfg)
-    b = sample_run(dist, cfg)
-    assert a.counts == b.counts
+    assert np.array_equal(sample_counts(dist, cfg), sample_counts(dist, cfg))
 
 
 def test_different_seeds_give_different_counts():
     dist = singlet_like_distribution()
-    a = sample_run(dist, RunConfig(30000, seed=1))
-    b = sample_run(dist, RunConfig(30000, seed=2))
-    assert a.counts != b.counts
+    a = sample_counts(dist, RunConfig(30000, seed=1))
+    b = sample_counts(dist, RunConfig(30000, seed=2))
+    assert not np.array_equal(a, b)
 
 
 def test_blockwise_reference_reimplementation():
@@ -106,7 +105,7 @@ def test_blockwise_reference_reimplementation():
     # efficiency draws.  Counts must match across a block boundary.
     dist = unpolarized_distribution()
     n, seed, eff = BLOCK_PAIRS + 777, 9, 0.8
-    table = sample_run(dist, RunConfig(n, efficiency=eff, seed=seed))
+    tallied = sample_counts(dist, RunConfig(n, efficiency=eff, seed=seed))
 
     outcomes = TWELVE
     edges = np.cumsum(dist)
@@ -123,7 +122,7 @@ def test_blockwise_reference_reimplementation():
         counts += np.bincount(drawn[fired], minlength=len(outcomes))
         done += m
         block += 1
-    assert table.counts == {o: int(c) for o, c in zip(outcomes, counts)}
+    assert tallied.tolist() == counts.tolist()
 
 
 def _searchsorted_replay(dist, cfg):
@@ -139,7 +138,7 @@ def _searchsorted_replay(dist, cfg):
         fired = rng.random(m) < cfg.efficiency
         fired &= rng.random(m) < cfg.efficiency
         counts += np.bincount(drawn[fired], minlength=len(outcomes))
-    return {o: int(c) for o, c in zip(outcomes, counts)}
+    return counts
 
 
 def zero_first_and_last():
@@ -173,7 +172,7 @@ def rounds_past_one_before_the_last_edge():
 def test_tally_is_bit_identical_to_the_searchsorted_replay(make_dist, efficiency, n_pairs):
     dist = make_dist()
     cfg = RunConfig(n_pairs, efficiency=efficiency, seed=4)
-    assert sample_run(dist, cfg).counts == _searchsorted_replay(dist, cfg)
+    assert sample_counts(dist, cfg).tolist() == _searchsorted_replay(dist, cfg).tolist()
 
 
 def point_mass_on_first():
@@ -195,19 +194,34 @@ def distribution_stack():
 
 @pytest.mark.parametrize("n_pairs", [0, 1, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
 @pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160])
-def test_sample_counts_equals_sample_run_row_by_row(efficiency, n_pairs):
+def test_sample_counts_equals_one_row_runs_row_by_row(efficiency, n_pairs):
     stack = distribution_stack()
     cfg = RunConfig(n_pairs, efficiency=efficiency, seed=6)
     counts = sample_counts(stack, cfg)
     assert counts.shape == stack.shape and counts.dtype == np.int64
     for row, probs in zip(counts, stack):
-        tallied = dict(zip(TWELVE, row.tolist()))
-        assert tallied == sample_run(probs, cfg).counts == _searchsorted_replay(probs, cfg)
+        assert row.tolist() == sample_counts(probs, cfg).tolist() == _searchsorted_replay(probs, cfg).tolist()
     # more leading axes are rows too, and one row keeps its (12,) shape
     square = sample_counts(stack.reshape(2, 3, 12), cfg)
     assert np.array_equal(square, counts.reshape(2, 3, 12))
     one = sample_counts(stack[1], cfg)
     assert one.shape == (12,) and np.array_equal(one, counts[1])
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2 * BLOCK_PAIRS + 777])
+@pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160])
+def test_estimate_on_a_stack_is_the_scalar_arithmetic_row_by_row(efficiency, n_pairs):
+    cfg = RunConfig(n_pairs, efficiency=efficiency, seed=6)
+    counts = sample_counts(distribution_stack(), cfg)
+    probability, stderr = estimate(counts, cfg)
+    assert probability.shape == stderr.shape == counts.shape
+    eps2 = efficiency**2
+    for row, p_row, se_row in zip(counts.tolist(), probability.tolist(), stderr.tolist()):
+        p_rec = [c / n_pairs for c in row]
+        assert p_row == [p / eps2 for p in p_rec]
+        assert se_row == [math.sqrt(p * (1.0 - p) / n_pairs) / eps2 for p in p_rec]
+    assert (counts == 0).any()
+    assert not probability[counts == 0].any() and not stderr[counts == 0].any()
 
 
 def test_sample_counts_names_the_row_it_rejects():
@@ -237,21 +251,20 @@ def test_block_decomposition_makes_shards_additive():
     # first-block share of the full run.
     dist = unpolarized_distribution()
     seed = 3
-    full = sample_run(dist, RunConfig(2 * BLOCK_PAIRS, seed=seed))
-    first = sample_run(dist, RunConfig(BLOCK_PAIRS, seed=seed))
-    second_share = {o: full.counts[o] - first.counts[o] for o in full.counts}
-    assert all(c >= 0 for c in second_share.values())
-    assert sum(second_share.values()) == BLOCK_PAIRS
+    full = sample_counts(dist, RunConfig(2 * BLOCK_PAIRS, seed=seed))
+    first = sample_counts(dist, RunConfig(BLOCK_PAIRS, seed=seed))
+    second_share = full - first
+    assert (second_share >= 0).all()
+    assert second_share.sum() == BLOCK_PAIRS
 
 
 def test_lower_efficiency_only_removes_events():
     # Common random numbers: the same pairs are drawn, fewer survive.
     dist = unpolarized_distribution()
-    hi = sample_run(dist, RunConfig(50000, efficiency=1.0, seed=11))
-    lo = sample_run(dist, RunConfig(50000, efficiency=0.6, seed=11))
-    for outcome in hi.counts:
-        assert lo.counts[outcome] <= hi.counts[outcome]
-    assert sum(hi.counts.values()) == 50000
+    hi = sample_counts(dist, RunConfig(50000, efficiency=1.0, seed=11))
+    lo = sample_counts(dist, RunConfig(50000, efficiency=0.6, seed=11))
+    assert (lo <= hi).all()
+    assert hi.sum() == 50000
 
 
 def test_sampling_requires_a_normalized_distribution():
@@ -260,62 +273,59 @@ def test_sampling_requires_a_normalized_distribution():
         InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=0.0, psi=math.pi)
     )
     with pytest.raises(ValueError, match="normalized"):
-        sample_run(dist, RunConfig(100))
+        sample_counts(dist, RunConfig(100))
 
 
 def test_sampling_rejects_negative_probabilities():
     dist = POINT_MASS.copy()
     dist[0], dist[1] = 1.01, -0.01
     with pytest.raises(ValueError, match=r"negative probability -0.01 for side1\[par\]\+side2\[perp\]"):
-        sample_run(dist, RunConfig(100))
+        sample_counts(dist, RunConfig(100))
     # a rounding residue within TOL is sampled as zero
     dist[0], dist[1] = 1.0 + 1e-13, -1e-13
-    assert sample_run(dist, RunConfig(100)).counts[TWELVE[1]] == 0
+    assert sample_counts(dist, RunConfig(100))[1] == 0
 
 
 def test_sampling_rejects_anything_but_twelve_probabilities():
-    for bad in (POINT_MASS[:11], np.stack([POINT_MASS, POINT_MASS]), np.float64(1.0)):
+    for bad in (POINT_MASS[:11], np.float64(1.0)):
         with pytest.raises(ValueError, match="expected 12 outcome probabilities"):
-            sample_run(bad, RunConfig(100))
+            sample_counts(bad, RunConfig(100))
 
 
 def test_estimate_corrects_for_squared_efficiency():
     dist = unpolarized_distribution()
     eff = 0.5
-    table = sample_run(dist, RunConfig(200000, efficiency=eff, seed=21))
-    ests = estimate(table)
-    for outcome, est in ests.items():
-        count = table.counts[outcome]
+    cfg = RunConfig(200000, efficiency=eff, seed=21)
+    counts = sample_counts(dist, cfg)
+    probability, stderr = estimate(counts, cfg)
+    for count, p, se in zip(counts.tolist(), probability.tolist(), stderr.tolist()):
         if count == 0:
-            assert est.zero_count
-            assert est.probability == 0.0 and est.stderr == 0.0
+            assert p == 0.0 and se == 0.0
             continue
-        p_rec = count / table.n_emitted
-        assert abs(est.probability - p_rec / eff**2) < 1e-15
-        se = math.sqrt(p_rec * (1.0 - p_rec) / table.n_emitted)
-        assert abs(est.stderr - se / eff**2) < 1e-15
-        assert est.n_recorded == count
+        p_rec = count / cfg.n_pairs
+        assert abs(p - p_rec / eff**2) < 1e-15
+        assert abs(se - math.sqrt(p_rec * (1.0 - p_rec) / cfg.n_pairs) / eff**2) < 1e-15
 
 
 def test_estimate_rejects_empty_run():
-    table = sample_run(unpolarized_distribution(), RunConfig(0))
-    assert sum(table.counts.values()) == 0
+    cfg = RunConfig(0)
+    counts = sample_counts(unpolarized_distribution(), cfg)
+    assert counts.sum() == 0
     with pytest.raises(ValueError):
-        estimate(table)
+        estimate(counts, cfg)
 
 
 def test_consistency_z_matches_binomial_scaling():
     dist = unpolarized_distribution()
     n = 100000
-    table = sample_run(dist, RunConfig(n, seed=2))
-    ests = estimate(table)
-    for outcome, p_true in zip(TWELVE, dist.tolist()):
-        est = ests[outcome]
-        z = consistency_z(est, p_true, n, 1.0)
+    cfg = RunConfig(n, seed=2)
+    probability, _ = estimate(sample_counts(dist, cfg), cfg)
+    for p, p_true in zip(probability.tolist(), dist.tolist()):
+        z = consistency_z(p, p_true, cfg)
         if p_true == 0.0 or p_true == 1.0:
             continue
         sigma = math.sqrt(p_true * (1.0 - p_true) / n)
-        assert abs(z - (est.probability - p_true) / sigma) < 1e-9
+        assert abs(z - (p - p_true) / sigma) < 1e-9
 
 
 def test_consistency_z_survives_an_underflowing_recorded_rate():
@@ -323,24 +333,32 @@ def test_consistency_z_survives_an_underflowing_recorded_rate():
     # to 0 while p_true does not; sigma = sqrt(p_true / n) / efficiency
     p_true, n, eff = 4.93038065763132e-32, 1000, 1e-160
     assert p_true * eff**2 == 0.0
-    est = OutcomeEstimate(probability=0.0, stderr=0.0, n_recorded=0, zero_count=True)
-    z = consistency_z(est, p_true, n, eff)
+    z = consistency_z(0.0, p_true, RunConfig(n, efficiency=eff))
     assert math.isfinite(z)
     assert z == pytest.approx(-p_true / (math.sqrt(p_true / n) / eff), rel=1e-12)
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.37])
+def test_consistency_z_takes_a_reference_past_one_as_one(efficiency):
+    # A sure outcome summed from rounded terms can read 1 + 1e-15; at
+    # efficiency 1 its recorded-rate variance would then be negative.
+    cfg = RunConfig(1000, efficiency=efficiency)
+    for probability in (1.0, 0.98):
+        assert consistency_z(probability, 1.0 + 1e-15, cfg) == consistency_z(probability, 1.0, cfg)
+    assert consistency_z(1.0, 1.0 + 1e-15, cfg) == 0.0
 
 
 def test_estimates_track_exact_probabilities():
     # loose 5-sigma sanity bound on a single moderate run
     dist = unpolarized_distribution()
     n = 200000
-    table = sample_run(dist, RunConfig(n, seed=13))
-    ests = estimate(table)
-    for outcome, p_true in zip(TWELVE, dist.tolist()):
-        est = ests[outcome]
+    cfg = RunConfig(n, seed=13)
+    probability, _ = estimate(sample_counts(dist, cfg), cfg)
+    for p, p_true in zip(probability.tolist(), dist.tolist()):
         if p_true < 1e-6:
-            assert est.probability < 1e-4
+            assert p < 1e-4
             continue
-        z = consistency_z(est, p_true, n, 1.0)
+        z = consistency_z(p, p_true, cfg)
         assert abs(z) < 5.0
 
 
@@ -354,14 +372,13 @@ def test_estimates_converge_across_one_hundred_seeds():
     clean_seeds = 0
     total = 0
     for seed in range(100):
-        table = sample_run(dist, RunConfig(n, seed=seed))
-        ests = estimate(table)
+        cfg = RunConfig(n, seed=seed)
+        probability, _ = estimate(sample_counts(dist, cfg), cfg)
         seed_clean = True
-        for outcome, p_true in zip(TWELVE, dist.tolist()):
-            est = ests[outcome]
+        for p, p_true in zip(probability.tolist(), dist.tolist()):
             if p_true <= 0.0:
                 continue
-            z = abs(consistency_z(est, p_true, n, 1.0))
+            z = abs(consistency_z(p, p_true, cfg))
             total += 1
             within3 += z <= 3.0
             seed_clean &= z <= 4.0
@@ -376,8 +393,7 @@ def test_opposite_side_share_concentrates_at_one_quarter():
     n = 200000
     hits = 0
     for seed in range(5):
-        table = sample_run(dist, RunConfig(n, seed=seed))
-        opp = sum(c for o, c in table.counts.items() if o.kind is OutcomeKind.OPPOSITE)
+        opp = sample_counts(dist, RunConfig(n, seed=seed))[OPPOSITE].sum()
         z = (opp / n - 0.25) / math.sqrt(0.25 * 0.75 / n)
         hits += abs(z) <= 3.0
     assert hits >= 4
@@ -388,10 +404,10 @@ def test_pearson_chi2_matches_a_hand_computed_table():
     # the unrecorded cell 900.  Two outcomes off by 5 add 25/25 each; the
     # unrecorded cell is exact.
     dist = np.full(12, 1.0 / 12.0)
-    counts = {o: 25 for o in TWELVE}
-    counts[TWELVE[0]] += 5
-    counts[TWELVE[7]] -= 5
-    stat, dof = pearson_chi2(CountTable(counts, n_emitted=1200, efficiency=0.5), dist)
+    counts = np.full(12, 25)
+    counts[0] += 5
+    counts[7] -= 5
+    stat, dof = pearson_chi2(counts, dist, RunConfig(1200, efficiency=0.5))
     assert abs(stat - 2.0) < 1e-12 and dof == 12
 
 
@@ -401,19 +417,12 @@ def test_pearson_chi2_leaves_out_cells_that_cannot_hold_counts():
     # Counts of 11 and 9 against 10 add 1/10 each; a count in an impossible
     # cell makes the statistic infinite.
     dist = zero_first_and_last()
-    counts = {o: 0 if k in (0, 11) else 10 + (k == 1) - (k == 2) for k, o in enumerate(TWELVE)}
-    stat, dof = pearson_chi2(CountTable(counts, n_emitted=100, efficiency=1.0), dist)
+    counts = np.array([0 if k in (0, 11) else 10 + (k == 1) - (k == 2) for k in range(12)])
+    cfg = RunConfig(100)
+    stat, dof = pearson_chi2(counts, dist, cfg)
     assert abs(stat - 0.2) < 1e-12 and dof == 9
-    counts[TWELVE[11]] = 1
-    counts[TWELVE[1]] -= 1
-    assert pearson_chi2(CountTable(counts, n_emitted=100, efficiency=1.0), dist) == (math.inf, 9)
+    counts[11] = 1
+    counts[1] -= 1
+    assert pearson_chi2(counts, dist, cfg) == (math.inf, 9)
     with pytest.raises(ValueError):
-        pearson_chi2(CountTable(dict.fromkeys(TWELVE, 0), n_emitted=0, efficiency=1.0), dist)
-
-
-def test_efficiency_domain_is_enforced_where_it_is_used():
-    table = CountTable({SURE_OUTCOME: 5}, n_emitted=10, efficiency=1.0)
-    with pytest.raises(ValueError):
-        CountTable({SURE_OUTCOME: 5}, n_emitted=10, efficiency=0.0)
-    with pytest.raises(ValueError):
-        consistency_z(estimate(table)[SURE_OUTCOME], 0.5, 10, 0.0)
+        pearson_chi2(np.zeros(12, dtype=np.int64), dist, RunConfig(0))
