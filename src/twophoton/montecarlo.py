@@ -16,7 +16,13 @@ draw, then one efficiency draw per detector), and efficiency draws are made
 even at efficiency 1 so that runs with the same seed share their random
 numbers across efficiency settings.  block-v1 fixes only these draws: how a
 block tallies them into outcome counts is free to change, as long as the
-counts stay the same.  The counts also depend on the last bit of every
+counts stay the same.  One distribution is tallied by counting the recorded
+outcome draws below each of its twelve cumulative edges, one pass per edge.
+A stack of distributions sorts the recorded draws once and reads the count
+below every edge of every row with one `searchsorted`.  On one core a sort
+costs about as much as 15 count passes over 8 000 recorded draws and 25 over
+53 000: about even at two rows (24 edges), a win beyond, and a loss on one
+row (12 edges).  The counts also depend on the last bit of every
 probability, so on the order in which `full_outcome_distribution` adds the
 four components of unpolarized light: (p0 + p2) + (p1 + p3).
 
@@ -28,8 +34,9 @@ rows' estimates are correlated, not independent samples.
 Counts and estimates are arrays with the outcomes on the last axis, in
 `all_outcomes()` order, so they broadcast over a (..., 12) stack;
 `engine.OPPOSITE` masks the opposite-side outcomes.  A run's pair count and
-efficiency live only in its `RunConfig`, which holds the efficiency in
-(0, 1] with efficiency**2 > 0: every estimate divides by efficiency**2.
+efficiency live only in its `RunConfig`, which holds at least one pair and
+an efficiency in (0, 1] with efficiency**2 > 0: every estimate divides by
+both.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 0:
-            raise ValueError(f"n_pairs must be >= 0, got {self.n_pairs}")
+        if self.n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         eff = self.efficiency
         if not (0.0 < eff <= 1.0 and eff**2 > 0.0):
             raise ValueError(f"efficiency must lie in (0, 1] with efficiency**2 > 0, got {eff!r}")
@@ -85,7 +92,11 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     `probs`, shape (..., 12) in `all_outcomes()` order: int64, same shape.
 
     Each block is drawn once and every row is tallied against it, so a row
-    gets exactly the counts that a one-row `sample_counts` of it gives.
+    gets exactly the counts that a one-row `sample_counts` of it gives.  One
+    row counts the block's recorded draws below each edge in its own pass; a
+    stack of two or more rows sorts them once and finds all its edges with
+    one `searchsorted`, which costs about as much at 24 edges and less
+    beyond (see the module docstring).
     """
     probs = np.asarray(probs, dtype=float)
     n = len(OUTCOMES)
@@ -110,8 +121,10 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     # below[r, k] counts the recorded draws u < edges[r, k], i.e. those in
     # outcomes 0..k of row r; the final edge is 1.0 > u, so a cumulative sum
     # that rounds past 1.0 before it only empties the outcomes after the
-    # crossing.
+    # crossing.  On sorted draws, searchsorted(side="left") is that count for
+    # every finite edge, monotone or not.
     edges = edges.ravel()
+    stacked = rows.shape[0] > 1
     below = np.zeros(edges.size, dtype=np.int64)
     n_blocks = (cfg.n_pairs + BLOCK_PAIRS - 1) // BLOCK_PAIRS
     for block in range(n_blocks):
@@ -122,7 +135,11 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
         fired = rng.random(m) < cfg.efficiency
         fired &= rng.random(m) < cfg.efficiency
         u = u[fired]
-        below += [np.count_nonzero(u < edge) for edge in edges]
+        if stacked:
+            u.sort()
+            below += np.searchsorted(u, edges)
+        else:
+            below += [np.count_nonzero(u < edge) for edge in edges]
     return np.diff(below.reshape(rows.shape), axis=1, prepend=0).reshape(probs.shape)
 
 
@@ -135,8 +152,6 @@ def estimate(counts: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray
     divide by efficiency**2.  A zero count estimates 0 with error 0.
     """
     n = cfg.n_pairs
-    if n == 0:
-        raise ValueError("cannot estimate from a run with no emitted pairs")
     correction = cfg.efficiency**2
     p_rec = np.asarray(counts) / n
     return p_rec / correction, np.sqrt(p_rec * (1.0 - p_rec) / n) / correction
@@ -174,8 +189,6 @@ def pearson_chi2(counts: np.ndarray, probs: np.ndarray, cfg: RunConfig) -> tuple
     in it makes the statistic infinite.
     """
     n = cfg.n_pairs
-    if n == 0:
-        raise ValueError("cannot test a run with no emitted pairs")
     q = np.asarray(probs, dtype=float) * cfg.efficiency**2
     q = np.append(q, 1.0 - q.sum())
     observed = np.append(counts, n - np.sum(counts))

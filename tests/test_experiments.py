@@ -134,5 +134,5 @@ def test_a_slice_holds_one_arm(monkeypatch):
 def test_mc_run_needs_emitted_pairs():
     point = {"input_kind": "unpolarized", "pol1": 0.0, "pol2": 0.0, "ana1": 0.3, "ana2": 1.1, "phi": 0.2,
              "psi": 0.2, "bs": BeamSplitterSpec.fifty_fifty()}
-    with pytest.raises(ValueError, match="no emitted pairs"):
+    with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
         EXPERIMENTS["mc_run"].engine(run=RunConfig(0), **point)

@@ -157,7 +157,7 @@ def rounds_past_one_before_the_last_edge():
     return np.array(probs)
 
 
-@pytest.mark.parametrize("n_pairs", [0, 1, 10_000, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
+@pytest.mark.parametrize("n_pairs", [1, 10_000, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
 @pytest.mark.parametrize("efficiency", [1.0, 0.37])
 @pytest.mark.parametrize(
     "make_dist",
@@ -192,18 +192,38 @@ def distribution_stack():
     )
 
 
-@pytest.mark.parametrize("n_pairs", [0, 1, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
+def two_row_stack():
+    # the fewest rows that sort the block, one of them with a non-monotone edge
+    return np.stack([unpolarized_distribution(), rounds_past_one_before_the_last_edge()])
+
+
+def random_angle_stack():
+    # 74 engine rows at random analyzer angles and an asymmetric splitter: every
+    # edge falls off any lattice, as in an mc_run sweep
+    rng = np.random.default_rng(2024)
+    phase = PhaseGeometry(0.7, 0.7)
+    bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
+    return np.concatenate(
+        [
+            full_outcome_distribution(InputSpec.unpolarized(), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase),
+            full_outcome_distribution(InputSpec.polarized(0.4, 1.3), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase),
+        ]
+    )
+
+
+@pytest.mark.parametrize("n_pairs", [1, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
 @pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160])
-def test_sample_counts_equals_one_row_runs_row_by_row(efficiency, n_pairs):
-    stack = distribution_stack()
+@pytest.mark.parametrize("make_stack", [two_row_stack, distribution_stack, random_angle_stack])
+def test_sample_counts_equals_one_row_runs_row_by_row(make_stack, efficiency, n_pairs):
+    stack = make_stack()
     cfg = RunConfig(n_pairs, efficiency=efficiency, seed=6)
     counts = sample_counts(stack, cfg)
     assert counts.shape == stack.shape and counts.dtype == np.int64
     for row, probs in zip(counts, stack):
         assert row.tolist() == sample_counts(probs, cfg).tolist() == _searchsorted_replay(probs, cfg).tolist()
     # more leading axes are rows too, and one row keeps its (12,) shape
-    square = sample_counts(stack.reshape(2, 3, 12), cfg)
-    assert np.array_equal(square, counts.reshape(2, 3, 12))
+    square = sample_counts(stack.reshape(2, -1, 12), cfg)
+    assert np.array_equal(square, counts.reshape(2, -1, 12))
     one = sample_counts(stack[1], cfg)
     assert one.shape == (12,) and np.array_equal(one, counts[1])
 
@@ -307,12 +327,16 @@ def test_estimate_corrects_for_squared_efficiency():
         assert abs(se - math.sqrt(p_rec * (1.0 - p_rec) / cfg.n_pairs) / eff**2) < 1e-15
 
 
-def test_estimate_rejects_empty_run():
-    cfg = RunConfig(0)
+def test_run_config_rejects_an_empty_run():
+    # estimate, pearson_chi2 and consistency_z divide by n_pairs; a run
+    # without pairs cannot be configured, so none of them sees one
+    with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
+        RunConfig(0)
+    cfg = RunConfig(1)
     counts = sample_counts(unpolarized_distribution(), cfg)
-    assert counts.sum() == 0
-    with pytest.raises(ValueError):
-        estimate(counts, cfg)
+    assert counts.sum() == 1
+    probability, stderr = estimate(counts, cfg)
+    assert probability.sum() == 1.0 and not stderr.any()
 
 
 def test_consistency_z_matches_binomial_scaling():
@@ -424,5 +448,3 @@ def test_pearson_chi2_leaves_out_cells_that_cannot_hold_counts():
     counts[11] = 1
     counts[1] -= 1
     assert pearson_chi2(counts, dist, cfg) == (math.inf, 9)
-    with pytest.raises(ValueError):
-        pearson_chi2(np.zeros(12, dtype=np.int64), dist, RunConfig(0))
