@@ -21,7 +21,11 @@ The sweepable parameters, accepted inputs and domain (50:50 splitter;
 cos(phi) = cos(psi) at every swept point) of each experiment come from its
 table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
 15 significant digits, and is byte-stable for a fixed configuration and
-seed.
+seed; `_csv` writes every CSV, one format string per row.
+
+The argparse parser is built once per process, on the first `main` call,
+and every later `main` call reuses it: parsing leaves the parser as it was,
+so no `--set` list, seed or default carries from one call to the next.
 
 Exit codes: 0 success, 1 invalid configuration, 2 comparison failure,
 3 file I/O failure.
@@ -30,6 +34,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 comparison failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -218,14 +223,22 @@ def config_to_json(cfg: dict[str, Any]) -> str:
     return json.dumps(cfg, indent=2) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+@functools.cache
+def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
+    """The formatter of a CSV row whose cells have `types`: a float cell
+    with 15 significant digits, a None cell as an empty field, any other
+    cell as str() of it."""
+    fields = (
+        "" if t is type(None) else f"{{{i}:.15g}}" if issubclass(t, float) else f"{{{i}!s}}"
+        for i, t in enumerate(types)
+    )
+    return ",".join(fields).format
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(_row_format(tuple(map(type, row)))(*row))
     return "\n".join(lines) + "\n"
 
 
@@ -387,7 +400,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `twophoton` argument parser, built on the first call and shared
+    by every later one."""
     parser = argparse.ArgumentParser(
         prog="twophoton",
         description="Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.",

@@ -247,17 +247,27 @@ def full_outcome_distribution(
     (cos(phi) = cos(psi), e.g. the symmetric geometry phi = psi), which is
     the regime where the twelve outcomes are one experiment's event space.
     Single-detector double triggers are a different event space and are not
-    part of this partition.  All twelve amplitudes come from one stacked
-    evaluation.
+    part of this partition.  Each distinct detector row is built once: the
+    four opposite-side rows (side x port) and the four same-side row pairs
+    (side x port), which the twelve outcomes index.  All twelve amplitudes
+    come from one stacked evaluation.
     """
-    theta = {Arm.SIDE1: theta1, Arm.SIDE2: theta2}
+    sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
+    opposite = {
+        (arm, port): detector_operator(AnalyzerSetting(arm, theta, port), bs, geom)
+        for arm, theta in sides
+        for port in Port
+    }
+    # same[arm, port] = (first, second): the rows of a same-side pair with both ports at `port`
+    same = {
+        (arm, port): same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
+        for arm, theta in sides
+        for port in Port
+    }
     pairs = [
-        (
-            detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, o.port1), bs, geom),
-            detector_operator(AnalyzerSetting(Arm.SIDE2, theta2, o.port2), bs, geom),
-        )
+        (opposite[Arm.SIDE1, o.port1], opposite[Arm.SIDE2, o.port2])
         if o.kind is OutcomeKind.OPPOSITE
-        else same_arm_operator_pair(o.arm, (theta[o.arm],) * 2, bs, geom, (o.port1, o.port2))
+        else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
         for o in _OUTCOMES
     ]
     # the detector rows of all twelve outcomes, stacked: (..., 12, 1, 4)

@@ -34,9 +34,9 @@ rows' estimates are correlated, not independent samples.
 Counts and estimates are arrays with the outcomes on the last axis, in
 `all_outcomes()` order, so they broadcast over a (..., 12) stack;
 `engine.OPPOSITE` masks the opposite-side outcomes.  A run's pair count and
-efficiency live only in its `RunConfig`, which holds at least one pair and
-an efficiency in (0, 1] with efficiency**2 > 0: every estimate divides by
-both.
+efficiency live only in its `RunConfig`, which holds an integer count of at
+least one pair, an integer seed and an efficiency in (0, 1] with
+efficiency**2 > 0: every estimate divides by the count and the efficiency.
 """
 
 from __future__ import annotations
@@ -66,6 +66,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_pairs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         eff = self.efficiency
@@ -104,6 +108,8 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
         raise ValueError(f"expected {n} outcome probabilities on the last axis, got shape {probs.shape}")
     lead = probs.shape[:-1]
     rows = probs.reshape(-1, n)
+    if rows.shape[0] == 0:  # no distributions: no counts, and no block to draw
+        return np.zeros(probs.shape, dtype=np.int64)
     negative = np.any(rows < -TOL, axis=1)
     if negative.any():
         r = int(np.argmax(negative))

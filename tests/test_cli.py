@@ -1,13 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import twophoton
 from twophoton.cli import (
     DEFAULTS,
     ConfigError,
+    _csv,
     apply_set_overrides,
+    build_parser,
     config_to_json,
     main,
     parse_config,
@@ -488,6 +496,54 @@ def test_compare_negative_control_output_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == NEGATIVE_CONTROL_SHA256["stdout"]
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == NEGATIVE_CONTROL_SHA256["csv"]
+
+
+def test_calls_sharing_the_parser_stay_independent(capsys):
+    # a sweep with several --set and a --seed, an argparse rejection, a bad config
+    seeded = ["--set", "experiment=mc_run", "--set", "sweep.param=theta1_deg", "--set", "sweep.steps=3"]
+    assert main(["sweep", *seeded, "--set", "n_pairs=500", "--seed", "7"]) == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["sweep", "--no-such-flag"])
+    assert rejected.value.code == 2
+    assert main(["sweep", "--set", "tx=2"]) == 1
+    capsys.readouterr()
+    # ... then a plain sweep prints what it prints as the first call of a process
+    assert main(["sweep"]) == 0
+    out = capsys.readouterr().out
+    package_root = str(Path(twophoton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from twophoton.cli import main; sys.exit(main(['sweep']))"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["sweep"])
+    assert (args.set, args.seed, args.config, args.out) == (None, None, None, None)
+
+
+def _csv_cell_by_cell(header, rows):
+    """The CSV rule `_csv` had before it formatted whole rows, kept as the reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("" if v is None else f"{v:.15g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_row_formatter_matches_the_cell_by_cell_rule():
+    floats = [-0.0, 0.0, 1e-300, 5e-324, 1e16, 1.0 / 3.0, -2.5, math.inf, -math.inf, math.nan]
+    rows = [
+        floats,
+        [1.0 / 7.0, 3, "pass", None],
+        [-0.0, -12, "{0}", None],  # the same cell types again, and braces in a string
+        [None, None],
+        [],
+        [7, 2**70, True, "side1[par]+side2[perp]", 1e16, None, 5e-324],
+        (np.float64(0.1), np.int64(-3), np.float64(math.nan), "FAIL"),
+        [4.0],
+    ]
+    header = ["a", "b", "c"]
+    assert _csv(header, rows) == _csv_cell_by_cell(header, rows)
+    assert _csv(header, []) == "a,b,c\n"
 
 
 def test_run_sweep_single_step_uses_start_value():

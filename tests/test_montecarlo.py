@@ -58,6 +58,13 @@ def test_run_config_validation():
         RunConfig(10, efficiency=1e-170)  # its square, which every estimate divides by, is 0
     with pytest.raises(ValueError):
         RunConfig(10, seed=-3)
+    # counts and seeds are integers: a bool, a float or a string is turned away by name
+    for bad in (True, 1.5, 10.0, "10"):
+        with pytest.raises(ValueError, match=f"^n_pairs must be an integer, got {bad!r}$"):
+            RunConfig(bad)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
+            RunConfig(10, seed=bad)
+    assert RunConfig(np.int64(10), seed=np.uint32(3)) == RunConfig(10, seed=3)
 
 
 def test_point_mass_at_full_efficiency_records_every_pair():
@@ -264,6 +271,12 @@ def test_sample_counts_names_the_row_it_rejects():
     unnormalized[2, 5] = np.nan
     with pytest.raises(ValueError, match=r"^row 2: distribution must be normalized to sample, total=nan$"):
         sample_counts(unnormalized, RunConfig(100))
+
+
+@pytest.mark.parametrize("shape", [(0, 12), (2, 0, 12)])
+def test_sample_counts_of_an_empty_stack_is_empty(shape):
+    counts = sample_counts(np.zeros(shape), RunConfig(BLOCK_PAIRS + 1, efficiency=0.9, seed=4))
+    assert counts.shape == shape and counts.dtype == np.int64
 
 
 def test_block_decomposition_makes_shards_additive():
