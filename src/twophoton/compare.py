@@ -12,9 +12,12 @@ probabilities are pi-periodic in every angle), crosses the fringe phases
 window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
-(1e-12 unless overridden).  Each family runs in consecutive slices of at
-most `SLICE_POINTS` points, which bounds the memory one engine call needs;
-a result names its worst point and its wall time.
+(1e-12 unless overridden).  Both routes take a family's points as an open
+mesh of broadcast axes (see `_check`), so trigonometry, detector rows and
+photon states run once per distinct setting, and only the permanent and
+the closed-form arithmetic run once per point.  The mesh runs in boxes of
+at most `SLICE_POINTS` points, which bounds the memory one engine call
+needs; a result names its worst point and its wall time.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .engine import (
 from .montecarlo import RunConfig, sample_counts
 
 DEFAULT_TOL = 1e-12
-# the most points one engine call of `compare` sees, which bounds its memory
+# the most points one engine call of `compare` sees (one box of the mesh), which bounds its memory
 SLICE_POINTS = 1728
 
 ANGLE_STEP = math.pi / 12.0
@@ -273,10 +276,11 @@ def evaluate(
     """Closed-form and engine values of `entry` at a batch of points.
 
     `fixed` holds the parameters shared by every point; `columns` maps each
-    other parameter to its per-point values, an array (or a splitter of
-    arrays).  `formula` (the entry's, or a perturbed one) and the engine
-    each run once on the arrays.  The engine value is None for an entry
-    without an engine.
+    other parameter to its values, an array (or a splitter of arrays), and
+    the arrays broadcast together to the points: flat columns or the axes
+    of an open mesh.  `formula` (the entry's, or a perturbed one) and the
+    engine each run once on the arrays.  The engine value is None for an
+    entry without an engine.
     """
     ana = formula(**fixed, **columns)
     if entry.engine is None:
@@ -304,15 +308,6 @@ class CheckResult:
         return self.max_dev <= tol
 
 
-def _column(values: Sequence, index: np.ndarray) -> Any:
-    """One parameter's values at the points `index`: an array, or a
-    splitter of arrays."""
-    if isinstance(values[0], BeamSplitterSpec):
-        fields = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[index]
-        return BeamSplitterSpec(*fields.T)
-    return np.asarray(values)[index]
-
-
 def _describe(point: dict[str, object]) -> dict[str, float | str]:
     out: dict[str, float | str] = {}
     for name, value in point.items():
@@ -331,43 +326,75 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     `grid` parameters are crossed in order and every `step`-th point is
     kept; the j-th kept point takes the (j % n)-th of the n combinations of
     the `cycle` parameters (crossed in order).  A grid parameter with one
-    value is passed as it is.  The kept points run in consecutive slices of
-    at most `SLICE_POINTS`, each one call of the engine and of `formula` on
-    arrays; an `Arm` parameter keeps one value within a slice.
+    value is passed as it is.
+
+    Both routes see the kept points as an open mesh: every leading grid
+    axis is an axis of its own, and a last axis of rows carries the other
+    grid axes and the cycle.  At step 1 the rows are the fewest trailing
+    grid axes whose size n divides, so a row's combination is the same
+    under every leading index; at a larger step the kept points do not
+    factor, there is no leading axis, and every kept point is a row.  The
+    mesh runs in grid order in boxes of at most `SLICE_POINTS` points, each
+    one call of the engine and of `formula`; an `Arm` parameter must lead,
+    and it is one scalar per box.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     params = [*grid, *entry.cycle]
-    held = [k for k, (_, values) in enumerate(params) if isinstance(values[0], Arm)]
     shape = tuple(len(values) for _, values in grid)
-    size = math.prod(shape)
-    step = min(step, size)  # a larger stride also keeps only the first point
-    n_kept = len(range(0, size, step))
+    step = min(step, math.prod(shape))  # a larger stride also keeps only the first point
     combos = np.array(list(itertools.product(*(range(len(values)) for _, values in entry.cycle))), dtype=int)
+    lead = 0 if step > 1 else max(k for k in range(len(shape) + 1) if math.prod(shape[k:]) % len(combos) == 0)
+    rows = np.arange(0, math.prod(shape[lead:]), step)
+    mesh = (*shape[:lead], rows.size)
+    # each parameter's mesh axis, and the indices of its values along that
+    # axis (the leading 1 lets rows of no trailing grid axis unravel)
+    axes = [min(k, lead) for k in range(len(params))]
+    indices = [
+        *map(np.arange, shape[:lead]),
+        *np.unravel_index(rows, (1, *shape[lead:]))[1:],
+        *combos[np.arange(rows.size) % len(combos)].T,
+    ]
+    held = {k for k, (_, values) in enumerate(params) if isinstance(values[0], Arm)}
+    if max(held, default=-1) >= lead:
+        raise ValueError(f"{entry.name}: an Arm parameter must be a leading grid axis")
+    gathered = [
+        np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
+        if isinstance(values[0], BeamSplitterSpec)
+        else np.asarray(values)[i]
+        for (_, values), i in zip(params, indices)
+    ]
+    # a box holds one index of each axis before `cut`, up to `width` of `cut` and all of each later axis
+    cut = next(k for k in range(max(held, default=-1) + 1, len(mesh)) if math.prod(mesh[k + 1 :]) <= SLICE_POINTS)
+    width = SLICE_POINTS // math.prod(mesh[cut + 1 :])
     n_points, total, max_dev, worst_point = 0, 0.0, 0.0, {}
-    start = 0
-    while start < n_kept:
-        j = np.arange(start, min(start + SLICE_POINTS, n_kept))
-        indices = [*np.unravel_index(j * step, shape), *combos[j % len(combos)].T]
-        for k in held:  # end the slice where a held parameter changes
-            changed = np.flatnonzero(indices[k] != indices[k][0])
-            if changed.size:
-                indices = [i[: changed[0]] for i in indices]
-        start += indices[0].size
-        point = {**fixed, **{params[k][0]: params[k][1][indices[k][0]] for k in held}}
-        columns = {n: _column(values, i) for (n, values), i in zip(params, indices) if n not in point}
-        ana, eng = evaluate(entry, formula, point, columns)
-        dev = np.abs(eng - ana)
-        dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
-        n_points += dev.size
-        total += float(dev.sum())
-        i = int(np.argmax(dev))
-        if not worst_point or dev[i] > max_dev:
-            max_dev = float(dev[i])
-            point.update({n: values[idx[i]] for (n, values), idx in zip(params, indices)})
-            worst_point = _describe({name: point[name] for name in order})
+    for outer in np.ndindex(*mesh[:cut]):
+        for start in range(0, mesh[cut], width):
+            box = [*(slice(i, i + 1) for i in outer), slice(start, start + width)]
+            box += [slice(None)] * (len(mesh) - len(box))
+            point, columns = dict(fixed), {}
+            for k, (name, values) in enumerate(params):
+                part = gathered[k][box[axes[k]]]
+                laid = [-1 if axis == axes[k] else 1 for axis in range(len(mesh))]
+                if k in held:
+                    point[name] = part[0]
+                elif isinstance(values[0], BeamSplitterSpec):
+                    columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in part.T))
+                else:
+                    columns[name] = part.reshape(laid)
+            ana, eng = evaluate(entry, formula, point, columns)
+            dev = np.abs(eng - ana)
+            dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
+            n_points += dev.size
+            total += float(dev.sum())
+            i = int(np.argmax(dev))
+            if not worst_point or dev.flat[i] > max_dev:
+                max_dev = float(dev.flat[i])
+                at = [(b.start or 0) + j for b, j in zip(box, np.unravel_index(i, dev.shape))]
+                point.update({n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)})
+                worst_point = _describe({name: point[name] for name in order})
     mean_dev = total / n_points if n_points else 0.0
     return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)
 

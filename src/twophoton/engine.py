@@ -247,25 +247,23 @@ def full_outcome_distribution(
     (cos(phi) = cos(psi), e.g. the symmetric geometry phi = psi), which is
     the regime where the twelve outcomes are one experiment's event space.
     Single-detector double triggers are a different event space and are not
-    part of this partition.  Each distinct detector row is built once: the
-    four opposite-side rows (side x port) and the four same-side row pairs
-    (side x port), which the twelve outcomes index.  All twelve amplitudes
-    come from one stacked evaluation.
+    part of this partition.  Each of the ten distinct detector rows is
+    built once: the four same-side row pairs (side x port) and the two
+    side-1 opposite-side rows (one per port); a side-2 opposite-side row is
+    the second row of side 2's pair at its port.  The twelve outcomes index
+    them, and all twelve amplitudes come from one stacked evaluation.
     """
     sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-    opposite = {
-        (arm, port): detector_operator(AnalyzerSetting(arm, theta, port), bs, geom)
-        for arm, theta in sides
-        for port in Port
-    }
     # same[arm, port] = (first, second): the rows of a same-side pair with both ports at `port`
     same = {
         (arm, port): same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
         for arm, theta in sides
         for port in Port
     }
+    side1 = {port: detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, port), bs, geom) for port in Port}
     pairs = [
-        (opposite[Arm.SIDE1, o.port1], opposite[Arm.SIDE2, o.port2])
+        # a side-2 detector row carries no phase: it is the second row of side 2's pair at its port
+        (side1[o.port1], same[Arm.SIDE2, o.port2][1])
         if o.kind is OutcomeKind.OPPOSITE
         else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
         for o in _OUTCOMES

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twophoton import formulas
+from twophoton import elements, formulas
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
 from twophoton.engine import (
     OPPOSITE,
@@ -279,6 +279,21 @@ def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
         )
         assert one.shape == (12,)
         assert np.array_equal(batch[i, j], one)
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_full_distribution_builds_each_distinct_row_once(polarized, monkeypatch):
+    # four same-side pairs (side x port) and the two side-1 opposite-side
+    # rows; a side-2 opposite-side row is the second row of side 2's pair
+    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
+    geom = PhaseGeometry(0.4, 1.3)
+    inp = InputSpec.polarized(0.2, 1.1) if polarized else InputSpec.unpolarized()
+    expected = full_outcome_distribution(inp, 0.3, 0.9, bs, geom)
+    builds, port_row = [], elements._port_row
+    monkeypatch.setattr(elements, "_port_row", lambda *args: builds.append(args) or port_row(*args))
+    dist = full_outcome_distribution(inp, 0.3, 0.9, bs, geom)
+    assert len(builds) == 10
+    assert np.array_equal(dist, expected)
 
 
 def test_unpolarized_coincidence_depends_only_on_analyzer_difference():

@@ -6,9 +6,12 @@ checked against its row-by-row evaluation with scalar parameters.
 """
 
 import dataclasses
+import functools
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,34 +104,111 @@ def test_sweep_csv_equals_its_scalar_rows(name):
 
 
 def test_slicing_does_not_change_a_check(monkeypatch):
-    # 97 divides no family's grid, so slices straddle every grid row and
-    # double_trigger's slices must also end where its arm changes
-    runs = []
-    for points in (97, 1728, 10**6):
-        monkeypatch.setattr(compare, "SLICE_POINTS", points)
-        runs.append(compare.run_comparison(step=7))
-    first, *others = runs
-    for other in others:
-        assert [r.name for r in other] == [r.name for r in first]
-        for a, b in zip(first, other):
-            assert (a.n_points, a.max_dev, a.worst_point) == (b.n_points, b.max_dev, b.worst_point)
-            assert a.mean_dev == pytest.approx(b.mean_dev, rel=1e-12)
+    # 97 divides no family's grid: at step 7 every kept point is a row and
+    # boxes straddle grid rows; at step 1 boxes split the mesh's rows and
+    # axes, and double_trigger's boxes must also hold one arm
+    for step in (1, 7):
+        runs = []
+        for points in (97, 1728, 10**6):
+            monkeypatch.setattr(compare, "SLICE_POINTS", points)
+            runs.append(compare.run_comparison(step=step))
+        first, *others = runs
+        for other in others:
+            assert [r.name for r in other] == [r.name for r in first]
+            for a, b in zip(first, other):
+                assert (a.n_points, a.max_dev, a.worst_point) == (b.n_points, b.max_dev, b.worst_point)
+                assert a.mean_dev == pytest.approx(b.mean_dev, rel=1e-12)
+
+
+def flat_reference(entry, formula):
+    """(n_points, max_dev, mean_dev, worst_point) of `entry` at step 1,
+    point by point: every grid point, with its (j % n)-th cycle combination,
+    gathered into flat columns, one `evaluate` call per arm."""
+    fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
+    grid = [(name, values) for name, values in entry.grid if len(values) > 1]
+    params = [*grid, *entry.cycle]
+    combos = list(itertools.product(*(range(len(values)) for _, values in entry.cycle)))
+    grid_points = itertools.product(*(range(len(values)) for _, values in grid))
+    points = [(*g, *combos[j % len(combos)]) for j, g in enumerate(grid_points)]
+    n_points, total, max_dev, worst = 0, 0.0, 0.0, None
+
+    def arm_of(p):
+        return [values[i] for (_, values), i in zip(params, p) if isinstance(values[0], Arm)]
+
+    for _, group in itertools.groupby(points, key=arm_of):
+        group = np.array(list(group))
+        point, columns = dict(fixed), {}
+        for (name, values), index in zip(params, group.T):
+            if isinstance(values[0], Arm):
+                point[name] = values[index[0]]
+            elif isinstance(values[0], BeamSplitterSpec):
+                fields = ([getattr(values[i], f) for i in index] for f in ("tx", "ty", "rx", "ry"))
+                columns[name] = BeamSplitterSpec(*map(np.array, fields))
+            else:
+                columns[name] = np.asarray(values)[index]
+        ana, eng = compare.evaluate(entry, formula, point, columns)
+        dev = np.abs(eng - ana)
+        dev[np.isnan(dev)] = np.inf
+        n_points += dev.size
+        total += float(dev.sum())
+        i = int(np.argmax(dev))
+        if worst is None or dev[i] > max_dev:
+            max_dev = float(dev[i])
+            worst = {**point, **{name: values[k] for (name, values), k in zip(params, group[i])}}
+    order = [name for name, _ in (*entry.grid, *entry.cycle)]
+    return n_points, max_dev, total / n_points, compare._describe({name: worst[name] for name in order})
+
+
+COMPARED = [(e, e.formula) for e in EXPERIMENTS.values() if e.grid] + [
+    (EXPERIMENTS["unpolarized_5050"], functools.partial(EXPERIMENTS["unpolarized_5050"].formula, prefactor=0.13))
+]
+
+
+@pytest.mark.parametrize(("entry", "formula"), COMPARED, ids=[*(e.name for e, _ in COMPARED[:-1]), "perturbed"])
+def test_check_equals_its_point_by_point_reference(entry, formula):
+    result = compare._check(entry, formula)
+    n_points, max_dev, mean_dev, worst_point = flat_reference(entry, formula)
+    assert (result.n_points, result.max_dev, result.worst_point) == (n_points, max_dev, worst_point)
+    assert result.mean_dev == pytest.approx(mean_dev, rel=1e-12)
+
+
+def test_coincidence_engine_sees_the_polarizations_as_mesh_axes(monkeypatch):
+    # trig, photon states and detector rows run once per distinct setting:
+    # pol1, pol2 and the (ana1, ana2, phi, bs) rows lie on separate axes
+    entry = EXPERIMENTS["coincidence"]
+    calls = []
+
+    def engine(pol1, pol2, ana1, ana2, phi, bs):
+        settings = np.broadcast(ana1, ana2, phi, bs.tx, bs.ty).size
+        calls.append((np.size(pol1) * np.size(pol2) * settings, np.broadcast(pol1, pol2, ana1).size, settings))
+        return entry.engine(pol1, pol2, ana1, ana2, phi, bs)
+
+    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
+    assert result.passed()
+    assert sum(points for _, points, _ in calls) == result.n_points == 12**4
+    for factored, points, settings in calls:
+        assert factored == points <= compare.SLICE_POINTS
+        assert settings <= 144
 
 
 def test_a_slice_holds_one_arm(monkeypatch):
-    # the engine takes one arm per call, so a slice that reaches the grid row
-    # where the arm changes ends there: every arm gets its own 1728 points
+    # the engine takes one arm per call, so the arm leads the mesh and a box
+    # holds one of its values: every arm gets its own 1728 points
     entry = EXPERIMENTS["double_trigger"]
     seen = {arm: 0 for arm in Arm}
 
-    def engine(arm, pol1, **rest):
-        seen[arm] += len(pol1)
-        return entry.engine(arm=arm, pol1=pol1, **rest)
+    def engine(arm, **rest):
+        values = entry.engine(arm=arm, **rest)
+        seen[arm] += values.size
+        return values
 
     monkeypatch.setattr(compare, "SLICE_POINTS", 97)
     result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
     assert result.passed()
     assert seen == {arm: 12**3 for arm in Arm}
+    # a larger step makes every kept point a row, where an arm cannot lead
+    with pytest.raises(ValueError, match="an Arm parameter must be a leading grid axis"):
+        compare._check(entry, entry.formula, step=7)
 
 
 def test_mc_run_needs_emitted_pairs():
