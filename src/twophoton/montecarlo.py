@@ -11,20 +11,31 @@ Determinism and sharding: the run is cut into fixed blocks of
 by SeedSequence(seed, spawn_key=(j,)) — algorithm id "philox4x64/block-v1".
 Blocks are the atomic unit of work, so distributing them over any number of
 workers and adding the counts reproduces the single-process result exactly.
-Within a block the uniform draws are consumed in a fixed order (outcome
-draw, then one efficiency draw per detector), and efficiency draws are made
-even at efficiency 1 so that runs with the same seed share their random
-numbers across efficiency settings.  block-v1 fixes only these draws: how a
-block tallies them into outcome counts is free to change, as long as the
-counts stay the same.  One distribution is tallied by counting the recorded
-outcome draws below each of its twelve cumulative edges, one pass per edge.
-A stack of distributions sorts the recorded draws once and reads the count
-below every edge of every row with one `searchsorted`.  On one core a sort
-costs about as much as 15 count passes over 8 000 recorded draws and 25 over
-53 000: about even at two rows (24 edges), a win beyond, and a loss on one
-row (12 edges).  The counts also depend on the last bit of every
-probability, so on the order in which `full_outcome_distribution` adds the
-four components of unpolarized light: (p0 + p2) + (p1 + p3).
+Within a block the draws follow a fixed order: the outcome draw, then one
+efficiency draw per detector.  The efficiency draws are always part of the
+block's stream, so runs with the same seed share their random numbers
+across efficiency settings, and lower efficiency can only remove events.
+At efficiency 1 every detector fires and the two efficiency streams are not
+drawn at all: a block's generator is dropped after the block, so nothing
+reads its stream past the outcome draw.  block-v1 fixes only these draws:
+how a block tallies them into outcome counts is free to change, as long as
+the counts stay the same.  A detector fires when its draw random() <
+efficiency.  Since random() is (word >> 11) * 2**-53 of a raw Philox word,
+that holds iff word < ceil(efficiency * 2**53) << 11, so the efficiency
+streams are drawn as raw words and compared with that threshold, with no
+conversion to floats.  A pair whose detectors did not both fire is not
+removed from the block: its outcome draw is pushed past the last edge by
+adding 2.0 (a row sums to 1 within TOL and has no entry below -TOL, so
+every edge is far below 2.0).  One distribution is tallied by counting the
+block's outcome draws below each of its twelve cumulative edges, one pass
+per edge.  A stack of distributions sorts the block's draws once and reads
+the count below every edge of every row with one `searchsorted`.  On one
+core a sort costs about as much as 15 count passes over 10 000 draws and 27
+over a whole block of 65 536: about even at two rows (24 edges), a win
+beyond, and a loss on one row (12 edges).  The counts also depend on the
+last bit of every probability, so on the order in which
+`full_outcome_distribution` adds the four components of unpolarized light:
+(p0 + p2) + (p1 + p3).
 
 Since a block's draws depend only on (seed, block), `sample_counts` draws
 each block once and tallies it against a whole stack of distributions.
@@ -35,7 +46,7 @@ Counts and estimates are arrays with the outcomes on the last axis, in
 `all_outcomes()` order, so they broadcast over a (..., 12) stack;
 `engine.OPPOSITE` masks the opposite-side outcomes.  A run's pair count and
 efficiency live only in its `RunConfig`, which holds an integer count of at
-least one pair, an integer seed and an efficiency in (0, 1] with
+least one pair, an integer seed and a real efficiency in (0, 1] with
 efficiency**2 > 0: every estimate divides by the count and the efficiency.
 """
 
@@ -73,10 +84,21 @@ class RunConfig:
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         eff = self.efficiency
+        if isinstance(eff, bool) or not isinstance(eff, (int, float, np.integer, np.floating)):
+            raise ValueError(f"efficiency must be a real number, got {eff!r}")
         if not (0.0 < eff <= 1.0 and eff**2 > 0.0):
             raise ValueError(f"efficiency must lie in (0, 1] with efficiency**2 > 0, got {eff!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _word_threshold(efficiency: float) -> int:
+    """The raw Philox word below which an efficiency draw fires.
+
+    `Generator.random()` is (word >> 11) * 2**-53, so random() < efficiency
+    iff word >> 11 < ceil(efficiency * 2**53) iff word < that ceiling << 11.
+    """
+    return math.ceil(math.ldexp(efficiency, 53)) << 11
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -96,11 +118,14 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     `probs`, shape (..., 12) in `all_outcomes()` order: int64, same shape.
 
     Each block is drawn once and every row is tallied against it, so a row
-    gets exactly the counts that a one-row `sample_counts` of it gives.  One
-    row counts the block's recorded draws below each edge in its own pass; a
-    stack of two or more rows sorts them once and finds all its edges with
-    one `searchsorted`, which costs about as much at 24 edges and less
-    beyond (see the module docstring).
+    gets exactly the counts that a one-row `sample_counts` of it gives.  The
+    efficiency draws are raw Philox words tested against `_word_threshold`,
+    and not drawn at efficiency 1; an unrecorded pair's outcome draw is
+    pushed past the last edge instead of being removed.  One row counts the
+    block's draws below each edge in its own pass; a stack of two or more
+    rows sorts them once and finds all its edges with one `searchsorted`,
+    which costs about as much at 24 edges and less beyond (see the module
+    docstring).
     """
     probs = np.asarray(probs, dtype=float)
     n = len(OUTCOMES)
@@ -124,8 +149,10 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
         raise ValueError(f"{_at_row(r, lead)}distribution must be normalized to sample, total={total!r}")
     edges = np.cumsum(np.maximum(rows, 0.0), axis=1)
     edges[:, -1] = 1.0  # guard the final edge against rounding
-    # below[r, k] counts the recorded draws u < edges[r, k], i.e. those in
-    # outcomes 0..k of row r; the final edge is 1.0 > u, so a cumulative sum
+    # below[r, k] counts the block's draws u < edges[r, k].  A recorded
+    # pair's draw lies in [0, 1) and an unrecorded one's is at least 2.0,
+    # past every edge, so that is the recorded pairs in outcomes 0..k of row r.
+    # The final edge is 1.0, above every recorded draw, so a cumulative sum
     # that rounds past 1.0 before it only empties the outcomes after the
     # crossing.  On sorted draws, searchsorted(side="left") is that count for
     # every finite edge, monotone or not.
@@ -133,14 +160,16 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     stacked = rows.shape[0] > 1
     below = np.zeros(edges.size, dtype=np.int64)
     n_blocks = (cfg.n_pairs + BLOCK_PAIRS - 1) // BLOCK_PAIRS
+    threshold = None if cfg.efficiency == 1 else np.uint64(_word_threshold(cfg.efficiency))
     for block in range(n_blocks):
         start = block * BLOCK_PAIRS
         m = min(BLOCK_PAIRS, cfg.n_pairs - start)
         rng = _block_rng(cfg.seed, block)
         u = rng.random(m)
-        fired = rng.random(m) < cfg.efficiency
-        fired &= rng.random(m) < cfg.efficiency
-        u = u[fired]
+        if threshold is not None:
+            words = rng.bit_generator.random_raw(m)
+            np.maximum(words, rng.bit_generator.random_raw(m), out=words)
+            u += (words >= threshold) * 2.0
         if stacked:
             u.sort()
             below += np.searchsorted(u, edges)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from twophoton.montecarlo import (
     BLOCK_PAIRS,
     RNG_ALGORITHM,
     RunConfig,
+    _word_threshold,
     consistency_z,
     estimate,
     pearson_chi2,
@@ -65,6 +67,12 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
             RunConfig(10, seed=bad)
     assert RunConfig(np.int64(10), seed=np.uint32(3)) == RunConfig(10, seed=3)
+    # the efficiency is a real scalar: the tally takes its ceiling
+    for bad in (True, np.bool_(True), np.array([0.5]), np.array(0.5), "0.9", None, 0.5 + 0j):
+        with pytest.raises(ValueError, match=f"^efficiency must be a real number, got {re.escape(repr(bad))}$"):
+            RunConfig(10, efficiency=bad)
+    assert RunConfig(10, efficiency=np.float32(0.5)) == RunConfig(10, efficiency=0.5)
+    assert RunConfig(10, efficiency=np.int64(1)) == RunConfig(10, efficiency=1.0)
 
 
 def test_point_mass_at_full_efficiency_records_every_pair():
@@ -164,8 +172,29 @@ def rounds_past_one_before_the_last_edge():
     return np.array(probs)
 
 
+# 1 - 2**-53 is the largest efficiency below 1, 0.5 an exact dyadic, 0.9 mc_bulk's
+EDGE_EFFICIENCIES = [1.0 - 2.0**-53, 0.5, 0.9]
+
+
+@pytest.mark.parametrize("efficiency", [*EDGE_EFFICIENCIES, 0.37, 2.0**-53, 1e-160, np.float32(0.9)])
+def test_word_threshold_splits_the_words_as_the_float_rule_does(efficiency):
+    # random() is (word >> 11) * 2**-53 of the next raw Philox word ...
+    a, b = (np.random.Generator(np.random.Philox(np.random.SeedSequence(3, spawn_key=(1,)))) for _ in range(2))
+    words = b.bit_generator.random_raw(1000)
+    assert a.random(1000).tolist() == ((words >> np.uint64(11)) * 2.0**-53).tolist()
+
+    # ... so the last word that fires and the first that does not straddle random() < efficiency,
+    # compared as a float64 draw compares: a float32 efficiency is widened, not the draw narrowed
+    def fires(word):
+        return np.float64((word >> 11) * 2.0**-53) < efficiency
+
+    threshold = _word_threshold(efficiency)
+    assert threshold % 2048 == 0 and 0 < threshold < 2**64
+    assert fires(threshold - 1) and not fires(threshold)
+
+
 @pytest.mark.parametrize("n_pairs", [1, 10_000, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
-@pytest.mark.parametrize("efficiency", [1.0, 0.37])
+@pytest.mark.parametrize("efficiency", [1.0, 0.37, *EDGE_EFFICIENCIES])
 @pytest.mark.parametrize(
     "make_dist",
     [
@@ -219,7 +248,7 @@ def random_angle_stack():
 
 
 @pytest.mark.parametrize("n_pairs", [1, BLOCK_PAIRS, 2 * BLOCK_PAIRS + 777])
-@pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160])
+@pytest.mark.parametrize("efficiency", [1.0, 0.37, 1e-160, *EDGE_EFFICIENCIES])
 @pytest.mark.parametrize("make_stack", [two_row_stack, distribution_stack, random_angle_stack])
 def test_sample_counts_equals_one_row_runs_row_by_row(make_stack, efficiency, n_pairs):
     stack = make_stack()
