@@ -15,9 +15,8 @@ A comparison fails if any |engine - closed form| exceeds the tolerance
 (1e-12 unless overridden).  Both routes take a family's points as an open
 mesh of broadcast axes (see `_check`), so trigonometry, detector rows and
 photon states run once per distinct setting, and only the permanent and
-the closed-form arithmetic run once per point.  The mesh runs in boxes of
-at most `SLICE_POINTS` points, which bounds the memory one engine call
-needs; a result names its worst point and its wall time.
+the closed-form arithmetic run once per point; a result names its worst
+point and its wall time.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from .engine import (
 from .montecarlo import RunConfig, sample_counts
 
 DEFAULT_TOL = 1e-12
-# the most points one engine call of `compare` sees (one box of the mesh), which bounds its memory
-SLICE_POINTS = 1728
 
 ANGLE_STEP = math.pi / 12.0
 ANGLES = tuple(k * ANGLE_STEP for k in range(12))  # [0, pi), step pi/12
@@ -117,7 +114,12 @@ def outcome_distribution(
     The other axes broadcast every parameter, including `pol1` and `pol2`,
     which unpolarized light ignores: a sweep of them still has its points.
     """
-    inp = InputSpec.polarized(pol1, pol2) if input_kind == "polarized" else InputSpec.unpolarized()
+    if input_kind == "polarized":
+        inp = InputSpec.polarized(pol1, pol2)
+    elif input_kind == "unpolarized":
+        inp = InputSpec.unpolarized()
+    else:
+        raise ValueError(f"input_kind must be 'polarized' or 'unpolarized', got {input_kind!r}")
     dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phi, psi))
     shape = np.broadcast_shapes(np.shape(pol1), np.shape(pol2), dist.shape[:-1])
     return np.broadcast_to(dist, (*shape, dist.shape[-1]))
@@ -334,9 +336,8 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     grid axes whose size n divides, so a row's combination is the same
     under every leading index; at a larger step the kept points do not
     factor, there is no leading axis, and every kept point is a row.  The
-    mesh runs in grid order in boxes of at most `SLICE_POINTS` points, each
-    one call of the engine and of `formula`; an `Arm` parameter must lead,
-    and it is one scalar per box.
+    whole mesh is one call of the engine and of `formula`, except that an
+    `Arm` parameter must lead and is one scalar per call.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]
@@ -360,41 +361,31 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     held = {k for k, (_, values) in enumerate(params) if isinstance(values[0], Arm)}
     if max(held, default=-1) >= lead:
         raise ValueError(f"{entry.name}: an Arm parameter must be a leading grid axis")
-    gathered = [
-        np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
-        if isinstance(values[0], BeamSplitterSpec)
-        else np.asarray(values)[i]
-        for (_, values), i in zip(params, indices)
-    ]
-    # a box holds one index of each axis before `cut`, up to `width` of `cut` and all of each later axis
-    cut = next(k for k in range(max(held, default=-1) + 1, len(mesh)) if math.prod(mesh[k + 1 :]) <= SLICE_POINTS)
-    width = SLICE_POINTS // math.prod(mesh[cut + 1 :])
+    split = max(held, default=-1) + 1  # the leading axes that take one value per call
+    columns = {}
+    for k, ((name, values), i) in enumerate(zip(params, indices)):
+        if k < split:
+            continue
+        laid = [-1 if axis == axes[k] else 1 for axis in range(split, len(mesh))]
+        if isinstance(values[0], BeamSplitterSpec):
+            table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
+            columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in table.T))
+        else:
+            columns[name] = np.asarray(values)[i].reshape(laid)
     n_points, total, max_dev, worst_point = 0, 0.0, 0.0, {}
-    for outer in np.ndindex(*mesh[:cut]):
-        for start in range(0, mesh[cut], width):
-            box = [*(slice(i, i + 1) for i in outer), slice(start, start + width)]
-            box += [slice(None)] * (len(mesh) - len(box))
-            point, columns = dict(fixed), {}
-            for k, (name, values) in enumerate(params):
-                part = gathered[k][box[axes[k]]]
-                laid = [-1 if axis == axes[k] else 1 for axis in range(len(mesh))]
-                if k in held:
-                    point[name] = part[0]
-                elif isinstance(values[0], BeamSplitterSpec):
-                    columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in part.T))
-                else:
-                    columns[name] = part.reshape(laid)
-            ana, eng = evaluate(entry, formula, point, columns)
-            dev = np.abs(eng - ana)
-            dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
-            n_points += dev.size
-            total += float(dev.sum())
-            i = int(np.argmax(dev))
-            if not worst_point or dev.flat[i] > max_dev:
-                max_dev = float(dev.flat[i])
-                at = [(b.start or 0) + j for b, j in zip(box, np.unravel_index(i, dev.shape))]
-                point.update({n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)})
-                worst_point = _describe({name: point[name] for name in order})
+    for arm_index in np.ndindex(*mesh[:split]):
+        point = {**fixed, **{name: values[j] for (name, values), j in zip(params, arm_index)}}
+        ana, eng = evaluate(entry, formula, point, columns)
+        dev = np.abs(eng - ana)
+        dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
+        n_points += dev.size
+        total += float(dev.sum())
+        i = int(np.argmax(dev))
+        if not worst_point or dev.flat[i] > max_dev:
+            max_dev = float(dev.flat[i])
+            at = (*arm_index, *np.unravel_index(i, dev.shape))
+            point.update({n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)})
+            worst_point = _describe({name: point[name] for name in order})
     mean_dev = total / n_points if n_points else 0.0
     return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)
 

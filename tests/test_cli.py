@@ -489,6 +489,17 @@ def test_compare_output_is_pinned(step, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_SHA256[step]
 
 
+# the full-grid report carries every family's deviations to 15 digits
+COMPARE_CSV_SHA256 = "16e1cdf82d268b09dc5a68ea2d80c70328327023c1a8234e7eaa750f4c3d7b62"
+
+
+def test_compare_full_grid_csv_is_pinned(tmp_path, capsys):
+    out_csv = tmp_path / "report.csv"
+    assert main(["compare", "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == COMPARE_CSV_SHA256
+
+
 def test_compare_negative_control_output_is_pinned(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     argv = ["compare", "--step", "4096", "--perturb", "unpolarized_5050_prefactor=0.13", "--out", str(out_csv)]

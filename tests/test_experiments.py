@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,32 +104,16 @@ def test_sweep_csv_equals_its_scalar_rows(name):
     assert run_sweep(cfg) == _csv([param, *entry.columns, "abs_deviation"], rows)
 
 
-def test_slicing_does_not_change_a_check(monkeypatch):
-    # 97 divides no family's grid: at step 7 every kept point is a row and
-    # boxes straddle grid rows; at step 1 boxes split the mesh's rows and
-    # axes, and double_trigger's boxes must also hold one arm
-    for step in (1, 7):
-        runs = []
-        for points in (97, 1728, 10**6):
-            monkeypatch.setattr(compare, "SLICE_POINTS", points)
-            runs.append(compare.run_comparison(step=step))
-        first, *others = runs
-        for other in others:
-            assert [r.name for r in other] == [r.name for r in first]
-            for a, b in zip(first, other):
-                assert (a.n_points, a.max_dev, a.worst_point) == (b.n_points, b.max_dev, b.worst_point)
-                assert a.mean_dev == pytest.approx(b.mean_dev, rel=1e-12)
-
-
-def flat_reference(entry, formula):
-    """(n_points, max_dev, mean_dev, worst_point) of `entry` at step 1,
-    point by point: every grid point, with its (j % n)-th cycle combination,
-    gathered into flat columns, one `evaluate` call per arm."""
+def flat_reference(entry, formula, step=1):
+    """(n_points, max_dev, mean_dev, worst_point) of `entry`, point by
+    point: every `step`-th grid point, the j-th kept one with the (j % n)-th
+    cycle combination, gathered into flat columns, one `evaluate` call per
+    arm."""
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     params = [*grid, *entry.cycle]
     combos = list(itertools.product(*(range(len(values)) for _, values in entry.cycle)))
-    grid_points = itertools.product(*(range(len(values)) for _, values in grid))
+    grid_points = itertools.islice(itertools.product(*(range(len(values)) for _, values in grid)), 0, None, step)
     points = [(*g, *combos[j % len(combos)]) for j, g in enumerate(grid_points)]
     n_points, total, max_dev, worst = 0, 0.0, 0.0, None
 
@@ -159,20 +144,35 @@ def flat_reference(entry, formula):
     return n_points, max_dev, total / n_points, compare._describe({name: worst[name] for name in order})
 
 
-COMPARED = [(e, e.formula) for e in EXPERIMENTS.values() if e.grid] + [
-    (EXPERIMENTS["unpolarized_5050"], functools.partial(EXPERIMENTS["unpolarized_5050"].formula, prefactor=0.13))
+def side2_offset(arm, **point):
+    # deviates on side 2 only, so the worst point lies in the second arm's call
+    return EXPERIMENTS["double_trigger"].formula(arm, **point) + (1e-9 if arm is Arm.SIDE2 else 0.0)
+
+
+COMPARED = [(e.name, e, e.formula) for e in EXPERIMENTS.values() if e.grid] + [
+    ("perturbed", EXPERIMENTS["unpolarized_5050"],
+     functools.partial(EXPERIMENTS["unpolarized_5050"].formula, prefactor=0.13)),
+    ("side2_offset", EXPERIMENTS["double_trigger"], side2_offset),
+]
+# a thinned grid has no leading axis, so double_trigger's arm cannot lead
+# it there (see test_each_family_is_one_engine_call)
+REFERENCE_CASES = [
+    pytest.param(entry, formula, step, id=name if step == 1 else f"{name}-step{step}")
+    for step in (1, 7)
+    for name, entry, formula in COMPARED
+    if step == 1 or entry.name != "double_trigger"
 ]
 
 
-@pytest.mark.parametrize(("entry", "formula"), COMPARED, ids=[*(e.name for e, _ in COMPARED[:-1]), "perturbed"])
-def test_check_equals_its_point_by_point_reference(entry, formula):
-    result = compare._check(entry, formula)
-    n_points, max_dev, mean_dev, worst_point = flat_reference(entry, formula)
+@pytest.mark.parametrize(("entry", "formula", "step"), REFERENCE_CASES)
+def test_check_equals_its_point_by_point_reference(entry, formula, step):
+    result = compare._check(entry, formula, step)
+    n_points, max_dev, mean_dev, worst_point = flat_reference(entry, formula, step)
     assert (result.n_points, result.max_dev, result.worst_point) == (n_points, max_dev, worst_point)
     assert result.mean_dev == pytest.approx(mean_dev, rel=1e-12)
 
 
-def test_coincidence_engine_sees_the_polarizations_as_mesh_axes(monkeypatch):
+def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
     # trig, photon states and detector rows run once per distinct setting:
     # pol1, pol2 and the (ana1, ana2, phi, bs) rows lie on separate axes
     entry = EXPERIMENTS["coincidence"]
@@ -185,30 +185,67 @@ def test_coincidence_engine_sees_the_polarizations_as_mesh_axes(monkeypatch):
 
     result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
     assert result.passed()
-    assert sum(points for _, points, _ in calls) == result.n_points == 12**4
-    for factored, points, settings in calls:
-        assert factored == points <= compare.SLICE_POINTS
-        assert settings <= 144
+    [(factored, points, settings)] = calls
+    assert factored == points == result.n_points == 12**4
+    assert settings <= 144
 
 
-def test_a_slice_holds_one_arm(monkeypatch):
-    # the engine takes one arm per call, so the arm leads the mesh and a box
-    # holds one of its values: every arm gets its own 1728 points
-    entry = EXPERIMENTS["double_trigger"]
-    seen = {arm: 0 for arm in Arm}
+def test_each_family_is_one_engine_call(monkeypatch):
+    # the engine takes one arm per call, so double_trigger's arm leads the
+    # mesh and each arm is a call of its own; every other family is one call
+    calls = []
+    for name, entry in list(EXPERIMENTS.items()):
+        if entry.grid:
 
-    def engine(arm, **rest):
-        values = entry.engine(arm=arm, **rest)
-        seen[arm] += values.size
-        return values
+            def engine(_name=name, _engine=entry.engine, **point):
+                values = _engine(**point)
+                calls.append((_name, point.get("arm"), np.size(values)))
+                return values
 
-    monkeypatch.setattr(compare, "SLICE_POINTS", 97)
-    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
-    assert result.passed()
-    assert seen == {arm: 12**3 for arm in Arm}
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(entry, engine=engine))
+    results = compare.run_comparison()
+    assert all(r.passed() for r in results)
+    assert calls == [
+        ("coincidence", None, 12**4),
+        ("same_arm", Arm.SIDE2, 12**4),
+        ("unpolarized", None, 12 * 12 * 4 * 4),
+        ("unpolarized_5050", None, 12 * 12 * 4),
+        ("no_polarizers", None, 12 * 12 * 4),
+        ("same_arm_no_polarizers", None, 12 * 12),
+        ("unpolarized_same_arm", None, 12 * 12),
+        ("double_trigger", Arm.SIDE1, 12**3),
+        ("double_trigger", Arm.SIDE2, 12**3),
+    ]
     # a larger step makes every kept point a row, where an arm cannot lead
+    entry = EXPERIMENTS["double_trigger"]
     with pytest.raises(ValueError, match="an Arm parameter must be a leading grid axis"):
         compare._check(entry, entry.formula, step=7)
+
+
+def test_a_comparison_pass_stays_within_its_memory_budget():
+    # each family is one engine call with no cap on its points, so the grid
+    # bounds the memory: the largest family peaks near 2 MiB
+    compare.run_comparison()
+    tracemalloc.start()
+    try:
+        compare.run_comparison()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("name", ["full_distribution", "mc_run"])
+def test_an_unknown_input_kind_is_rejected(name):
+    # a misspelled kind must not fall back to unpolarized light
+    point = {"pol1": 0.0, "pol2": 0.0, "ana1": 0.3, "ana2": 1.1, "phi": 0.2, "psi": 0.2,
+             "bs": BeamSplitterSpec.fifty_fifty()}
+    message = r"^input_kind must be 'polarized' or 'unpolarized', got 'polarised'$"
+    with pytest.raises(ValueError, match=message):
+        compare.outcome_distribution("polarised", **point)
+    extra = {"run": RunConfig(100)} if name == "mc_run" else {}
+    with pytest.raises(ValueError, match=message):
+        EXPERIMENTS[name].engine(input_kind="polarised", **point, **extra)
 
 
 def test_mc_run_needs_emitted_pairs():
