@@ -349,6 +349,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             perturbations[name] = float(raw)
         except ValueError:
             raise ConfigError([(name, f"cannot parse {raw!r} as float")]) from None
+        rule, message = _FINITE
+        if not rule(perturbations[name]):
+            raise ConfigError([(name, message.format(perturbations[name]))])
     try:
         results = comparemod.run_comparison(perturbations, step=args.step)
     except ValueError as exc:  # a step below 1 or an unknown perturbation

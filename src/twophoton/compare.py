@@ -13,10 +13,11 @@ window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
 (1e-12 unless overridden).  Both routes take a family's points as an open
-mesh of broadcast axes (see `_check`), so trigonometry, detector rows and
-photon states run once per distinct setting, and only the permanent and
-the closed-form arithmetic run once per point; a result names its worst
-point and its wall time.
+mesh of broadcast axes (see `_check`), so trigonometry and detector rows
+run once per distinct setting, each photon's row once per incident angle
+and the overlaps once per (detector row, photon row) pair; only the
+permanent and the closed-form arithmetic run once per point.  A result
+names its worst point and its wall time.
 """
 
 from __future__ import annotations

@@ -65,7 +65,9 @@ class InputSpec:
 
     def components(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Weights (C,) and photon rows (..., C, 4) of the pure components
-        whose probabilities are averaged."""
+        whose probabilities are averaged.  For polarized input each row's
+        leading axes are its own angle's, (*shape(theta1), 1, 4) and
+        (*shape(theta2), 1, 4), which broadcast against each other."""
         if self.polarization is None:
             return _UNPOLARIZED_WEIGHTS, _UNPOLARIZED_STATE
         p1, p2 = product_state(self.polarization)

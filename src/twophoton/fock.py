@@ -11,7 +11,9 @@ For the product state |psi> = a^dag(p1) a^dag(p2)|0>, the pair amplitude
 <0| d_a d_b |psi> is the permanent of the 2x2 matrix of overlaps,
 (u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1): the standard amplitude rule of linear
 optics (Scheel, quant-ph/0406127; Aaronson & Arkhipov, arXiv:1011.3245).
-Every array argument broadcasts over leading batch axes.
+Every array argument broadcasts over leading batch axes.  Each photon's row
+spans only its own angle's axes, so an overlap u.p runs once per (detector
+row, photon row) pair and only the permanent runs over every point.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ def product_state(inc: IncidentPolarization) -> tuple[np.ndarray, np.ndarray]:
     The side-1 photon is cos(theta1)|side1 x> + sin(theta1)|side1 y> and the
     side-2 photon likewise on the side-2 modes; the amplitude of the pattern
     with one photon in mode m1 and one in mode m2 is p1[m1] * p2[m2].
+
+    Each row spans its own angle only: p1 is (*shape(theta1), 4) and p2 is
+    (*shape(theta2), 4), and `vacuum_amplitude` broadcasts them.
     """
-    shape = np.broadcast(inc.theta1, inc.theta2).shape + (N_MODES,)
-    p1, p2 = np.zeros(shape), np.zeros(shape)
+    p1, p2 = np.zeros(np.shape(inc.theta1) + (N_MODES,)), np.zeros(np.shape(inc.theta2) + (N_MODES,))
     p1[..., 0], p1[..., 1] = np.cos(inc.theta1), np.sin(inc.theta1)
     p2[..., 2], p2[..., 3] = np.cos(inc.theta2), np.sin(inc.theta2)
     return p1, p2

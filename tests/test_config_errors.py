@@ -48,6 +48,25 @@ CASES = {
         ["efficiency: must lie in (0, 1] with efficiency**2 > 0, got 1e-170"],
     ),
     "seed_flag": ("mc", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
+    # a non-finite constant would make the negative control fail on nan or inf
+    "perturb_overflow": (
+        "compare",
+        None,
+        ["--perturb", "unpolarized_5050_prefactor=1e400"],
+        ["unpolarized_5050_prefactor: must be a finite number, got inf"],
+    ),
+    "perturb_inf": (
+        "compare",
+        None,
+        ["--perturb", "unpolarized_5050_prefactor=-inf"],
+        ["unpolarized_5050_prefactor: must be a finite number, got -inf"],
+    ),
+    "perturb_nan": (
+        "compare",
+        None,
+        ["--perturb", "unpolarized_5050_prefactor=nan"],
+        ["unpolarized_5050_prefactor: must be a finite number, got nan"],
+    ),
     "sweep_steps": ("sweep", None, sets("sweep.steps=0"), ["sweep.steps: must be an integer >= 1, got 0"]),
     "sweep_stop": ("sweep", None, sets("sweep.stop=nan"), ["sweep.stop: must be a finite number, got nan"]),
     "schema_version": ("sweep", None, sets("schema_version=2"), ["schema_version: expected 1, got 2"]),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophoton import compare
+from twophoton import compare, fock
 from twophoton.cli import LIBRARY_NAMES, _csv, _library_args, _sweep_values, parse_config, run_sweep
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
@@ -222,9 +222,43 @@ def test_each_family_is_one_engine_call(monkeypatch):
         compare._check(entry, entry.formula, step=7)
 
 
+def test_overlaps_run_once_per_distinct_setting(monkeypatch):
+    # a photon's row spans its own incident angle only, so the largest
+    # overlap u.p of a family spans (detector row, photon row) pairs, never
+    # the family's points
+    largest = {}
+    family = None
+    check, dot = compare._check, fock._dot
+
+    def tracked_check(entry, *args):
+        nonlocal family
+        family = entry.name
+        return check(entry, *args)
+
+    def tracked_dot(u, p):
+        overlap = dot(u, p)
+        largest[family] = max(largest.get(family, 0), overlap.size)
+        return overlap
+
+    monkeypatch.setattr(compare, "_check", tracked_check)
+    monkeypatch.setattr(fock, "_dot", tracked_dot)
+    assert all(r.passed() for r in compare.run_comparison())
+    assert largest == {
+        "coincidence": 12**3,
+        "same_arm": 12**3,
+        # one analyzer's rows against the four components of unpolarized light
+        "unpolarized": 12 * 4 * 4 * 4,
+        "unpolarized_5050": 12 * 4 * 4,
+        "no_polarizers": 12 * 4,
+        "same_arm_no_polarizers": 12,
+        "unpolarized_same_arm": 12 * 4,
+        "double_trigger": 12 * 12,
+    }
+
+
 def test_a_comparison_pass_stays_within_its_memory_budget():
     # each family is one engine call with no cap on its points, so the grid
-    # bounds the memory: the largest family peaks near 2 MiB
+    # bounds the memory: a full pass peaks near 1.15 MiB
     compare.run_comparison()
     tracemalloc.start()
     try:

@@ -69,12 +69,15 @@ def test_product_state_drops_zero_amplitudes():
 
 
 def test_product_state_broadcasts_over_angle_arrays():
-    theta1 = np.array([0.1, 0.7, 2.0])
-    p1, p2 = product_state(IncidentPolarization(theta1, 0.4))
-    assert p1.shape == p2.shape == (3, N_MODES)
-    for k, t in enumerate(theta1):
-        q1, q2 = product_state(IncidentPolarization(float(t), 0.4))
-        assert np.max(np.abs(p1[k] - q1)) < TOL and np.max(np.abs(p2[k] - q2)) < TOL
+    # each photon's row runs over its own angle's shape only
+    theta1, theta2 = np.array([0.1, 0.7, 2.0]), np.array([[0.4], [1.3]])
+    p1, p2 = product_state(IncidentPolarization(theta1, theta2))
+    assert p1.shape == (3, N_MODES)
+    assert p2.shape == (2, 1, N_MODES)
+    for k, t1 in enumerate(theta1):
+        for j, t2 in enumerate(theta2[:, 0]):
+            q1, q2 = product_state(IncidentPolarization(float(t1), float(t2)))
+            assert np.max(np.abs(p1[k] - q1)) < TOL and np.max(np.abs(p2[j, 0] - q2)) < TOL
 
 
 def test_incident_polarization_rejects_nonfinite_angles():

@@ -140,20 +140,25 @@ def test_blockwise_reference_reimplementation():
     assert tallied.tolist() == counts.tolist()
 
 
-def _searchsorted_replay(dist, cfg):
-    # The searchsorted/bincount tally of test_blockwise_reference_reimplementation.
-    outcomes = TWELVE
-    edges = np.cumsum(dist)
-    edges[-1] = 1.0
-    counts = np.zeros(len(outcomes), dtype=np.int64)
+def _searchsorted_replay(dists, cfg):
+    # The searchsorted/bincount tally of test_blockwise_reference_reimplementation,
+    # for every row of `dists` (..., 12).  A block's draws depend only on
+    # (seed, block, m), so each block is drawn once and every row is binned
+    # against its recorded outcome draws.
+    edges = np.cumsum(dists, axis=-1)
+    edges[..., -1] = 1.0
+    rows = edges.reshape(-1, len(TWELVE))
+    counts = np.zeros(rows.shape, dtype=np.int64)
     for block in range(-(-cfg.n_pairs // BLOCK_PAIRS)):
         m = min(BLOCK_PAIRS, cfg.n_pairs - block * BLOCK_PAIRS)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(block,))))
-        drawn = np.searchsorted(edges, rng.random(m), side="right")
+        u = rng.random(m)
         fired = rng.random(m) < cfg.efficiency
         fired &= rng.random(m) < cfg.efficiency
-        counts += np.bincount(drawn[fired], minlength=len(outcomes))
-    return counts
+        recorded = u[fired]
+        for row_edges, row_counts in zip(rows, counts):
+            row_counts += np.bincount(np.searchsorted(row_edges, recorded, side="right"), minlength=len(TWELVE))
+    return counts.reshape(edges.shape)
 
 
 def zero_first_and_last():
@@ -255,8 +260,9 @@ def test_sample_counts_equals_one_row_runs_row_by_row(make_stack, efficiency, n_
     cfg = RunConfig(n_pairs, efficiency=efficiency, seed=6)
     counts = sample_counts(stack, cfg)
     assert counts.shape == stack.shape and counts.dtype == np.int64
-    for row, probs in zip(counts, stack):
-        assert row.tolist() == sample_counts(probs, cfg).tolist() == _searchsorted_replay(probs, cfg).tolist()
+    replay = _searchsorted_replay(stack, cfg)
+    for row, probs, replayed in zip(counts, stack, replay):
+        assert row.tolist() == sample_counts(probs, cfg).tolist() == replayed.tolist()
     # more leading axes are rows too, and one row keeps its (12,) shape
     square = sample_counts(stack.reshape(2, -1, 12), cfg)
     assert np.array_equal(square, counts.reshape(2, -1, 12))
