@@ -465,6 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("config error: out of memory; the configured run is too large", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

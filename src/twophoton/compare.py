@@ -13,11 +13,11 @@ window, a perfect mirror), and interleaves the phase/splitter combinations
 through the four-angle grids: the j-th point kept takes combination j % 16.
 A comparison fails if any |engine - closed form| exceeds the tolerance
 (1e-12 unless overridden).  Both routes take a family's points as an open
-mesh of broadcast axes (see `_check`), so trigonometry and detector rows
-run once per distinct setting, each photon's row once per incident angle
-and the overlaps once per (detector row, photon row) pair; only the
-permanent and the closed-form arithmetic run once per point.  A result
-names its worst point and its wall time.
+mesh of broadcast axes (see `_check`), in one call each per family, so
+trigonometry and detector rows run once per distinct setting, each
+photon's row once per incident angle and the overlaps once per (detector
+row, photon row) pair; only the permanent and the closed-form arithmetic
+run once per point.  A result names its worst point and its wall time.
 """
 
 from __future__ import annotations
@@ -337,8 +337,8 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     grid axes whose size n divides, so a row's combination is the same
     under every leading index; at a larger step the kept points do not
     factor, there is no leading axis, and every kept point is a row.  The
-    whole mesh is one call of the engine and of `formula`, except that an
-    `Arm` parameter must lead and is one scalar per call.
+    whole mesh is one call of the engine and of `formula`; an `Arm`
+    parameter is an object array like any other column.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]
@@ -359,36 +359,27 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
         *np.unravel_index(rows, (1, *shape[lead:]))[1:],
         *combos[np.arange(rows.size) % len(combos)].T,
     ]
-    held = {k for k, (_, values) in enumerate(params) if isinstance(values[0], Arm)}
-    if max(held, default=-1) >= lead:
-        raise ValueError(f"{entry.name}: an Arm parameter must be a leading grid axis")
-    split = max(held, default=-1) + 1  # the leading axes that take one value per call
     columns = {}
     for k, ((name, values), i) in enumerate(zip(params, indices)):
-        if k < split:
-            continue
-        laid = [-1 if axis == axes[k] else 1 for axis in range(split, len(mesh))]
+        laid = [-1 if axis == axes[k] else 1 for axis in range(len(mesh))]
         if isinstance(values[0], BeamSplitterSpec):
             table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
             columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in table.T))
         else:
             columns[name] = np.asarray(values)[i].reshape(laid)
-    n_points, total, max_dev, worst_point = 0, 0.0, 0.0, {}
-    for arm_index in np.ndindex(*mesh[:split]):
-        point = {**fixed, **{name: values[j] for (name, values), j in zip(params, arm_index)}}
-        ana, eng = evaluate(entry, formula, point, columns)
-        dev = np.abs(eng - ana)
+    ana, eng = evaluate(entry, formula, fixed, columns)
+    dev = np.abs(eng - ana)
+    total = float(dev.sum())
+    if math.isnan(total):
         dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
-        n_points += dev.size
-        total += float(dev.sum())
-        i = int(np.argmax(dev))
-        if not worst_point or dev.flat[i] > max_dev:
-            max_dev = float(dev.flat[i])
-            at = (*arm_index, *np.unravel_index(i, dev.shape))
-            point.update({n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)})
-            worst_point = _describe({name: point[name] for name in order})
-    mean_dev = total / n_points if n_points else 0.0
-    return CheckResult(entry.name, n_points, max_dev, mean_dev, worst_point, time.perf_counter() - t0)
+        total = math.inf
+    i = int(np.argmax(dev))
+    at = np.unravel_index(i, dev.shape)
+    point = {**fixed, **{n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)}}
+    worst_point = _describe({name: point[name] for name in order})
+    return CheckResult(
+        entry.name, dev.size, float(dev.flat[i]), total / dev.size, worst_point, time.perf_counter() - t0
+    )
 
 
 def run_comparison(

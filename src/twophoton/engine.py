@@ -3,7 +3,9 @@
 Every probability here comes from one mechanism: write each detector
 operator as its row over the four occupied input modes (`elements`), take
 the pair amplitude <0| d_a d_b |psi> of the input product state as a 2x2
-permanent (`fock.vacuum_amplitude`), and square its magnitude.  No
+permanent (`fock.vacuum_amplitude`), and square its magnitude.  A sum
+over analyzer ports or over the two sides is one evaluation with the ports
+or sides on broadcast axes, added in the order of a loop over them.  No
 closed-form trigonometric shortcuts are used, so this module serves as the
 independent oracle for `formulas`.
 
@@ -11,8 +13,8 @@ Unpolarized input is handled as an incoherent, equal-weight mixture of the
 four basis polarization products; probabilities, never amplitudes, are
 averaged.
 
-Every angle, phase and splitter amplitude may be a numpy array: the
-arguments broadcast, and the result is an array of the broadcast shape (a
+Every angle, phase and splitter amplitude, and the arm of
+`double_trigger_probability`, may be a numpy array: the arguments broadcast, and the result is an array of the broadcast shape (a
 float when every argument is scalar); `full_outcome_distribution` adds a
 last axis of the twelve outcomes.
 """
@@ -62,16 +64,6 @@ class InputSpec:
     @classmethod
     def unpolarized(cls) -> "InputSpec":
         return cls(None)
-
-    def components(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Weights (C,) and photon rows (..., C, 4) of the pure components
-        whose probabilities are averaged.  For polarized input each row's
-        leading axes are its own angle's, (*shape(theta1), 1, 4) and
-        (*shape(theta2), 1, 4), which broadcast against each other."""
-        if self.polarization is None:
-            return _UNPOLARIZED_WEIGHTS, _UNPOLARIZED_STATE
-        p1, p2 = product_state(self.polarization)
-        return np.ones(1), (p1[..., None, :], p2[..., None, :])
 
 
 class OutcomeKind(Enum):
@@ -126,15 +118,47 @@ OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
-def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b.
+# A side-2 row is the side-1 row of the same setting and phases with the two
+# sides' modes swapped: the transmitted and reflected terms trade places.
+_OTHER_SIDE = np.array([2, 3, 0, 1])
+
+
+def _both_sides(u: np.ndarray) -> np.ndarray:
+    """Side-1 rows u and their side-2 rows, on a new axis before the modes."""
+    return np.stack((u, u[..., _OTHER_SIDE]), axis=-2)
+
+
+def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int) -> np.ndarray:
+    """|<0| d_a d_b |psi>|^2 for detector rows u_a, u_b.
+
+    The last `axes` batch axes of the rows (ports, sides, outcomes) are ones
+    the incident angles do not span.  Unpolarized input adds a last axis of
+    its four components.
+    """
+    if inp.polarization is None:
+        return np.abs(vacuum_amplitude(u_a[..., None, :], u_b[..., None, :], _UNPOLARIZED_STATE)) ** 2
+    lift = (..., *(None,) * axes, slice(None))
+    p1, p2 = product_state(inp.polarization)
+    return np.abs(vacuum_amplitude(u_a, u_b, (p1[lift], p2[lift]))) ** 2
+
+
+def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int = 0) -> np.ndarray:
+    """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b
+    (see `_squared_amplitudes` for `axes`).
 
     The components are added in order, so a batch of points rounds exactly
     as each of its points evaluated alone.
     """
-    weights, state = inp.components()
-    amp = vacuum_amplitude(u_a[..., None, :], u_b[..., None, :], state)
-    return (np.abs(amp) ** 2 * weights).sum(-1)
+    p = _squared_amplitudes(inp, u_a, u_b, axes)
+    if inp.polarization is None:
+        return (p * _UNPOLARIZED_WEIGHTS).sum(-1)
+    return p
+
+
+def _in_order(p: np.ndarray, axes: int) -> np.ndarray:
+    """The sum over the last `axes` axes of p, its terms added one at a time
+    in C order: the rounding of a Python `sum` over them."""
+    return np.cumsum(p.reshape(*p.shape[: p.ndim - axes], -1), axis=-1)[..., -1]
 
 
 def _result(p: np.ndarray) -> float | np.ndarray:
@@ -163,14 +187,16 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseG
     """Opposite-side coincidence with analyzers removed.
 
     Removing an analyzer is summing its two ports, so this is the four-port
-    sum of `coincidence_probability`; the analyzer angle drops out of the
-    sum and is taken as 0.
+    sum of `coincidence_probability`, added in `Port` order; the analyzer
+    angle drops out of the sum and is taken as 0.  The ports are axes of
+    one evaluation.
     """
-    return sum(
-        coincidence_probability(inp, 0.0, 0.0, bs, geom, (p1, p2))
-        for p1 in Port
-        for p2 in Port
+    # each side's rows of its two ports, in `Port` order, on an axis before the modes
+    u1, u2 = (
+        np.stack([detector_operator(AnalyzerSetting(arm, 0.0, port), bs, geom) for port in Port], axis=-2)
+        for arm in Arm
     )
+    return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
 
 def same_arm_probability(
@@ -201,27 +227,32 @@ def same_arm_both_arms(
     geom: PhaseGeometry,
     ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
 ) -> float:
-    """Same-side pair probability summed over both sides at fixed port angles."""
-    return sum(
-        same_arm_probability(inp, arm, theta_a, theta_b, bs, geom, ports) for arm in Arm
-    )
+    """Same-side pair probability summed over both sides at fixed port
+    angles, side 1 first; the sides are an axis of one evaluation."""
+    u_a, u_b = same_arm_operator_pair(Arm.SIDE1, (theta_a, theta_b), bs, geom, ports)
+    return _result(_in_order(ONE_SIDED * _detect(inp, _both_sides(u_a), _both_sides(u_b), axes=1), 1))
 
 
 def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
     """Same-side pair probability, both sides, analyzers removed (all ports
-    summed, so the analyzer angle drops out and is taken as 0)."""
-    return sum(
-        same_arm_both_arms(inp, 0.0, 0.0, bs, geom, (pa, pb))
-        for pa in Port
-        for pb in Port
-    )
+    summed, so the analyzer angle drops out and is taken as 0).
+
+    The four port pairs of `same_arm_both_arms` are added in `Port` order,
+    and ports and sides are axes of one evaluation.
+    """
+    pairs = [same_arm_operator_pair(Arm.SIDE1, (0.0, 0.0), bs, geom, (port, port)) for port in Port]
+    # first and second rows: (..., port, side, mode)
+    u_a, u_b = (_both_sides(np.stack(rows, axis=-2)) for rows in zip(*pairs))
+    p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
+    return _result(_in_order(_in_order(p, 1), 2))
 
 
 def double_trigger_probability(
-    inp: InputSpec, arm: Arm, theta: float, bs: BeamSplitterSpec
+    inp: InputSpec, arm: Arm | np.ndarray, theta: float, bs: BeamSplitterSpec
 ) -> float:
     """Probability that a single detector on `arm` behind a theta analyzer
-    registers both photons.
+    registers both photons.  `arm` may be an array of `Arm`s, which
+    broadcasts like every other argument.
 
     Both photons reach one detector, so the two pairings share one position
     and their relative phase is identically zero.  The squared vacuum
@@ -229,7 +260,12 @@ def double_trigger_probability(
     is halved, and the same one-sided 1/2 bookkeeping as in
     `same_arm_probability` applies.
     """
-    u, _ = same_arm_operator_pair(arm, (theta, theta), bs, PhaseGeometry(0.0, 0.0))
+    arms = np.asarray(arm, dtype=object)
+    side2 = arms == Arm.SIDE2
+    if not np.all(side2 | (arms == Arm.SIDE1)):
+        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    u, _ = same_arm_operator_pair(Arm.SIDE1, (theta, theta), bs, PhaseGeometry(0.0, 0.0))
+    u = np.where(side2[..., None], u[..., _OTHER_SIDE], u)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
 
@@ -270,15 +306,12 @@ def full_outcome_distribution(
         else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
         for o in _OUTCOMES
     ]
-    # the detector rows of all twelve outcomes, stacked: (..., 12, 1, 4)
-    u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2)[..., None, :] for rows in zip(*pairs))
-    _, (p1, p2) = inp.components()
-    p = np.abs(vacuum_amplitude(u_a, u_b, (p1[..., None, :, :], p2[..., None, :, :]))) ** 2
+    # the detector rows of all twelve outcomes, stacked: (..., 12, 4)
+    u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2) for rows in zip(*pairs))
+    p = _squared_amplitudes(inp, u_a, u_b, axes=1)
     if inp.polarization is None:
         # Unlike `_detect`, the four components are added as
         # (p0 + p2) + (p1 + p3): the Monte Carlo counts drawn from the
         # distribution depend on this order.
         p = ((p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])) * 0.25
-    else:
-        p = p[..., 0]
     return _FACTORS * p

@@ -3,17 +3,19 @@
 Photon pairs enter the beam splitter from opposite sides, one photon per
 side, and each side carries its own frequency slot, so only four input modes
 are ever occupied: (side1, x), (side1, y), (side2, x), (side2, y), in that
-order (`mode_index`).  A photon is a row vector over these modes, and so is
-every detector field operator d = sum_m u_m a_m, which is linear in the
-input annihilators.
+order (`mode_index`).  Every detector field operator d = sum_m u_m a_m is
+linear in the input annihilators, so it is a row vector u over these four
+modes.  A photon lives on its own side only, so its row is (cos, sin) of its
+polarization angle over that side's (x, y) modes.
 
 For the product state |psi> = a^dag(p1) a^dag(p2)|0>, the pair amplitude
 <0| d_a d_b |psi> is the permanent of the 2x2 matrix of overlaps,
 (u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1): the standard amplitude rule of linear
 optics (Scheel, quant-ph/0406127; Aaronson & Arkhipov, arXiv:1011.3245).
-Every array argument broadcasts over leading batch axes.  Each photon's row
-spans only its own angle's axes, so an overlap u.p runs once per (detector
-row, photon row) pair and only the permanent runs over every point.
+An overlap u.p is two products, over the photon's own side of u.  Every
+array argument broadcasts over leading batch axes.  Each photon's row spans
+only its own angle's axes, so an overlap runs once per (detector row,
+photon row) pair and only the permanent runs over every point.
 """
 
 from __future__ import annotations
@@ -72,18 +74,18 @@ class IncidentPolarization:
 
 
 def product_state(inc: IncidentPolarization) -> tuple[np.ndarray, np.ndarray]:
-    """Row vectors (p1, p2) of the two photons of a linearly polarized pair.
+    """Rows (p1, p2) of the two photons of a linearly polarized pair.
 
     The side-1 photon is cos(theta1)|side1 x> + sin(theta1)|side1 y> and the
-    side-2 photon likewise on the side-2 modes; the amplitude of the pattern
-    with one photon in mode m1 and one in mode m2 is p1[m1] * p2[m2].
+    side-2 photon likewise on the side-2 modes; each row holds its photon's
+    (x, y) amplitudes on its own side, so the amplitude of the pattern with
+    the side-1 photon in polarization i and the side-2 photon in j is
+    p1[i] * p2[j].
 
-    Each row spans its own angle only: p1 is (*shape(theta1), 4) and p2 is
-    (*shape(theta2), 4), and `vacuum_amplitude` broadcasts them.
+    Each row spans its own angle only: p1 is (*shape(theta1), 2) and p2 is
+    (*shape(theta2), 2), and `vacuum_amplitude` broadcasts them.
     """
-    p1, p2 = np.zeros(np.shape(inc.theta1) + (N_MODES,)), np.zeros(np.shape(inc.theta2) + (N_MODES,))
-    p1[..., 0], p1[..., 1] = np.cos(inc.theta1), np.sin(inc.theta1)
-    p2[..., 2], p2[..., 3] = np.cos(inc.theta2), np.sin(inc.theta2)
+    p1, p2 = (np.stack((np.cos(theta), np.sin(theta)), axis=-1) for theta in (inc.theta1, inc.theta2))
     return p1, p2
 
 
@@ -93,14 +95,14 @@ def vacuum_amplitude(
     """<0| d_a d_b |psi> for detector rows u_a, u_b and photon rows (p1, p2).
 
     The 2x2 permanent (u_a.p1)(u_b.p2) + (u_a.p2)(u_b.p1); its squared
-    magnitude is a joint detection probability.  Each dot product is four
-    terms added left to right, the order `sum` takes over the mode axis.
+    magnitude is a joint detection probability.  Each overlap is two
+    products, the photon's x and y amplitudes against the row's entries on
+    that photon's side.  The other side's two entries meet exact zeros in a
+    four-mode photon row, so leaving them out can only change the sign of a
+    zero part, which no |amplitude|^2 sees.
     """
     p1, p2 = state
-    a1, a2 = _dot(u_a, p1), _dot(u_a, p2)
-    b1, b2 = _dot(u_b, p1), _dot(u_b, p2)
-    return a1 * b2 + a2 * b1
-
-
-def _dot(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return u[..., 0] * p[..., 0] + u[..., 1] * p[..., 1] + u[..., 2] * p[..., 2] + u[..., 3] * p[..., 3]
+    c1, s1, c2, s2 = p1[..., 0], p1[..., 1], p2[..., 0], p2[..., 1]
+    amp = (u_a[..., 0] * c1 + u_a[..., 1] * s1) * (u_b[..., 2] * c2 + u_b[..., 3] * s2)
+    amp += (u_a[..., 2] * c2 + u_a[..., 3] * s2) * (u_b[..., 0] * c1 + u_b[..., 1] * s1)
+    return amp

@@ -23,6 +23,8 @@ import numpy as np
 
 from .elements import BeamSplitterSpec  # parameter container only
 
+_FIFTY_FIFTY = BeamSplitterSpec.fifty_fifty()
+
 
 class PairPathAmplitudes(NamedTuple):
     """Two-path amplitudes of an opposite-side coincidence."""
@@ -74,10 +76,9 @@ def p_no_polarizers(pol1: float, pol2: float, phi: float) -> float:
     four-port sum of `p_coincidence` (the analyzer angles drop out).
     """
     d = np.sin(pol1 - pol2)
-    bs = BeamSplitterSpec.fifty_fifty()
     half = np.pi / 2.0
     summed = sum(
-        p_coincidence(pol1, pol2, da, db, bs, phi)
+        p_coincidence(pol1, pol2, da, db, _FIFTY_FIFTY, phi)
         for da in (0.0, half)
         for db in (0.0, half)
     )
@@ -89,23 +90,18 @@ def p_no_polarizers(pol1: float, pol2: float, phi: float) -> float:
 def bunch_path_amplitudes(
     pol1: float, pol2: float, ana_a: float, ana_b: float, bs: BeamSplitterSpec
 ) -> BunchPathAmplitudes:
-    """Pairing amplitudes for both photons leaving on side 2."""
+    """Pairing amplitudes for both photons leaving on side 2.
+
+    Both pairings start with the same two terms, the ones with both photons
+    on one axis (both x or both y); they differ in the two mixed terms.
+    """
     c1p, s1p = np.cos(pol1), np.sin(pol1)
     c2p, s2p = np.cos(pol2), np.sin(pol2)
     ca, sa = np.cos(ana_a), np.sin(ana_a)
     cb, sb = np.cos(ana_b), np.sin(ana_b)
-    c = (
-        bs.tx * bs.rx * c1p * c2p * ca * cb
-        + bs.ty * bs.ry * s1p * s2p * sa * sb
-        + bs.tx * bs.ry * s1p * c2p * sa * cb
-        + bs.ty * bs.rx * c1p * s2p * ca * sb
-    )
-    d = (
-        bs.tx * bs.rx * c1p * c2p * ca * cb
-        + bs.ty * bs.ry * s1p * s2p * sa * sb
-        + bs.tx * bs.ry * s1p * c2p * ca * sb
-        + bs.ty * bs.rx * c1p * s2p * sa * cb
-    )
+    shared = bs.tx * bs.rx * c1p * c2p * ca * cb + bs.ty * bs.ry * s1p * s2p * sa * sb
+    c = shared + bs.tx * bs.ry * s1p * c2p * sa * cb + bs.ty * bs.rx * c1p * s2p * ca * sb
+    d = shared + bs.tx * bs.ry * s1p * c2p * ca * sb + bs.ty * bs.rx * c1p * s2p * sa * cb
     return BunchPathAmplitudes(c, d)
 
 

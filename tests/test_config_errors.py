@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from twophoton import cli
 from twophoton.cli import main
 
 
@@ -260,3 +261,16 @@ def test_json_the_parser_refuses_is_invalid_json(text, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"config error: invalid JSON ({reason})\n"
     assert reason.startswith(("Exceeds the limit (4300", "maximum recursion depth exceeded"))
+
+
+def test_a_run_too_large_for_memory_is_a_config_error(monkeypatch, capsys):
+    # `sweep --set sweep.steps=60000000` under `ulimit -v 1500000` runs out
+    # of memory while listing the swept values
+    def exhausted(sweep):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_sweep_values", exhausted)
+    assert main(["sweep", *sets("sweep.steps=60000000")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: out of memory; the configured run is too large\n"

@@ -191,3 +191,15 @@ def test_same_arm_pair_honors_ports_and_angles():
         Arm.SIDE1, (0.5 + math.pi / 2.0, 0.5), bs, PhaseGeometry()
     )
     assert np.max(np.abs(op_perp - op_rot)) < TOL
+
+
+def test_side2_rows_are_side1_rows_with_the_sides_swapped():
+    # the engine builds side 2's same-side rows from side 1's this way
+    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
+    geom = PhaseGeometry(0.4, 1.3)
+    thetas = (np.array([0.3, 2.2]), 0.9)
+    for ports in [(pa, pb) for pa in Port for pb in Port]:
+        side1 = same_arm_operator_pair(Arm.SIDE1, thetas, bs, geom, ports)
+        side2 = same_arm_operator_pair(Arm.SIDE2, thetas, bs, geom, ports)
+        for u1, u2 in zip(side1, side2):
+            assert np.array_equal(u1[..., [2, 3, 0, 1]], u2)

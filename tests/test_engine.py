@@ -20,7 +20,7 @@ from twophoton.engine import (
     same_arm_no_polarizers,
     same_arm_probability,
 )
-from twophoton.fock import TOL
+from twophoton.fock import TOL, IncidentPolarization, product_state, vacuum_amplitude
 
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
@@ -154,6 +154,52 @@ def test_double_trigger_through_diagonal_analyzer():
 def test_double_trigger_blocked_for_crossed_photon():
     p = double_trigger_probability(InputSpec.polarized(0.0, HALF_PI), Arm.SIDE1, HALF_PI, BS)
     assert abs(p) < TOL
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
+    # the loops over ports and sides, one engine call per term, added in
+    # order as a Python sum adds them, are the reference
+    rng = np.random.default_rng(18)
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 3, 1))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    geom = PhaseGeometry(*rng.uniform(0.0, 2.0 * math.pi, size=(2, 1, 4)))
+    pol = rng.uniform(0.0, math.pi, size=(2, 3, 4))
+    ana_a, ana_b = rng.uniform(0.0, math.pi, size=2)
+    inp = InputSpec.polarized(*pol) if polarized else InputSpec.unpolarized()
+    coincidence = coincidence_no_polarizers(inp, bs, geom)
+    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, geom, (Port.PARALLEL, Port.PERPENDICULAR))
+    no_polarizers = same_arm_no_polarizers(inp, bs, geom)
+    assert coincidence.shape == both_arms.shape == no_polarizers.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        one_bs = BeamSplitterSpec(tx[i, 0], ty[i, 0], bs.rx[i, 0], bs.ry[i, 0])
+        one_geom = PhaseGeometry(geom.phi[0, j], geom.psi[0, j])
+        one = InputSpec.polarized(pol[0, i, j], pol[1, i, j]) if polarized else inp
+
+        def sides(theta_a, theta_b, ports):
+            return sum(same_arm_probability(one, arm, theta_a, theta_b, one_bs, one_geom, ports) for arm in Arm)
+
+        ports = [(pa, pb) for pa in Port for pb in Port]
+        assert coincidence[i, j] == sum(coincidence_probability(one, 0.0, 0.0, one_bs, one_geom, p) for p in ports)
+        assert both_arms[i, j] == sides(ana_a, ana_b, (Port.PARALLEL, Port.PERPENDICULAR))
+        assert no_polarizers[i, j] == sum(sides(0.0, 0.0, p) for p in ports)
+
+
+def test_double_trigger_broadcasts_over_an_array_of_arms():
+    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
+    pol1 = np.array([[0.2], [1.1]])
+    arms = np.array([Arm.SIDE1, Arm.SIDE2, Arm.SIDE2], dtype=object)
+    batch = double_trigger_probability(InputSpec.polarized(pol1, 0.7), arms, 0.4, bs)
+    assert batch.shape == (2, 3)
+    for (i, j), p in np.ndenumerate(batch):
+        # the repeated detector row of the arm's own side, halved twice
+        u, _ = elements.same_arm_operator_pair(arms[j], (0.4, 0.4), bs, PhaseGeometry())
+        state = product_state(IncidentPolarization(pol1[i, 0], 0.7))
+        assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
+        assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
+    assert batch[0, 0] != batch[0, 1]  # an asymmetric splitter tells the sides apart
+    with pytest.raises(ValueError, match="^arm must be an Arm, got"):
+        double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array([Arm.SIDE1, "side2"]), 0.4, bs)
 
 
 def test_unpolarized_input_is_equal_mixture_of_axis_products():

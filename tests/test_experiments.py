@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophoton import compare, fock
+from twophoton import compare, engine
 from twophoton.cli import LIBRARY_NAMES, _csv, _library_args, _sweep_values, parse_config, run_sweep
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
@@ -145,22 +145,27 @@ def flat_reference(entry, formula, step=1):
 
 
 def side2_offset(arm, **point):
-    # deviates on side 2 only, so the worst point lies in the second arm's call
-    return EXPERIMENTS["double_trigger"].formula(arm, **point) + (1e-9 if arm is Arm.SIDE2 else 0.0)
+    # deviates on side 2 only, so the worst point lies in the second half of
+    # the arm axis; `arm` is one Arm or an array of them
+    return EXPERIMENTS["double_trigger"].formula(arm, **point) + np.where(arm == Arm.SIDE2, 1e-9, 0.0)
+
+
+def nan_at_one_point(ana1, ana2, bs):
+    # a point that evaluates to nan fails with an infinite deviation
+    value = EXPERIMENTS["unpolarized_same_arm"].formula(ana1, ana2, bs)
+    return np.where((ana1 == compare.ANGLES[7]) & (ana2 == compare.ANGLES[0]), np.nan, value)
 
 
 COMPARED = [(e.name, e, e.formula) for e in EXPERIMENTS.values() if e.grid] + [
     ("perturbed", EXPERIMENTS["unpolarized_5050"],
      functools.partial(EXPERIMENTS["unpolarized_5050"].formula, prefactor=0.13)),
     ("side2_offset", EXPERIMENTS["double_trigger"], side2_offset),
+    ("nan_point", EXPERIMENTS["unpolarized_same_arm"], nan_at_one_point),
 ]
-# a thinned grid has no leading axis, so double_trigger's arm cannot lead
-# it there (see test_each_family_is_one_engine_call)
 REFERENCE_CASES = [
     pytest.param(entry, formula, step, id=name if step == 1 else f"{name}-step{step}")
     for step in (1, 7)
     for name, entry, formula in COMPARED
-    if step == 1 or entry.name != "double_trigger"
 ]
 
 
@@ -191,57 +196,53 @@ def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
 
 
 def test_each_family_is_one_engine_call(monkeypatch):
-    # the engine takes one arm per call, so double_trigger's arm leads the
-    # mesh and each arm is a call of its own; every other family is one call
+    # double_trigger's arm is an axis of the mesh like any other, so every
+    # family, that one included, is one engine call over all its points
     calls = []
     for name, entry in list(EXPERIMENTS.items()):
         if entry.grid:
 
             def engine(_name=name, _engine=entry.engine, **point):
                 values = _engine(**point)
-                calls.append((_name, point.get("arm"), np.size(values)))
+                calls.append((_name, np.size(values)))
                 return values
 
             monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(entry, engine=engine))
     results = compare.run_comparison()
     assert all(r.passed() for r in results)
     assert calls == [
-        ("coincidence", None, 12**4),
-        ("same_arm", Arm.SIDE2, 12**4),
-        ("unpolarized", None, 12 * 12 * 4 * 4),
-        ("unpolarized_5050", None, 12 * 12 * 4),
-        ("no_polarizers", None, 12 * 12 * 4),
-        ("same_arm_no_polarizers", None, 12 * 12),
-        ("unpolarized_same_arm", None, 12 * 12),
-        ("double_trigger", Arm.SIDE1, 12**3),
-        ("double_trigger", Arm.SIDE2, 12**3),
+        ("coincidence", 12**4),
+        ("same_arm", 12**4),
+        ("unpolarized", 12 * 12 * 4 * 4),
+        ("unpolarized_5050", 12 * 12 * 4),
+        ("no_polarizers", 12 * 12 * 4),
+        ("same_arm_no_polarizers", 12 * 12),
+        ("unpolarized_same_arm", 12 * 12),
+        ("double_trigger", 2 * 12**3),
     ]
-    # a larger step makes every kept point a row, where an arm cannot lead
-    entry = EXPERIMENTS["double_trigger"]
-    with pytest.raises(ValueError, match="an Arm parameter must be a leading grid axis"):
-        compare._check(entry, entry.formula, step=7)
 
 
 def test_overlaps_run_once_per_distinct_setting(monkeypatch):
     # a photon's row spans its own incident angle only, so the largest
     # overlap u.p of a family spans (detector row, photon row) pairs, never
-    # the family's points
+    # the family's points; each overlap is the product of a detector row's
+    # entries on one side with one photon's row
     largest = {}
     family = None
-    check, dot = compare._check, fock._dot
+    check, amplitude = compare._check, engine.vacuum_amplitude
 
     def tracked_check(entry, *args):
         nonlocal family
         family = entry.name
         return check(entry, *args)
 
-    def tracked_dot(u, p):
-        overlap = dot(u, p)
-        largest[family] = max(largest.get(family, 0), overlap.size)
-        return overlap
+    def tracked_amplitude(u_a, u_b, state):
+        overlaps = (np.broadcast(u[..., 0], p[..., 0]).size for u in (u_a, u_b) for p in state)
+        largest[family] = max(largest.get(family, 0), *overlaps)
+        return amplitude(u_a, u_b, state)
 
     monkeypatch.setattr(compare, "_check", tracked_check)
-    monkeypatch.setattr(fock, "_dot", tracked_dot)
+    monkeypatch.setattr(engine, "vacuum_amplitude", tracked_amplitude)
     assert all(r.passed() for r in compare.run_comparison())
     assert largest == {
         "coincidence": 12**3,
@@ -249,16 +250,17 @@ def test_overlaps_run_once_per_distinct_setting(monkeypatch):
         # one analyzer's rows against the four components of unpolarized light
         "unpolarized": 12 * 4 * 4 * 4,
         "unpolarized_5050": 12 * 4 * 4,
-        "no_polarizers": 12 * 4,
-        "same_arm_no_polarizers": 12,
-        "unpolarized_same_arm": 12 * 4,
-        "double_trigger": 12 * 12,
+        # ports and sides are axes of the rows: 2 ports, then 2 ports x 2 sides
+        "no_polarizers": 12 * 4 * 2,
+        "same_arm_no_polarizers": 12 * 2 * 2,
+        "unpolarized_same_arm": 12 * 4 * 2,
+        "double_trigger": 2 * 12 * 12,
     }
 
 
 def test_a_comparison_pass_stays_within_its_memory_budget():
     # each family is one engine call with no cap on its points, so the grid
-    # bounds the memory: a full pass peaks near 1.15 MiB
+    # bounds the memory: a full pass peaks near 1.10 MiB
     compare.run_comparison()
     tracemalloc.start()
     try:

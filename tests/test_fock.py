@@ -26,10 +26,32 @@ A1X, A1Y = unit(Arm.SIDE1, Pol.X), unit(Arm.SIDE1, Pol.Y)
 A2X, A2Y = unit(Arm.SIDE2, Pol.X), unit(Arm.SIDE2, Pol.Y)
 
 
-def pattern_amplitudes(inc: IncidentPolarization) -> dict[tuple[int, int], float]:
-    """Amplitude of each one-photon-per-side occupation pattern (m1, m2)."""
+def pattern_amplitudes(inc: IncidentPolarization) -> dict[tuple[Pol, Pol], float]:
+    """Amplitude of each one-photon-per-side occupation pattern: the side-1
+    photon in polarization q1, the side-2 photon in q2."""
     p1, p2 = product_state(inc)
-    return {(m1, m2): p1[m1] * p2[m2] for m1 in range(N_MODES) for m2 in range(N_MODES)}
+    return {(q1, q2): p1[q1.value] * p2[q2.value] for q1 in Pol for q2 in Pol}
+
+
+def four_mode_rows(state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The photon rows over all four modes, zero on the other side's modes."""
+    p1, p2 = state
+    q1, q2 = np.zeros(p1.shape[:-1] + (N_MODES,)), np.zeros(p2.shape[:-1] + (N_MODES,))
+    for pol in Pol:
+        q1[..., mode_index(Arm.SIDE1, pol)] = p1[..., pol.value]
+        q2[..., mode_index(Arm.SIDE2, pol)] = p2[..., pol.value]
+    return q1, q2
+
+
+def dot(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """u.q over all four modes, the four terms added left to right."""
+    return u[..., 0] * q[..., 0] + u[..., 1] * q[..., 1] + u[..., 2] * q[..., 2] + u[..., 3] * q[..., 3]
+
+
+def four_mode_amplitude(u_a, u_b, state):
+    """The 2x2 permanent over zero-padded four-mode photon rows."""
+    q1, q2 = four_mode_rows(state)
+    return dot(u_a, q1) * dot(u_b, q2) + dot(u_a, q2) * dot(u_b, q1)
 
 
 def test_mode_indexing_is_a_bijection():
@@ -43,11 +65,10 @@ def test_product_state_amplitudes_are_weight_products():
     amps = pattern_amplitudes(inc)
     c1, s1 = math.cos(inc.theta1), math.sin(inc.theta1)
     c2, s2 = math.cos(inc.theta2), math.sin(inc.theta2)
-    i = {(arm, pol): mode_index(arm, pol) for arm in Arm for pol in Pol}
-    assert abs(amps[i[Arm.SIDE1, Pol.X], i[Arm.SIDE2, Pol.X]] - c1 * c2) < TOL
-    assert abs(amps[i[Arm.SIDE1, Pol.X], i[Arm.SIDE2, Pol.Y]] - c1 * s2) < TOL
-    assert abs(amps[i[Arm.SIDE1, Pol.Y], i[Arm.SIDE2, Pol.X]] - s1 * c2) < TOL
-    assert abs(amps[i[Arm.SIDE1, Pol.Y], i[Arm.SIDE2, Pol.Y]] - s1 * s2) < TOL
+    assert abs(amps[Pol.X, Pol.X] - c1 * c2) < TOL
+    assert abs(amps[Pol.X, Pol.Y] - c1 * s2) < TOL
+    assert abs(amps[Pol.Y, Pol.X] - s1 * c2) < TOL
+    assert abs(amps[Pol.Y, Pol.Y] - s1 * s2) < TOL
     assert abs(sum(a * a for a in amps.values()) - 1.0) < TOL
 
 
@@ -63,17 +84,17 @@ def test_diagonal_product_state_spreads_evenly():
 def test_product_state_drops_zero_amplitudes():
     # Aligned x polarizations populate exactly one pattern.
     amps = pattern_amplitudes(IncidentPolarization(0.0, 0.0))
-    x1, x2 = mode_index(Arm.SIDE1, Pol.X), mode_index(Arm.SIDE2, Pol.X)
-    assert {m for m, a in amps.items() if a != 0.0} == {(x1, x2)}
-    assert abs(amps[x1, x2] - 1.0) < TOL
+    assert {q for q, a in amps.items() if a != 0.0} == {(Pol.X, Pol.X)}
+    assert abs(amps[Pol.X, Pol.X] - 1.0) < TOL
 
 
 def test_product_state_broadcasts_over_angle_arrays():
-    # each photon's row runs over its own angle's shape only
+    # each photon's row runs over its own angle's shape only, and over its
+    # own side's two modes
     theta1, theta2 = np.array([0.1, 0.7, 2.0]), np.array([[0.4], [1.3]])
     p1, p2 = product_state(IncidentPolarization(theta1, theta2))
-    assert p1.shape == (3, N_MODES)
-    assert p2.shape == (2, 1, N_MODES)
+    assert p1.shape == (3, 2)
+    assert p2.shape == (2, 1, 2)
     for k, t1 in enumerate(theta1):
         for j, t2 in enumerate(theta2[:, 0]):
             q1, q2 = product_state(IncidentPolarization(float(t1), float(t2)))
@@ -89,11 +110,42 @@ def test_incident_polarization_rejects_nonfinite_angles():
         IncidentPolarization(np.array([0.0, math.nan]), 0.0)
 
 
-def test_annihilation_lowers_with_sqrt_n():
-    # both photons in one mode: a^dag a^dag |0> = sqrt(2) |2>, and the
-    # permanent counts both pairings, so <0| a a |2> = sqrt(2)
-    doubly = (A1X.real, A1X.real)
-    assert abs(vacuum_amplitude(A1X, A1X, doubly) / math.sqrt(2.0) - math.sqrt(2.0)) < TOL
+def test_repeated_operator_counts_both_pairings():
+    # d d empties the pair along either pairing of photons to factors, so
+    # <0| d d |psi> = 2 (u.p1)(u.p2), not (u.p1)(u.p2)
+    rng = np.random.default_rng(20261018)
+    state = product_state(IncidentPolarization(*rng.uniform(0, math.pi, size=2)))
+    q1, q2 = four_mode_rows(state)
+    for _ in range(20):
+        u = rng.normal(size=N_MODES) + 1j * rng.normal(size=N_MODES)
+        assert vacuum_amplitude(u, u, state) == 2.0 * dot(u, q1) * dot(u, q2)
+
+
+def test_two_term_overlaps_square_like_the_four_mode_permanent():
+    # the kernel leaves out the two products of each overlap that meet the
+    # other side's exact zeros in a four-mode photon row; that can only flip
+    # the sign of a zero part, so |amplitude|^2 agrees bit for bit
+    rng = np.random.default_rng(20261019)
+    shape = (4000, N_MODES)
+    u_a, u_b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    for u in (u_a, u_b):
+        # exact zeros of both signs in real and imaginary parts
+        u.real[rng.random(shape) < 0.25] = 0.0
+        u.imag[rng.random(shape) < 0.25] = -0.0
+        u.real[rng.random(shape) < 0.1] = -0.0
+        u.imag[rng.random(shape) < 0.1] = 0.0
+    theta = rng.uniform(-math.pi, math.pi, size=(2, 4000))
+    theta[:, ::7] = rng.choice([0.0, math.pi / 2, -math.pi, math.pi], size=(2, 572))
+    state = product_state(IncidentPolarization(*theta))
+    kernel = np.abs(vacuum_amplitude(u_a, u_b, state)) ** 2
+    reference = np.abs(four_mode_amplitude(u_a, u_b, state)) ** 2
+    assert np.array_equal(kernel.view(np.uint64), reference.view(np.uint64))
+    # broadcast rows too: every detector row against every photon row
+    state = product_state(IncidentPolarization(theta[0, :60], theta[1, :60]))
+    kernel = np.abs(vacuum_amplitude(u_a[:50, None], u_b[:50, None], state)) ** 2
+    reference = np.abs(four_mode_amplitude(u_a[:50, None], u_b[:50, None], state)) ** 2
+    assert kernel.shape == (50, 60)
+    assert np.array_equal(kernel.view(np.uint64), reference.view(np.uint64))
 
 
 def test_annihilation_of_empty_mode_gives_zero_state():
