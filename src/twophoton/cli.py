@@ -21,7 +21,8 @@ The sweepable parameters, accepted inputs and domain (50:50 splitter;
 cos(phi) = cos(psi) at every swept point) of each experiment come from its
 table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
 15 significant digits, and is byte-stable for a fixed configuration and
-seed; `_csv` writes every CSV, one format string per row.
+seed; `_csv` writes every CSV, all of its rows with one format call on
+a template joined from each row's cached template.
 
 The argparse parser is built once per process, on the first `main` call,
 and every later `main` call reuses it: parsing leaves the parser as it was,
@@ -161,10 +162,16 @@ def _coerce_set_value(raw: str, template: Any) -> Any:
     return raw
 
 
+def _copy_config(cfg: dict[str, Any]) -> dict[str, Any]:
+    """A copy of a two-level config: its `sweep` object is copied too."""
+    return {key: dict(value) if isinstance(value, dict) else value for key, value in cfg.items()}
+
+
 def apply_set_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]:
-    """Apply repeated --set key=value overrides (dotted paths allowed)."""
+    """Apply repeated --set key=value overrides (dotted paths allowed) to a
+    copy of the validated config `cfg`."""
     problems: list[tuple[str, str]] = []
-    out = json.loads(json.dumps(cfg))  # deep copy of plain data
+    out = _copy_config(cfg)
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
@@ -224,22 +231,19 @@ def config_to_json(cfg: dict[str, Any]) -> str:
 
 
 @functools.cache
-def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
-    """The formatter of a CSV row whose cells have `types`: a float cell
-    with 15 significant digits, a None cell as an empty field, any other
-    cell as str() of it."""
-    fields = (
-        "" if t is type(None) else f"{{{i}:.15g}}" if issubclass(t, float) else f"{{{i}!s}}"
-        for i, t in enumerate(types)
-    )
-    return ",".join(fields).format
+def _row_template(types: tuple[type, ...]) -> str:
+    """The format template of a CSV line whose cells have `types`: a float
+    cell with 15 significant digits, a None cell as an empty field that
+    takes no argument, any other cell as str() of it."""
+    fields = ("" if t is type(None) else "{:.15g}" if issubclass(t, float) else "{!s}" for t in types)
+    return ",".join(fields) + "\n"
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(_row_format(tuple(map(type, row)))(*row))
-    return "\n".join(lines) + "\n"
+    # the header is not part of the template, so a brace in it stays text
+    template = "".join([_row_template(tuple(map(type, row))) for row in rows])
+    cells = [cell for row in rows for cell in row if cell is not None]
+    return ",".join(header) + "\n" + template.format(*cells)
 
 
 def _sweep_values(sweep: dict[str, Any]) -> list[float]:
@@ -280,9 +284,10 @@ def run_sweep(cfg: dict[str, Any]) -> str:
     param = cfg["sweep"]["param"]
     values = _sweep_values(cfg["sweep"])
     if entry.matched_phases:
-        for value in values:
-            point = {**cfg, param: value}
-            _check_phases(point["phi_deg"], point["psi_deg"])
+        phi, psi = cfg["phi_deg"], cfg["psi_deg"]
+        # the phases are the same at every point unless one of them is swept
+        for value in values if param in ("phi_deg", "psi_deg") else values[:1]:
+            _check_phases(value if param == "phi_deg" else phi, value if param == "psi_deg" else psi)
     swept = LIBRARY_NAMES[param]
     args = _library_args(cfg)
     fixed = {name: args[name] for name in entry.params if name != swept}
@@ -296,8 +301,15 @@ def run_sweep(cfg: dict[str, Any]) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    data: dict[str, Any] = {}
-    if args.config is not None:
+    """The validated config: the `--config` file over the defaults, then
+    the `--set` overrides, then `--seed`.  Each stage reports its own
+    problems and stops the ones after it.  The defaults pass every rule, so
+    without a file they are not checked; a file is checked whatever it
+    holds, so a top level of [], 0, "" or null is still an error.  Only
+    `--seed` changes at the last stage, so only its own rule is checked."""
+    if args.config is None:
+        cfg = _copy_config(DEFAULTS)
+    else:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
         # malformed, an int literal past the int-string digit limit, or nested past the recursion limit
@@ -305,11 +317,15 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:
             raise InvalidJSON(exc) from None
-    cfg = parse_config(data)
+        cfg = parse_config(data)
     if args.set:
         cfg = parse_config(apply_set_overrides(cfg, args.set))
-    if getattr(args, "seed", None) is not None:
-        cfg = parse_config({**cfg, "seed": args.seed})
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        key = KEYS["seed"]
+        if not key.rule(seed):
+            raise ConfigError([("seed", key.message.format(seed))])
+        cfg = {**cfg, "seed": seed}
     return cfg
 
 

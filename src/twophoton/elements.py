@@ -18,8 +18,10 @@ Conventions fixed here and relied on everywhere else:
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (`fock.mode_index`
-order).  Angles, phases and splitter amplitudes may be numpy arrays; they
-broadcast, and the rows gain the broadcast shape as leading axes.
+order).  `analyzer_rows` builds an analyzer's two port rows at once, on an
+axis of their own.  Angles, phases and splitter amplitudes may be numpy
+arrays; they broadcast, and the rows gain the broadcast shape as leading
+axes.
 """
 
 from __future__ import annotations
@@ -43,13 +45,19 @@ class BeamSplitterSpec:
     ry: float
 
     def __post_init__(self) -> None:
+        # Python numbers are checked with plain comparisons, arrays elementwise
+        numbers = all(isinstance(v, (int, float)) for v in (self.tx, self.ty, self.rx, self.ry))
         for name in ("tx", "ty", "rx", "ry"):
             v = getattr(self, name)
-            if not (_all_finite(v) and np.all((-TOL <= v) & (v <= 1.0 + TOL))):
+            if numbers:
+                valid = math.isfinite(v) and -TOL <= v <= 1.0 + TOL
+            else:
+                valid = _all_finite(v) and np.all((-TOL <= v) & (v <= 1.0 + TOL))
+            if not valid:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         for axis, t, r in (("x", self.tx, self.rx), ("y", self.ty, self.ry)):
             norm = t**2 + r**2
-            if np.any(np.abs(norm - 1.0) > TOL):
+            if abs(norm - 1.0) > TOL if numbers else np.any(np.abs(norm - 1.0) > TOL):
                 raise ValueError(f"lossy {axis} axis: t{axis}^2 + r{axis}^2 = {norm!r}")
 
     @classmethod
@@ -72,6 +80,11 @@ class BeamSplitterSpec:
         return self.rx if pol is Pol.X else self.ry
 
 
+def _check_angle(theta: float) -> None:
+    if not _all_finite(theta):
+        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
+
+
 class Port(Enum):
     """Output port of a two-channel (birefringent) analyzer."""
 
@@ -88,8 +101,7 @@ class AnalyzerSetting:
     port: Port = Port.PARALLEL
 
     def __post_init__(self) -> None:
-        if not _all_finite(self.theta):
-            raise ValueError(f"analyzer angle must be finite, got {self.theta!r}")
+        _check_angle(self.theta)
 
     def weights(self) -> tuple[float, float]:
         """Projection weights (wx, wy) of this port."""
@@ -145,6 +157,29 @@ def _port_row(
     for index, value in entries.items():
         row[..., index] = value
     return row
+
+
+def analyzer_rows(theta: float, bs: BeamSplitterSpec, t_phase: complex, r_phase: complex) -> np.ndarray:
+    """Rows of both ports of a side-1 analyzer at `theta`, in `Port` order
+    on an axis before the modes: (..., 2, 4).
+
+    Each entry is the product `_port_row` forms for that port, in the same
+    order, so a row equals `_port_row`'s bit for bit.  The rows of a side-2
+    analyzer are these with the two sides' modes swapped.
+    """
+    _check_angle(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    weights = np.stack((c, -s, s, c), axis=-1)  # x then y weights, each over the ports
+    wx, wy = weights[..., :2], weights[..., 2:]
+    # phases and amplitudes gain the ports axis
+    tp, rp = (np.asarray(p)[..., None] for p in (t_phase, 1j * r_phase))
+    tx, ty, rx, ry = (np.asarray(a)[..., None] for a in (bs.tx, bs.ty, bs.rx, bs.ry))
+    # side 1's modes in `mode_index` order: transmitted x, y, then reflected x, y
+    entries = (tp * wx * tx, tp * wy * ty, rp * wx * rx, rp * wy * ry)
+    rows = np.empty(np.broadcast(*entries).shape + (N_MODES,), dtype=complex)
+    for index, value in enumerate(entries):
+        rows[..., index] = value
+    return rows
 
 
 def detector_operator(

@@ -32,10 +32,12 @@ from .elements import (
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
+    _port_row,
+    analyzer_rows,
     detector_operator,
     same_arm_operator_pair,
 )
-from .fock import Arm, IncidentPolarization, product_state, vacuum_amplitude
+from .fock import N_MODES, Arm, IncidentPolarization, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -123,6 +125,23 @@ _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 _OTHER_SIDE = np.array([2, 3, 0, 1])
 
 
+# `full_outcome_distribution`'s row bank: five blocks of two rows, one per
+# port in `Port` order.  Block 0 holds side 1's opposite-side rows; then come
+# side 1's first and second same-side rows, then side 2's.
+_FIRST_BLOCK = {Arm.SIDE1: 1, Arm.SIDE2: 3}
+
+
+def _bank_rows(o: Outcome) -> tuple[int, int]:
+    """The bank rows of an outcome's two detectors.  An opposite-side
+    outcome's side-2 row is the second row of side 2's pair at its port."""
+    first = 0 if o.kind is OutcomeKind.OPPOSITE else _FIRST_BLOCK[o.arm]
+    second = _FIRST_BLOCK[o.arm or Arm.SIDE2] + 1
+    return 2 * first + o.port1.value, 2 * second + o.port2.value
+
+
+_BANK_A, _BANK_B = np.array([_bank_rows(o) for o in _OUTCOMES]).T
+
+
 def _both_sides(u: np.ndarray) -> np.ndarray:
     """Side-1 rows u and their side-2 rows, on a new axis before the modes."""
     return np.stack((u, u[..., _OTHER_SIDE]), axis=-2)
@@ -192,10 +211,8 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseG
     one evaluation.
     """
     # each side's rows of its two ports, in `Port` order, on an axis before the modes
-    u1, u2 = (
-        np.stack([detector_operator(AnalyzerSetting(arm, 0.0, port), bs, geom) for port in Port], axis=-2)
-        for arm in Arm
-    )
+    u1 = analyzer_rows(0.0, bs, 1.0, np.exp(1j * geom.phi))
+    u2 = analyzer_rows(0.0, bs, 1.0, 1.0)[..., _OTHER_SIDE]
     return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
 
@@ -240,9 +257,9 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeom
     The four port pairs of `same_arm_both_arms` are added in `Port` order,
     and ports and sides are axes of one evaluation.
     """
-    pairs = [same_arm_operator_pair(Arm.SIDE1, (0.0, 0.0), bs, geom, (port, port)) for port in Port]
     # first and second rows: (..., port, side, mode)
-    u_a, u_b = (_both_sides(np.stack(rows, axis=-2)) for rows in zip(*pairs))
+    u_a = _both_sides(analyzer_rows(0.0, bs, np.exp(1j * geom.psi), 1.0))
+    u_b = _both_sides(analyzer_rows(0.0, bs, 1.0, 1.0))
     p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
     return _result(_in_order(_in_order(p, 1), 2))
 
@@ -258,13 +275,15 @@ def double_trigger_probability(
     and their relative phase is identically zero.  The squared vacuum
     amplitude of the repeated operator counts the ordered pairings twice and
     is halved, and the same one-sided 1/2 bookkeeping as in
-    `same_arm_probability` applies.
+    `same_arm_probability` applies.  The detector's row is the first row of
+    a same-side pair at psi = 0, exp(0j) on its transmitted terms included;
+    it is the only row built.
     """
     arms = np.asarray(arm, dtype=object)
     side2 = arms == Arm.SIDE2
     if not np.all(side2 | (arms == Arm.SIDE1)):
         raise ValueError(f"arm must be an Arm, got {arm!r}")
-    u, _ = same_arm_operator_pair(Arm.SIDE1, (theta, theta), bs, PhaseGeometry(0.0, 0.0))
+    u = _port_row(AnalyzerSetting(Arm.SIDE1, theta), bs, np.exp(1j * 0.0), 1.0)
     u = np.where(side2[..., None], u[..., _OTHER_SIDE], u)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
@@ -285,29 +304,32 @@ def full_outcome_distribution(
     (cos(phi) = cos(psi), e.g. the symmetric geometry phi = psi), which is
     the regime where the twelve outcomes are one experiment's event space.
     Single-detector double triggers are a different event space and are not
-    part of this partition.  Each of the ten distinct detector rows is
-    built once: the four same-side row pairs (side x port) and the two
-    side-1 opposite-side rows (one per port); a side-2 opposite-side row is
-    the second row of side 2's pair at its port.  The twelve outcomes index
-    them, and all twelve amplitudes come from one stacked evaluation.
+    part of this partition.
+
+    The ten distinct detector rows are built as one bank, two ports per
+    analyzer from five `analyzer_rows` calls: side 1's opposite-side rows
+    (phi on the reflected terms), then the first (psi on the transmitted
+    terms) and second rows of each side's same-side pairs, side 2's as
+    side-1 rows with the sides swapped.  A side-2 opposite-side row carries
+    no phase, so it is the second row of side 2's pair at its port.  Two
+    index arrays gather the twelve outcomes' row pairs, and all twelve
+    amplitudes come from one stacked evaluation.
     """
-    sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-    # same[arm, port] = (first, second): the rows of a same-side pair with both ports at `port`
-    same = {
-        (arm, port): same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
-        for arm, theta in sides
-        for port in Port
-    }
-    side1 = {port: detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, port), bs, geom) for port in Port}
-    pairs = [
-        # a side-2 detector row carries no phase: it is the second row of side 2's pair at its port
-        (side1[o.port1], same[Arm.SIDE2, o.port2][1])
-        if o.kind is OutcomeKind.OPPOSITE
-        else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
-        for o in _OUTCOMES
+    psi = np.exp(1j * geom.psi)
+    blocks = [
+        analyzer_rows(theta1, bs, 1.0, np.exp(1j * geom.phi)),
+        analyzer_rows(theta1, bs, psi, 1.0),
+        analyzer_rows(theta1, bs, 1.0, 1.0),
+        analyzer_rows(theta2, bs, psi, 1.0)[..., _OTHER_SIDE],
+        analyzer_rows(theta2, bs, 1.0, 1.0)[..., _OTHER_SIDE],
     ]
-    # the detector rows of all twelve outcomes, stacked: (..., 12, 4)
-    u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2) for rows in zip(*pairs))
+    shape = np.broadcast_shapes(*(block.shape[:-2] for block in blocks))
+    bank = np.empty((*shape, len(blocks), 2, N_MODES), dtype=complex)
+    for k, block in enumerate(blocks):
+        bank[..., k, :, :] = block
+    bank = bank.reshape(*shape, 2 * len(blocks), N_MODES)
+    # the detector rows of all twelve outcomes: (..., 12, 4)
+    u_a, u_b = bank[..., _BANK_A, :], bank[..., _BANK_B, :]
     p = _squared_amplitudes(inp, u_a, u_b, axes=1)
     if inp.polarization is None:
         # Unlike `_detect`, the four components are added as

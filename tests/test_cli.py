@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twophoton
+from twophoton import compare as comparemod
 from twophoton.cli import (
     DEFAULTS,
     ConfigError,
@@ -445,6 +447,20 @@ def test_compare_detects_perturbed_constant(tmp_path, capsys):
     assert "unpolarized_5050" in report and "FAIL" in report
 
 
+def test_compare_perturbed_past_the_largest_float_fails_quietly(capsys):
+    # 1e308 times a factor above one overflows the closed form to inf: the
+    # family fails with an infinite deviation, and no numpy warning is raised
+    argv = ["compare", "--step", "4096", "--perturb", "unpolarized_5050_prefactor=1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [line for line in captured.out.splitlines() if line.endswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("unpolarized_5050 ") and "max|dev|=inf  mean|dev|=inf" in failed[0]
+
+
 def test_compare_rejects_unknown_perturbation(capsys):
     assert main(["compare", "--perturb", "bogus=1"]) == 1
     assert "unknown perturbation" in capsys.readouterr().err
@@ -555,6 +571,16 @@ def test_row_formatter_matches_the_cell_by_cell_rule():
     header = ["a", "b", "c"]
     assert _csv(header, rows) == _csv_cell_by_cell(header, rows)
     assert _csv(header, []) == "a,b,c\n"
+    # a header is text even where it looks like a format field
+    braces = ["{0}", "{}", "x{{y}}", "{:.15g}"]
+    assert _csv(braces, rows) == _csv_cell_by_cell(braces, rows)
+    # a sweep-sized block of rows of one layout
+    values = np.linspace(-1.0, 1.0, 73).tolist()
+    for block in (
+        [(v, v / 3.0, v * 1e300, abs(v - 0.5)) for v in values],
+        [(v, 3.0 + v, None, None) for v in values],
+    ):
+        assert _csv(braces, block) == _csv_cell_by_cell(braces, block)
 
 
 def test_run_sweep_single_step_uses_start_value():
@@ -618,6 +644,28 @@ PINNED_SHA256 = {
     ("mc", "mc_run", "opposite_phases"):
         "31741a6b0239770422b2bd5026037d05a3c899052547463e47cc61a980628910",
 }
+
+
+def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
+    # the exact column and the Monte Carlo estimate read one distribution;
+    # a sweep is not handed another sweep's, nor keeps its own for the next
+    calls, full = [], comparemod.full_outcome_distribution
+    monkeypatch.setattr(comparemod, "full_outcome_distribution", lambda *args: calls.append(args) or full(*args))
+    monkeypatch.setattr(comparemod, "_last_mc_run", None)
+    # what a lone call keeps is not handed to a sweep of the same shapes at other values
+    point = dict(pol1=0.1, pol2=0.2, ana1=np.linspace(0.0, 1.0, 29), ana2=0.4, phi=0.5, psi=0.5)
+    bs = comparemod.BeamSplitterSpec.fifty_fifty()
+    comparemod.EXPERIMENTS["mc_run"].formula(run=None, input_kind="polarized", bs=bs, **point)
+    calls.clear()
+    outputs = []
+    for theta2 in ("-41.7", "12.9", "-41.7", "-41.7"):
+        sets = [*OFF_LATTICE_SETS, *INPUT_CASES["polarized"], "experiment=mc_run", f"theta2_deg={theta2}"]
+        assert main(["sweep", *(arg for pair in sets for arg in ("--set", pair))]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(calls) == len(outputs)
+    assert outputs[0] == outputs[2] == outputs[3] != outputs[1]
+    digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+    assert digest == PINNED_SHA256[("sweep", "mc_run", "polarized")]
 
 
 @pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)

@@ -49,6 +49,20 @@ CASES = {
         ["efficiency: must lie in (0, 1] with efficiency**2 > 0, got 1e-170"],
     ),
     "seed_flag": ("mc", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
+    # a file's own problem stops the run before --seed applies
+    "seed_in_file_and_flag": (
+        "sweep",
+        {"seed": -1},
+        ["--seed", "3"],
+        ["seed: must be a nonnegative integer, got -1"],
+    ),
+    # a --set problem stops the run before --seed is checked
+    "set_then_seed_flag": (
+        "mc",
+        None,
+        [*sets("sweep.steps=abc"), "--seed", "-1"],
+        ["sweep.steps: cannot parse 'abc' as int"],
+    ),
     # a non-finite constant would make the negative control fail on nan or inf
     "perturb_overflow": (
         "compare",
@@ -237,6 +251,17 @@ def test_config_error_text_is_pinned(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "".join(f"config error at {line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("text", ["[]", "0", '""', "false", "null"])
+def test_a_config_file_that_is_not_an_object_is_checked(text, tmp_path, capsys):
+    # empty or false data is still data: the file is checked, not the defaults
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error at config: top level must be a JSON object\n"
 
 
 @pytest.mark.parametrize(

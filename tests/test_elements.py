@@ -9,6 +9,8 @@ from twophoton.elements import (
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
+    _port_row,
+    analyzer_rows,
     detector_operator,
     phase_from_positions,
     same_arm_operator_pair,
@@ -26,6 +28,33 @@ def test_beam_splitter_rejects_lossy_amplitudes():
     s = 1.0 / math.sqrt(2.0)
     with pytest.raises(ValueError):  # one lossy entry of an array-valued splitter
         BeamSplitterSpec(np.array([s, 0.9]), s, np.array([s, 0.9]), s)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (1.0, 0.0, 0.0, 1.0),
+        (1.0 + TOL / 2.0, -TOL / 2.0, 0.0, 1.0),  # inside the tolerance
+        (1.0 + 2.0 * TOL, 0.0, 0.0, 1.0),
+        (-2.0 * TOL, 1.0, 1.0, 0.0),
+        (0.6, 0.6, 0.8 + 0.9 * TOL, 0.8),
+        (0.6, 0.6, 0.8, 0.8 + 3.0 * TOL),  # lossy y axis
+        (math.nan, 0.0, 1.0, 1.0),
+        (0.0, math.inf, 1.0, 1.0),
+        (1, 0, 0, 1),
+        (True, 0.0, 0.0, 1.0),
+    ],
+)
+def test_python_numbers_are_checked_by_the_array_rule(fields):
+    # the same outcome and message as the fields given as one-element arrays
+    def outcome(*args):
+        try:
+            BeamSplitterSpec(*args)
+        except ValueError as exc:
+            return str(exc).partition(" got ")[0].partition(" = ")[0]
+        return None
+
+    assert outcome(*fields) == outcome(*(np.array([float(v)]) for v in fields))
 
 
 def test_from_transmission_is_lossless():
@@ -203,3 +232,25 @@ def test_side2_rows_are_side1_rows_with_the_sides_swapped():
         side2 = same_arm_operator_pair(Arm.SIDE2, thetas, bs, geom, ports)
         for u1, u2 in zip(side1, side2):
             assert np.array_equal(u1[..., [2, 3, 0, 1]], u2)
+
+
+def test_analyzer_rows_are_port_rows_bit_for_bit():
+    # every entry, signs of zero included, is the product `_port_row` forms
+    tx, ty = RNG.uniform(0.0, 1.0, size=(2, 1, 3))
+    splitters = [
+        BeamSplitterSpec.from_transmission(0.83, 0.37),
+        BeamSplitterSpec.from_transmission(1.0, 0.0),
+        BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty)),
+    ]
+    thetas = [0.0, -0.0, math.pi / 2.0, 1.3, RNG.uniform(-4.0, 4.0, size=(4, 1, 1))]
+    phases = [1.0, np.exp(1j * 0.0), np.exp(1j * RNG.uniform(-7.0, 7.0, size=(3,)))]
+    for bs in splitters:
+        for theta in thetas:
+            for t_phase, r_phase in [(t, r) for t in phases for r in phases]:
+                rows = analyzer_rows(theta, bs, t_phase, r_phase)
+                for port in Port:
+                    row = _port_row(AnalyzerSetting(Arm.SIDE1, theta, port), bs, t_phase, r_phase)
+                    assert rows[..., port.value, :].shape == row.shape
+                    assert rows[..., port.value, :].tobytes() == row.tobytes()
+    with pytest.raises(ValueError, match="^analyzer angle must be finite"):
+        analyzer_rows(np.array([0.1, math.nan]), splitters[0], 1.0, 1.0)

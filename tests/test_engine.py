@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twophoton import elements, formulas
+from twophoton import elements, engine, formulas
 from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
 from twophoton.engine import (
     OPPOSITE,
@@ -327,19 +327,70 @@ def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
         assert np.array_equal(batch[i, j], one)
 
 
+def _per_port_distribution(inp, theta1, theta2, bs, geom):
+    """The distribution with each of its ten distinct rows built by its own
+    `_port_row` call, kept as the reference for the row bank: the four
+    same-side pairs (side x port) and the two side-1 opposite-side rows; a
+    side-2 opposite-side row is the second row of side 2's pair."""
+    sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
+    same = {
+        (arm, port): elements.same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
+        for arm, theta in sides
+        for port in Port
+    }
+    side1 = {
+        port: elements.detector_operator(elements.AnalyzerSetting(Arm.SIDE1, theta1, port), bs, geom)
+        for port in Port
+    }
+    pairs = [
+        (side1[o.port1], same[Arm.SIDE2, o.port2][1])
+        if o.kind is OutcomeKind.OPPOSITE
+        else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
+        for o in all_outcomes()
+    ]
+    u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2) for rows in zip(*pairs))
+    p = engine._squared_amplitudes(inp, u_a, u_b, axes=1)
+    if inp.polarization is None:
+        p = ((p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])) * 0.25
+    return engine._FACTORS * p
+
+
 @pytest.mark.parametrize("polarized", [True, False])
-def test_full_distribution_builds_each_distinct_row_once(polarized, monkeypatch):
-    # four same-side pairs (side x port) and the two side-1 opposite-side
-    # rows; a side-2 opposite-side row is the second row of side 2's pair
-    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
-    geom = PhaseGeometry(0.4, 1.3)
-    inp = InputSpec.polarized(0.2, 1.1) if polarized else InputSpec.unpolarized()
-    expected = full_outcome_distribution(inp, 0.3, 0.9, bs, geom)
-    builds, port_row = [], elements._port_row
-    monkeypatch.setattr(elements, "_port_row", lambda *args: builds.append(args) or port_row(*args))
-    dist = full_outcome_distribution(inp, 0.3, 0.9, bs, geom)
-    assert len(builds) == 10
-    assert np.array_equal(dist, expected)
+def test_full_distribution_builds_its_row_bank_in_five_calls(polarized, monkeypatch):
+    # one `analyzer_rows` call per block of two ports, and no one-port row;
+    # the result equals the per-port reference bit for bit, on scalars and
+    # on broadcast arrays of every argument
+    rng = np.random.default_rng(19)
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 1, 3))
+    cases = [
+        (0.3, 0.9, BeamSplitterSpec.from_transmission(0.83, 0.37), PhaseGeometry(0.4, 1.3)),
+        (0.3, 0.9, BeamSplitterSpec.from_transmission(1.0, 0.0), PhaseGeometry(-0.0, math.pi)),
+        (
+            rng.uniform(-4.0, 4.0, size=(4, 1, 1)),
+            rng.uniform(-4.0, 4.0, size=(5, 1)),
+            BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty)),
+            PhaseGeometry(rng.uniform(-7.0, 7.0, size=(3,)), rng.uniform(-7.0, 7.0, size=(5, 1))),
+        ),
+    ]
+    for theta1, theta2, bs, geom in cases:
+        inp = InputSpec.polarized(0.2, rng.uniform(-4.0, 4.0, size=(5, 1))) if polarized else InputSpec.unpolarized()
+        expected = _per_port_distribution(inp, theta1, theta2, bs, geom)
+        banks, ports, analyzer_rows, port_row = [], [], engine.analyzer_rows, elements._port_row
+        with monkeypatch.context() as m:
+            m.setattr(engine, "analyzer_rows", lambda *args: banks.append(args) or analyzer_rows(*args))
+            m.setattr(elements, "_port_row", lambda *args: ports.append(args) or port_row(*args))
+            dist = full_outcome_distribution(inp, theta1, theta2, bs, geom)
+        assert (len(banks), len(ports)) == (5, 0)
+        assert dist.shape == expected.shape
+        assert dist.tobytes() == expected.tobytes()
+
+
+def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
+    builds, port_row = [], engine._port_row
+    monkeypatch.setattr(engine, "_port_row", lambda *args: builds.append(args) or port_row(*args))
+    monkeypatch.setattr(engine, "same_arm_operator_pair", None)  # no pair is built
+    double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array(list(Arm), dtype=object), 0.4, BS)
+    assert len(builds) == 1
 
 
 def test_unpolarized_coincidence_depends_only_on_analyzer_difference():
