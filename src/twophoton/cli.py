@@ -21,8 +21,7 @@ The sweepable parameters, accepted inputs and domain (50:50 splitter;
 cos(phi) = cos(psi) at every swept point) of each experiment come from its
 table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
 15 significant digits, and is byte-stable for a fixed configuration and
-seed; `_csv` writes every CSV, all of its rows with one format call on
-a template joined from each row's cached template.
+seed; `_csv` writes every CSV, one format string per row.
 
 The argparse parser is built once per process, on the first `main` call,
 and every later `main` call reuses it: parsing leaves the parser as it was,
@@ -231,19 +230,22 @@ def config_to_json(cfg: dict[str, Any]) -> str:
 
 
 @functools.cache
-def _row_template(types: tuple[type, ...]) -> str:
-    """The format template of a CSV line whose cells have `types`: a float
-    cell with 15 significant digits, a None cell as an empty field that
-    takes no argument, any other cell as str() of it."""
-    fields = ("" if t is type(None) else "{:.15g}" if issubclass(t, float) else "{!s}" for t in types)
-    return ",".join(fields) + "\n"
+def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
+    """The formatter of a CSV row whose cells have `types`: a float cell
+    with 15 significant digits, a None cell as an empty field, any other
+    cell as str() of it."""
+    fields = (
+        "" if t is type(None) else f"{{{i}:.15g}}" if issubclass(t, float) else f"{{{i}!s}}"
+        for i, t in enumerate(types)
+    )
+    return ",".join(fields).format
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    # the header is not part of the template, so a brace in it stays text
-    template = "".join([_row_template(tuple(map(type, row))) for row in rows])
-    cells = [cell for row in rows for cell in row if cell is not None]
-    return ",".join(header) + "\n" + template.format(*cells)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(_row_format(tuple(map(type, row)))(*row))
+    return "\n".join(lines) + "\n"
 
 
 def _sweep_values(sweep: dict[str, Any]) -> list[float]:

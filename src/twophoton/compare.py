@@ -146,32 +146,26 @@ def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
     return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
 
 
-def _value_key(value: Any) -> tuple:
-    """A key that two arguments share exactly when their values are the
-    same: type, dtype, shape and bytes (so -0.0 is not 0.0), never identity."""
-    if isinstance(value, BeamSplitterSpec):
-        return tuple(_value_key(v) for v in (value.tx, value.ty, value.rx, value.ry))
-    array = np.asarray(value)
-    return type(value), array.dtype.str, array.shape, array.tobytes()
-
-
-# the key and the read-only result of the last `_mc_run_distribution` call,
-# until the next call takes them
-_last_mc_run: tuple[tuple, np.ndarray] | None = None
+# the arguments and the read-only result of the last `_mc_run_distribution`
+# call, until the next call takes them
+_last_mc_run: tuple[dict[str, Any], np.ndarray] | None = None
 
 
 def _mc_run_distribution(**point) -> np.ndarray:
     """`outcome_distribution(**point)`, one build for two calls: a call keeps
-    what it builds, and the next call takes it if it has the same argument
-    values.  So an `mc_run` sweep's exact column and its Monte Carlo
-    estimate read one distribution, and every sweep builds its own."""
+    its arguments and what it builds, and the next call takes the result if
+    it is given the very same argument objects.  `evaluate` hands the same
+    objects to the formula and the engine, so an `mc_run` sweep's exact
+    column and its Monte Carlo estimate read one distribution, and every
+    sweep builds its own.  The kept arguments stay alive, so no other object
+    can take their place."""
     global _last_mc_run
-    key = tuple((name, _value_key(value)) for name, value in sorted(point.items()))
     last, _last_mc_run = _last_mc_run, None
-    if last is not None and last[0] == key:
+    if last is not None and last[0].keys() == point.keys() and all(last[0][k] is v for k, v in point.items()):
         return last[1]
-    _last_mc_run = key, outcome_distribution(**point)
-    return _last_mc_run[1]
+    dist = outcome_distribution(**point)
+    _last_mc_run = point, dist
+    return dist
 
 
 def _opposite_estimate(run: RunConfig, **point) -> np.ndarray:
@@ -395,9 +389,10 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
             columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in table.T))
         else:
             columns[name] = np.asarray(values)[i].reshape(laid)
-    ana, eng = evaluate(entry, formula, fixed, columns)
-    # an inf - inf, or a sum past the largest float, is a failing point, not a warning
+    # a value, a deviation or a sum past the largest float (or an inf - inf)
+    # is a failing point, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        ana, eng = evaluate(entry, formula, fixed, columns)
         dev = np.abs(eng - ana)
         total = float(dev.sum())
     if math.isnan(total):
@@ -432,8 +427,5 @@ def run_comparison(
         formula = entry.formula
         if entry.name == "unpolarized_5050" and perturbations:
             formula = functools.partial(formula, prefactor=perturbations["unpolarized_5050_prefactor"])
-            # a perturbed constant can take the closed form past the largest
-            # float: the inf it gives is a failing point, not a warning
-            formula = np.errstate(over="ignore", invalid="ignore")(formula)
         results.append(_check(entry, formula, step if entry.cycle else 1))
     return results

@@ -18,10 +18,11 @@ Conventions fixed here and relied on everywhere else:
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (`fock.mode_index`
-order).  `analyzer_rows` builds an analyzer's two port rows at once, on an
-axis of their own.  Angles, phases and splitter amplitudes may be numpy
-arrays; they broadcast, and the rows gain the broadcast shape as leading
-axes.
+order).  `analyzer_rows` builds the rows of both ports of an analyzer, on
+an axis of their own, with the phase of the detector's `Role`; the
+one-port operators are its slices.  Angles, phases and splitter amplitudes
+may be numpy arrays; they broadcast, and the rows gain the broadcast shape
+as leading axes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .fock import N_MODES, TOL, Arm, Pol, _all_finite, mode_index
+from .fock import N_MODES, TOL, Arm, Pol, _all_finite
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,28 @@ class BeamSplitterSpec:
         return self.rx if pol is Pol.X else self.ry
 
 
-def _check_angle(theta: float) -> None:
-    if not _all_finite(theta):
-        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
-
-
 class Port(Enum):
     """Output port of a two-channel (birefringent) analyzer."""
 
     PARALLEL = 0
     PERPENDICULAR = 1
+
+
+def _check_angle(theta: float) -> None:
+    if not _all_finite(theta):
+        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
+
+
+def _port_weights(theta: float, ports: Sequence[Port]) -> tuple[np.ndarray, np.ndarray]:
+    """Projection weights (wx, wy) of `ports` of an analyzer at `theta`,
+    each on a last axis in the order of `ports`."""
+    _check_angle(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    by_port = ((c, s), (-s, c))  # parallel, perpendicular
+    wx, wy = (np.empty((*np.shape(c), len(ports))) for _ in "xy")
+    for k, port in enumerate(ports):
+        wx[..., k], wy[..., k] = by_port[port.value]
+    return wx, wy
 
 
 @dataclass(frozen=True)
@@ -105,10 +119,8 @@ class AnalyzerSetting:
 
     def weights(self) -> tuple[float, float]:
         """Projection weights (wx, wy) of this port."""
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        if self.port is Port.PARALLEL:
-            return c, s
-        return -s, c
+        wx, wy = _port_weights(self.theta, (self.port,))
+        return wx[..., 0], wy[..., 0]
 
 
 @dataclass(frozen=True)
@@ -135,49 +147,52 @@ def phase_from_positions(z1: float, z2: float, fringe_spacing: float) -> float:
     return 2.0 * math.pi * (z2 - z1) / fringe_spacing
 
 
-# For each output side: (polarization, transmitted input mode, reflected
-# input mode) per axis.
-_PATHS = {
-    arm: [(pol, mode_index(arm, pol), mode_index(other, pol)) for pol in Pol]
-    for arm, other in ((Arm.SIDE1, Arm.SIDE2), (Arm.SIDE2, Arm.SIDE1))
-}
+# A side-2 row is the side-1 row of the same setting and phases with the two
+# sides' modes swapped: the transmitted and reflected terms trade places.
+OTHER_SIDE = np.array([2, 3, 0, 1])
 
 
-def _port_row(
-    setting: AnalyzerSetting, bs: BeamSplitterSpec, t_phase: complex, r_phase: complex
+class Role(Enum):
+    """A detector's place in a measurement, which fixes the phase its row carries."""
+
+    OPPOSITE = 0  # one of the two detectors of an opposite-side coincidence
+    PAIR_FIRST = 1  # the first detector of a same-side pair
+    PAIR_SECOND = 2  # the second detector of a same-side pair
+
+
+def analyzer_rows(
+    role: Role,
+    arm: Arm,
+    theta: float,
+    bs: BeamSplitterSpec,
+    geom: PhaseGeometry,
+    ports: Sequence[Port] = tuple(Port),
 ) -> np.ndarray:
-    """Row of one analyzer port: the splitter outputs of its side, weighted
-    by the port, with `t_phase` on the transmitted (same-side) terms and
-    `r_phase` on the reflected (other-side) terms."""
-    entries = {}
-    for (pol, transmitted, reflected), w in zip(_PATHS[setting.arm], setting.weights()):
-        entries[transmitted] = t_phase * w * bs.t(pol)
-        entries[reflected] = 1j * r_phase * w * bs.r(pol)
-    row = np.empty(np.broadcast(*entries.values()).shape + (N_MODES,), dtype=complex)
-    for index, value in entries.items():
-        row[..., index] = value
-    return row
+    """Rows of the analyzer at `theta` on `arm`, one per port of `ports`
+    (both, in `Port` order, by default) on an axis before the modes:
+    (..., len(ports), 4).
 
-
-def analyzer_rows(theta: float, bs: BeamSplitterSpec, t_phase: complex, r_phase: complex) -> np.ndarray:
-    """Rows of both ports of a side-1 analyzer at `theta`, in `Port` order
-    on an axis before the modes: (..., 2, 4).
-
-    Each entry is the product `_port_row` forms for that port, in the same
-    order, so a row equals `_port_row`'s bit for bit.  The rows of a side-2
-    analyzer are these with the two sides' modes swapped.
+    Each row holds the splitter outputs of its side, weighted by its port.
+    The phases follow the module conventions: an opposite-side side-1 row
+    carries exp(i*phi) on its reflected (other-side) terms, the first row
+    of a same-side pair exp(i*psi) on its transmitted (same-side) terms,
+    and every other row none.
     """
-    _check_angle(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    weights = np.stack((c, -s, s, c), axis=-1)  # x then y weights, each over the ports
-    wx, wy = weights[..., :2], weights[..., 2:]
-    # phases and amplitudes gain the ports axis
-    tp, rp = (np.asarray(p)[..., None] for p in (t_phase, 1j * r_phase))
-    tx, ty, rx, ry = (np.asarray(a)[..., None] for a in (bs.tx, bs.ty, bs.rx, bs.ry))
+    if role is Role.OPPOSITE:
+        t_phase, r_phase = 1.0, np.exp(1j * geom.phi) if arm is Arm.SIDE1 else 1.0
+    elif role is Role.PAIR_FIRST:
+        t_phase, r_phase = np.exp(1j * geom.psi), 1.0
+    else:
+        t_phase, r_phase = 1.0, 1.0
+    wx, wy = _port_weights(theta, ports)
+    # array phases and amplitudes gain the ports axis
+    tp, rp, tx, ty, rx, ry = (
+        a[..., None] if isinstance(a, np.ndarray) else a for a in (t_phase, 1j * r_phase, bs.tx, bs.ty, bs.rx, bs.ry)
+    )
     # side 1's modes in `mode_index` order: transmitted x, y, then reflected x, y
     entries = (tp * wx * tx, tp * wy * ty, rp * wx * rx, rp * wy * ry)
     rows = np.empty(np.broadcast(*entries).shape + (N_MODES,), dtype=complex)
-    for index, value in enumerate(entries):
+    for index, value in zip(range(N_MODES) if arm is Arm.SIDE1 else OTHER_SIDE, entries):
         rows[..., index] = value
     return rows
 
@@ -192,8 +207,7 @@ def detector_operator(
     exp(i*phi) so that the two-path relative phase of an opposite-side
     coincidence is exactly `phi`.
     """
-    r_phase = np.exp(1j * geom.phi) if setting.arm is Arm.SIDE1 else 1.0
-    return _port_row(setting, bs, 1.0, r_phase)
+    return analyzer_rows(Role.OPPOSITE, setting.arm, setting.theta, bs, geom, (setting.port,))[..., 0, :]
 
 
 def same_arm_operator_pair(
@@ -210,6 +224,6 @@ def same_arm_operator_pair(
     which makes `psi` the relative phase between the two pairings
     (which photon reaches which detector) of a same-side pair detection.
     """
-    first = _port_row(AnalyzerSetting(arm, thetas[0], ports[0]), bs, np.exp(1j * geom.psi), 1.0)
-    second = _port_row(AnalyzerSetting(arm, thetas[1], ports[1]), bs, 1.0, 1.0)
+    first = analyzer_rows(Role.PAIR_FIRST, arm, thetas[0], bs, geom, (ports[0],))[..., 0, :]
+    second = analyzer_rows(Role.PAIR_SECOND, arm, thetas[1], bs, geom, (ports[1],))[..., 0, :]
     return first, second

@@ -28,16 +28,17 @@ from enum import Enum
 import numpy as np
 
 from .elements import (
+    OTHER_SIDE,
     AnalyzerSetting,
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
-    _port_row,
+    Role,
     analyzer_rows,
     detector_operator,
     same_arm_operator_pair,
 )
-from .fock import N_MODES, Arm, IncidentPolarization, product_state, vacuum_amplitude
+from .fock import Arm, IncidentPolarization, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -120,31 +121,9 @@ OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
-# A side-2 row is the side-1 row of the same setting and phases with the two
-# sides' modes swapped: the transmitted and reflected terms trade places.
-_OTHER_SIDE = np.array([2, 3, 0, 1])
-
-
-# `full_outcome_distribution`'s row bank: five blocks of two rows, one per
-# port in `Port` order.  Block 0 holds side 1's opposite-side rows; then come
-# side 1's first and second same-side rows, then side 2's.
-_FIRST_BLOCK = {Arm.SIDE1: 1, Arm.SIDE2: 3}
-
-
-def _bank_rows(o: Outcome) -> tuple[int, int]:
-    """The bank rows of an outcome's two detectors.  An opposite-side
-    outcome's side-2 row is the second row of side 2's pair at its port."""
-    first = 0 if o.kind is OutcomeKind.OPPOSITE else _FIRST_BLOCK[o.arm]
-    second = _FIRST_BLOCK[o.arm or Arm.SIDE2] + 1
-    return 2 * first + o.port1.value, 2 * second + o.port2.value
-
-
-_BANK_A, _BANK_B = np.array([_bank_rows(o) for o in _OUTCOMES]).T
-
-
 def _both_sides(u: np.ndarray) -> np.ndarray:
     """Side-1 rows u and their side-2 rows, on a new axis before the modes."""
-    return np.stack((u, u[..., _OTHER_SIDE]), axis=-2)
+    return np.stack((u, u[..., OTHER_SIDE]), axis=-2)
 
 
 def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int) -> np.ndarray:
@@ -211,8 +190,7 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseG
     one evaluation.
     """
     # each side's rows of its two ports, in `Port` order, on an axis before the modes
-    u1 = analyzer_rows(0.0, bs, 1.0, np.exp(1j * geom.phi))
-    u2 = analyzer_rows(0.0, bs, 1.0, 1.0)[..., _OTHER_SIDE]
+    u1, u2 = (analyzer_rows(Role.OPPOSITE, arm, 0.0, bs, geom) for arm in Arm)
     return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
 
@@ -258,8 +236,9 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeom
     and ports and sides are axes of one evaluation.
     """
     # first and second rows: (..., port, side, mode)
-    u_a = _both_sides(analyzer_rows(0.0, bs, np.exp(1j * geom.psi), 1.0))
-    u_b = _both_sides(analyzer_rows(0.0, bs, 1.0, 1.0))
+    u_a, u_b = (
+        _both_sides(analyzer_rows(role, Arm.SIDE1, 0.0, bs, geom)) for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
+    )
     p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
     return _result(_in_order(_in_order(p, 1), 2))
 
@@ -275,16 +254,16 @@ def double_trigger_probability(
     and their relative phase is identically zero.  The squared vacuum
     amplitude of the repeated operator counts the ordered pairings twice and
     is halved, and the same one-sided 1/2 bookkeeping as in
-    `same_arm_probability` applies.  The detector's row is the first row of
-    a same-side pair at psi = 0, exp(0j) on its transmitted terms included;
-    it is the only row built.
+    `same_arm_probability` applies.  The detector's row is the parallel
+    port's first row of a same-side pair at psi = 0, from the one
+    `analyzer_rows` call made.
     """
     arms = np.asarray(arm, dtype=object)
     side2 = arms == Arm.SIDE2
     if not np.all(side2 | (arms == Arm.SIDE1)):
         raise ValueError(f"arm must be an Arm, got {arm!r}")
-    u = _port_row(AnalyzerSetting(Arm.SIDE1, theta), bs, np.exp(1j * 0.0), 1.0)
-    u = np.where(side2[..., None], u[..., _OTHER_SIDE], u)
+    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs, PhaseGeometry(), (Port.PARALLEL,))[..., 0, :]
+    u = np.where(side2[..., None], u[..., OTHER_SIDE], u)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
 
@@ -306,30 +285,23 @@ def full_outcome_distribution(
     Single-detector double triggers are a different event space and are not
     part of this partition.
 
-    The ten distinct detector rows are built as one bank, two ports per
-    analyzer from five `analyzer_rows` calls: side 1's opposite-side rows
-    (phi on the reflected terms), then the first (psi on the transmitted
-    terms) and second rows of each side's same-side pairs, side 2's as
-    side-1 rows with the sides swapped.  A side-2 opposite-side row carries
-    no phase, so it is the second row of side 2's pair at its port.  Two
-    index arrays gather the twelve outcomes' row pairs, and all twelve
-    amplitudes come from one stacked evaluation.
+    The ten distinct detector rows come from five `analyzer_rows` calls,
+    both ports each: side 1's opposite-side rows and each side's same-side
+    pair.  A side-2 opposite-side row carries no phase, so it is the second
+    row of side 2's pair at its port.  All twelve amplitudes come from one
+    stacked evaluation.
     """
-    psi = np.exp(1j * geom.psi)
-    blocks = [
-        analyzer_rows(theta1, bs, 1.0, np.exp(1j * geom.phi)),
-        analyzer_rows(theta1, bs, psi, 1.0),
-        analyzer_rows(theta1, bs, 1.0, 1.0),
-        analyzer_rows(theta2, bs, psi, 1.0)[..., _OTHER_SIDE],
-        analyzer_rows(theta2, bs, 1.0, 1.0)[..., _OTHER_SIDE],
-    ]
-    shape = np.broadcast_shapes(*(block.shape[:-2] for block in blocks))
-    bank = np.empty((*shape, len(blocks), 2, N_MODES), dtype=complex)
-    for k, block in enumerate(blocks):
-        bank[..., k, :, :] = block
-    bank = bank.reshape(*shape, 2 * len(blocks), N_MODES)
-    # the detector rows of all twelve outcomes: (..., 12, 4)
-    u_a, u_b = bank[..., _BANK_A, :], bank[..., _BANK_B, :]
+    d1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom)
+    f1, s1, f2, s2 = (
+        analyzer_rows(role, arm, theta, bs, geom)
+        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
+        for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
+    )
+    # the detector rows of all twelve outcomes, in `all_outcomes()` order:
+    # (..., 12, 4).  The first detector's port changes every second outcome
+    # and the second detector's port every outcome.
+    u_a = np.repeat(np.concatenate(np.broadcast_arrays(d1, f1, f2), axis=-2), 2, axis=-2)
+    u_b = np.concatenate(np.broadcast_arrays(s2, s2, s1, s1, s2, s2), axis=-2)
     p = _squared_amplitudes(inp, u_a, u_b, axes=1)
     if inp.polarization is None:
         # Unlike `_detect`, the four components are added as

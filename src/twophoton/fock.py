@@ -53,7 +53,7 @@ def mode_index(arm: Arm, pol: Pol) -> int:
 def _all_finite(v) -> bool:
     if isinstance(v, (int, float)):
         return math.isfinite(v)
-    return bool(np.all(np.isfinite(v)))
+    return bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True)

@@ -668,6 +668,19 @@ def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
     assert digest == PINNED_SHA256[("sweep", "mc_run", "polarized")]
 
 
+def test_a_kept_distribution_is_handed_on_once(monkeypatch):
+    # the second call with the very same arguments takes the first one's
+    # distribution and empties the slot, so a third call builds its own
+    calls, full = [], comparemod.full_outcome_distribution
+    monkeypatch.setattr(comparemod, "full_outcome_distribution", lambda *args: calls.append(args) or full(*args))
+    monkeypatch.setattr(comparemod, "_last_mc_run", None)
+    point = dict(input_kind="unpolarized", pol1=0.1, pol2=0.2, ana1=np.linspace(0.0, 1.0, 29), ana2=0.4)
+    point.update(phi=0.5, psi=0.5, bs=comparemod.BeamSplitterSpec.fifty_fifty())
+    totals = [comparemod.EXPERIMENTS["mc_run"].formula(run=None, **point) for _ in range(3)]
+    assert len(calls) == 2
+    assert all(np.array_equal(total, totals[0]) for total in totals)
+
+
 @pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)
 def test_distribution_outputs_are_pinned(command, experiment, case, capsys):
     sets = [*OFF_LATTICE_SETS, *INPUT_CASES[case], f"experiment={experiment}"]

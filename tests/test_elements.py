@@ -9,7 +9,7 @@ from twophoton.elements import (
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
-    _port_row,
+    Role,
     analyzer_rows,
     detector_operator,
     phase_from_positions,
@@ -223,7 +223,7 @@ def test_same_arm_pair_honors_ports_and_angles():
 
 
 def test_side2_rows_are_side1_rows_with_the_sides_swapped():
-    # the engine builds side 2's same-side rows from side 1's this way
+    # `analyzer_rows` builds side 2's rows from side 1's this way
     bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
     geom = PhaseGeometry(0.4, 1.3)
     thetas = (np.array([0.3, 2.2]), 0.9)
@@ -234,23 +234,27 @@ def test_side2_rows_are_side1_rows_with_the_sides_swapped():
             assert np.array_equal(u1[..., [2, 3, 0, 1]], u2)
 
 
-def test_analyzer_rows_are_port_rows_bit_for_bit():
-    # every entry, signs of zero included, is the product `_port_row` forms
-    tx, ty = RNG.uniform(0.0, 1.0, size=(2, 1, 3))
-    splitters = [
-        BeamSplitterSpec.from_transmission(0.83, 0.37),
-        BeamSplitterSpec.from_transmission(1.0, 0.0),
-        BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty)),
-    ]
-    thetas = [0.0, -0.0, math.pi / 2.0, 1.3, RNG.uniform(-4.0, 4.0, size=(4, 1, 1))]
-    phases = [1.0, np.exp(1j * 0.0), np.exp(1j * RNG.uniform(-7.0, 7.0, size=(3,)))]
-    for bs in splitters:
-        for theta in thetas:
-            for t_phase, r_phase in [(t, r) for t in phases for r in phases]:
-                rows = analyzer_rows(theta, bs, t_phase, r_phase)
-                for port in Port:
-                    row = _port_row(AnalyzerSetting(Arm.SIDE1, theta, port), bs, t_phase, r_phase)
-                    assert rows[..., port.value, :].shape == row.shape
-                    assert rows[..., port.value, :].tobytes() == row.tobytes()
+def test_analyzer_rows_hold_both_ports_with_the_phase_of_their_role():
+    # each port's weighted splitter outputs, the role's phase on the
+    # reflected (other-side) or transmitted (same-side) terms
+    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
+    thetas = np.array([[0.3], [2.2]])
+    geom = PhaseGeometry(phi=np.array([0.7, -1.9, 4.0]), psi=1.3)
+    for role in Role:
+        for arm in Arm:
+            rows = analyzer_rows(role, arm, thetas, bs, geom)
+            # only the side-1 opposite-side row spans phi
+            assert rows.shape == ((2, 3, 2, 4) if (role, arm) == (Role.OPPOSITE, Arm.SIDE1) else (2, 1, 2, 4))
+            if role is Role.OPPOSITE and arm is Arm.SIDE1:
+                transmitted, reflected = 1.0, np.exp(1j * geom.phi)[:, None]
+            elif role is Role.PAIR_FIRST:
+                transmitted, reflected = cmath.exp(1j * geom.psi), 1.0
+            else:
+                transmitted, reflected = 1.0, 1.0
+            for port in Port:
+                wx, wy = AnalyzerSetting(arm, thetas, port).weights()
+                side = wx[..., None] * splitter_output(bs, arm, Pol.X) + wy[..., None] * splitter_output(bs, arm, Pol.Y)
+                factor = np.where(np.arange(4) // 2 == arm.value, transmitted, reflected)
+                assert np.max(np.abs(rows[..., port.value, :] - side * factor)) < TOL
     with pytest.raises(ValueError, match="^analyzer angle must be finite"):
-        analyzer_rows(np.array([0.1, math.nan]), splitters[0], 1.0, 1.0)
+        analyzer_rows(Role.OPPOSITE, Arm.SIDE1, np.array([0.1, math.nan]), bs, geom)

@@ -328,8 +328,8 @@ def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
 
 
 def _per_port_distribution(inp, theta1, theta2, bs, geom):
-    """The distribution with each of its ten distinct rows built by its own
-    `_port_row` call, kept as the reference for the row bank: the four
+    """The distribution with each of its ten distinct rows built one port
+    at a time, kept as the reference for the five-call build: the four
     same-side pairs (side x port) and the two side-1 opposite-side rows; a
     side-2 opposite-side row is the second row of side 2's pair."""
     sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
@@ -356,8 +356,8 @@ def _per_port_distribution(inp, theta1, theta2, bs, geom):
 
 
 @pytest.mark.parametrize("polarized", [True, False])
-def test_full_distribution_builds_its_row_bank_in_five_calls(polarized, monkeypatch):
-    # one `analyzer_rows` call per block of two ports, and no one-port row;
+def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch):
+    # one `analyzer_rows` call per analyzer and role, and no one-port row;
     # the result equals the per-port reference bit for bit, on scalars and
     # on broadcast arrays of every argument
     rng = np.random.default_rng(19)
@@ -375,19 +375,20 @@ def test_full_distribution_builds_its_row_bank_in_five_calls(polarized, monkeypa
     for theta1, theta2, bs, geom in cases:
         inp = InputSpec.polarized(0.2, rng.uniform(-4.0, 4.0, size=(5, 1))) if polarized else InputSpec.unpolarized()
         expected = _per_port_distribution(inp, theta1, theta2, bs, geom)
-        banks, ports, analyzer_rows, port_row = [], [], engine.analyzer_rows, elements._port_row
+        builds, analyzer_rows = [], engine.analyzer_rows
         with monkeypatch.context() as m:
-            m.setattr(engine, "analyzer_rows", lambda *args: banks.append(args) or analyzer_rows(*args))
-            m.setattr(elements, "_port_row", lambda *args: ports.append(args) or port_row(*args))
+            m.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
+            m.setattr(engine, "detector_operator", None)
+            m.setattr(engine, "same_arm_operator_pair", None)
             dist = full_outcome_distribution(inp, theta1, theta2, bs, geom)
-        assert (len(banks), len(ports)) == (5, 0)
+        assert len(builds) == 5
         assert dist.shape == expected.shape
         assert dist.tobytes() == expected.tobytes()
 
 
 def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
-    builds, port_row = [], engine._port_row
-    monkeypatch.setattr(engine, "_port_row", lambda *args: builds.append(args) or port_row(*args))
+    builds, analyzer_rows = [], engine.analyzer_rows
+    monkeypatch.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
     monkeypatch.setattr(engine, "same_arm_operator_pair", None)  # no pair is built
     double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array(list(Arm), dtype=object), 0.4, BS)
     assert len(builds) == 1
