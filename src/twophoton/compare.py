@@ -389,10 +389,12 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
             columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in table.T))
         else:
             columns[name] = np.asarray(values)[i].reshape(laid)
-    # a value, a deviation or a sum past the largest float (or an inf - inf)
-    # is a failing point, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        ana, eng = evaluate(entry, formula, fixed, columns)
+    # a closed form, a deviation or a sum past the largest float (or an
+    # inf - inf) is a failing point, not a warning.  The engine runs outside
+    # the errstate, which slows its many small array operations.
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    ana, eng = evaluate(entry, quiet(formula), fixed, columns)
+    with quiet:
         dev = np.abs(eng - ana)
         total = float(dev.sum())
     if math.isnan(total):
