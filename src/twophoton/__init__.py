@@ -4,8 +4,10 @@ The package has three layers that deliberately do not share arithmetic:
 
 * :mod:`twophoton.fock`, :mod:`twophoton.elements`, :mod:`twophoton.engine`
   build detection probabilities from the splitter transfer coefficients:
-  each detector operator is a row over the four occupied input modes, and
-  each pair amplitude is a 2x2 permanent (the operator-algebra route);
+  each detector operator is a row over the four occupied input modes
+  (built by `elements.analyzer_rows`), each photon a row over its own
+  side's two modes (`product_state(theta1, theta2)`), and each pair
+  amplitude is a 2x2 permanent (the operator-algebra route);
 * :mod:`twophoton.formulas` carries the factorized closed forms for the
   same probabilities;
 * :mod:`twophoton.montecarlo` samples click-level runs from a full outcome
@@ -20,15 +22,7 @@ command, whose `sweep`, `compare` and `mc` subcommands read that table.
 """
 
 from .compare import DEFAULT_TOL, CheckResult, run_comparison
-from .elements import (
-    AnalyzerSetting,
-    BeamSplitterSpec,
-    PhaseGeometry,
-    Port,
-    detector_operator,
-    phase_from_positions,
-    same_arm_operator_pair,
-)
+from .elements import BeamSplitterSpec, PhaseGeometry, Port, phase_from_positions
 from .engine import (
     OPPOSITE,
     InputSpec,
@@ -45,7 +39,6 @@ from .engine import (
 )
 from .fock import (
     Arm,
-    IncidentPolarization,
     Pol,
     mode_index,
     product_state,
@@ -81,17 +74,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Arm",
     "Pol",
-    "IncidentPolarization",
     "mode_index",
     "product_state",
     "vacuum_amplitude",
     "BeamSplitterSpec",
-    "AnalyzerSetting",
     "Port",
     "PhaseGeometry",
     "phase_from_positions",
-    "detector_operator",
-    "same_arm_operator_pair",
     "InputSpec",
     "Outcome",
     "OutcomeKind",

@@ -27,8 +27,8 @@ The argparse parser is built once per process, on the first `main` call,
 and every later `main` call reuses it: parsing leaves the parser as it was,
 so no `--set` list, seed or default carries from one call to the next.
 
-Exit codes: 0 success, 1 invalid configuration, 2 comparison failure,
-3 file I/O failure.
+Exit codes: 0 success, 1 invalid configuration or command line, 2
+comparison failure, 3 file I/O failure.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import functools
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -421,11 +421,21 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of an invalid
+    configuration, and not argparse's 2, the code of a comparison failure.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `twophoton` argument parser, built on the first call and shared
     by every later one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twophoton",
         description="Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.",
     )

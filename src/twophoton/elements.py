@@ -18,11 +18,12 @@ Conventions fixed here and relied on everywhere else:
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (`fock.mode_index`
-order).  `analyzer_rows` builds the rows of both ports of an analyzer, on
-an axis of their own, with the phase of the detector's `Role`; the
-one-port operators are its slices.  Angles, phases and splitter amplitudes
-may be numpy arrays; they broadcast, and the rows gain the broadcast shape
-as leading axes.
+order).  `analyzer_rows` is the one row builder: it builds the rows of the
+given ports of an analyzer (both by default), on an axis of their own, with
+the phase of the detector's `Role`.  A one-port row is the slice
+`analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]`.  Angles,
+phases and splitter amplitudes may be numpy arrays; they broadcast, and the
+rows gain the broadcast shape as leading axes.
 """
 
 from __future__ import annotations
@@ -89,38 +90,17 @@ class Port(Enum):
     PERPENDICULAR = 1
 
 
-def _check_angle(theta: float) -> None:
-    if not _all_finite(theta):
-        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
-
-
 def _port_weights(theta: float, ports: Sequence[Port]) -> tuple[np.ndarray, np.ndarray]:
     """Projection weights (wx, wy) of `ports` of an analyzer at `theta`,
     each on a last axis in the order of `ports`."""
-    _check_angle(theta)
+    if not _all_finite(theta):
+        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
     c, s = np.cos(theta), np.sin(theta)
     by_port = ((c, s), (-s, c))  # parallel, perpendicular
     wx, wy = (np.empty((*np.shape(c), len(ports))) for _ in "xy")
     for k, port in enumerate(ports):
         wx[..., k], wy[..., k] = by_port[port.value]
     return wx, wy
-
-
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """One detector channel: side, analyzer angle (radians), and port."""
-
-    arm: Arm
-    theta: float
-    port: Port = Port.PARALLEL
-
-    def __post_init__(self) -> None:
-        _check_angle(self.theta)
-
-    def weights(self) -> tuple[float, float]:
-        """Projection weights (wx, wy) of this port."""
-        wx, wy = _port_weights(self.theta, (self.port,))
-        return wx[..., 0], wy[..., 0]
 
 
 @dataclass(frozen=True)
@@ -196,34 +176,3 @@ def analyzer_rows(
         rows[..., index] = value
     return rows
 
-
-def detector_operator(
-    setting: AnalyzerSetting, bs: BeamSplitterSpec, geom: PhaseGeometry
-) -> np.ndarray:
-    """Field operator for one analyzer port behind the splitter, as its row.
-
-    Transmitted and reflected input terms are combined with the analyzer
-    projection weights; the side-1 operator's reflected term carries
-    exp(i*phi) so that the two-path relative phase of an opposite-side
-    coincidence is exactly `phi`.
-    """
-    return analyzer_rows(Role.OPPOSITE, setting.arm, setting.theta, bs, geom, (setting.port,))[..., 0, :]
-
-
-def same_arm_operator_pair(
-    arm: Arm,
-    thetas: tuple[float, float],
-    bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
-    ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the two detectors of a same-side pair measurement.
-
-    Both detectors sit on `arm`; the first analyzes at thetas[0], the second
-    at thetas[1].  The first operator's transmitted term carries exp(i*psi),
-    which makes `psi` the relative phase between the two pairings
-    (which photon reaches which detector) of a same-side pair detection.
-    """
-    first = analyzer_rows(Role.PAIR_FIRST, arm, thetas[0], bs, geom, (ports[0],))[..., 0, :]
-    second = analyzer_rows(Role.PAIR_SECOND, arm, thetas[1], bs, geom, (ports[1],))[..., 0, :]
-    return first, second

@@ -1,8 +1,9 @@
 """Detection probabilities from the two-photon amplitude rule.
 
 Every probability here comes from one mechanism: write each detector
-operator as its row over the four occupied input modes (`elements`), take
-the pair amplitude <0| d_a d_b |psi> of the input product state as a 2x2
+operator as its row over the four occupied input modes
+(`elements.analyzer_rows`), take the pair amplitude <0| d_a d_b |psi> of
+the input product state, whose photon rows `InputSpec` holds, as a 2x2
 permanent (`fock.vacuum_amplitude`), and square its magnitude.  A sum
 over analyzer ports or over the two sides is one evaluation with the ports
 or sides on broadcast axes, added in the order of a loop over them.  No
@@ -14,9 +15,10 @@ four basis polarization products; probabilities, never amplitudes, are
 averaged.
 
 Every angle, phase and splitter amplitude, and the arm of
-`double_trigger_probability`, may be a numpy array: the arguments broadcast, and the result is an array of the broadcast shape (a
-float when every argument is scalar); `full_outcome_distribution` adds a
-last axis of the twelve outcomes.
+`double_trigger_probability`, may be a numpy array: the arguments
+broadcast, and the result is an array of the broadcast shape (a float when
+every argument is scalar); `full_outcome_distribution` adds a last axis of
+the twelve outcomes.
 """
 
 from __future__ import annotations
@@ -27,18 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .elements import (
-    OTHER_SIDE,
-    AnalyzerSetting,
-    BeamSplitterSpec,
-    PhaseGeometry,
-    Port,
-    Role,
-    analyzer_rows,
-    detector_operator,
-    same_arm_operator_pair,
-)
-from .fock import Arm, IncidentPolarization, product_state, vacuum_amplitude
+from .elements import OTHER_SIDE, BeamSplitterSpec, PhaseGeometry, Port, Role, analyzer_rows
+from .fock import Arm, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -50,19 +42,25 @@ ONE_SIDED = 0.5
 # light on both sides: (x,x), (x,y), (y,x), (y,y).
 _UNPOLARIZED_WEIGHTS = np.full(4, 0.25)
 _UNPOLARIZED_STATE = product_state(
-    IncidentPolarization(np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI]))
+    np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI])
 )
 
 
 @dataclass(frozen=True)
 class InputSpec:
-    """Input light: a definite polarization product, or unpolarized on both sides."""
+    """Input light: a definite polarization product, or unpolarized on both sides.
 
-    polarization: IncidentPolarization | None
+    `polarization` holds the photon rows `fock.product_state` builds from
+    the incident angles, or None for unpolarized light.
+    """
+
+    polarization: tuple[np.ndarray, np.ndarray] | None
 
     @classmethod
     def polarized(cls, theta1: float, theta2: float) -> "InputSpec":
-        return cls(IncidentPolarization(theta1, theta2))
+        """Linearly polarized photons at theta1 (side 1) and theta2 (side 2),
+        in radians; the angles may be arrays and broadcast."""
+        return cls(product_state(theta1, theta2))
 
     @classmethod
     def unpolarized(cls) -> "InputSpec":
@@ -136,7 +134,7 @@ def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: 
     if inp.polarization is None:
         return np.abs(vacuum_amplitude(u_a[..., None, :], u_b[..., None, :], _UNPOLARIZED_STATE)) ** 2
     lift = (..., *(None,) * axes, slice(None))
-    p1, p2 = product_state(inp.polarization)
+    p1, p2 = inp.polarization
     return np.abs(vacuum_amplitude(u_a, u_b, (p1[lift], p2[lift]))) ** 2
 
 
@@ -163,6 +161,16 @@ def _result(p: np.ndarray) -> float | np.ndarray:
     return float(p) if p.ndim == 0 else p
 
 
+def _pair_rows(
+    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, geom: PhaseGeometry, ports: tuple[Port, Port]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the two detectors of a same-side pair on `arm`, at theta_a
+    and theta_b and at the ports `ports`; the first row carries `geom.psi`."""
+    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, geom, ports[:1])[..., 0, :]
+    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs, geom, ports[1:])[..., 0, :]
+    return u_a, u_b
+
+
 def coincidence_probability(
     inp: InputSpec,
     theta1: float,
@@ -176,8 +184,8 @@ def coincidence_probability(
     Side-1 analyzer at theta1, side-2 at theta2 (given ports); the fringe
     phase `geom.phi` sets the relative phase of the two contributing paths.
     """
-    u1 = detector_operator(AnalyzerSetting(Arm.SIDE1, theta1, ports[0]), bs, geom)
-    u2 = detector_operator(AnalyzerSetting(Arm.SIDE2, theta2, ports[1]), bs, geom)
+    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom, ports[:1])[..., 0, :]
+    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs, geom, ports[1:])[..., 0, :]
     return _result(_detect(inp, u1, u2))
 
 
@@ -210,7 +218,7 @@ def same_arm_probability(
     pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
     one-sided detection.
     """
-    u_a, u_b = same_arm_operator_pair(arm, (theta_a, theta_b), bs, geom, ports)
+    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, geom, ports)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
 
 
@@ -224,7 +232,7 @@ def same_arm_both_arms(
 ) -> float:
     """Same-side pair probability summed over both sides at fixed port
     angles, side 1 first; the sides are an axis of one evaluation."""
-    u_a, u_b = same_arm_operator_pair(Arm.SIDE1, (theta_a, theta_b), bs, geom, ports)
+    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, geom, ports)
     return _result(_in_order(ONE_SIDED * _detect(inp, _both_sides(u_a), _both_sides(u_b), axes=1), 1))
 
 
@@ -254,9 +262,10 @@ def double_trigger_probability(
     and their relative phase is identically zero.  The squared vacuum
     amplitude of the repeated operator counts the ordered pairings twice and
     is halved, and the same one-sided 1/2 bookkeeping as in
-    `same_arm_probability` applies.  The detector's row is the parallel
-    port's first row of a same-side pair at psi = 0, from the one
-    `analyzer_rows` call made.
+    `same_arm_probability` applies.  One `analyzer_rows` call builds the
+    detector's row on side 1: the parallel port's first row of a same-side
+    pair at psi = 0.  On side 2 it is that row with the sides' modes swapped
+    (`OTHER_SIDE`).
     """
     arms = np.asarray(arm, dtype=object)
     side2 = arms == Arm.SIDE2

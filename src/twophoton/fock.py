@@ -6,7 +6,9 @@ are ever occupied: (side1, x), (side1, y), (side2, x), (side2, y), in that
 order (`mode_index`).  Every detector field operator d = sum_m u_m a_m is
 linear in the input annihilators, so it is a row vector u over these four
 modes.  A photon lives on its own side only, so its row is (cos, sin) of its
-polarization angle over that side's (x, y) modes.
+polarization angle over that side's (x, y) modes;
+`product_state(theta1, theta2)` builds the two photons' rows from their
+angles and rejects an angle that is not finite.
 
 For the product state |psi> = a^dag(p1) a^dag(p2)|0>, the pair amplitude
 <0| d_a d_b |psi> is the permanent of the 2x2 matrix of overlaps,
@@ -21,7 +23,6 @@ photon row) pair and only the permanent runs over every point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,25 +57,9 @@ def _all_finite(v) -> bool:
     return bool(np.isfinite(v).all())
 
 
-@dataclass(frozen=True)
-class IncidentPolarization:
-    """Linear polarization angles (radians) of the photons on side 1 and side 2.
-
-    The angles may be numpy arrays; they broadcast against each other.
-    """
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2"):
-            v = getattr(self, name)
-            if not _all_finite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-
-
-def product_state(inc: IncidentPolarization) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (p1, p2) of the two photons of a linearly polarized pair.
+def product_state(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (p1, p2) of the two photons of a linearly polarized pair, the
+    side-1 photon at angle theta1 and the side-2 photon at theta2 (radians).
 
     The side-1 photon is cos(theta1)|side1 x> + sin(theta1)|side1 y> and the
     side-2 photon likewise on the side-2 modes; each row holds its photon's
@@ -85,7 +70,10 @@ def product_state(inc: IncidentPolarization) -> tuple[np.ndarray, np.ndarray]:
     Each row spans its own angle only: p1 is (*shape(theta1), 2) and p2 is
     (*shape(theta2), 2), and `vacuum_amplitude` broadcasts them.
     """
-    p1, p2 = (np.stack((np.cos(theta), np.sin(theta)), axis=-1) for theta in (inc.theta1, inc.theta2))
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if not _all_finite(theta):
+            raise ValueError(f"{name} must be finite, got {theta!r}")
+    p1, p2 = (np.stack((np.cos(theta), np.sin(theta)), axis=-1) for theta in (theta1, theta2))
     return p1, p2
 
 

@@ -531,7 +531,7 @@ def test_calls_sharing_the_parser_stay_independent(capsys):
     assert main(["sweep", *seeded, "--set", "n_pairs=500", "--seed", "7"]) == 0
     with pytest.raises(SystemExit) as rejected:
         main(["sweep", "--no-such-flag"])
-    assert rejected.value.code == 2
+    assert rejected.value.code == 1
     assert main(["sweep", "--set", "tx=2"]) == 1
     capsys.readouterr()
     # ... then a plain sweep prints what it prints as the first call of a process

@@ -2,7 +2,8 @@
 
 Each case runs one subcommand on a bad configuration (a JSON file, `--set`
 overrides, or both) and pins every line it writes to stderr.  Nothing goes
-to stdout and the exit code is 1.
+to stdout and the exit code is 1.  A command line that argparse rejects
+exits 1 too, so that no input error shares the comparison failure's 2.
 """
 
 import json
@@ -49,6 +50,8 @@ CASES = {
         ["efficiency: must lie in (0, 1] with efficiency**2 > 0, got 1e-170"],
     ),
     "seed_flag": ("mc", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
+    "seed_flag_sweep": ("sweep", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
+    "step_flag": ("compare", None, ["--step", "0"], ["step: step must be at least 1, got 0"]),
     # a file's own problem stops the run before --seed applies
     "seed_in_file_and_flag": (
         "sweep",
@@ -299,3 +302,33 @@ def test_a_run_too_large_for_memory_is_a_config_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: out of memory; the configured run is too large\n"
+
+
+# name -> (argv, the start of argparse's last stderr line)
+USAGE_ERRORS = {
+    "seed_not_an_int": (["sweep", "--seed", "abc"], "twophoton sweep: error: argument --seed: invalid int value: 'abc'"),
+    "step_not_an_int": (["compare", "--step", "x"], "twophoton compare: error: argument --step: invalid int value: 'x'"),
+    "unknown_flag": (["mc", "--no-such-flag"], "twophoton: error: unrecognized arguments: --no-such-flag"),
+    "unknown_subcommand": (["bogus"], "twophoton: error: argument command: invalid choice: 'bogus'"),
+    "no_subcommand": ([], "twophoton: error: the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_a_command_line_argparse_rejects_exits_1(name, capsys):
+    argv, error = USAGE_ERRORS[name]
+    with pytest.raises(SystemExit) as rejected:
+        main(argv)
+    assert rejected.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: twophoton")
+    assert captured.err.splitlines()[-1].startswith(error)
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as shown:
+            main(argv)
+        assert shown.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: twophoton")

@@ -5,19 +5,36 @@ import numpy as np
 import pytest
 
 from twophoton.elements import (
-    AnalyzerSetting,
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
     Role,
     analyzer_rows,
-    detector_operator,
     phase_from_positions,
-    same_arm_operator_pair,
 )
 from twophoton.fock import TOL, Arm, Pol, mode_index
 
 RNG = np.random.default_rng(411)
+
+
+def one_row(role: Role, arm: Arm, theta, bs: BeamSplitterSpec, geom: PhaseGeometry, port: Port = Port.PARALLEL):
+    """The row of one analyzer port: a one-port `analyzer_rows` call, sliced."""
+    return analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]
+
+
+def pair_rows(arm: Arm, thetas, bs: BeamSplitterSpec, geom: PhaseGeometry, ports=(Port.PARALLEL, Port.PARALLEL)):
+    """Rows of the two detectors of a same-side pair on `arm`, the first at
+    thetas[0] and ports[0], the second at thetas[1] and ports[1]."""
+    first = one_row(Role.PAIR_FIRST, arm, thetas[0], bs, geom, ports[0])
+    return first, one_row(Role.PAIR_SECOND, arm, thetas[1], bs, geom, ports[1])
+
+
+def port_weights(theta, port: Port):
+    """Projection weights (wx, wy) of a port by the module convention,
+    written out: (cos, sin) for the parallel port, (-sin, cos) for the
+    perpendicular one."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (c, s) if port is Port.PARALLEL else (-s, c)
 
 
 def test_beam_splitter_rejects_lossy_amplitudes():
@@ -84,33 +101,34 @@ def test_splitter_transform_is_unitary_per_polarization():
         # the detector rows of analyzers along x and y on both sides are the
         # splitter's output rows, so together they form a unitary matrix
         rows = np.stack(
-            [
-                detector_operator(AnalyzerSetting(arm, theta), bs, PhaseGeometry())
-                for arm in Arm
-                for theta in (0.0, math.pi / 2.0)
-            ]
+            [one_row(Role.OPPOSITE, arm, theta, bs, PhaseGeometry()) for arm in Arm for theta in (0.0, math.pi / 2.0)]
         )
         assert np.max(np.abs(rows @ rows.conj().T - np.eye(4))) < TOL
 
 
 def test_parallel_port_projects_along_analyzer_angle():
+    # behind a clear window a row is its port's weights on its own side's modes
     theta = 0.7
-    wx, wy = AnalyzerSetting(Arm.SIDE1, theta).weights()
-    assert abs(wx - math.cos(theta)) < TOL
-    assert abs(wy - math.sin(theta)) < TOL
+    clear = BeamSplitterSpec.from_transmission(1.0, 1.0)
+    row = one_row(Role.OPPOSITE, Arm.SIDE1, theta, clear, PhaseGeometry())
+    assert abs(row[mode_index(Arm.SIDE1, Pol.X)] - math.cos(theta)) < TOL
+    assert abs(row[mode_index(Arm.SIDE1, Pol.Y)] - math.sin(theta)) < TOL
+    assert row[mode_index(Arm.SIDE2, Pol.X)] == 0.0 and row[mode_index(Arm.SIDE2, Pol.Y)] == 0.0
 
 
 def test_perpendicular_port_is_parallel_rotated_quarter_turn():
-    for theta in RNG.uniform(-math.pi, math.pi, size=25):
-        perp = AnalyzerSetting(Arm.SIDE2, theta, Port.PERPENDICULAR).weights()
-        rotated = AnalyzerSetting(Arm.SIDE2, theta + math.pi / 2.0).weights()
-        assert abs(perp[0] - rotated[0]) < TOL
-        assert abs(perp[1] - rotated[1]) < TOL
+    bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
+    thetas = RNG.uniform(-math.pi, math.pi, size=25)
+    for role in Role:
+        perp = one_row(role, Arm.SIDE2, thetas, bs, PhaseGeometry(0.4, 1.3), Port.PERPENDICULAR)
+        rotated = one_row(role, Arm.SIDE2, thetas + math.pi / 2.0, bs, PhaseGeometry(0.4, 1.3))
+        assert perp.shape == (25, 4)
+        assert np.max(np.abs(perp - rotated)) < TOL
 
 
 def test_analyzer_and_phase_validation():
-    with pytest.raises(ValueError):
-        AnalyzerSetting(Arm.SIDE1, math.nan)
+    with pytest.raises(ValueError, match="^analyzer angle must be finite, got nan$"):
+        one_row(Role.OPPOSITE, Arm.SIDE1, math.nan, BeamSplitterSpec.fifty_fifty(), PhaseGeometry())
     with pytest.raises(ValueError):
         PhaseGeometry(phi=math.inf)
     with pytest.raises(ValueError):
@@ -142,22 +160,22 @@ def splitter_output(bs: BeamSplitterSpec, arm: Arm, pol: Pol) -> np.ndarray:
 def test_splitter_output_mixes_sides_with_i_reflection():
     # an analyzer along x (y) passes exactly the x (y) splitter output
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
-    out = detector_operator(AnalyzerSetting(Arm.SIDE1, 0.0), bs, PhaseGeometry())
+    out = one_row(Role.OPPOSITE, Arm.SIDE1, 0.0, bs, PhaseGeometry())
     assert abs(out[mode_index(Arm.SIDE1, Pol.X)] - bs.tx) < TOL
     assert abs(out[mode_index(Arm.SIDE2, Pol.X)] - 1j * bs.rx) < TOL
     assert out[mode_index(Arm.SIDE1, Pol.Y)] == 0.0 and out[mode_index(Arm.SIDE2, Pol.Y)] == 0.0
-    out2 = detector_operator(AnalyzerSetting(Arm.SIDE2, math.pi / 2.0), bs, PhaseGeometry())
+    out2 = one_row(Role.OPPOSITE, Arm.SIDE2, math.pi / 2.0, bs, PhaseGeometry())
     assert abs(out2[mode_index(Arm.SIDE2, Pol.Y)] - bs.ty) < TOL
     assert abs(out2[mode_index(Arm.SIDE1, Pol.Y)] - 1j * bs.ry) < TOL
     assert np.max(np.abs(out2 - splitter_output(bs, Arm.SIDE2, Pol.Y))) < TOL
 
 
-def test_detector_operator_phase_sits_on_side1_reflected_terms():
+def test_opposite_side_phase_sits_on_side1_reflected_terms():
     bs = BeamSplitterSpec.fifty_fifty()
     phi = 1.2
     theta = 0.4
-    got = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry(phi=phi))
-    ref = detector_operator(AnalyzerSetting(Arm.SIDE1, theta), bs, PhaseGeometry())
+    got = one_row(Role.OPPOSITE, Arm.SIDE1, theta, bs, PhaseGeometry(phi=phi))
+    ref = one_row(Role.OPPOSITE, Arm.SIDE1, theta, bs, PhaseGeometry())
     for arm in Arm:
         for pol in Pol:
             m = mode_index(arm, pol)
@@ -165,34 +183,35 @@ def test_detector_operator_phase_sits_on_side1_reflected_terms():
             assert abs(got[m] - ref[m] * factor) < TOL
 
 
-def test_side2_detector_operator_ignores_phi():
+def test_side2_opposite_side_row_ignores_phi():
     bs = BeamSplitterSpec.from_transmission(0.8, 0.7)
-    op_a = detector_operator(AnalyzerSetting(Arm.SIDE2, 0.3), bs, PhaseGeometry(phi=2.0))
-    op_b = detector_operator(AnalyzerSetting(Arm.SIDE2, 0.3), bs, PhaseGeometry(phi=0.0))
+    op_a = one_row(Role.OPPOSITE, Arm.SIDE2, 0.3, bs, PhaseGeometry(phi=2.0))
+    op_b = one_row(Role.OPPOSITE, Arm.SIDE2, 0.3, bs, PhaseGeometry(phi=0.0))
     assert np.array_equal(op_a, op_b)
 
 
-def test_detector_operator_matches_weighted_splitter_outputs():
+def test_one_port_row_matches_weighted_splitter_outputs():
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     theta = 1.1
-    setting = AnalyzerSetting(Arm.SIDE2, theta, Port.PERPENDICULAR)
-    op = detector_operator(setting, bs, PhaseGeometry())
-    wx, wy = setting.weights()
+    op = one_row(Role.OPPOSITE, Arm.SIDE2, theta, bs, PhaseGeometry(), Port.PERPENDICULAR)
+    wx, wy = port_weights(theta, Port.PERPENDICULAR)
     combo = wx * splitter_output(bs, Arm.SIDE2, Pol.X) + wy * splitter_output(bs, Arm.SIDE2, Pol.Y)
     assert np.max(np.abs(op - combo)) < TOL
 
 
-def test_detector_operator_broadcasts_over_array_parameters():
+def test_one_port_rows_broadcast_over_array_parameters():
     thetas = np.array([0.1, 0.8, 2.5])
     phis = np.array([0.0, 1.0, 4.0])
     splitters = [BeamSplitterSpec.from_transmission(*t) for t in ((0.9, 0.6), (0.5, 0.5), (0.1, 1.0))]
     fields = np.array([[s.tx, s.ty, s.rx, s.ry] for s in splitters]).T
-    setting = AnalyzerSetting(Arm.SIDE1, thetas, Port.PERPENDICULAR)
-    rows = detector_operator(setting, BeamSplitterSpec(*fields), PhaseGeometry(phi=phis))
+    rows = one_row(
+        Role.OPPOSITE, Arm.SIDE1, thetas, BeamSplitterSpec(*fields), PhaseGeometry(phi=phis), Port.PERPENDICULAR
+    )
     assert rows.shape == (3, 4)
     for k, bs in enumerate(splitters):
-        setting = AnalyzerSetting(Arm.SIDE1, float(thetas[k]), Port.PERPENDICULAR)
-        single = detector_operator(setting, bs, PhaseGeometry(phi=float(phis[k])))
+        single = one_row(
+            Role.OPPOSITE, Arm.SIDE1, float(thetas[k]), bs, PhaseGeometry(phi=float(phis[k])), Port.PERPENDICULAR
+        )
         assert np.max(np.abs(rows[k] - single)) < TOL
 
 
@@ -200,8 +219,8 @@ def test_same_arm_pair_phase_sits_on_first_transmitted_term():
     bs = BeamSplitterSpec.fifty_fifty()
     psi = 0.9
     thetas = (0.2, 1.3)
-    op_a, op_b = same_arm_operator_pair(Arm.SIDE2, thetas, bs, PhaseGeometry(psi=psi))
-    ref_a, ref_b = same_arm_operator_pair(Arm.SIDE2, thetas, bs, PhaseGeometry())
+    op_a, op_b = pair_rows(Arm.SIDE2, thetas, bs, PhaseGeometry(psi=psi))
+    ref_a, ref_b = pair_rows(Arm.SIDE2, thetas, bs, PhaseGeometry())
     for arm in Arm:
         for pol in Pol:
             m = mode_index(arm, pol)
@@ -213,13 +232,13 @@ def test_same_arm_pair_phase_sits_on_first_transmitted_term():
 
 def test_same_arm_pair_honors_ports_and_angles():
     bs = BeamSplitterSpec.fifty_fifty()
-    op_perp, _ = same_arm_operator_pair(
-        Arm.SIDE1, (0.5, 0.5), bs, PhaseGeometry(), ports=(Port.PERPENDICULAR, Port.PARALLEL)
-    )
-    op_rot, _ = same_arm_operator_pair(
-        Arm.SIDE1, (0.5 + math.pi / 2.0, 0.5), bs, PhaseGeometry()
-    )
+    op_perp, _ = pair_rows(Arm.SIDE1, (0.5, 0.5), bs, PhaseGeometry(), (Port.PERPENDICULAR, Port.PARALLEL))
+    op_rot, _ = pair_rows(Arm.SIDE1, (0.5 + math.pi / 2.0, 0.5), bs, PhaseGeometry())
     assert np.max(np.abs(op_perp - op_rot)) < TOL
+    # the second detector at its own angle and port
+    _, second_perp = pair_rows(Arm.SIDE1, (0.5, 0.9), bs, PhaseGeometry(), (Port.PARALLEL, Port.PERPENDICULAR))
+    _, second_rot = pair_rows(Arm.SIDE1, (0.5, 0.9 + math.pi / 2.0), bs, PhaseGeometry())
+    assert np.max(np.abs(second_perp - second_rot)) < TOL
 
 
 def test_side2_rows_are_side1_rows_with_the_sides_swapped():
@@ -228,8 +247,8 @@ def test_side2_rows_are_side1_rows_with_the_sides_swapped():
     geom = PhaseGeometry(0.4, 1.3)
     thetas = (np.array([0.3, 2.2]), 0.9)
     for ports in [(pa, pb) for pa in Port for pb in Port]:
-        side1 = same_arm_operator_pair(Arm.SIDE1, thetas, bs, geom, ports)
-        side2 = same_arm_operator_pair(Arm.SIDE2, thetas, bs, geom, ports)
+        side1 = pair_rows(Arm.SIDE1, thetas, bs, geom, ports)
+        side2 = pair_rows(Arm.SIDE2, thetas, bs, geom, ports)
         for u1, u2 in zip(side1, side2):
             assert np.array_equal(u1[..., [2, 3, 0, 1]], u2)
 
@@ -252,7 +271,7 @@ def test_analyzer_rows_hold_both_ports_with_the_phase_of_their_role():
             else:
                 transmitted, reflected = 1.0, 1.0
             for port in Port:
-                wx, wy = AnalyzerSetting(arm, thetas, port).weights()
+                wx, wy = port_weights(thetas, port)
                 side = wx[..., None] * splitter_output(bs, arm, Pol.X) + wy[..., None] * splitter_output(bs, arm, Pol.Y)
                 factor = np.where(np.arange(4) // 2 == arm.value, transmitted, reflected)
                 assert np.max(np.abs(rows[..., port.value, :] - side * factor)) < TOL

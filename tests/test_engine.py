@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twophoton import elements, engine, formulas
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
+from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port, Role
 from twophoton.engine import (
     OPPOSITE,
     Arm,
@@ -20,7 +20,7 @@ from twophoton.engine import (
     same_arm_no_polarizers,
     same_arm_probability,
 )
-from twophoton.fock import TOL, IncidentPolarization, product_state, vacuum_amplitude
+from twophoton.fock import TOL, product_state, vacuum_amplitude
 
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
@@ -193,8 +193,8 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
     assert batch.shape == (2, 3)
     for (i, j), p in np.ndenumerate(batch):
         # the repeated detector row of the arm's own side, halved twice
-        u, _ = elements.same_arm_operator_pair(arms[j], (0.4, 0.4), bs, PhaseGeometry())
-        state = product_state(IncidentPolarization(pol1[i, 0], 0.7))
+        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs, PhaseGeometry(), (Port.PARALLEL,))[0]
+        state = product_state(pol1[i, 0], 0.7)
         assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
         assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
     assert batch[0, 0] != batch[0, 1]  # an asymmetric splitter tells the sides apart
@@ -332,16 +332,17 @@ def _per_port_distribution(inp, theta1, theta2, bs, geom):
     at a time, kept as the reference for the five-call build: the four
     same-side pairs (side x port) and the two side-1 opposite-side rows; a
     side-2 opposite-side row is the second row of side 2's pair."""
+
+    def one_port(role, arm, theta, port):
+        return elements.analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]
+
     sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
     same = {
-        (arm, port): elements.same_arm_operator_pair(arm, (theta, theta), bs, geom, (port, port))
+        (arm, port): (one_port(Role.PAIR_FIRST, arm, theta, port), one_port(Role.PAIR_SECOND, arm, theta, port))
         for arm, theta in sides
         for port in Port
     }
-    side1 = {
-        port: elements.detector_operator(elements.AnalyzerSetting(Arm.SIDE1, theta1, port), bs, geom)
-        for port in Port
-    }
+    side1 = {port: one_port(Role.OPPOSITE, Arm.SIDE1, theta1, port) for port in Port}
     pairs = [
         (side1[o.port1], same[Arm.SIDE2, o.port2][1])
         if o.kind is OutcomeKind.OPPOSITE
@@ -378,10 +379,9 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
         builds, analyzer_rows = [], engine.analyzer_rows
         with monkeypatch.context() as m:
             m.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
-            m.setattr(engine, "detector_operator", None)
-            m.setattr(engine, "same_arm_operator_pair", None)
             dist = full_outcome_distribution(inp, theta1, theta2, bs, geom)
         assert len(builds) == 5
+        assert all(len(args) == 5 for args in builds)  # both ports, the default, each time
         assert dist.shape == expected.shape
         assert dist.tobytes() == expected.tobytes()
 
@@ -389,7 +389,6 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
 def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
     builds, analyzer_rows = [], engine.analyzer_rows
     monkeypatch.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
-    monkeypatch.setattr(engine, "same_arm_operator_pair", None)  # no pair is built
     double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array(list(Arm), dtype=object), 0.4, BS)
     assert len(builds) == 1
 
@@ -408,3 +407,13 @@ def test_outcome_labels_are_distinct_and_descriptive():
     assert len(set(labels)) == 12
     assert "side1[par]+side2[par]" in labels
     assert "side2[w1:par+w2:perp]" in labels
+
+
+def test_polarized_input_rejects_nonfinite_angles():
+    with pytest.raises(ValueError, match="^theta1 must be finite, got nan$"):
+        InputSpec.polarized(math.nan, 0.0)
+    with pytest.raises(ValueError, match="^theta2 must be finite, got -inf$"):
+        InputSpec.polarized(0.0, -math.inf)
+    with pytest.raises(ValueError, match="^theta2 must be finite, got array"):
+        InputSpec.polarized(0.0, np.array([0.1, -math.inf]))
+    assert InputSpec.unpolarized().polarization is None

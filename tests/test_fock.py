@@ -7,7 +7,6 @@ from twophoton.fock import (
     N_MODES,
     TOL,
     Arm,
-    IncidentPolarization,
     Pol,
     mode_index,
     product_state,
@@ -26,10 +25,10 @@ A1X, A1Y = unit(Arm.SIDE1, Pol.X), unit(Arm.SIDE1, Pol.Y)
 A2X, A2Y = unit(Arm.SIDE2, Pol.X), unit(Arm.SIDE2, Pol.Y)
 
 
-def pattern_amplitudes(inc: IncidentPolarization) -> dict[tuple[Pol, Pol], float]:
+def pattern_amplitudes(theta1: float, theta2: float) -> dict[tuple[Pol, Pol], float]:
     """Amplitude of each one-photon-per-side occupation pattern: the side-1
     photon in polarization q1, the side-2 photon in q2."""
-    p1, p2 = product_state(inc)
+    p1, p2 = product_state(theta1, theta2)
     return {(q1, q2): p1[q1.value] * p2[q2.value] for q1 in Pol for q2 in Pol}
 
 
@@ -61,10 +60,10 @@ def test_mode_indexing_is_a_bijection():
 
 
 def test_product_state_amplitudes_are_weight_products():
-    inc = IncidentPolarization(math.pi / 6, math.pi / 3)
-    amps = pattern_amplitudes(inc)
-    c1, s1 = math.cos(inc.theta1), math.sin(inc.theta1)
-    c2, s2 = math.cos(inc.theta2), math.sin(inc.theta2)
+    theta1, theta2 = math.pi / 6, math.pi / 3
+    amps = pattern_amplitudes(theta1, theta2)
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    c2, s2 = math.cos(theta2), math.sin(theta2)
     assert abs(amps[Pol.X, Pol.X] - c1 * c2) < TOL
     assert abs(amps[Pol.X, Pol.Y] - c1 * s2) < TOL
     assert abs(amps[Pol.Y, Pol.X] - s1 * c2) < TOL
@@ -74,7 +73,7 @@ def test_product_state_amplitudes_are_weight_products():
 
 def test_diagonal_product_state_spreads_evenly():
     # both photons at 45 degrees: amplitude 1/2 on each of the four patterns
-    amps = pattern_amplitudes(IncidentPolarization(math.pi / 4, math.pi / 4))
+    amps = pattern_amplitudes(math.pi / 4, math.pi / 4)
     populated = [a for a in amps.values() if a != 0.0]
     assert len(populated) == 4
     for amp in populated:
@@ -83,7 +82,7 @@ def test_diagonal_product_state_spreads_evenly():
 
 def test_product_state_drops_zero_amplitudes():
     # Aligned x polarizations populate exactly one pattern.
-    amps = pattern_amplitudes(IncidentPolarization(0.0, 0.0))
+    amps = pattern_amplitudes(0.0, 0.0)
     assert {q for q, a in amps.items() if a != 0.0} == {(Pol.X, Pol.X)}
     assert abs(amps[Pol.X, Pol.X] - 1.0) < TOL
 
@@ -92,29 +91,29 @@ def test_product_state_broadcasts_over_angle_arrays():
     # each photon's row runs over its own angle's shape only, and over its
     # own side's two modes
     theta1, theta2 = np.array([0.1, 0.7, 2.0]), np.array([[0.4], [1.3]])
-    p1, p2 = product_state(IncidentPolarization(theta1, theta2))
+    p1, p2 = product_state(theta1, theta2)
     assert p1.shape == (3, 2)
     assert p2.shape == (2, 1, 2)
     for k, t1 in enumerate(theta1):
         for j, t2 in enumerate(theta2[:, 0]):
-            q1, q2 = product_state(IncidentPolarization(float(t1), float(t2)))
+            q1, q2 = product_state(float(t1), float(t2))
             assert np.max(np.abs(p1[k] - q1)) < TOL and np.max(np.abs(p2[j, 0] - q2)) < TOL
 
 
-def test_incident_polarization_rejects_nonfinite_angles():
-    with pytest.raises(ValueError):
-        IncidentPolarization(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        IncidentPolarization(0.0, math.inf)
-    with pytest.raises(ValueError):
-        IncidentPolarization(np.array([0.0, math.nan]), 0.0)
+def test_product_state_rejects_nonfinite_angles():
+    with pytest.raises(ValueError, match="^theta1 must be finite, got nan$"):
+        product_state(math.nan, 0.0)
+    with pytest.raises(ValueError, match="^theta2 must be finite, got inf$"):
+        product_state(0.0, math.inf)
+    with pytest.raises(ValueError, match="^theta1 must be finite"):
+        product_state(np.array([0.0, math.nan]), 0.0)
 
 
 def test_repeated_operator_counts_both_pairings():
     # d d empties the pair along either pairing of photons to factors, so
     # <0| d d |psi> = 2 (u.p1)(u.p2), not (u.p1)(u.p2)
     rng = np.random.default_rng(20261018)
-    state = product_state(IncidentPolarization(*rng.uniform(0, math.pi, size=2)))
+    state = product_state(*rng.uniform(0, math.pi, size=2))
     q1, q2 = four_mode_rows(state)
     for _ in range(20):
         u = rng.normal(size=N_MODES) + 1j * rng.normal(size=N_MODES)
@@ -136,12 +135,12 @@ def test_two_term_overlaps_square_like_the_four_mode_permanent():
         u.imag[rng.random(shape) < 0.1] = 0.0
     theta = rng.uniform(-math.pi, math.pi, size=(2, 4000))
     theta[:, ::7] = rng.choice([0.0, math.pi / 2, -math.pi, math.pi], size=(2, 572))
-    state = product_state(IncidentPolarization(*theta))
+    state = product_state(*theta)
     kernel = np.abs(vacuum_amplitude(u_a, u_b, state)) ** 2
     reference = np.abs(four_mode_amplitude(u_a, u_b, state)) ** 2
     assert np.array_equal(kernel.view(np.uint64), reference.view(np.uint64))
     # broadcast rows too: every detector row against every photon row
-    state = product_state(IncidentPolarization(theta[0, :60], theta[1, :60]))
+    state = product_state(theta[0, :60], theta[1, :60])
     kernel = np.abs(vacuum_amplitude(u_a[:50, None], u_b[:50, None], state)) ** 2
     reference = np.abs(four_mode_amplitude(u_a[:50, None], u_b[:50, None], state)) ** 2
     assert kernel.shape == (50, 60)
@@ -149,7 +148,7 @@ def test_two_term_overlaps_square_like_the_four_mode_permanent():
 
 
 def test_annihilation_of_empty_mode_gives_zero_state():
-    state = product_state(IncidentPolarization(0.0, 0.0))  # x photons only
+    state = product_state(0.0, 0.0)  # x photons only
     assert vacuum_amplitude(A1Y, A2X, state) == 0.0
     assert vacuum_amplitude(A1X, A2Y, state) == 0.0
     assert abs(vacuum_amplitude(A1X, A2X, state) - 1.0) < TOL
@@ -157,7 +156,7 @@ def test_annihilation_of_empty_mode_gives_zero_state():
 
 def test_operator_scalar_multiplication_both_sides():
     # a scalar on the pair operator d_a d_b can ride on either factor
-    state = product_state(IncidentPolarization(0.3, 1.1))
+    state = product_state(0.3, 1.1)
     u_a, u_b = A1X + 0.5j * A2Y, A2X - 0.2 * A1Y
     base = vacuum_amplitude(u_a, u_b, state)
     assert abs(vacuum_amplitude(3.0 * u_a, u_b, state) - 3.0 * base) < TOL
@@ -166,7 +165,7 @@ def test_operator_scalar_multiplication_both_sides():
 
 def test_vacuum_amplitude_is_linear_in_each_operator():
     rng = np.random.default_rng(20260823)
-    state = product_state(IncidentPolarization(rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
+    state = product_state(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
     op1, op2 = 1.3 * A1X, 0.7j * A1Y
     combined = vacuum_amplitude(op1 + op2, A2X + A2Y, state)
     separate = vacuum_amplitude(op1, A2X + A2Y, state) + vacuum_amplitude(op2, A2X + A2Y, state)
@@ -177,11 +176,11 @@ def test_vacuum_amplitude_is_linear_in_each_operator():
 
 def test_vacuum_amplitude_broadcasts_over_batch_axes():
     rows = np.stack([A1X, A1Y, A1X + A1Y])
-    state = product_state(IncidentPolarization(np.array([[0.2], [0.9]]), 0.5))
+    state = product_state(np.array([[0.2], [0.9]]), 0.5)
     amps = vacuum_amplitude(rows, A2X, state)
     assert amps.shape == (2, 3)
     for i, theta1 in enumerate((0.2, 0.9)):
-        single = product_state(IncidentPolarization(theta1, 0.5))
+        single = product_state(theta1, 0.5)
         for j, row in enumerate(rows):
             assert abs(amps[i, j] - vacuum_amplitude(row, A2X, single)) < TOL
 
@@ -189,7 +188,7 @@ def test_vacuum_amplitude_broadcasts_over_batch_axes():
 def test_two_photon_state_needs_two_annihilations_for_vacuum_overlap():
     # one annihilation per photon: two side-1 operators cannot empty a
     # state with one photon per side
-    state = product_state(IncidentPolarization(0.3, 1.1))
+    state = product_state(0.3, 1.1)
     assert vacuum_amplitude(A1X, A1Y, state) == 0.0
     assert vacuum_amplitude(A2X, A2Y, state) == 0.0
     expected = math.cos(0.3) * math.cos(1.1)

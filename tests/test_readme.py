@@ -1,10 +1,13 @@
-"""The README's key and experiment tables say what the code does."""
+"""The README's key and experiment tables say what the code does, its
+Python examples run, and the public names they draw on all resolve."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import twophoton
 from twophoton.cli import KEYS, LIBRARY_NAMES
 from twophoton.compare import BOTH_INPUTS, EXPERIMENTS, POLARIZED, UNPOLARIZED
 
@@ -55,3 +58,21 @@ def test_experiment_table_row_matches_its_entry(name):
     assert ("cos φ = cos ψ" in notes) == entry.matched_phases
     assert ("engine cells empty" in notes) == (entry.engine is None)
     assert ("`arm` picks the side" in notes) == ("arm" in entry.params)
+
+
+def test_readme_python_blocks_run_in_order():
+    # later blocks use the names earlier ones define, as a reader runs them
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["fringe"].shape == (73,)
+
+
+def test_every_public_name_resolves_once():
+    names = twophoton.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from twophoton import *", namespace)  # raises if a listed name does not resolve
+    assert set(names) <= namespace.keys()
