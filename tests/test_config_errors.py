@@ -51,6 +51,7 @@ CASES = {
     ),
     "seed_flag": ("mc", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
     "seed_flag_sweep": ("sweep", None, ["--seed", "-1"], ["seed: must be a nonnegative integer, got -1"]),
+    "seed_flag_equals": ("mc", None, ["--seed=-3"], ["seed: must be a nonnegative integer, got -3"]),
     "step_flag": ("compare", None, ["--step", "0"], ["step: step must be at least 1, got 0"]),
     # a file's own problem stops the run before --seed applies
     "seed_in_file_and_flag": (
@@ -311,6 +312,15 @@ USAGE_ERRORS = {
     "unknown_flag": (["mc", "--no-such-flag"], "twophoton: error: unrecognized arguments: --no-such-flag"),
     "unknown_subcommand": (["bogus"], "twophoton: error: argument command: invalid choice: 'bogus'"),
     "no_subcommand": ([], "twophoton: error: the following arguments are required: command"),
+    "set_without_value": (["sweep", "--set"], "twophoton sweep: error: argument --set: expected one argument"),
+    "out_without_value": (["sweep", "--out"], "twophoton sweep: error: argument --out: expected one argument"),
+    "ambiguous_prefix": (
+        ["sweep", "--se", "3"],
+        "twophoton sweep: error: ambiguous option: --se could match --seed, --set",
+    ),
+    # a value may start with "-" only if it reads as a negative number
+    "dash_value": (["sweep", "--set", "-x=1"], "twophoton sweep: error: argument --set: expected one argument"),
+    "seed_not_integral": (["mc", "--seed", "1.5"], "twophoton mc: error: argument --seed: invalid int value: '1.5'"),
 }
 
 
@@ -326,9 +336,51 @@ def test_a_command_line_argparse_rejects_exits_1(name, capsys):
     assert captured.err.splitlines()[-1].startswith(error)
 
 
-def test_help_still_exits_0(capsys):
-    for argv in (["--help"], ["sweep", "--help"]):
-        with pytest.raises(SystemExit) as shown:
-            main(argv)
-        assert shown.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: twophoton")
+# every subcommand and the flags its help lists
+FLAGS = {
+    "sweep": ["--config", "--out", "--seed", "--set"],
+    "compare": ["--out", "--step", "--perturb"],
+    "mc": ["--config", "--out", "--seed", "--set"],
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([command, "--help"] for command in FLAGS)], ids=" ".join)
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as shown:
+        main(argv)
+    assert shown.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: twophoton {argv[0]} " if argv[0] in FLAGS else "usage: twophoton ")
+    for word in FLAGS.get(argv[0], FLAGS):
+        assert word in out
+
+
+SMALL_MC = ["--set", "n_pairs=2000"]
+
+# name -> (argv, an argv that must print the same, an argv that must not);
+# {config} is the path of a config file that sweeps same_arm over psi in five steps
+ACCEPTED_FORMS = {
+    "flag_equals_value": (["mc", "--seed=7", *SMALL_MC], ["mc", "--seed", "7", *SMALL_MC], ["mc", *SMALL_MC]),
+    "set_equals_pair": (["sweep", "--set=tx=0.5"], ["sweep", "--set", "tx=0.5"], ["sweep"]),
+    "unique_prefix": (["sweep", "--conf", "{config}"], ["sweep", "--config", "{config}"], ["sweep"]),
+    "last_seed_wins": (
+        ["mc", "--seed", "1", "--seed", "2", *SMALL_MC],
+        ["mc", "--seed", "2", *SMALL_MC],
+        ["mc", "--seed", "1", *SMALL_MC],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTED_FORMS)
+def test_accepted_command_line_forms(name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "same_arm", "sweep": {"param": "psi_deg", "steps": 5}}))
+    outputs = []
+    for argv in ACCEPTED_FORMS[name]:
+        assert main([arg.format(config=path) for arg in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    given, same, other = outputs
+    assert given == same
+    assert given != other
