@@ -23,9 +23,15 @@ table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
 15 significant digits, and is byte-stable for a fixed configuration and
 seed; `_csv` writes every CSV, one format string per row.
 
-The argparse parser is built once per process, on the first `main` call,
-and every later `main` call reuses it: parsing leaves the parser as it was,
-so no `--set` list, seed or default carries from one call to the next.
+`_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
+config keys: each flag's attribute, value type, whether it repeats, its
+placeholder and its help; usage lines and `--help` text are generated from
+it.  `_parse` reads argv against it in one pass and accepts what argparse
+would: `--flag value` and `--flag=value`, any unique prefix of a long flag,
+a value that starts with `-` only where it reads as a negative number, and
+a flag given twice (the last value wins; `--set` and `--perturb` append in
+order).  Each `main` call builds its arguments afresh, so no `--set` list,
+seed or default carries from one call to the next.
 
 Exit codes: 0 success, 1 invalid configuration or command line, 2
 comparison failure, 3 file I/O failure.
@@ -33,11 +39,12 @@ comparison failure, 3 file I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -302,7 +309,7 @@ def run_sweep(cfg: dict[str, Any]) -> str:
     return _csv([param, *entry.columns, "abs_deviation"], rows)
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
+def _load_config(args: SimpleNamespace) -> dict[str, Any]:
     """The validated config: the `--config` file over the defaults, then
     the `--set` overrides, then `--seed`.  Each stage reports its own
     problems and stops the ones after it.  The defaults pass every rule, so
@@ -322,12 +329,11 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
         cfg = parse_config(data)
     if args.set:
         cfg = parse_config(apply_set_overrides(cfg, args.set))
-    seed = getattr(args, "seed", None)
-    if seed is not None:
+    if args.seed is not None:
         key = KEYS["seed"]
-        if not key.rule(seed):
-            raise ConfigError([("seed", key.message.format(seed))])
-        cfg = {**cfg, "seed": seed}
+        if not key.rule(args.seed):
+            raise ConfigError([("seed", key.message.format(args.seed))])
+        cfg = {**cfg, "seed": args.seed}
     return cfg
 
 
@@ -339,7 +345,7 @@ def _write_out(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     cfg = _load_config(args)
     _write_out(run_sweep(cfg), args.out)
     return 0
@@ -357,9 +363,9 @@ def _point_text(point: dict[str, float | str]) -> str:
     return " ".join(parts)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     perturbations: dict[str, float] = {}
-    for pair in args.perturb or []:
+    for pair in args.perturb:
         if "=" not in pair:
             raise ConfigError([(pair, "expected name=value")])
         name, raw = pair.split("=", 1)
@@ -406,7 +412,7 @@ def _mc_report(counts: np.ndarray, probs: np.ndarray, run: RunConfig) -> str:
     return _csv(header, rows)
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
+def cmd_mc(args: SimpleNamespace) -> int:
     cfg = _load_config(args)
     _check_phases(cfg["phi_deg"], cfg["psi_deg"])
     point = _library_args(cfg)
@@ -421,65 +427,179 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 1, the code of an invalid
-    configuration, and not argparse's 2, the code of a comparison failure.
-    Subparsers are built from the same class."""
+class _Flag(NamedTuple):
+    """A command-line flag: the attribute it sets, its value's placeholder
+    in usage text, its help, its value's type (an `int` flag reads `1e3` as
+    1000, as an int config key does), whether it repeats (each value is
+    appended) and its value when absent."""
 
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    dest: str
+    metavar: str
+    help: str
+    type: type = str
+    repeats: bool = False
+    default: Any = None
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `twophoton` argument parser, built on the first call and shared
-    by every later one."""
-    parser = _Parser(
-        prog="twophoton",
-        description="Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command(NamedTuple):
+    """A subcommand: the function it runs, its one-line help and its flags."""
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a configuration value (repeatable; dotted paths, e.g. sweep.steps=5)",
-        )
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    flags: dict[str, _Flag]
 
-    p_sweep = sub.add_parser("sweep", help="evaluate an experiment along a swept parameter")
-    common(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_cmp = sub.add_parser("compare", help="cross-check the engine against the closed forms")
-    p_cmp.add_argument("--out", help="write the report as CSV to this path")
-    p_cmp.add_argument(
-        "--step", type=int, default=1, help="thin the four-angle grids by this stride (default 1)"
-    )
-    p_cmp.add_argument(
-        "--perturb",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named analytic constant (negative-control self-test)",
-    )
-    p_cmp.set_defaults(fn=cmd_compare)
+_CONFIG_FLAGS = {
+    "--config": _Flag("config", "CONFIG", "JSON configuration file"),
+    "--out": _Flag("out", "OUT", "output file path (default: stdout)"),
+    "--seed": _Flag("seed", "SEED", "override the configured seed", int),
+    "--set": _Flag(
+        "set",
+        "KEY=VALUE",
+        "override a configuration value (repeatable; dotted paths, e.g. sweep.steps=5)",
+        repeats=True,
+    ),
+}
+# Every subcommand and its flags; usage lines and --help text come from here.
+_COMMANDS = {
+    "sweep": _Command(cmd_sweep, "evaluate an experiment along a swept parameter", _CONFIG_FLAGS),
+    "compare": _Command(
+        cmd_compare,
+        "cross-check the engine against the closed forms",
+        {
+            "--out": _Flag("out", "OUT", "write the report as CSV to this path"),
+            "--step": _Flag("step", "STEP", "thin the four-angle grids by this stride (default 1)", int, default=1),
+            "--perturb": _Flag(
+                "perturb",
+                "NAME=VALUE",
+                "override a named analytic constant (negative-control self-test)",
+                repeats=True,
+            ),
+        },
+    ),
+    "mc": _Command(cmd_mc, "sample a detection run and report estimates", _CONFIG_FLAGS),
+}
+_HELP = ("-h", "--help")
+# argparse's rule: a token that starts with "-" is a value only if it reads
+# as a negative number or holds a space
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p_mc = sub.add_parser("mc", help="sample a detection run and report estimates")
-    common(p_mc)
-    p_mc.set_defaults(fn=cmd_mc)
 
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: twophoton [-h] {{{','.join(_COMMANDS)}}} ..."
+    flags = "".join(f" [{name} {flag.metavar}]" for name, flag in _COMMANDS[command].flags.items())
+    return f"usage: twophoton {command} [-h]{flags}"
+
+
+def _help(command: str | None) -> str:
+    """The --help text of `twophoton` (command None) or of a subcommand."""
+    if command is None:
+        description, flags = "Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.", {}
+        sections = {"commands": [(name, c.help) for name, c in _COMMANDS.items()]}
+    else:
+        (_, description, flags), sections = _COMMANDS[command], {}
+    sections["options"] = [("-h, --help", "show this help message and exit")]
+    sections["options"] += [(f"{name} {flag.metavar}", flag.help) for name, flag in flags.items()]
+    width = max(len(left) for rows in sections.values() for left, _ in rows)
+    lines = [_usage(command), "", description]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:", *(f"  {left:{width}}  {right}" for left, right in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """Report a usage error as argparse does, but under the exit code of an
+    invalid configuration (1), not argparse's 2, the code of a comparison
+    failure."""
+    prog = "twophoton" if command is None else f"twophoton {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _option(token: str, names: Sequence[str], command: str | None) -> tuple[str | None, str | None] | None:
+    """How argparse reads `token` against the flag `names` of `command`:
+    None for a value or a positional; otherwise the flag it names (None for
+    an unknown one) and the value it carries after "=" (None if it carries
+    none).  A long flag may be any unique prefix of its name."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, sep, value = token.partition("=")
+    if sep and name in names:
+        return name, value
+    if len(name) > 2 and name.startswith("--"):
+        matches = [full for full in names if full.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if sep else None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
+    """Read `argv` against `_COMMANDS` in one pass: the first positional
+    names the subcommand, and the flags after it set its arguments.
+    Unknown flags and extra positionals are collected and reported last,
+    under the top-level usage, as argparse reports them."""
+    command: str | None = None
+    flags: dict[str, _Flag] = {}
+    names: tuple[str, ...] = _HELP
+    values: dict[str, Any] = {}
+    extras: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option = _option(token, names, command)
+        if option is None:
+            if command is not None:
+                extras.append(token)
+            elif token in _COMMANDS:
+                command, flags = token, _COMMANDS[token].flags
+                names = (*_HELP, *flags)
+                values = {flag.dest: [] if flag.repeats else flag.default for flag in flags.values()}
+            else:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            continue
+        name, raw = option
+        if name is None:
+            extras.append(token)
+        elif name in _HELP:
+            if raw is not None:
+                _fail(command, f"argument -h/--help: ignored explicit argument {raw!r}")
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        else:
+            if raw is None:
+                if i == len(argv) or _option(argv[i], names, command) is not None:
+                    _fail(command, f"argument {name}: expected one argument")
+                raw = argv[i]
+                i += 1
+            flag = flags[name]
+            try:
+                value = _coerce_set_value(raw, flag.type())
+            except ValueError:
+                _fail(command, f"argument {name}: invalid {flag.type.__name__} value: {raw!r}")
+            if flag.repeats:
+                values[flag.dest].append(value)
+            else:
+                values[flag.dest] = value
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return _COMMANDS[command], SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return command.run(args)
     except ConfigError as exc:
         for path, message in exc.problems:
             print(f"config error at {path}: {message}", file=sys.stderr)

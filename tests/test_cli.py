@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import twophoton
+from twophoton import cli
 from twophoton import compare as comparemod
 from twophoton.cli import (
     DEFAULTS,
     ConfigError,
     _csv,
     apply_set_overrides,
-    build_parser,
     config_to_json,
     main,
     parse_config,
@@ -525,8 +525,23 @@ def test_compare_negative_control_output_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == NEGATIVE_CONTROL_SHA256["csv"]
 
 
-def test_calls_sharing_the_parser_stay_independent(capsys):
-    # a sweep with several --set and a --seed, an argparse rejection, a bad config
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this package."""
+    package_root = str(Path(twophoton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_successive_main_calls_stay_independent(monkeypatch, capsys):
+    seen = []
+
+    def recording(args):
+        seen.append(dict(vars(args)))
+        return load_config(args)
+
+    load_config = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", recording)
+    # a sweep with several --set and a --seed, a command-line rejection, a bad config
     seeded = ["--set", "experiment=mc_run", "--set", "sweep.param=theta1_deg", "--set", "sweep.steps=3"]
     assert main(["sweep", *seeded, "--set", "n_pairs=500", "--seed", "7"]) == 0
     with pytest.raises(SystemExit) as rejected:
@@ -534,18 +549,34 @@ def test_calls_sharing_the_parser_stay_independent(capsys):
     assert rejected.value.code == 1
     assert main(["sweep", "--set", "tx=2"]) == 1
     capsys.readouterr()
-    # ... then a plain sweep prints what it prints as the first call of a process
+    # ... then a plain sweep gets every default and prints what it prints
+    # as the first call of a process
     assert main(["sweep"]) == 0
     out = capsys.readouterr().out
-    package_root = str(Path(twophoton.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    code = "import sys; from twophoton.cli import main; sys.exit(main(['sweep']))"
-    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert seen[-1] == {"config": None, "out": None, "seed": None, "set": []}
+    fresh = _run_fresh("import sys; from twophoton.cli import main; sys.exit(main(['sweep']))")
     assert fresh.returncode == 0, fresh.stderr
     assert out == fresh.stdout
-    assert build_parser() is build_parser()
-    args = build_parser().parse_args(["sweep"])
-    assert (args.set, args.seed, args.config, args.out) == (None, None, None, None)
+
+
+def test_the_cli_imports_and_runs_without_argparse():
+    code = (
+        "import sys\n"
+        "from twophoton.cli import main\n"
+        "imported = 'argparse' in sys.modules\n"
+        "main(['sweep', '--set', 'sweep.steps=2'])\n"
+        "sys.exit(imported or 'argparse' in sys.modules)\n"
+    )
+    fresh = _run_fresh(code)
+    assert fresh.returncode == 0, fresh.stderr
+
+
+def test_seed_flag_reads_integral_float_text_as_set_does(capsys):
+    outputs = []
+    for argv in (["--seed", "1e3"], ["--set", "seed=1e3"], ["--seed", "1000"]):
+        assert main(["mc", "--set", "n_pairs=2000", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _csv_cell_by_cell(header, rows):
