@@ -534,12 +534,12 @@ def _run_fresh(code):
 
 def test_successive_main_calls_stay_independent(monkeypatch, capsys):
     seen = []
+    load_config = cli._load_config
 
     def recording(args):
         seen.append(dict(vars(args)))
         return load_config(args)
 
-    load_config = cli._load_config
     monkeypatch.setattr(cli, "_load_config", recording)
     # a sweep with several --set and a --seed, a command-line rejection, a bad config
     seeded = ["--set", "experiment=mc_run", "--set", "sweep.param=theta1_deg", "--set", "sweep.steps=3"]

@@ -2,7 +2,7 @@
 
 Each case runs one subcommand on a bad configuration (a JSON file, `--set`
 overrides, or both) and pins every line it writes to stderr.  Nothing goes
-to stdout and the exit code is 1.  A command line that argparse rejects
+to stdout and the exit code is 1.  A command line the parser rejects
 exits 1 too, so that no input error shares the comparison failure's 2.
 """
 
@@ -305,7 +305,7 @@ def test_a_run_too_large_for_memory_is_a_config_error(monkeypatch, capsys):
     assert captured.err == "config error: out of memory; the configured run is too large\n"
 
 
-# name -> (argv, the start of argparse's last stderr line)
+# name -> (argv, the start of the last stderr line, worded as argparse words it)
 USAGE_ERRORS = {
     "seed_not_an_int": (["sweep", "--seed", "abc"], "twophoton sweep: error: argument --seed: invalid int value: 'abc'"),
     "step_not_an_int": (["compare", "--step", "x"], "twophoton compare: error: argument --step: invalid int value: 'x'"),

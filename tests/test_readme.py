@@ -1,4 +1,4 @@
-"""The README's key and experiment tables say what the code does, its
+"""The README's key, flag and experiment tables say what the code does, its
 Python examples run, and the public names they draw on all resolve."""
 
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import twophoton
-from twophoton.cli import KEYS, LIBRARY_NAMES
+from twophoton.cli import _COMMANDS, KEYS, LIBRARY_NAMES
 from twophoton.compare import BOTH_INPUTS, EXPERIMENTS, POLARIZED, UNPOLARIZED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,6 +34,20 @@ def test_key_table_names_and_defaults_match_keys():
         default = KEYS[row[0].strip("`")].default
         written = json.loads(row[1].strip("`"))
         assert written == default and type(written) is type(default), row
+
+
+def test_flag_table_matches_each_subcommands_flags():
+    written = {
+        (command.strip("`"), flag.strip("`")): (metavar.strip("`"), "repeatable" in what)
+        for commands, flag, metavar, what in table_rows("| subcommands | flag |")
+        for command in commands.split(", ")
+    }
+    declared = {
+        (command, name): (flag.metavar, flag.repeats)
+        for command, spec in _COMMANDS.items()
+        for name, flag in spec.flags.items()
+    }
+    assert written == declared
 
 
 EXPERIMENT_ROWS = {row[0].strip("`"): row for row in table_rows("| experiment | sweepable |")}
