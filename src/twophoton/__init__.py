@@ -22,7 +22,7 @@ command, whose `sweep`, `compare` and `mc` subcommands read that table.
 """
 
 from .compare import DEFAULT_TOL, CheckResult, run_comparison
-from .elements import BeamSplitterSpec, PhaseGeometry, Port, phase_from_positions
+from .elements import BeamSplitterSpec, PhaseGeometry, Port
 from .engine import (
     OPPOSITE,
     InputSpec,
@@ -37,16 +37,8 @@ from .engine import (
     same_arm_no_polarizers,
     same_arm_probability,
 )
-from .fock import (
-    Arm,
-    Pol,
-    mode_index,
-    product_state,
-    vacuum_amplitude,
-)
+from .fock import Arm, product_state, vacuum_amplitude
 from .formulas import (
-    BunchPathAmplitudes,
-    PairPathAmplitudes,
     bunch_path_amplitudes,
     p_classical,
     p_coincidence,
@@ -73,14 +65,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arm",
-    "Pol",
-    "mode_index",
     "product_state",
     "vacuum_amplitude",
     "BeamSplitterSpec",
     "Port",
     "PhaseGeometry",
-    "phase_from_positions",
     "InputSpec",
     "Outcome",
     "OutcomeKind",
@@ -93,8 +82,6 @@ __all__ = [
     "same_arm_no_polarizers",
     "double_trigger_probability",
     "full_outcome_distribution",
-    "PairPathAmplitudes",
-    "BunchPathAmplitudes",
     "pair_path_amplitudes",
     "bunch_path_amplitudes",
     "p_coincidence",

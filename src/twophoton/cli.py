@@ -231,11 +231,6 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-def config_to_json(cfg: dict[str, Any]) -> str:
-    """Serialize a configuration; parse_config(json.loads(...)) round-trips."""
-    return json.dumps(cfg, indent=2) + "\n"
-
-
 @functools.cache
 def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
     """The formatter of a CSV row whose cells have `types`: a float cell

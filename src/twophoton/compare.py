@@ -85,7 +85,10 @@ class Experiment:
     `columns` names the two values in a sweep's CSV.  Domain: `only_5050`
     entries hold for the 50:50 splitter only, `matched_phases` entries only
     where cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid
-    (see `_check`); an entry without a grid is not compared.
+    (see `_check`); an entry without a grid is not compared.  `shared`, when
+    set, is a step that both routes read: `evaluate` calls it once with the
+    parameters and hands its result to both callables as the keyword
+    `shared`.
     """
 
     name: str
@@ -98,6 +101,7 @@ class Experiment:
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
     cycle: Params = ()
+    shared: Callable[..., Any] | None = None
 
 
 def outcome_distribution(
@@ -146,32 +150,11 @@ def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
     return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
 
 
-# the arguments and the read-only result of the last `_mc_run_distribution`
-# call, until the next call takes them
-_last_mc_run: tuple[dict[str, Any], np.ndarray] | None = None
-
-
-def _mc_run_distribution(**point) -> np.ndarray:
-    """`outcome_distribution(**point)`, one build for two calls: a call keeps
-    its arguments and what it builds, and the next call takes the result if
-    it is given the very same argument objects.  `evaluate` hands the same
-    objects to the formula and the engine, so an `mc_run` sweep's exact
-    column and its Monte Carlo estimate read one distribution, and every
-    sweep builds its own.  The kept arguments stay alive, so no other object
-    can take their place."""
-    global _last_mc_run
-    last, _last_mc_run = _last_mc_run, None
-    if last is not None and last[0].keys() == point.keys() and all(last[0][k] is v for k, v in point.items()):
-        return last[1]
-    dist = outcome_distribution(**point)
-    _last_mc_run = point, dist
-    return dist
-
-
-def _opposite_estimate(run: RunConfig, **point) -> np.ndarray:
+def _opposite_estimate(shared: np.ndarray, run: RunConfig, **_) -> np.ndarray:
     """Monte Carlo estimate of the opposite-side total, efficiency-corrected:
-    one run of `run` at every point, all drawing the same random numbers."""
-    counts = sample_counts(_mc_run_distribution(**point), run)
+    one run of `run` at every point of the distribution `shared`, all
+    drawing the same random numbers."""
+    counts = sample_counts(shared, run)
     return (counts[..., OPPOSITE].sum(-1) / (run.n_pairs * run.efficiency**2))[()]
 
 
@@ -283,10 +266,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             "mc_run",
             (*DISTRIBUTION_PARAMS, "run"),
             BOTH_INPUTS,
-            lambda run, **point: _running_total(_mc_run_distribution(**point)[..., OPPOSITE]),
+            lambda shared, **_: _running_total(shared[..., OPPOSITE]),
             _opposite_estimate,
             matched_phases=True,
             columns=("exact", "estimate"),
+            shared=lambda run, **point: outcome_distribution(**point),
         ),
     )
 }
@@ -303,10 +287,12 @@ def evaluate(
     `fixed` holds the parameters shared by every point; `columns` maps each
     other parameter to its values, an array (or a splitter of arrays), and
     the arrays broadcast together to the points: flat columns or the axes
-    of an open mesh.  `formula` (the entry's, or a perturbed one) and the
-    engine each run once on the arrays.  The engine value is None for an
-    entry without an engine.
+    of an open mesh.  The entry's `shared` step, if any, runs first; then
+    `formula` (the entry's, or a perturbed one) and the engine each run once
+    on the arrays.  The engine value is None for an entry without an engine.
     """
+    if entry.shared is not None:
+        fixed = {**fixed, "shared": entry.shared(**fixed, **columns)}
     ana = formula(**fixed, **columns)
     if entry.engine is None:
         return ana, None
@@ -413,9 +399,11 @@ def run_comparison(
     perturbations: dict[str, float] | None = None, step: int = 1
 ) -> list[CheckResult]:
     """Check every experiment that has a grid; `perturbations` may override
-    named constants (used as a negative control), and `step` (at least 1)
-    thins the four-angle grids, the ones that interleave phases and
-    splitters."""
+    named constants (used as a negative control), and `step` (an integer,
+    at least 1) thins the four-angle grids, the ones that interleave phases
+    and splitters."""
+    if not isinstance(step, (int, np.integer)):
+        raise ValueError(f"step must be an integer, got {step!r}")
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step!r}")
     perturbations = perturbations or {}

@@ -12,12 +12,13 @@ Conventions fixed here and relied on everywhere else:
   opposite-side coincidence; it is attached to the reflected term of the
   side-1 detector operator.  `psi` is the fringe phase between the two
   pairings of a same-side pair detection; it is attached to the transmitted
-  term of the first operator of the pair.  Equal displacement of both
-  detectors leaves these relative phases (and hence all probabilities)
-  unchanged; `phase_from_positions` is the documented fold-in map.
+  term of the first operator of the pair.  Detectors at positions z1, z2
+  fold in as the phase 2*pi*(z2 - z1)/spacing, for the fringe spacing;
+  equal displacement of both detectors leaves these relative phases (and
+  hence all probabilities) unchanged.
 
 A detector operator is linear in the input annihilators, so it is returned
-as its coefficient row over the four occupied input modes (`fock.mode_index`
+as its coefficient row over the four occupied input modes (in `fock`'s
 order).  `analyzer_rows` is the one row builder: it builds the rows of the
 given ports of an analyzer (both by default), on an axis of their own, with
 the phase of the detector's `Role`.  A one-port row is the slice
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import N_MODES, TOL, Arm, Pol, _all_finite
+from .fock import N_MODES, TOL, Arm, _all_finite
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,6 @@ class BeamSplitterSpec:
         s = 1.0 / math.sqrt(2.0)
         return cls(s, s, s, s)
 
-    def t(self, pol: Pol) -> float:
-        return self.tx if pol is Pol.X else self.ty
-
-    def r(self, pol: Pol) -> float:
-        return self.rx if pol is Pol.X else self.ry
-
 
 class Port(Enum):
     """Output port of a two-channel (birefringent) analyzer."""
@@ -114,17 +109,6 @@ class PhaseGeometry:
         for name in ("phi", "psi"):
             if not _all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-def phase_from_positions(z1: float, z2: float, fringe_spacing: float) -> float:
-    """Fold two detector positions into a relative fringe phase.
-
-    Returns 2*pi*(z2 - z1)/fringe_spacing; shifting both positions equally
-    leaves the result unchanged.
-    """
-    if fringe_spacing == 0 or not math.isfinite(fringe_spacing):
-        raise ValueError(f"fringe_spacing must be finite and nonzero, got {fringe_spacing!r}")
-    return 2.0 * math.pi * (z2 - z1) / fringe_spacing
 
 
 # A side-2 row is the side-1 row of the same setting and phases with the two
@@ -169,7 +153,7 @@ def analyzer_rows(
     tp, rp, tx, ty, rx, ry = (
         a[..., None] if isinstance(a, np.ndarray) else a for a in (t_phase, 1j * r_phase, bs.tx, bs.ty, bs.rx, bs.ry)
     )
-    # side 1's modes in `mode_index` order: transmitted x, y, then reflected x, y
+    # side 1's modes in `fock`'s order: transmitted x, y, then reflected x, y
     entries = (tp * wx * tx, tp * wy * ty, rp * wx * rx, rp * wy * ry)
     rows = np.empty(np.broadcast(*entries).shape + (N_MODES,), dtype=complex)
     for index, value in zip(range(N_MODES) if arm is Arm.SIDE1 else OTHER_SIDE, entries):

@@ -2,8 +2,8 @@
 
 Photon pairs enter the beam splitter from opposite sides, one photon per
 side, and each side carries its own frequency slot, so only four input modes
-are ever occupied: (side1, x), (side1, y), (side2, x), (side2, y), in that
-order (`mode_index`).  Every detector field operator d = sum_m u_m a_m is
+are ever occupied: (side1, x), (side1, y), (side2, x), (side2, y), at
+indexes 0 to 3.  Every detector field operator d = sum_m u_m a_m is
 linear in the input annihilators, so it is a row vector u over these four
 modes.  A photon lives on its own side only, so its row is (cos, sin) of its
 polarization angle over that side's (x, y) modes;
@@ -37,18 +37,6 @@ class Arm(Enum):
 
     SIDE1 = 0
     SIDE2 = 1
-
-
-class Pol(Enum):
-    """Linear polarization axis."""
-
-    X = 0
-    Y = 1
-
-
-def mode_index(arm: Arm, pol: Pol) -> int:
-    """Position of the occupied input mode (arm, pol) in every row vector."""
-    return 2 * arm.value + pol.value
 
 
 def _all_finite(v) -> bool:

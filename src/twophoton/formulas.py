@@ -17,8 +17,6 @@ Functions without splitter arguments assume the 50:50 splitter.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .elements import BeamSplitterSpec  # parameter container only
@@ -26,24 +24,11 @@ from .elements import BeamSplitterSpec  # parameter container only
 _FIFTY_FIFTY = BeamSplitterSpec.fifty_fifty()
 
 
-class PairPathAmplitudes(NamedTuple):
-    """Two-path amplitudes of an opposite-side coincidence."""
-
-    transmitted: float  # both photons transmitted
-    reflected: float  # both photons reflected
-
-
-class BunchPathAmplitudes(NamedTuple):
-    """Pairing amplitudes of a same-side pair detection."""
-
-    direct: float  # photon-to-detector pairing matching the channel labels
-    exchanged: float  # the swapped pairing
-
-
 def pair_path_amplitudes(
     pol1: float, pol2: float, ana1: float, ana2: float, bs: BeamSplitterSpec
-) -> PairPathAmplitudes:
-    """Amplitudes of the both-transmitted and both-reflected coincidence paths."""
+) -> tuple[float, float]:
+    """Amplitudes (A, B) of the both-transmitted and both-reflected
+    coincidence paths."""
     c1p, s1p = np.cos(pol1), np.sin(pol1)
     c2p, s2p = np.cos(pol2), np.sin(pol2)
     c1, s1 = np.cos(ana1), np.sin(ana1)
@@ -58,7 +43,7 @@ def pair_path_amplitudes(
         + bs.ry**2 * s1p * s2p * s1 * s2
         + bs.rx * bs.ry * (c1p * s2p * s1 * c2 + s1p * c2p * c1 * s2)
     )
-    return PairPathAmplitudes(a, b)
+    return a, b
 
 
 def p_coincidence(
@@ -89,8 +74,9 @@ def p_no_polarizers(pol1: float, pol2: float, phi: float) -> float:
 
 def bunch_path_amplitudes(
     pol1: float, pol2: float, ana_a: float, ana_b: float, bs: BeamSplitterSpec
-) -> BunchPathAmplitudes:
-    """Pairing amplitudes for both photons leaving on side 2.
+) -> tuple[float, float]:
+    """Pairing amplitudes (C, D) for both photons leaving on side 2: C pairs
+    photons with detectors as the channel labels do, D swaps them.
 
     Both pairings start with the same two terms, the ones with both photons
     on one axis (both x or both y); they differ in the two mixed terms.
@@ -102,7 +88,7 @@ def bunch_path_amplitudes(
     shared = bs.tx * bs.rx * c1p * c2p * ca * cb + bs.ty * bs.ry * s1p * s2p * sa * sb
     c = shared + bs.tx * bs.ry * s1p * c2p * sa * cb + bs.ty * bs.rx * c1p * s2p * ca * sb
     d = shared + bs.tx * bs.ry * s1p * c2p * ca * sb + bs.ty * bs.rx * c1p * s2p * sa * cb
-    return BunchPathAmplitudes(c, d)
+    return c, d
 
 
 def p_same_arm(
@@ -127,15 +113,16 @@ def p_same_arm_no_polarizers(pol1: float, pol2: float) -> float:
     return 0.5 * (1.0 + c * c)
 
 
-def p_double_trigger(pol1: float, pol2: float, theta: float, psi: float = 0.0) -> float:
+def p_double_trigger(pol1: float, pol2: float, theta: float) -> float:
     """Single-detector double trigger behind a theta analyzer, 50:50 splitter.
 
-    (1/8) cos^2(pol1-theta) cos^2(pol2-theta) (1 + cos(psi)); both pairings
-    share one detector position, so physically psi = 0.
+    (1/4) cos^2(pol1-theta) cos^2(pol2-theta): the same-side pair form
+    (1/8) cos^2 cos^2 (1 + cos(psi)) at psi = 0, since both pairings share
+    one detector position.
     """
     c1 = np.cos(pol1 - theta)
     c2 = np.cos(pol2 - theta)
-    return 0.125 * c1 * c1 * c2 * c2 * (1.0 + np.cos(psi))
+    return 0.25 * c1 * c1 * c2 * c2
 
 
 def p_unpolarized(ana1: float, ana2: float, bs: BeamSplitterSpec, phi: float) -> float:

@@ -18,7 +18,6 @@ from twophoton.cli import (
     ConfigError,
     _csv,
     apply_set_overrides,
-    config_to_json,
     main,
     parse_config,
     run_sweep,
@@ -36,7 +35,7 @@ def test_defaults_are_a_valid_config():
 
 def test_config_round_trips_through_json():
     cfg = parse_config({"theta2p_deg": 90.0, "phi_deg": 45.0, "sweep": {"steps": 7}})
-    again = parse_config(json.loads(config_to_json(cfg)))
+    again = parse_config(json.loads(json.dumps(cfg, indent=2)))
     assert again == cfg
 
 
@@ -678,16 +677,10 @@ PINNED_SHA256 = {
 
 
 def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
-    # the exact column and the Monte Carlo estimate read one distribution;
-    # a sweep is not handed another sweep's, nor keeps its own for the next
+    # the exact column and the Monte Carlo estimate read one distribution,
+    # and every sweep builds its own, also after a sweep of the same config
     calls, full = [], comparemod.full_outcome_distribution
     monkeypatch.setattr(comparemod, "full_outcome_distribution", lambda *args: calls.append(args) or full(*args))
-    monkeypatch.setattr(comparemod, "_last_mc_run", None)
-    # what a lone call keeps is not handed to a sweep of the same shapes at other values
-    point = dict(pol1=0.1, pol2=0.2, ana1=np.linspace(0.0, 1.0, 29), ana2=0.4, phi=0.5, psi=0.5)
-    bs = comparemod.BeamSplitterSpec.fifty_fifty()
-    comparemod.EXPERIMENTS["mc_run"].formula(run=None, input_kind="polarized", bs=bs, **point)
-    calls.clear()
     outputs = []
     for theta2 in ("-41.7", "12.9", "-41.7", "-41.7"):
         sets = [*OFF_LATTICE_SETS, *INPUT_CASES["polarized"], "experiment=mc_run", f"theta2_deg={theta2}"]
@@ -697,19 +690,6 @@ def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
     assert outputs[0] == outputs[2] == outputs[3] != outputs[1]
     digest = hashlib.sha256(outputs[0].encode()).hexdigest()
     assert digest == PINNED_SHA256[("sweep", "mc_run", "polarized")]
-
-
-def test_a_kept_distribution_is_handed_on_once(monkeypatch):
-    # the second call with the very same arguments takes the first one's
-    # distribution and empties the slot, so a third call builds its own
-    calls, full = [], comparemod.full_outcome_distribution
-    monkeypatch.setattr(comparemod, "full_outcome_distribution", lambda *args: calls.append(args) or full(*args))
-    monkeypatch.setattr(comparemod, "_last_mc_run", None)
-    point = dict(input_kind="unpolarized", pol1=0.1, pol2=0.2, ana1=np.linspace(0.0, 1.0, 29), ana2=0.4)
-    point.update(phi=0.5, psi=0.5, bs=comparemod.BeamSplitterSpec.fifty_fifty())
-    totals = [comparemod.EXPERIMENTS["mc_run"].formula(run=None, **point) for _ in range(3)]
-    assert len(calls) == 2
-    assert all(np.array_equal(total, totals[0]) for total in totals)
 
 
 @pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from twophoton.elements import (
+    OTHER_SIDE,
     BeamSplitterSpec,
     PhaseGeometry,
     Port,
     Role,
     analyzer_rows,
-    phase_from_positions,
 )
-from twophoton.fock import TOL, Arm, Pol, mode_index
+from twophoton.fock import TOL, Arm
+
+# polarization axes; a row's modes are side1 x, side1 y, side2 x, side2 y
+X, Y = 0, 1
 
 RNG = np.random.default_rng(411)
 
@@ -87,8 +90,6 @@ def test_fifty_fifty_amplitudes():
     bs = BeamSplitterSpec.fifty_fifty()
     s = 1.0 / math.sqrt(2.0)
     assert (bs.tx, bs.ty, bs.rx, bs.ry) == (s, s, s, s)
-    assert bs.t(Pol.X) == bs.tx and bs.t(Pol.Y) == bs.ty
-    assert bs.r(Pol.X) == bs.rx and bs.r(Pol.Y) == bs.ry
 
 
 def test_splitter_transform_is_unitary_per_polarization():
@@ -111,9 +112,9 @@ def test_parallel_port_projects_along_analyzer_angle():
     theta = 0.7
     clear = BeamSplitterSpec.from_transmission(1.0, 1.0)
     row = one_row(Role.OPPOSITE, Arm.SIDE1, theta, clear, PhaseGeometry())
-    assert abs(row[mode_index(Arm.SIDE1, Pol.X)] - math.cos(theta)) < TOL
-    assert abs(row[mode_index(Arm.SIDE1, Pol.Y)] - math.sin(theta)) < TOL
-    assert row[mode_index(Arm.SIDE2, Pol.X)] == 0.0 and row[mode_index(Arm.SIDE2, Pol.Y)] == 0.0
+    assert abs(row[0] - math.cos(theta)) < TOL
+    assert abs(row[1] - math.sin(theta)) < TOL
+    assert row[2] == 0.0 and row[3] == 0.0
 
 
 def test_perpendicular_port_is_parallel_rotated_quarter_turn():
@@ -135,39 +136,26 @@ def test_analyzer_and_phase_validation():
         PhaseGeometry(psi=math.nan)
 
 
-def test_phase_from_positions_depends_only_on_separation():
-    spacing = 0.8
-    base = phase_from_positions(0.1, 0.5, spacing)
-    assert abs(base - 2.0 * math.pi * 0.4 / spacing) < TOL
-    for shift in RNG.uniform(-5.0, 5.0, size=10):
-        assert abs(phase_from_positions(0.1 + shift, 0.5 + shift, spacing) - base) < TOL
-    with pytest.raises(ValueError):
-        phase_from_positions(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        phase_from_positions(0.0, 1.0, math.inf)
-
-
-def splitter_output(bs: BeamSplitterSpec, arm: Arm, pol: Pol) -> np.ndarray:
-    """Row of one splitter output annihilator: t on the same side, i*r on
-    the other side, same polarization."""
-    other = Arm.SIDE2 if arm is Arm.SIDE1 else Arm.SIDE1
+def splitter_output(bs: BeamSplitterSpec, arm: Arm, axis: int) -> np.ndarray:
+    """Row of one splitter output annihilator, polarization `axis` (X or Y):
+    t on the same side, i*r on the other side, same polarization."""
+    t, r = (bs.tx, bs.rx) if axis == X else (bs.ty, bs.ry)
     row = np.zeros(4, dtype=complex)
-    row[mode_index(arm, pol)] = bs.t(pol)
-    row[mode_index(other, pol)] = 1j * bs.r(pol)
-    return row
+    row[axis], row[2 + axis] = t, 1j * r  # side 1's output
+    return row if arm is Arm.SIDE1 else row[OTHER_SIDE]
 
 
 def test_splitter_output_mixes_sides_with_i_reflection():
     # an analyzer along x (y) passes exactly the x (y) splitter output
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     out = one_row(Role.OPPOSITE, Arm.SIDE1, 0.0, bs, PhaseGeometry())
-    assert abs(out[mode_index(Arm.SIDE1, Pol.X)] - bs.tx) < TOL
-    assert abs(out[mode_index(Arm.SIDE2, Pol.X)] - 1j * bs.rx) < TOL
-    assert out[mode_index(Arm.SIDE1, Pol.Y)] == 0.0 and out[mode_index(Arm.SIDE2, Pol.Y)] == 0.0
+    assert abs(out[0] - bs.tx) < TOL
+    assert abs(out[2] - 1j * bs.rx) < TOL
+    assert out[1] == 0.0 and out[3] == 0.0
     out2 = one_row(Role.OPPOSITE, Arm.SIDE2, math.pi / 2.0, bs, PhaseGeometry())
-    assert abs(out2[mode_index(Arm.SIDE2, Pol.Y)] - bs.ty) < TOL
-    assert abs(out2[mode_index(Arm.SIDE1, Pol.Y)] - 1j * bs.ry) < TOL
-    assert np.max(np.abs(out2 - splitter_output(bs, Arm.SIDE2, Pol.Y))) < TOL
+    assert abs(out2[3] - bs.ty) < TOL
+    assert abs(out2[1] - 1j * bs.ry) < TOL
+    assert np.max(np.abs(out2 - splitter_output(bs, Arm.SIDE2, Y))) < TOL
 
 
 def test_opposite_side_phase_sits_on_side1_reflected_terms():
@@ -176,11 +164,9 @@ def test_opposite_side_phase_sits_on_side1_reflected_terms():
     theta = 0.4
     got = one_row(Role.OPPOSITE, Arm.SIDE1, theta, bs, PhaseGeometry(phi=phi))
     ref = one_row(Role.OPPOSITE, Arm.SIDE1, theta, bs, PhaseGeometry())
-    for arm in Arm:
-        for pol in Pol:
-            m = mode_index(arm, pol)
-            factor = cmath.exp(1j * phi) if arm is Arm.SIDE2 else 1.0  # reflected into side 1
-            assert abs(got[m] - ref[m] * factor) < TOL
+    for m in range(4):
+        factor = cmath.exp(1j * phi) if m >= 2 else 1.0  # side 2's modes, reflected into side 1
+        assert abs(got[m] - ref[m] * factor) < TOL
 
 
 def test_side2_opposite_side_row_ignores_phi():
@@ -195,7 +181,7 @@ def test_one_port_row_matches_weighted_splitter_outputs():
     theta = 1.1
     op = one_row(Role.OPPOSITE, Arm.SIDE2, theta, bs, PhaseGeometry(), Port.PERPENDICULAR)
     wx, wy = port_weights(theta, Port.PERPENDICULAR)
-    combo = wx * splitter_output(bs, Arm.SIDE2, Pol.X) + wy * splitter_output(bs, Arm.SIDE2, Pol.Y)
+    combo = wx * splitter_output(bs, Arm.SIDE2, X) + wy * splitter_output(bs, Arm.SIDE2, Y)
     assert np.max(np.abs(op - combo)) < TOL
 
 
@@ -221,11 +207,9 @@ def test_same_arm_pair_phase_sits_on_first_transmitted_term():
     thetas = (0.2, 1.3)
     op_a, op_b = pair_rows(Arm.SIDE2, thetas, bs, PhaseGeometry(psi=psi))
     ref_a, ref_b = pair_rows(Arm.SIDE2, thetas, bs, PhaseGeometry())
-    for arm in Arm:
-        for pol in Pol:
-            m = mode_index(arm, pol)
-            factor = cmath.exp(1j * psi) if arm is Arm.SIDE2 else 1.0  # transmitted term
-            assert abs(op_a[m] - ref_a[m] * factor) < TOL
+    for m in range(4):
+        factor = cmath.exp(1j * psi) if m >= 2 else 1.0  # side 2's modes, the transmitted term
+        assert abs(op_a[m] - ref_a[m] * factor) < TOL
     # second operator of the pair carries no psi
     assert np.array_equal(op_b, ref_b)
 
@@ -272,7 +256,7 @@ def test_analyzer_rows_hold_both_ports_with_the_phase_of_their_role():
                 transmitted, reflected = 1.0, 1.0
             for port in Port:
                 wx, wy = port_weights(thetas, port)
-                side = wx[..., None] * splitter_output(bs, arm, Pol.X) + wy[..., None] * splitter_output(bs, arm, Pol.Y)
+                side = wx[..., None] * splitter_output(bs, arm, X) + wy[..., None] * splitter_output(bs, arm, Y)
                 factor = np.where(np.arange(4) // 2 == arm.value, transmitted, reflected)
                 assert np.max(np.abs(rows[..., port.value, :] - side * factor)) < TOL
     with pytest.raises(ValueError, match="^analyzer angle must be finite"):

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ splitters = st.builds(
 
 def values_at(entry, point):
     """(closed form, engine) of `entry` at one point of scalar parameters."""
-    return entry.formula(**point), None if entry.engine is None else entry.engine(**point)
+    return compare.evaluate(entry, entry.formula, point, {})
 
 
 # the Monte Carlo entry is stochastic, so it has no exact agreement to check
@@ -281,11 +282,18 @@ def test_an_unknown_input_kind_is_rejected(name):
         compare.outcome_distribution("polarised", **point)
     extra = {"run": RunConfig(100)} if name == "mc_run" else {}
     with pytest.raises(ValueError, match=message):
-        EXPERIMENTS[name].engine(input_kind="polarised", **point, **extra)
+        values_at(EXPERIMENTS[name], {"input_kind": "polarised", **point, **extra})
 
 
-def test_mc_run_needs_emitted_pairs():
-    point = {"input_kind": "unpolarized", "pol1": 0.0, "pol2": 0.0, "ana1": 0.3, "ana2": 1.1, "phi": 0.2,
-             "psi": 0.2, "bs": BeamSplitterSpec.fifty_fifty()}
-    with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
-        EXPERIMENTS["mc_run"].engine(run=RunConfig(0), **point)
+@pytest.mark.parametrize("step", [1.5, 2.0, np.float64(3.0), "2"])
+def test_a_step_that_is_not_an_integer_is_rejected(step):
+    # a float stride would end in numpy's "only int indices permitted"
+    with pytest.raises(ValueError, match=rf"^step must be an integer, got {re.escape(repr(step))}$"):
+        compare.run_comparison(step=step)
+
+
+def test_a_numpy_integer_step_thins_as_its_int_does():
+    def untimed(results):
+        return [dataclasses.replace(r, seconds=0.0) for r in results]
+
+    assert untimed(compare.run_comparison(step=np.int64(7))) == untimed(compare.run_comparison(step=7))

@@ -3,42 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from twophoton.fock import (
-    N_MODES,
-    TOL,
-    Arm,
-    Pol,
-    mode_index,
-    product_state,
-    vacuum_amplitude,
-)
+from twophoton.elements import OTHER_SIDE
+from twophoton.fock import N_MODES, TOL, product_state, vacuum_amplitude
+
+# rows of the bare annihilators of the four modes, in the mode order
+# (side1 x, side1 y, side2 x, side2 y)
+A1X, A1Y, A2X, A2Y = np.eye(N_MODES, dtype=complex)
+X, Y = 0, 1  # a photon row's entries
 
 
-def unit(arm: Arm, pol: Pol) -> np.ndarray:
-    """Row of the bare annihilator of one occupied input mode."""
-    row = np.zeros(N_MODES, dtype=complex)
-    row[mode_index(arm, pol)] = 1.0
-    return row
-
-
-A1X, A1Y = unit(Arm.SIDE1, Pol.X), unit(Arm.SIDE1, Pol.Y)
-A2X, A2Y = unit(Arm.SIDE2, Pol.X), unit(Arm.SIDE2, Pol.Y)
-
-
-def pattern_amplitudes(theta1: float, theta2: float) -> dict[tuple[Pol, Pol], float]:
+def pattern_amplitudes(theta1: float, theta2: float) -> dict[tuple[int, int], float]:
     """Amplitude of each one-photon-per-side occupation pattern: the side-1
     photon in polarization q1, the side-2 photon in q2."""
     p1, p2 = product_state(theta1, theta2)
-    return {(q1, q2): p1[q1.value] * p2[q2.value] for q1 in Pol for q2 in Pol}
+    return {(q1, q2): p1[q1] * p2[q2] for q1 in (X, Y) for q2 in (X, Y)}
 
 
 def four_mode_rows(state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The photon rows over all four modes, zero on the other side's modes."""
     p1, p2 = state
     q1, q2 = np.zeros(p1.shape[:-1] + (N_MODES,)), np.zeros(p2.shape[:-1] + (N_MODES,))
-    for pol in Pol:
-        q1[..., mode_index(Arm.SIDE1, pol)] = p1[..., pol.value]
-        q2[..., mode_index(Arm.SIDE2, pol)] = p2[..., pol.value]
+    q1[..., :2], q2[..., 2:] = p1, p2
     return q1, q2
 
 
@@ -53,10 +38,13 @@ def four_mode_amplitude(u_a, u_b, state):
     return dot(u_a, q1) * dot(u_b, q2) + dot(u_a, q2) * dot(u_b, q1)
 
 
-def test_mode_indexing_is_a_bijection():
+def test_the_side_swap_is_a_bijection_of_the_modes():
+    # the side swap of the mode order is a permutation that keeps each
+    # mode's axis and is its own inverse
     assert N_MODES == 4
-    indices = [mode_index(arm, pol) for arm in Arm for pol in Pol]
-    assert sorted(indices) == list(range(4))
+    assert sorted(OTHER_SIDE) == list(range(N_MODES))
+    assert list(OTHER_SIDE[OTHER_SIDE]) == list(range(N_MODES))
+    assert list(OTHER_SIDE % 2) == [X, Y, X, Y]
 
 
 def test_product_state_amplitudes_are_weight_products():
@@ -64,10 +52,10 @@ def test_product_state_amplitudes_are_weight_products():
     amps = pattern_amplitudes(theta1, theta2)
     c1, s1 = math.cos(theta1), math.sin(theta1)
     c2, s2 = math.cos(theta2), math.sin(theta2)
-    assert abs(amps[Pol.X, Pol.X] - c1 * c2) < TOL
-    assert abs(amps[Pol.X, Pol.Y] - c1 * s2) < TOL
-    assert abs(amps[Pol.Y, Pol.X] - s1 * c2) < TOL
-    assert abs(amps[Pol.Y, Pol.Y] - s1 * s2) < TOL
+    assert abs(amps[X, X] - c1 * c2) < TOL
+    assert abs(amps[X, Y] - c1 * s2) < TOL
+    assert abs(amps[Y, X] - s1 * c2) < TOL
+    assert abs(amps[Y, Y] - s1 * s2) < TOL
     assert abs(sum(a * a for a in amps.values()) - 1.0) < TOL
 
 
@@ -83,8 +71,8 @@ def test_diagonal_product_state_spreads_evenly():
 def test_product_state_drops_zero_amplitudes():
     # Aligned x polarizations populate exactly one pattern.
     amps = pattern_amplitudes(0.0, 0.0)
-    assert {q for q, a in amps.items() if a != 0.0} == {(Pol.X, Pol.X)}
-    assert abs(amps[Pol.X, Pol.X] - 1.0) < TOL
+    assert {q for q, a in amps.items() if a != 0.0} == {(X, X)}
+    assert abs(amps[X, X] - 1.0) < TOL
 
 
 def test_product_state_broadcasts_over_angle_arrays():

@@ -121,10 +121,12 @@ def test_double_trigger_pinned_values():
 
 
 def test_double_trigger_pairing_phase_factor():
-    # the two pairings share one detector, so psi != 0 is a diagnostic knob
+    # with both analyzers at theta the two pairings of the same-side form are
+    # equal, so it carries the factor (1 + cos(psi)); the double trigger's two
+    # pairings share one detector, so it takes that factor at psi = 0, halved
     for pol1, pol2, theta, psi in RNG.uniform(0.0, math.pi, size=(10, 4)):
-        base = p_double_trigger(pol1, pol2, theta, 0.0)
-        got = p_double_trigger(pol1, pol2, theta, psi)
+        base = p_double_trigger(pol1, pol2, theta)
+        got = 0.5 * p_same_arm(pol1, pol2, theta, theta, BS, psi)
         assert abs(got - base * 0.5 * (1.0 + math.cos(psi))) < TOL
 
 
