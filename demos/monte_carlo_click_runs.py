@@ -16,11 +16,11 @@ import numpy as np
 from twophoton import (
     BLOCK_PAIRS,
     OPPOSITE,
+    OUTCOMES,
     BeamSplitterSpec,
     InputSpec,
     PhaseGeometry,
     RunConfig,
-    all_outcomes,
     consistency_z,
     estimate,
     full_outcome_distribution,
@@ -50,9 +50,9 @@ def main() -> None:
     print(f"run: {args.pairs} pairs, efficiency {args.efficiency}, seed {args.seed}")
     print(f"recorded {recorded} events ({recorded / args.pairs:.1%} of emitted pairs)")
     print(f"{'outcome':<26} {'count':>7} {'estimate':>10} {'exact':>10} {'z':>6}")
-    for outcome, count, p, exact in zip(all_outcomes(), counts.tolist(), probability.tolist(), dist.tolist()):
+    for label, count, p, exact in zip(OUTCOMES, counts.tolist(), probability.tolist(), dist.tolist()):
         z = consistency_z(p, exact, cfg)
-        print(f"{outcome.label():<26} {count:>7} {p:>10.5f} {exact:>10.5f} {z:>6.2f}")
+        print(f"{label:<26} {count:>7} {p:>10.5f} {exact:>10.5f} {z:>6.2f}")
     print()
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ The package has three layers that deliberately do not share arithmetic:
   same probabilities;
 * :mod:`twophoton.montecarlo` samples click-level runs from a full outcome
   distribution; counts and estimates are arrays with the twelve outcomes
-  on the last axis, and `OPPOSITE` masks the opposite-side ones.
+  on the last axis, labelled by `OUTCOMES`, and `OPPOSITE` masks the
+  opposite-side ones.
 
 :mod:`twophoton.compare` declares every experiment once, in the table
 `EXPERIMENTS`: its parameters, accepted inputs, domain, engine route,
@@ -22,13 +23,11 @@ command, whose `sweep`, `compare` and `mc` subcommands read that table.
 """
 
 from .compare import DEFAULT_TOL, CheckResult, run_comparison
-from .elements import BeamSplitterSpec, PhaseGeometry, Port
+from .elements import BeamSplitterSpec, PhaseGeometry
 from .engine import (
     OPPOSITE,
+    OUTCOMES,
     InputSpec,
-    Outcome,
-    OutcomeKind,
-    all_outcomes,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
@@ -68,12 +67,9 @@ __all__ = [
     "product_state",
     "vacuum_amplitude",
     "BeamSplitterSpec",
-    "Port",
     "PhaseGeometry",
     "InputSpec",
-    "Outcome",
-    "OutcomeKind",
-    "all_outcomes",
+    "OUTCOMES",
     "OPPOSITE",
     "coincidence_probability",
     "coincidence_no_polarizers",

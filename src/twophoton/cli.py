@@ -17,11 +17,13 @@ can be overridden on the command line with repeated `--set key=value`
 (dotted paths reach into `sweep`).  `KEYS` declares each key once: its
 default, its rule and, for an angle, the library parameter it sets.  Angles
 cross this boundary in degrees and are converted to radians internally.
-The sweepable parameters, accepted inputs and domain (50:50 splitter;
-cos(phi) = cos(psi) at every swept point) of each experiment come from its
-table entry.  CSV output uses a comma delimiter, `.` decimal separator, and
-15 significant digits, and is byte-stable for a fixed configuration and
-seed; `_csv` writes every CSV, one format string per row.
+`parse_config` checks each key against its own rule only.  The sweepable
+parameters, accepted inputs and domain (50:50 splitter; cos(phi) = cos(psi)
+at every swept point) of each experiment come from its table entry, and
+`run_sweep` checks them, as only a sweep evaluates the experiment.  CSV
+output uses a comma delimiter, `.` decimal separator, and 15 significant
+digits, and is byte-stable for a fixed configuration and seed; `_csv`
+writes every CSV, one format string per row.
 
 `_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
 config keys: each flag's attribute, value type, whether it repeats, its
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import compare as comparemod
 from .elements import BeamSplitterSpec
-from .engine import Arm, all_outcomes
+from .engine import OUTCOMES, Arm
 from .montecarlo import RunConfig, consistency_z, estimate, pearson_chi2, sample_counts
 
 SCHEMA_VERSION = 1
@@ -115,7 +117,7 @@ KEYS: dict[str, Key] = {
         "must lie in (0, 1] with efficiency**2 > 0, got {!r}",
     ),
     "seed": Key(0, lambda v: _integer(v) and v >= 0, "must be a nonnegative integer, got {!r}"),
-    "sweep.param": Key("phi_deg"),  # checked against the experiment in parse_config
+    "sweep.param": Key("phi_deg"),  # checked against the experiment in run_sweep
     "sweep.start": Key(0.0, *_FINITE),
     "sweep.stop": Key(360.0, *_FINITE),
     "sweep.steps": Key(73, lambda v: _integer(v) and v >= 1, "must be an integer >= 1, got {!r}"),
@@ -200,32 +202,17 @@ def apply_set_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, 
 
 
 def parse_config(data: dict[str, Any]) -> dict[str, Any]:
-    """Merge user data over defaults, check each key against its rule in
-    `KEYS`, then check the keys against the experiment's table entry."""
+    """Merge user data over defaults and check each key against its rule in
+    `KEYS`."""
     problems: list[tuple[str, str]] = []
     if not isinstance(data, dict):
         raise ConfigError([("config", "top level must be a JSON object")])
     cfg = _merge(DEFAULTS, data, "", problems)
-    failed = set()
     for key, spec in KEYS.items():
         head, _, leaf = key.rpartition(".")
         value = (cfg[head] if head else cfg)[leaf]
         if spec.rule is not None and not spec.rule(value):
-            failed.add(key)
             problems.append((key, spec.message.format(value)))
-    if "experiment" not in failed:
-        name = cfg["experiment"]
-        entry = comparemod.EXPERIMENTS[name]
-        sweepable = sorted(key for key, lib in LIBRARY_NAMES.items() if lib in entry.params)
-        if cfg["sweep"]["param"] not in sweepable:
-            message = f"{cfg['sweep']['param']!r} is not sweepable for experiment {name!r}"
-            problems.append(("sweep.param", f"{message} (allowed: {sweepable})"))
-        if cfg["input"] not in entry.inputs:
-            problems.append(("input", f"experiment {name!r} requires input in {sorted(entry.inputs)}"))
-        # a tx or ty that fails its own rule is not 1/sqrt(2) either
-        half = [key not in failed and abs(cfg[key] - _SQRT_HALF) <= 1e-12 for key in ("tx", "ty")]
-        if entry.only_5050 and not all(half):
-            problems.append(("tx", f"experiment {name!r} has a closed form only for the 50:50 splitter"))
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -283,9 +270,22 @@ def _check_phases(phi_deg: float, psi_deg: float) -> None:
 
 
 def run_sweep(cfg: dict[str, Any]) -> str:
-    """Evaluate the configured sweep and return its CSV text."""
+    """Evaluate the configured sweep and return its CSV text.  `cfg` has
+    passed `parse_config`; it is first checked against its experiment's
+    table entry: the swept key, the input and the splitter."""
     entry = comparemod.EXPERIMENTS[cfg["experiment"]]
     param = cfg["sweep"]["param"]
+    problems = []
+    sweepable = sorted(key for key, lib in LIBRARY_NAMES.items() if lib in entry.params)
+    if param not in sweepable:
+        message = f"{param!r} is not sweepable for experiment {entry.name!r}"
+        problems.append(("sweep.param", f"{message} (allowed: {sweepable})"))
+    if cfg["input"] not in entry.inputs:
+        problems.append(("input", f"experiment {entry.name!r} requires input in {sorted(entry.inputs)}"))
+    if entry.only_5050 and not all(abs(cfg[key] - _SQRT_HALF) <= 1e-12 for key in ("tx", "ty")):
+        problems.append(("tx", f"experiment {entry.name!r} has a closed form only for the 50:50 splitter"))
+    if problems:
+        raise ConfigError(problems)
     values = _sweep_values(cfg["sweep"])
     if entry.matched_phases:
         phi, psi = cfg["phi_deg"], cfg["psi_deg"]
@@ -399,9 +399,9 @@ def _mc_report(counts: np.ndarray, probs: np.ndarray, run: RunConfig) -> str:
     probability, stderr = estimate(counts, run)
     header = ["outcome", "count", "estimate", "stderr", "exact", "z"]
     rows = [
-        (outcome.label(), count, p, se, exact, consistency_z(p, exact, run))
-        for outcome, count, p, se, exact in zip(
-            all_outcomes(), counts.tolist(), probability.tolist(), stderr.tolist(), probs.tolist()
+        (label, count, p, se, exact, consistency_z(p, exact, run))
+        for label, count, p, se, exact in zip(
+            OUTCOMES, counts.tolist(), probability.tolist(), stderr.tolist(), probs.tolist()
         )
     ]
     return _csv(header, rows)

@@ -83,10 +83,11 @@ class Experiment:
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
     callables take them as keywords and broadcast over numpy arrays.
     `columns` names the two values in a sweep's CSV.  Domain: `only_5050`
-    entries hold for the 50:50 splitter only, `matched_phases` entries only
-    where cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid
-    (see `_check`); an entry without a grid is not compared.  `shared`, when
-    set, is a step that both routes read: `evaluate` calls it once with the
+    entries hold for the 50:50 splitter only, and an entry that takes both
+    fringe phases (`matched_phases`, derived from `params`) only where
+    cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid (see
+    `_check`); an entry without a grid is not compared.  `shared`, when set,
+    is a step that both routes read: `evaluate` calls it once with the
     parameters and hands its result to both callables as the keyword
     `shared`.
     """
@@ -97,11 +98,16 @@ class Experiment:
     formula: Callable[..., Any]
     engine: Callable[..., Any] | None
     only_5050: bool = False
-    matched_phases: bool = False
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
     cycle: Params = ()
     shared: Callable[..., Any] | None = None
+
+    @property
+    def matched_phases(self) -> bool:
+        """Whether the entry holds only where cos(phi) = cos(psi): exactly
+        when it takes both fringe phases."""
+        return "phi" in self.params and "psi" in self.params
 
 
 def outcome_distribution(
@@ -259,7 +265,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             BOTH_INPUTS,
             _unit_total,
             lambda **point: _running_total(outcome_distribution(**point)),
-            matched_phases=True,
         ),
         # the engine's opposite-side total against its Monte Carlo estimate
         Experiment(
@@ -268,7 +273,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             BOTH_INPUTS,
             lambda shared, **_: _running_total(shared[..., OPPOSITE]),
             _opposite_estimate,
-            matched_phases=True,
             columns=("exact", "estimate"),
             shared=lambda run, **point: outcome_distribution(**point),
         ),

@@ -19,12 +19,13 @@ Conventions fixed here and relied on everywhere else:
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (in `fock`'s
-order).  `analyzer_rows` is the one row builder: it builds the rows of the
-given ports of an analyzer (both by default), on an axis of their own, with
-the phase of the detector's `Role`.  A one-port row is the slice
-`analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]`.  Angles,
-phases and splitter amplitudes may be numpy arrays; they broadcast, and the
-rows gain the broadcast shape as leading axes.
+order).  `analyzer_rows` is the one row builder: it builds the rows of both
+ports of an analyzer, on an axis of their own (parallel at index 0,
+perpendicular at 1), with the phase of the detector's `Role`.  A one-port
+row is the slice `analyzer_rows(role, arm, theta, bs, geom)[..., k, :]` of
+its port index k.  Angles, phases and splitter amplitudes may be numpy
+arrays; they broadcast, and the rows gain the broadcast shape as leading
+axes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -78,23 +78,15 @@ class BeamSplitterSpec:
         return cls(s, s, s, s)
 
 
-class Port(Enum):
-    """Output port of a two-channel (birefringent) analyzer."""
-
-    PARALLEL = 0
-    PERPENDICULAR = 1
-
-
-def _port_weights(theta: float, ports: Sequence[Port]) -> tuple[np.ndarray, np.ndarray]:
-    """Projection weights (wx, wy) of `ports` of an analyzer at `theta`,
-    each on a last axis in the order of `ports`."""
+def _port_weights(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Projection weights (wx, wy) of the two ports of an analyzer at
+    `theta`, on a last axis: parallel at index 0, perpendicular at 1."""
     if not _all_finite(theta):
         raise ValueError(f"analyzer angle must be finite, got {theta!r}")
     c, s = np.cos(theta), np.sin(theta)
-    by_port = ((c, s), (-s, c))  # parallel, perpendicular
-    wx, wy = (np.empty((*np.shape(c), len(ports))) for _ in "xy")
-    for k, port in enumerate(ports):
-        wx[..., k], wy[..., k] = by_port[port.value]
+    wx, wy = np.empty((*np.shape(c), 2)), np.empty((*np.shape(c), 2))
+    wx[..., 0], wy[..., 0] = c, s
+    wx[..., 1], wy[..., 1] = -s, c
     return wx, wy
 
 
@@ -130,11 +122,9 @@ def analyzer_rows(
     theta: float,
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
-    ports: Sequence[Port] = tuple(Port),
 ) -> np.ndarray:
-    """Rows of the analyzer at `theta` on `arm`, one per port of `ports`
-    (both, in `Port` order, by default) on an axis before the modes:
-    (..., len(ports), 4).
+    """Rows of the analyzer at `theta` on `arm`, one per port on an axis
+    before the modes, parallel then perpendicular: (..., 2, 4).
 
     Each row holds the splitter outputs of its side, weighted by its port.
     The phases follow the module conventions: an opposite-side side-1 row
@@ -148,7 +138,7 @@ def analyzer_rows(
         t_phase, r_phase = np.exp(1j * geom.psi), 1.0
     else:
         t_phase, r_phase = 1.0, 1.0
-    wx, wy = _port_weights(theta, ports)
+    wx, wy = _port_weights(theta)
     # array phases and amplitudes gain the ports axis
     tp, rp, tx, ty, rx, ry = (
         a[..., None] if isinstance(a, np.ndarray) else a for a in (t_phase, 1j * r_phase, bs.tx, bs.ty, bs.rx, bs.ry)

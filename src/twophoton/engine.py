@@ -18,18 +18,21 @@ Every angle, phase and splitter amplitude, and the arm of
 `double_trigger_probability`, may be a numpy array: the arguments
 broadcast, and the result is an array of the broadcast shape (a float when
 every argument is scalar); `full_outcome_distribution` adds a last axis of
-the twelve outcomes.
+the twelve outcomes, whose labels `OUTCOMES` holds in the same order.
+
+An analyzer port is an index on a row axis, not an argument: the single
+probabilities read the parallel port (index 0), and a perpendicular port at
+theta is the parallel port at theta + pi/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .elements import OTHER_SIDE, BeamSplitterSpec, PhaseGeometry, Port, Role, analyzer_rows
+from .elements import OTHER_SIDE, BeamSplitterSpec, PhaseGeometry, Role, analyzer_rows
 from .fock import Arm, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
@@ -67,54 +70,21 @@ class InputSpec:
         return cls(None)
 
 
-class OutcomeKind(Enum):
-    OPPOSITE = 0
-    SAME_ARM = 1
+_PORT_NAMES = ("par", "perp")  # port index 0 and 1 of `analyzer_rows`
 
-
-@dataclass(frozen=True)
-class Outcome:
-    """One exclusive pair-detection outcome.
-
-    OPPOSITE: one click on each side; port1/port2 are the side-1/side-2
-    analyzer ports.  SAME_ARM: both clicks on `arm`; port1/port2 are the
-    ports of its two frequency channels (w1, w2).
-    """
-
-    kind: OutcomeKind
-    port1: Port
-    port2: Port
-    arm: Arm | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.SAME_ARM and self.arm is None:
-            raise ValueError("same-arm outcome needs an arm")
-        if self.kind is OutcomeKind.OPPOSITE and self.arm is not None:
-            raise ValueError("opposite-arm outcome must not carry an arm")
-
-    def label(self) -> str:
-        p = {Port.PARALLEL: "par", Port.PERPENDICULAR: "perp"}
-        if self.kind is OutcomeKind.OPPOSITE:
-            return f"side1[{p[self.port1]}]+side2[{p[self.port2]}]"
-        return f"{self.arm.name.lower()}[w1:{p[self.port1]}+w2:{p[self.port2]}]"
-
-
-def all_outcomes() -> tuple[Outcome, ...]:
-    """The twelve exclusive pair outcomes in canonical order: the four
-    opposite-side outcomes, then side 1's and side 2's four same-side ones,
-    ports in `Port` order."""
-    out = [
-        Outcome(OutcomeKind.OPPOSITE, p1, p2) for p1 in Port for p2 in Port
-    ]
-    for arm in Arm:
-        out.extend(Outcome(OutcomeKind.SAME_ARM, pa, pb, arm) for pa in Port for pb in Port)
-    return tuple(out)
-
-
-_OUTCOMES = all_outcomes()
+# The labels of the twelve exclusive pair outcomes, in the order of a
+# distribution's last axis: the four opposite-side ones (one click on each
+# side, at the side-1 and side-2 analyzer ports), then side 1's and side 2's
+# four same-side ones (both clicks on that side, at the ports of its two
+# frequency channels w1, w2).  Within a group the first port changes every
+# second outcome and the second port every outcome.
+OUTCOMES = (
+    *(f"side1[{a}]+side2[{b}]" for a in _PORT_NAMES for b in _PORT_NAMES),
+    *(f"{side}[w1:{a}+w2:{b}]" for side in ("side1", "side2") for a in _PORT_NAMES for b in _PORT_NAMES),
+)
 # The opposite-side outcomes, as a mask over the last axis of a distribution
 # or of its counts.
-OPPOSITE = np.array([o.kind is OutcomeKind.OPPOSITE for o in _OUTCOMES])
+OPPOSITE = np.arange(len(OUTCOMES)) < 4
 OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
@@ -162,12 +132,12 @@ def _result(p: np.ndarray) -> float | np.ndarray:
 
 
 def _pair_rows(
-    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, geom: PhaseGeometry, ports: tuple[Port, Port]
+    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, geom: PhaseGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the two detectors of a same-side pair on `arm`, at theta_a
-    and theta_b and at the ports `ports`; the first row carries `geom.psi`."""
-    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, geom, ports[:1])[..., 0, :]
-    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs, geom, ports[1:])[..., 0, :]
+    """Parallel-port rows of the two detectors of a same-side pair on `arm`,
+    at theta_a and theta_b; the first row carries `geom.psi`."""
+    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, geom)[..., 0, :]
+    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs, geom)[..., 0, :]
     return u_a, u_b
 
 
@@ -177,27 +147,26 @@ def coincidence_probability(
     theta2: float,
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
-    ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
 ) -> float:
     """Joint click probability, one detector on each side.
 
-    Side-1 analyzer at theta1, side-2 at theta2 (given ports); the fringe
+    Side-1 analyzer at theta1, side-2 at theta2 (parallel ports); the fringe
     phase `geom.phi` sets the relative phase of the two contributing paths.
     """
-    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom, ports[:1])[..., 0, :]
-    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs, geom, ports[1:])[..., 0, :]
+    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom)[..., 0, :]
+    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs, geom)[..., 0, :]
     return _result(_detect(inp, u1, u2))
 
 
 def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
     """Opposite-side coincidence with analyzers removed.
 
-    Removing an analyzer is summing its two ports, so this is the four-port
-    sum of `coincidence_probability`, added in `Port` order; the analyzer
+    Removing an analyzer is summing its two ports, so this is the sum over
+    the four port pairs, added in port order (parallel first); the analyzer
     angle drops out of the sum and is taken as 0.  The ports are axes of
     one evaluation.
     """
-    # each side's rows of its two ports, in `Port` order, on an axis before the modes
+    # each side's rows of its two ports on an axis before the modes
     u1, u2 = (analyzer_rows(Role.OPPOSITE, arm, 0.0, bs, geom) for arm in Arm)
     return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
@@ -209,16 +178,15 @@ def same_arm_probability(
     theta_b: float,
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
-    ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
 ) -> float:
     """Probability that both photons exit on `arm` and its two frequency-channel
-    detectors fire at analyzer angles (theta_a, theta_b).
+    detectors fire behind the parallel ports of analyzers at (theta_a, theta_b).
 
     `geom.psi` is the relative phase between the two photon-to-detector
     pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
     one-sided detection.
     """
-    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, geom, ports)
+    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, geom)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
 
 
@@ -228,11 +196,10 @@ def same_arm_both_arms(
     theta_b: float,
     bs: BeamSplitterSpec,
     geom: PhaseGeometry,
-    ports: tuple[Port, Port] = (Port.PARALLEL, Port.PARALLEL),
 ) -> float:
-    """Same-side pair probability summed over both sides at fixed port
+    """Same-side pair probability summed over both sides at fixed analyzer
     angles, side 1 first; the sides are an axis of one evaluation."""
-    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, geom, ports)
+    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, geom)
     return _result(_in_order(ONE_SIDED * _detect(inp, _both_sides(u_a), _both_sides(u_b), axes=1), 1))
 
 
@@ -240,8 +207,8 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeom
     """Same-side pair probability, both sides, analyzers removed (all ports
     summed, so the analyzer angle drops out and is taken as 0).
 
-    The four port pairs of `same_arm_both_arms` are added in `Port` order,
-    and ports and sides are axes of one evaluation.
+    The four port pairs of `same_arm_both_arms` are added in port order
+    (parallel first), and ports and sides are axes of one evaluation.
     """
     # first and second rows: (..., port, side, mode)
     u_a, u_b = (
@@ -271,7 +238,7 @@ def double_trigger_probability(
     side2 = arms == Arm.SIDE2
     if not np.all(side2 | (arms == Arm.SIDE1)):
         raise ValueError(f"arm must be an Arm, got {arm!r}")
-    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs, PhaseGeometry(), (Port.PARALLEL,))[..., 0, :]
+    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs, PhaseGeometry())[..., 0, :]
     u = np.where(side2[..., None], u[..., OTHER_SIDE], u)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
@@ -284,7 +251,7 @@ def full_outcome_distribution(
     geom: PhaseGeometry,
 ) -> np.ndarray:
     """Probabilities of the twelve exclusive pair outcomes, on a last axis
-    in `all_outcomes()` order.
+    in `OUTCOMES` order.
 
     All analyzers on side 1 sit at theta1 and all on side 2 at theta2.
     Opposite-side entries use `geom.phi`, same-side entries `geom.psi`; the
@@ -306,7 +273,7 @@ def full_outcome_distribution(
         for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
         for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
     )
-    # the detector rows of all twelve outcomes, in `all_outcomes()` order:
+    # the detector rows of all twelve outcomes, in `OUTCOMES` order:
     # (..., 12, 4).  The first detector's port changes every second outcome
     # and the second detector's port every outcome.
     u_a = np.repeat(np.concatenate(np.broadcast_arrays(d1, f1, f2), axis=-2), 2, axis=-2)

@@ -2,7 +2,7 @@
 
 Pairs are independent: each drawn pair selects one outcome from a
 distribution, the twelve probabilities of `full_outcome_distribution` in
-`all_outcomes()` order; then every detector of that outcome fires
+`OUTCOMES` order; then every detector of that outcome fires
 independently with the configured efficiency, and the outcome is recorded
 only if all its detectors fired.
 
@@ -43,7 +43,7 @@ Every row of an `mc_run` sweep therefore uses the same seed's draws: the
 rows' estimates are correlated, not independent samples.
 
 Counts and estimates are arrays with the outcomes on the last axis, in
-`all_outcomes()` order, so they broadcast over a (..., 12) stack;
+`OUTCOMES` order, so they broadcast over a (..., 12) stack;
 `engine.OPPOSITE` masks the opposite-side outcomes.  A run's pair count and
 efficiency live only in its `RunConfig`, which holds an integer count of at
 least one pair, an integer seed and a real efficiency in (0, 1] with
@@ -57,14 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import all_outcomes
+from .engine import OUTCOMES
 from .fock import TOL
 
 BLOCK_PAIRS = 1 << 16
 
 RNG_ALGORITHM = "philox4x64/block-v1"
-
-OUTCOMES = all_outcomes()
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def _at_row(row: int, lead: tuple[int, ...]) -> str:
 
 def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Recorded counts of a run of `cfg` drawn from each distribution of
-    `probs`, shape (..., 12) in `all_outcomes()` order: int64, same shape.
+    `probs`, shape (..., 12) in `OUTCOMES` order: int64, same shape.
 
     Each block is drawn once and every row is tallied against it, so a row
     gets exactly the counts that a one-row `sample_counts` of it gives.  The
@@ -140,7 +138,7 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
         r = int(np.argmax(negative))
         k = int(np.argmin(rows[r]))
         value = float(rows[r, k])
-        raise ValueError(f"{_at_row(r, lead)}negative probability {value!r} for {OUTCOMES[k].label()}")
+        raise ValueError(f"{_at_row(r, lead)}negative probability {value!r} for {OUTCOMES[k]}")
     totals = np.cumsum(rows, axis=1)[:, -1]
     unnormalized = ~(np.abs(totals - 1.0) <= TOL)  # a nan total fails too
     if unnormalized.any():
@@ -214,7 +212,7 @@ def consistency_z(probability: float, p_true: float, cfg: RunConfig) -> float:
 def pearson_chi2(counts: np.ndarray, probs: np.ndarray, cfg: RunConfig) -> tuple[float, int]:
     """Pearson chi-square of the twelve recorded `counts` of a run of `cfg`
     against the twelve outcome probabilities `probs` it was drawn from, both
-    in `all_outcomes()` order.
+    in `OUTCOMES` order.
 
     The cells are the outcomes plus the pairs not recorded: outcome o has
     probability p_o * efficiency**2 and the unrecorded cell the rest.  A cell

@@ -58,23 +58,40 @@ def test_experiment_and_input_cross_validation():
         parse_config({"experiment": "nonsense"})
     # unpolarized experiment demands the matching input kind
     with pytest.raises(ConfigError) as err:
-        parse_config({"experiment": "unpolarized", "sweep": {"param": "phi_deg"}})
+        run_sweep(parse_config({"experiment": "unpolarized", "sweep": {"param": "phi_deg"}}))
     assert any(p == "input" for p, _ in err.value.problems)
     ok = parse_config(
         {"experiment": "unpolarized", "input": "unpolarized", "sweep": {"param": "phi_deg"}}
     )
-    assert ok["experiment"] == "unpolarized"
+    assert run_sweep(ok).startswith("phi_deg,analytic,engine,abs_deviation\n")
 
 
 def test_sweep_param_must_fit_the_experiment():
+    cfg = parse_config({"experiment": "unpolarized", "input": "unpolarized", "sweep": {"param": "theta1p_deg"}})
     with pytest.raises(ConfigError) as err:
-        parse_config({"experiment": "unpolarized", "input": "unpolarized", "sweep": {"param": "theta1p_deg"}})
+        run_sweep(cfg)
     assert any(p == "sweep.param" for p, _ in err.value.problems)
 
 
 def test_5050_only_experiments_reject_other_splitters():
     with pytest.raises(ConfigError):
-        parse_config({"experiment": "no_polarizers", "tx": 0.9, "ty": 0.6})
+        run_sweep(parse_config({"experiment": "no_polarizers", "tx": 0.9, "ty": 0.6}))
+
+
+def test_mc_is_not_held_to_the_rules_of_the_sweep_experiment(capsys):
+    # the default experiment, coincidence, takes polarized input only and
+    # has no psi, but mc runs no experiment
+    argv = ["--set", "input=unpolarized", "--set", "sweep.param=psi_deg", "--set", "n_pairs=1000"]
+    assert main(["mc", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("outcome,count,estimate,stderr,exact,z\n")
+    assert main(["sweep", *argv]) == 1
+    assert capsys.readouterr().err == (
+        "config error at sweep.param: 'psi_deg' is not sweepable for experiment 'coincidence' "
+        "(allowed: ['phi_deg', 'theta1_deg', 'theta1p_deg', 'theta2_deg', 'theta2p_deg'])\n"
+        "config error at input: experiment 'coincidence' requires input in ['polarized']\n"
+    )
 
 
 def test_numeric_field_validation():

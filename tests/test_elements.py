@@ -8,7 +8,6 @@ from twophoton.elements import (
     OTHER_SIDE,
     BeamSplitterSpec,
     PhaseGeometry,
-    Port,
     Role,
     analyzer_rows,
 )
@@ -16,28 +15,30 @@ from twophoton.fock import TOL, Arm
 
 # polarization axes; a row's modes are side1 x, side1 y, side2 x, side2 y
 X, Y = 0, 1
+# port indexes on the ports axis of `analyzer_rows`
+PAR, PERP = 0, 1
 
 RNG = np.random.default_rng(411)
 
 
-def one_row(role: Role, arm: Arm, theta, bs: BeamSplitterSpec, geom: PhaseGeometry, port: Port = Port.PARALLEL):
-    """The row of one analyzer port: a one-port `analyzer_rows` call, sliced."""
-    return analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]
+def one_row(role: Role, arm: Arm, theta, bs: BeamSplitterSpec, geom: PhaseGeometry, port: int = PAR):
+    """The row of the analyzer port of index `port`: an `analyzer_rows` call, sliced."""
+    return analyzer_rows(role, arm, theta, bs, geom)[..., port, :]
 
 
-def pair_rows(arm: Arm, thetas, bs: BeamSplitterSpec, geom: PhaseGeometry, ports=(Port.PARALLEL, Port.PARALLEL)):
+def pair_rows(arm: Arm, thetas, bs: BeamSplitterSpec, geom: PhaseGeometry, ports=(PAR, PAR)):
     """Rows of the two detectors of a same-side pair on `arm`, the first at
     thetas[0] and ports[0], the second at thetas[1] and ports[1]."""
     first = one_row(Role.PAIR_FIRST, arm, thetas[0], bs, geom, ports[0])
     return first, one_row(Role.PAIR_SECOND, arm, thetas[1], bs, geom, ports[1])
 
 
-def port_weights(theta, port: Port):
+def port_weights(theta, port: int):
     """Projection weights (wx, wy) of a port by the module convention,
     written out: (cos, sin) for the parallel port, (-sin, cos) for the
     perpendicular one."""
     c, s = np.cos(theta), np.sin(theta)
-    return (c, s) if port is Port.PARALLEL else (-s, c)
+    return (c, s) if port == PAR else (-s, c)
 
 
 def test_beam_splitter_rejects_lossy_amplitudes():
@@ -121,7 +122,7 @@ def test_perpendicular_port_is_parallel_rotated_quarter_turn():
     bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
     thetas = RNG.uniform(-math.pi, math.pi, size=25)
     for role in Role:
-        perp = one_row(role, Arm.SIDE2, thetas, bs, PhaseGeometry(0.4, 1.3), Port.PERPENDICULAR)
+        perp = one_row(role, Arm.SIDE2, thetas, bs, PhaseGeometry(0.4, 1.3), PERP)
         rotated = one_row(role, Arm.SIDE2, thetas + math.pi / 2.0, bs, PhaseGeometry(0.4, 1.3))
         assert perp.shape == (25, 4)
         assert np.max(np.abs(perp - rotated)) < TOL
@@ -179,8 +180,8 @@ def test_side2_opposite_side_row_ignores_phi():
 def test_one_port_row_matches_weighted_splitter_outputs():
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     theta = 1.1
-    op = one_row(Role.OPPOSITE, Arm.SIDE2, theta, bs, PhaseGeometry(), Port.PERPENDICULAR)
-    wx, wy = port_weights(theta, Port.PERPENDICULAR)
+    op = one_row(Role.OPPOSITE, Arm.SIDE2, theta, bs, PhaseGeometry(), PERP)
+    wx, wy = port_weights(theta, PERP)
     combo = wx * splitter_output(bs, Arm.SIDE2, X) + wy * splitter_output(bs, Arm.SIDE2, Y)
     assert np.max(np.abs(op - combo)) < TOL
 
@@ -191,12 +192,12 @@ def test_one_port_rows_broadcast_over_array_parameters():
     splitters = [BeamSplitterSpec.from_transmission(*t) for t in ((0.9, 0.6), (0.5, 0.5), (0.1, 1.0))]
     fields = np.array([[s.tx, s.ty, s.rx, s.ry] for s in splitters]).T
     rows = one_row(
-        Role.OPPOSITE, Arm.SIDE1, thetas, BeamSplitterSpec(*fields), PhaseGeometry(phi=phis), Port.PERPENDICULAR
+        Role.OPPOSITE, Arm.SIDE1, thetas, BeamSplitterSpec(*fields), PhaseGeometry(phi=phis), PERP
     )
     assert rows.shape == (3, 4)
     for k, bs in enumerate(splitters):
         single = one_row(
-            Role.OPPOSITE, Arm.SIDE1, float(thetas[k]), bs, PhaseGeometry(phi=float(phis[k])), Port.PERPENDICULAR
+            Role.OPPOSITE, Arm.SIDE1, float(thetas[k]), bs, PhaseGeometry(phi=float(phis[k])), PERP
         )
         assert np.max(np.abs(rows[k] - single)) < TOL
 
@@ -216,11 +217,11 @@ def test_same_arm_pair_phase_sits_on_first_transmitted_term():
 
 def test_same_arm_pair_honors_ports_and_angles():
     bs = BeamSplitterSpec.fifty_fifty()
-    op_perp, _ = pair_rows(Arm.SIDE1, (0.5, 0.5), bs, PhaseGeometry(), (Port.PERPENDICULAR, Port.PARALLEL))
+    op_perp, _ = pair_rows(Arm.SIDE1, (0.5, 0.5), bs, PhaseGeometry(), (PERP, PAR))
     op_rot, _ = pair_rows(Arm.SIDE1, (0.5 + math.pi / 2.0, 0.5), bs, PhaseGeometry())
     assert np.max(np.abs(op_perp - op_rot)) < TOL
     # the second detector at its own angle and port
-    _, second_perp = pair_rows(Arm.SIDE1, (0.5, 0.9), bs, PhaseGeometry(), (Port.PARALLEL, Port.PERPENDICULAR))
+    _, second_perp = pair_rows(Arm.SIDE1, (0.5, 0.9), bs, PhaseGeometry(), (PAR, PERP))
     _, second_rot = pair_rows(Arm.SIDE1, (0.5, 0.9 + math.pi / 2.0), bs, PhaseGeometry())
     assert np.max(np.abs(second_perp - second_rot)) < TOL
 
@@ -230,7 +231,7 @@ def test_side2_rows_are_side1_rows_with_the_sides_swapped():
     bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
     geom = PhaseGeometry(0.4, 1.3)
     thetas = (np.array([0.3, 2.2]), 0.9)
-    for ports in [(pa, pb) for pa in Port for pb in Port]:
+    for ports in [(pa, pb) for pa in (PAR, PERP) for pb in (PAR, PERP)]:
         side1 = pair_rows(Arm.SIDE1, thetas, bs, geom, ports)
         side2 = pair_rows(Arm.SIDE2, thetas, bs, geom, ports)
         for u1, u2 in zip(side1, side2):
@@ -254,10 +255,10 @@ def test_analyzer_rows_hold_both_ports_with_the_phase_of_their_role():
                 transmitted, reflected = cmath.exp(1j * geom.psi), 1.0
             else:
                 transmitted, reflected = 1.0, 1.0
-            for port in Port:
+            for port in (PAR, PERP):
                 wx, wy = port_weights(thetas, port)
                 side = wx[..., None] * splitter_output(bs, arm, X) + wy[..., None] * splitter_output(bs, arm, Y)
                 factor = np.where(np.arange(4) // 2 == arm.value, transmitted, reflected)
-                assert np.max(np.abs(rows[..., port.value, :] - side * factor)) < TOL
+                assert np.max(np.abs(rows[..., port, :] - side * factor)) < TOL
     with pytest.raises(ValueError, match="^analyzer angle must be finite"):
         analyzer_rows(Role.OPPOSITE, Arm.SIDE1, np.array([0.1, math.nan]), bs, geom)

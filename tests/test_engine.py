@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from twophoton import elements, engine, formulas
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port, Role
+from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Role
 from twophoton.engine import (
+    ONE_SIDED,
     OPPOSITE,
+    OUTCOMES,
     Arm,
     InputSpec,
-    Outcome,
-    OutcomeKind,
-    all_outcomes,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
@@ -64,7 +63,7 @@ def test_no_polarizers_aligned_photons_never_coincide_at_zero_phase():
 
 
 def test_no_polarizers_aligned_photons_always_coincide_at_pi_phase():
-    # Port-summed coincidence at phi = pi saturates at one.
+    # The coincidence summed over ports saturates at one at phi = pi.
     p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, PhaseGeometry(phi=math.pi))
     assert abs(p - 1.0) < TOL
 
@@ -73,10 +72,13 @@ def test_no_polarizers_result_ignores_dummy_analyzer_angles():
     inp = InputSpec.polarized(0.4, 1.0)
     geom = PhaseGeometry(phi=1.3)
     base = coincidence_no_polarizers(inp, BS, geom)
-    # removing an analyzer sums its ports, whatever angle it was set to
+    # removing an analyzer sums its ports, whatever angle it was set to; a
+    # perpendicular port is the parallel port a quarter turn on
     for theta1, theta2 in RNG.uniform(0.0, math.pi, size=(10, 2)):
         summed = sum(
-            coincidence_probability(inp, theta1, theta2, BS, geom, (p1, p2)) for p1 in Port for p2 in Port
+            coincidence_probability(inp, theta1 + a, theta2 + b, BS, geom)
+            for a in (0.0, HALF_PI)
+            for b in (0.0, HALF_PI)
         )
         assert abs(summed - base) < TOL
 
@@ -97,7 +99,7 @@ def test_same_arm_crossed_photons_never_pass_aligned_analyzers():
 
 
 def test_same_arm_no_polarizers_follows_relative_polarization_law():
-    # Port-summed bunching rate is (1 + cos^2 of the relative incidence angle)/2.
+    # The bunching rate summed over ports is (1 + cos^2 of the relative incidence angle)/2.
     geom = PhaseGeometry()
     for pol1, pol2 in RNG.uniform(0.0, math.pi, size=(15, 2)):
         p = same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), BS, geom)
@@ -158,8 +160,9 @@ def test_double_trigger_blocked_for_crossed_photon():
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
-    # the loops over ports and sides, one engine call per term, added in
-    # order as a Python sum adds them, are the reference
+    # the loops over ports and sides, one evaluation of a pair of one-port
+    # rows per term, added in order as a Python sum adds them, are the
+    # reference
     rng = np.random.default_rng(18)
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 3, 1))
     bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
@@ -168,7 +171,7 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
     ana_a, ana_b = rng.uniform(0.0, math.pi, size=2)
     inp = InputSpec.polarized(*pol) if polarized else InputSpec.unpolarized()
     coincidence = coincidence_no_polarizers(inp, bs, geom)
-    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, geom, (Port.PARALLEL, Port.PERPENDICULAR))
+    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, geom)
     no_polarizers = same_arm_no_polarizers(inp, bs, geom)
     assert coincidence.shape == both_arms.shape == no_polarizers.shape == (3, 4)
     for i, j in np.ndindex(3, 4):
@@ -176,13 +179,17 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
         one_geom = PhaseGeometry(geom.phi[0, j], geom.psi[0, j])
         one = InputSpec.polarized(pol[0, i, j], pol[1, i, j]) if polarized else inp
 
-        def sides(theta_a, theta_b, ports):
-            return sum(same_arm_probability(one, arm, theta_a, theta_b, one_bs, one_geom, ports) for arm in Arm)
+        def detect(first, second, ports):
+            # the rows of the ports `ports` of two (role, arm, angle) detectors
+            u_a, u_b = (elements.analyzer_rows(*d, one_bs, one_geom)[k] for d, k in zip((first, second), ports))
+            return float(engine._detect(one, u_a, u_b))
 
-        ports = [(pa, pb) for pa in Port for pb in Port]
-        assert coincidence[i, j] == sum(coincidence_probability(one, 0.0, 0.0, one_bs, one_geom, p) for p in ports)
-        assert both_arms[i, j] == sides(ana_a, ana_b, (Port.PARALLEL, Port.PERPENDICULAR))
-        assert no_polarizers[i, j] == sum(sides(0.0, 0.0, p) for p in ports)
+        ports = [(pa, pb) for pa in (0, 1) for pb in (0, 1)]
+        opposite = ((Role.OPPOSITE, Arm.SIDE1, 0.0), (Role.OPPOSITE, Arm.SIDE2, 0.0))
+        pair = {arm: ((Role.PAIR_FIRST, arm, 0.0), (Role.PAIR_SECOND, arm, 0.0)) for arm in Arm}
+        assert coincidence[i, j] == sum(detect(*opposite, p) for p in ports)
+        assert both_arms[i, j] == sum(same_arm_probability(one, arm, ana_a, ana_b, one_bs, one_geom) for arm in Arm)
+        assert no_polarizers[i, j] == sum(sum(ONE_SIDED * detect(*pair[arm], p) for arm in Arm) for p in ports)
 
 
 def test_double_trigger_broadcasts_over_an_array_of_arms():
@@ -193,7 +200,7 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
     assert batch.shape == (2, 3)
     for (i, j), p in np.ndenumerate(batch):
         # the repeated detector row of the arm's own side, halved twice
-        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs, PhaseGeometry(), (Port.PARALLEL,))[0]
+        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs, PhaseGeometry())[0]
         state = product_state(pol1[i, 0], 0.7)
         assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
         assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
@@ -217,11 +224,11 @@ def test_unpolarized_input_is_equal_mixture_of_axis_products():
 
 def test_perpendicular_port_equals_rotated_parallel_port():
     bs = BeamSplitterSpec.from_transmission(0.8, 0.7)
+    perp_par = OUTCOMES.index("side1[perp]+side2[par]")
     for pol1, pol2, ana1, ana2 in RNG.uniform(0.0, math.pi, size=(10, 4)):
         inp = InputSpec.polarized(pol1, pol2)
-        geom = PhaseGeometry(phi=0.7)
-        perp = coincidence_probability(inp, ana1, ana2, bs, geom, (Port.PERPENDICULAR, Port.PARALLEL))
-        rot = coincidence_probability(inp, ana1 + HALF_PI, ana2, bs, geom)
+        perp = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(0.7, 0.7))[perp_par]
+        rot = coincidence_probability(inp, ana1 + HALF_PI, ana2, bs, PhaseGeometry(phi=0.7))
         assert abs(perp - rot) < TOL
 
 
@@ -246,23 +253,14 @@ def test_bunching_at_zero_psi_is_half_the_pi_phase_coincidence():
 
 
 def test_outcome_partition_has_twelve_exclusive_entries():
-    outcomes = all_outcomes()
-    assert len(outcomes) == 12
-    assert len(set(outcomes)) == 12
-    opposite = [o for o in outcomes if o.kind is OutcomeKind.OPPOSITE]
-    same = [o for o in outcomes if o.kind is OutcomeKind.SAME_ARM]
-    assert len(opposite) == 4 and len(same) == 8
-    assert OPPOSITE.tolist() == [o.kind is OutcomeKind.OPPOSITE for o in outcomes]
-    # opposite side first, then side 1 before side 2, ports in Port order
-    key = lambda o: (o.kind.value, -1 if o.arm is None else o.arm.value, o.port1.value, o.port2.value)
-    assert outcomes == tuple(sorted(outcomes, key=key))
-
-
-def test_outcome_validation():
-    with pytest.raises(ValueError):
-        Outcome(OutcomeKind.SAME_ARM, Port.PARALLEL, Port.PARALLEL)  # missing arm
-    with pytest.raises(ValueError):
-        Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL, arm=Arm.SIDE1)
+    assert len(OUTCOMES) == len(set(OUTCOMES)) == 12
+    # opposite side first, then side 1 before side 2, each port parallel first
+    ports = [(a, b) for a in ("par", "perp") for b in ("par", "perp")]
+    assert OUTCOMES[:4] == tuple(f"side1[{a}]+side2[{b}]" for a, b in ports)
+    assert OUTCOMES[4:] == tuple(f"{side}[w1:{a}+w2:{b}]" for side in ("side1", "side2") for a, b in ports)
+    assert OPPOSITE.tolist() == [True] * 4 + [False] * 8
+    with pytest.raises(ValueError, match="read-only"):
+        OPPOSITE[0] = False
 
 
 def test_full_distribution_normalizes_at_matched_fringe_phases():
@@ -328,27 +326,28 @@ def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
 
 
 def _per_port_distribution(inp, theta1, theta2, bs, geom):
-    """The distribution with each of its ten distinct rows built one port
-    at a time, kept as the reference for the five-call build: the four
-    same-side pairs (side x port) and the two side-1 opposite-side rows; a
-    side-2 opposite-side row is the second row of side 2's pair."""
+    """The distribution with each outcome's two rows built from its index k,
+    kept as the reference for the five-call build: its group (opposite
+    side, side 1, side 2) is k // 4, its first detector's port (k // 2) % 2
+    and its second detector's port k % 2.  Each label in `OUTCOMES` must
+    name that group and those ports."""
 
     def one_port(role, arm, theta, port):
-        return elements.analyzer_rows(role, arm, theta, bs, geom, (port,))[..., 0, :]
+        return elements.analyzer_rows(role, arm, theta, bs, geom)[..., port, :]
 
-    sides = ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-    same = {
-        (arm, port): (one_port(Role.PAIR_FIRST, arm, theta, port), one_port(Role.PAIR_SECOND, arm, theta, port))
-        for arm, theta in sides
-        for port in Port
-    }
-    side1 = {port: one_port(Role.OPPOSITE, Arm.SIDE1, theta1, port) for port in Port}
-    pairs = [
-        (side1[o.port1], same[Arm.SIDE2, o.port2][1])
-        if o.kind is OutcomeKind.OPPOSITE
-        else (same[o.arm, o.port1][0], same[o.arm, o.port2][1])
-        for o in all_outcomes()
-    ]
+    # each group's first and second detector
+    groups = (
+        ((Role.OPPOSITE, Arm.SIDE1, theta1), (Role.OPPOSITE, Arm.SIDE2, theta2)),
+        ((Role.PAIR_FIRST, Arm.SIDE1, theta1), (Role.PAIR_SECOND, Arm.SIDE1, theta1)),
+        ((Role.PAIR_FIRST, Arm.SIDE2, theta2), (Role.PAIR_SECOND, Arm.SIDE2, theta2)),
+    )
+    names = ("par", "perp")
+    pairs = []
+    for k, label in enumerate(OUTCOMES):
+        group, first, second = k // 4, (k // 2) % 2, k % 2
+        a, b = names[first], names[second]
+        assert label == (f"side1[{a}]+side2[{b}]" if group == 0 else f"side{group}[w1:{a}+w2:{b}]")
+        pairs.append((one_port(*groups[group][0], first), one_port(*groups[group][1], second)))
     u_a, u_b = (np.stack(np.broadcast_arrays(*rows), axis=-2) for rows in zip(*pairs))
     p = engine._squared_amplitudes(inp, u_a, u_b, axes=1)
     if inp.polarization is None:
@@ -358,9 +357,9 @@ def _per_port_distribution(inp, theta1, theta2, bs, geom):
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch):
-    # one `analyzer_rows` call per analyzer and role, and no one-port row;
-    # the result equals the per-port reference bit for bit, on scalars and
-    # on broadcast arrays of every argument
+    # one `analyzer_rows` call per analyzer and role; the result equals the
+    # per-port reference bit for bit, on scalars and on broadcast arrays of
+    # every argument
     rng = np.random.default_rng(19)
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 1, 3))
     cases = [
@@ -381,7 +380,6 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
             m.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
             dist = full_outcome_distribution(inp, theta1, theta2, bs, geom)
         assert len(builds) == 5
-        assert all(len(args) == 5 for args in builds)  # both ports, the default, each time
         assert dist.shape == expected.shape
         assert dist.tobytes() == expected.tobytes()
 
@@ -403,10 +401,9 @@ def test_unpolarized_coincidence_depends_only_on_analyzer_difference():
 
 
 def test_outcome_labels_are_distinct_and_descriptive():
-    labels = [o.label() for o in all_outcomes()]
-    assert len(set(labels)) == 12
-    assert "side1[par]+side2[par]" in labels
-    assert "side2[w1:par+w2:perp]" in labels
+    assert len(set(OUTCOMES)) == 12
+    assert "side1[par]+side2[par]" in OUTCOMES
+    assert "side2[w1:par+w2:perp]" in OUTCOMES
 
 
 def test_polarized_input_rejects_nonfinite_angles():

@@ -4,13 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Port
+from twophoton.elements import BeamSplitterSpec, PhaseGeometry
 from twophoton.engine import (
     OPPOSITE,
+    OUTCOMES,
     InputSpec,
-    Outcome,
-    OutcomeKind,
-    all_outcomes,
     full_outcome_distribution,
 )
 from twophoton.fock import TOL
@@ -26,8 +24,8 @@ from twophoton.montecarlo import (
 )
 
 BS = BeamSplitterSpec.fifty_fifty()
-TWELVE = all_outcomes()
-SURE = TWELVE.index(Outcome(OutcomeKind.OPPOSITE, Port.PARALLEL, Port.PARALLEL))
+TWELVE = OUTCOMES
+SURE = 0  # side1[par]+side2[par]
 POINT_MASS = np.array([float(k == SURE) for k in range(12)])
 
 
