@@ -24,7 +24,6 @@ from twophoton.montecarlo import (
 )
 
 BS = BeamSplitterSpec.fifty_fifty()
-TWELVE = OUTCOMES
 SURE = 0  # side1[par]+side2[par]
 POINT_MASS = np.array([float(k == SURE) for k in range(12)])
 
@@ -120,7 +119,7 @@ def test_blockwise_reference_reimplementation():
     n, seed, eff = BLOCK_PAIRS + 777, 9, 0.8
     tallied = sample_counts(dist, RunConfig(n, efficiency=eff, seed=seed))
 
-    outcomes = TWELVE
+    outcomes = OUTCOMES
     edges = np.cumsum(dist)
     edges[-1] = 1.0
     counts = np.zeros(len(outcomes), dtype=np.int64)
@@ -145,7 +144,7 @@ def _searchsorted_replay(dists, cfg):
     # against its recorded outcome draws.
     edges = np.cumsum(dists, axis=-1)
     edges[..., -1] = 1.0
-    rows = edges.reshape(-1, len(TWELVE))
+    rows = edges.reshape(-1, len(OUTCOMES))
     counts = np.zeros(rows.shape, dtype=np.int64)
     for block in range(-(-cfg.n_pairs // BLOCK_PAIRS)):
         m = min(BLOCK_PAIRS, cfg.n_pairs - block * BLOCK_PAIRS)
@@ -155,7 +154,7 @@ def _searchsorted_replay(dists, cfg):
         fired &= rng.random(m) < cfg.efficiency
         recorded = u[fired]
         for row_edges, row_counts in zip(rows, counts):
-            row_counts += np.bincount(np.searchsorted(row_edges, recorded, side="right"), minlength=len(TWELVE))
+            row_counts += np.bincount(np.searchsorted(row_edges, recorded, side="right"), minlength=len(OUTCOMES))
     return counts.reshape(edges.shape)
 
 
