@@ -15,7 +15,6 @@ from twophoton import (
     Arm,
     BeamSplitterSpec,
     InputSpec,
-    PhaseGeometry,
     coincidence_no_polarizers,
     double_trigger_probability,
     p_same_arm,
@@ -32,11 +31,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("split + bunch = 1 (no analyzers, fringe phase 0)")
     print(f"{'rel pol/deg':>12} {'p(split)':>10} {'p(bunch)':>10} {'sum':>8}")
-    geom = PhaseGeometry()
     for deg in (0, 30, 45, 60, 90):
         inp = InputSpec.polarized(0.0, math.radians(deg))
-        split = coincidence_no_polarizers(inp, bs, geom)
-        bunch = same_arm_no_polarizers(inp, bs, geom)
+        split = coincidence_no_polarizers(inp, bs, phi=0.0)
+        bunch = same_arm_no_polarizers(inp, bs, psi=0.0)
         print(f"{deg:12d} {split:10.6f} {bunch:10.6f} {split + bunch:8.4f}")
     print()
 
@@ -49,7 +47,7 @@ def main() -> None:
     print(f"{'psi/deg':>8} {'engine':>12} {'closed form':>12}")
     for deg in (0, 60, 90, 120, 180):
         psi = math.radians(deg)
-        eng = same_arm_probability(inp, Arm.SIDE2, 0.0, 0.0, bs, PhaseGeometry(psi=psi))
+        eng = same_arm_probability(inp, Arm.SIDE2, 0.0, 0.0, bs, psi)
         ana = p_same_arm(0.0, 0.0, 0.0, 0.0, bs, psi)
         print(f"{deg:8d} {eng:12.6f} {ana:12.6f}")
     print()

@@ -15,7 +15,6 @@ import math
 from twophoton import (
     BeamSplitterSpec,
     InputSpec,
-    PhaseGeometry,
     coincidence_probability,
     p_coincidence,
 )
@@ -36,7 +35,7 @@ def main() -> None:
     print(f"{'phi/deg':>8} {'engine':>12} {'closed form':>12}")
     for k in range(args.steps):
         phi = 2.0 * math.pi * k / (args.steps - 1)
-        eng = coincidence_probability(inp, 0.0, 0.0, bs, PhaseGeometry(phi=phi))
+        eng = coincidence_probability(inp, 0.0, 0.0, bs, phi)
         ana = p_coincidence(0.0, 0.0, 0.0, 0.0, bs, phi)
         print(f"{math.degrees(phi):8.1f} {eng:12.6f} {ana:12.6f}")
     print()
@@ -48,9 +47,7 @@ def main() -> None:
     print(f"{'angle/deg':>10} {'p(coincidence)':>15}")
     for deg in (0, 15, 30, 45, 60, 75, 90):
         rel = math.radians(deg)
-        p = coincidence_probability(
-            InputSpec.polarized(0.0, rel), 0.0, rel, bs, PhaseGeometry(phi=0.0)
-        )
+        p = coincidence_probability(InputSpec.polarized(0.0, rel), 0.0, rel, bs, phi=0.0)
         print(f"{deg:10d} {p:15.6f}")
     print()
     print("identical photons never split at phase 0; fully distinguishable")

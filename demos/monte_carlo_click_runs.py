@@ -19,7 +19,6 @@ from twophoton import (
     OUTCOMES,
     BeamSplitterSpec,
     InputSpec,
-    PhaseGeometry,
     RunConfig,
     consistency_z,
     estimate,
@@ -37,7 +36,7 @@ def main() -> None:
 
     dist = full_outcome_distribution(
         InputSpec.unpolarized(), 0.0, math.pi / 6.0,
-        BeamSplitterSpec.fifty_fifty(), PhaseGeometry(0.0, 0.0),
+        BeamSplitterSpec.fifty_fifty(), phi=0.0, psi=0.0,
     )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ command, whose `sweep`, `compare` and `mc` subcommands read that table.
 """
 
 from .compare import DEFAULT_TOL, CheckResult, run_comparison
-from .elements import BeamSplitterSpec, PhaseGeometry
+from .elements import BeamSplitterSpec
 from .engine import (
     OPPOSITE,
     OUTCOMES,
@@ -67,7 +67,6 @@ __all__ = [
     "product_state",
     "vacuum_amplitude",
     "BeamSplitterSpec",
-    "PhaseGeometry",
     "InputSpec",
     "OUTCOMES",
     "OPPOSITE",

@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import formulas
-from .elements import BeamSplitterSpec, PhaseGeometry
+from .elements import BeamSplitterSpec
 from .engine import (
     OPPOSITE,
     Arm,
@@ -78,7 +78,8 @@ class Experiment:
     """One observable, computed by the engine and by a closed form.
 
     `params` are library names: incident polarizations `pol1`, `pol2`,
-    analyzer angles `ana1`, `ana2`, fringe phases `phi`, `psi` (radians),
+    analyzer angles `ana1`, `ana2`, fringe phases `phi`, `psi` (radians;
+    each engine function takes the one it reads, the distribution both),
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
     callables take them as keywords and broadcast over numpy arrays.
@@ -131,7 +132,7 @@ def outcome_distribution(
         inp = InputSpec.unpolarized()
     else:
         raise ValueError(f"input_kind must be 'polarized' or 'unpolarized', got {input_kind!r}")
-    dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phi, psi))
+    dist = full_outcome_distribution(inp, ana1, ana2, bs, phi, psi)
     shape = np.broadcast_shapes(np.shape(pol1), np.shape(pol2), dist.shape[:-1])
     return np.broadcast_to(dist, (*shape, dist.shape[-1]))
 
@@ -153,7 +154,7 @@ def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
 
 
 def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
-    return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
+    return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, phi)
 
 
 def _opposite_estimate(shared: np.ndarray, run: RunConfig, **_) -> np.ndarray:
@@ -177,7 +178,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             POLARIZED,
             formulas.p_coincidence,
             lambda pol1, pol2, ana1, ana2, phi, bs: coincidence_probability(
-                InputSpec.polarized(pol1, pol2), ana1, ana2, bs, PhaseGeometry(phi=phi)
+                InputSpec.polarized(pol1, pol2), ana1, ana2, bs, phi
             ),
             grid=[(n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2")],
             cycle=[("phi", PHASES), ("bs", standard_splitters())],
@@ -188,7 +189,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             POLARIZED,
             _same_arm_formula,
             lambda arm, pol1, pol2, ana1, ana2, psi, bs: same_arm_probability(
-                InputSpec.polarized(pol1, pol2), arm, ana1, ana2, bs, PhaseGeometry(psi=psi)
+                InputSpec.polarized(pol1, pol2), arm, ana1, ana2, bs, psi
             ),
             grid=[("arm", (Arm.SIDE2,)), *((n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2"))],
             cycle=[("psi", PHASES), ("bs", standard_splitters())],
@@ -217,9 +218,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("pol1", "pol2", "phi", "bs"),
             POLARIZED,
             lambda pol1, pol2, phi, bs: formulas.p_no_polarizers(pol1, pol2, phi),
-            lambda pol1, pol2, phi, bs: coincidence_no_polarizers(
-                InputSpec.polarized(pol1, pol2), bs, PhaseGeometry(phi=phi)
-            ),
+            lambda pol1, pol2, phi, bs: coincidence_no_polarizers(InputSpec.polarized(pol1, pol2), bs, phi),
             only_5050=True,
             grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
         ),
@@ -228,9 +227,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("pol1", "pol2", "bs"),
             POLARIZED,
             lambda pol1, pol2, bs: formulas.p_same_arm_no_polarizers(pol1, pol2),
-            lambda pol1, pol2, bs: same_arm_no_polarizers(
-                InputSpec.polarized(pol1, pol2), bs, PhaseGeometry()
-            ),
+            lambda pol1, pol2, bs: same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), bs, 0.0),
             only_5050=True,
             grid=[("pol1", ANGLES), ("pol2", ANGLES), FIFTY_FIFTY],
         ),
@@ -239,9 +236,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("ana1", "ana2", "bs"),
             UNPOLARIZED,
             lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
-            lambda ana1, ana2, bs: same_arm_both_arms(
-                InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry()
-            ),
+            lambda ana1, ana2, bs: same_arm_both_arms(InputSpec.unpolarized(), ana1, ana2, bs, 0.0),
             only_5050=True,
             grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
         ),
@@ -406,7 +401,7 @@ def run_comparison(
     named constants (used as a negative control), and `step` (an integer,
     at least 1) thins the four-angle grids, the ones that interleave phases
     and splitters."""
-    if not isinstance(step, (int, np.integer)):
+    if isinstance(step, bool) or not isinstance(step, (int, np.integer)):
         raise ValueError(f"step must be an integer, got {step!r}")
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step!r}")

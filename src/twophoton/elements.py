@@ -7,22 +7,23 @@ Conventions fixed here and relied on everywhere else:
 * Analyzer ports: the parallel port projects onto (cos t, sin t), the
   perpendicular port onto (-sin t, cos t); the perpendicular port equals the
   parallel port rotated by pi/2.
-* Geometry enters only through two relative phases.  `phi` is the fringe
-  phase between the both-transmitted and the both-reflected path of an
-  opposite-side coincidence; it is attached to the reflected term of the
-  side-1 detector operator.  `psi` is the fringe phase between the two
-  pairings of a same-side pair detection; it is attached to the transmitted
-  term of the first operator of the pair.  Detectors at positions z1, z2
-  fold in as the phase 2*pi*(z2 - z1)/spacing, for the fringe spacing;
-  equal displacement of both detectors leaves these relative phases (and
-  hence all probabilities) unchanged.
+* Geometry enters only through two relative phases, and a measurement
+  reads one of them.  `phi` is the fringe phase between the both-transmitted
+  and the both-reflected path of an opposite-side coincidence; it is
+  attached to the reflected term of the side-1 detector operator.  `psi` is
+  the fringe phase between the two pairings of a same-side pair detection;
+  it is attached to the transmitted term of the first operator of the pair.
+  Detectors at positions z1, z2 fold in as the phase
+  2*pi*(z2 - z1)/spacing, for the fringe spacing; equal displacement of
+  both detectors leaves these relative phases (and hence all probabilities)
+  unchanged.
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (in `fock`'s
 order).  `analyzer_rows` is the one row builder: it builds the rows of both
 ports of an analyzer, on an axis of their own (parallel at index 0,
 perpendicular at 1), with the phase of the detector's `Role`.  A one-port
-row is the slice `analyzer_rows(role, arm, theta, bs, geom)[..., k, :]` of
+row is the slice `analyzer_rows(role, arm, theta, bs, phase)[..., k, :]` of
 its port index k.  Angles, phases and splitter amplitudes may be numpy
 arrays; they broadcast, and the rows gain the broadcast shape as leading
 axes.
@@ -90,19 +91,6 @@ def _port_weights(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return wx, wy
 
 
-@dataclass(frozen=True)
-class PhaseGeometry:
-    """Folded detector-position phases (radians); see module docstring."""
-
-    phi: float = 0.0
-    psi: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("phi", "psi"):
-            if not _all_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
 # A side-2 row is the side-1 row of the same setting and phases with the two
 # sides' modes swapped: the transmitted and reflected terms trade places.
 OTHER_SIDE = np.array([2, 3, 0, 1])
@@ -121,21 +109,26 @@ def analyzer_rows(
     arm: Arm,
     theta: float,
     bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
+    phase: float = 0.0,
 ) -> np.ndarray:
     """Rows of the analyzer at `theta` on `arm`, one per port on an axis
     before the modes, parallel then perpendicular: (..., 2, 4).
 
     Each row holds the splitter outputs of its side, weighted by its port.
-    The phases follow the module conventions: an opposite-side side-1 row
-    carries exp(i*phi) on its reflected (other-side) terms, the first row
-    of a same-side pair exp(i*psi) on its transmitted (same-side) terms,
-    and every other row none.
+    `phase` is the one fringe phase the detector's role carries, by the
+    module conventions: an opposite-side side-1 row carries exp(i*phi) on
+    its reflected (other-side) terms, the first row of a same-side pair
+    exp(i*psi) on its transmitted (same-side) terms, and every other row
+    ignores it.
     """
+    if not isinstance(arm, Arm):
+        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    if not _all_finite(phase):
+        raise ValueError(f"{'phi' if role is Role.OPPOSITE else 'psi'} must be finite, got {phase!r}")
     if role is Role.OPPOSITE:
-        t_phase, r_phase = 1.0, np.exp(1j * geom.phi) if arm is Arm.SIDE1 else 1.0
+        t_phase, r_phase = 1.0, np.exp(1j * phase) if arm is Arm.SIDE1 else 1.0
     elif role is Role.PAIR_FIRST:
-        t_phase, r_phase = np.exp(1j * geom.psi), 1.0
+        t_phase, r_phase = np.exp(1j * phase), 1.0
     else:
         t_phase, r_phase = 1.0, 1.0
     wx, wy = _port_weights(theta)

@@ -20,6 +20,10 @@ broadcast, and the result is an array of the broadcast shape (a float when
 every argument is scalar); `full_outcome_distribution` adds a last axis of
 the twelve outcomes, whose labels `OUTCOMES` holds in the same order.
 
+Each function takes the one fringe phase it reads, in radians: `phi` for
+an opposite-side coincidence, `psi` for a same-side pair, both for
+`full_outcome_distribution` and none for `double_trigger_probability`.
+
 An analyzer port is an index on a row axis, not an argument: the single
 probabilities read the parallel port (index 0), and a perpendicular port at
 theta is the parallel port at theta + pi/2.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import OTHER_SIDE, BeamSplitterSpec, PhaseGeometry, Role, analyzer_rows
+from .elements import OTHER_SIDE, BeamSplitterSpec, Role, analyzer_rows
 from .fock import Arm, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
@@ -132,12 +136,12 @@ def _result(p: np.ndarray) -> float | np.ndarray:
 
 
 def _pair_rows(
-    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, geom: PhaseGeometry
+    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, psi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-port rows of the two detectors of a same-side pair on `arm`,
-    at theta_a and theta_b; the first row carries `geom.psi`."""
-    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, geom)[..., 0, :]
-    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs, geom)[..., 0, :]
+    at theta_a and theta_b; the first row carries `psi`."""
+    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, psi)[..., 0, :]
+    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs)[..., 0, :]
     return u_a, u_b
 
 
@@ -146,19 +150,19 @@ def coincidence_probability(
     theta1: float,
     theta2: float,
     bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
+    phi: float,
 ) -> float:
     """Joint click probability, one detector on each side.
 
     Side-1 analyzer at theta1, side-2 at theta2 (parallel ports); the fringe
-    phase `geom.phi` sets the relative phase of the two contributing paths.
+    phase `phi` sets the relative phase of the two contributing paths.
     """
-    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom)[..., 0, :]
-    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs, geom)[..., 0, :]
+    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, phi)[..., 0, :]
+    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs)[..., 0, :]
     return _result(_detect(inp, u1, u2))
 
 
-def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
+def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, phi: float) -> float:
     """Opposite-side coincidence with analyzers removed.
 
     Removing an analyzer is summing its two ports, so this is the sum over
@@ -167,7 +171,8 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseG
     one evaluation.
     """
     # each side's rows of its two ports on an axis before the modes
-    u1, u2 = (analyzer_rows(Role.OPPOSITE, arm, 0.0, bs, geom) for arm in Arm)
+    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, 0.0, bs, phi)
+    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, 0.0, bs)
     return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
 
@@ -177,16 +182,16 @@ def same_arm_probability(
     theta_a: float,
     theta_b: float,
     bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
+    psi: float,
 ) -> float:
     """Probability that both photons exit on `arm` and its two frequency-channel
     detectors fire behind the parallel ports of analyzers at (theta_a, theta_b).
 
-    `geom.psi` is the relative phase between the two photon-to-detector
+    `psi` is the relative phase between the two photon-to-detector
     pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
     one-sided detection.
     """
-    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, geom)
+    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, psi)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
 
 
@@ -195,15 +200,15 @@ def same_arm_both_arms(
     theta_a: float,
     theta_b: float,
     bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
+    psi: float,
 ) -> float:
     """Same-side pair probability summed over both sides at fixed analyzer
     angles, side 1 first; the sides are an axis of one evaluation."""
-    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, geom)
+    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, psi)
     return _result(_in_order(ONE_SIDED * _detect(inp, _both_sides(u_a), _both_sides(u_b), axes=1), 1))
 
 
-def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeometry) -> float:
+def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, psi: float) -> float:
     """Same-side pair probability, both sides, analyzers removed (all ports
     summed, so the analyzer angle drops out and is taken as 0).
 
@@ -211,9 +216,8 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, geom: PhaseGeom
     (parallel first), and ports and sides are axes of one evaluation.
     """
     # first and second rows: (..., port, side, mode)
-    u_a, u_b = (
-        _both_sides(analyzer_rows(role, Arm.SIDE1, 0.0, bs, geom)) for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
-    )
+    u_a = _both_sides(analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, 0.0, bs, psi))
+    u_b = _both_sides(analyzer_rows(Role.PAIR_SECOND, Arm.SIDE1, 0.0, bs))
     p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
     return _result(_in_order(_in_order(p, 1), 2))
 
@@ -238,7 +242,7 @@ def double_trigger_probability(
     side2 = arms == Arm.SIDE2
     if not np.all(side2 | (arms == Arm.SIDE1)):
         raise ValueError(f"arm must be an Arm, got {arm!r}")
-    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs, PhaseGeometry())[..., 0, :]
+    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs)[..., 0, :]
     u = np.where(side2[..., None], u[..., OTHER_SIDE], u)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
@@ -248,13 +252,14 @@ def full_outcome_distribution(
     theta1: float,
     theta2: float,
     bs: BeamSplitterSpec,
-    geom: PhaseGeometry,
+    phi: float,
+    psi: float,
 ) -> np.ndarray:
     """Probabilities of the twelve exclusive pair outcomes, on a last axis
     in `OUTCOMES` order.
 
     All analyzers on side 1 sit at theta1 and all on side 2 at theta2.
-    Opposite-side entries use `geom.phi`, same-side entries `geom.psi`; the
+    Opposite-side entries use `phi`, same-side entries `psi`; the
     partition sums to one exactly when the two fringe phases agree
     (cos(phi) = cos(psi), e.g. the symmetric geometry phi = psi), which is
     the regime where the twelve outcomes are one experiment's event space.
@@ -267,9 +272,9 @@ def full_outcome_distribution(
     row of side 2's pair at its port.  All twelve amplitudes come from one
     stacked evaluation.
     """
-    d1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, geom)
+    d1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, phi)
     f1, s1, f2, s2 = (
-        analyzer_rows(role, arm, theta, bs, geom)
+        analyzer_rows(role, arm, theta, bs, psi)
         for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
         for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
     )

@@ -15,7 +15,7 @@ import numpy as np
 import twophoton
 from twophoton import formulas
 from twophoton.compare import ANGLES, run_comparison
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry
+from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import (
     OPPOSITE,
     InputSpec,
@@ -99,14 +99,13 @@ def total_deviation(dist: np.ndarray) -> np.ndarray:
 def test_criterion_3_distribution_normalization():
     t0 = time.monotonic()
     rng = np.random.default_rng(2026)
-    zero = PhaseGeometry(0.0, 0.0)
     # polarized inputs over the whole four-angle grid, in one batched call
     pol1, pol2, ana1, ana2 = np.meshgrid(*[ANGLES] * 4, indexing="ij", sparse=True)
-    devs = [*total_deviation(full_outcome_distribution(InputSpec.polarized(pol1, pol2), ana1, ana2, BS, zero))]
+    devs = [*total_deviation(full_outcome_distribution(InputSpec.polarized(pol1, pol2), ana1, ana2, BS, 0.0, 0.0))]
     n_polarized = len(devs)
     # unpolarized input over the full analyzer grid
     ana1, ana2 = np.meshgrid(ANGLES, ANGLES, indexing="ij", sparse=True)
-    devs += [*total_deviation(full_outcome_distribution(InputSpec.unpolarized(), ana1, ana2, BS, zero))]
+    devs += [*total_deviation(full_outcome_distribution(InputSpec.unpolarized(), ana1, ana2, BS, 0.0, 0.0))]
     # 20 random fringe-phase pairs on the matched surface cos(phi) = cos(psi),
     # where the twelve outcomes form one experiment's partition (the
     # off-surface total is pinned by the deviation-law test in test_engine.py)
@@ -115,7 +114,7 @@ def test_criterion_3_distribution_normalization():
         psi = rng.choice([phi, -phi, 2.0 * math.pi - phi])
         pol1, pol2, ana1, ana2 = rng.uniform(0.0, math.pi, size=4)
         inp = InputSpec.polarized(pol1, pol2) if rng.random() < 0.5 else InputSpec.unpolarized()
-        dist = full_outcome_distribution(inp, ana1, ana2, BS, PhaseGeometry(phi, psi))
+        dist = full_outcome_distribution(inp, ana1, ana2, BS, phi, psi)
         devs += [*total_deviation(dist)]
     worst = max(devs)
     elapsed = time.monotonic() - t0
@@ -153,12 +152,11 @@ def test_criterion_4_quantum_classical_contrast():
 def test_criterion_5_common_rotation_invariance():
     rng = np.random.default_rng(515)
     unpol = InputSpec.unpolarized()
-    geom = PhaseGeometry(phi=0.0)
     devs = []
     for _ in range(50):
         ana1, ana2, delta = rng.uniform(-math.pi, math.pi, size=3)
-        base = coincidence_probability(unpol, ana1, ana2, BS, geom)
-        rotated = coincidence_probability(unpol, ana1 + delta, ana2 + delta, BS, geom)
+        base = coincidence_probability(unpol, ana1, ana2, BS, 0.0)
+        rotated = coincidence_probability(unpol, ana1 + delta, ana2 + delta, BS, 0.0)
         devs.append(abs(rotated - base))
     worst = max(devs)
     ok = worst <= TOL
@@ -169,7 +167,7 @@ def test_criterion_5_common_rotation_invariance():
 def test_criterion_6_monte_carlo_consistency():
     t0 = time.monotonic()
     dist = full_outcome_distribution(
-        InputSpec.unpolarized(), 0.0, math.pi / 6.0, BS, PhaseGeometry(0.0, 0.0)
+        InputSpec.unpolarized(), 0.0, math.pi / 6.0, BS, 0.0, 0.0
     )
     n = 1_000_000
     sigma = math.sqrt(0.25 * 0.75 / n)

@@ -1,10 +1,12 @@
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from twophoton import elements, engine, formulas
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry, Role
+from twophoton.elements import BeamSplitterSpec, Role
 from twophoton.engine import (
     ONE_SIDED,
     OPPOSITE,
@@ -28,18 +30,18 @@ RNG = np.random.default_rng(77)
 
 def test_aligned_photons_never_coincide_at_zero_phase():
     # Destructive interference of the two coincidence paths.
-    p = coincidence_probability(InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=0.0))
+    p = coincidence_probability(InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, 0.0)
     assert abs(p) < TOL
 
 
 def test_aligned_photons_always_coincide_at_pi_phase():
-    p = coincidence_probability(InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=math.pi))
+    p = coincidence_probability(InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, math.pi)
     assert abs(p - 1.0) < TOL
 
 
 def test_aligned_photons_coincide_half_the_time_at_quarter_phase():
     p = coincidence_probability(
-        InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=HALF_PI)
+        InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, HALF_PI
     )
     assert abs(p - 0.5) < TOL
 
@@ -48,35 +50,35 @@ def test_crossed_photons_crossed_analyzers_give_one_quarter_at_any_phase():
     # Only one path survives, so the fringe phase drops out.
     inp = InputSpec.polarized(0.0, HALF_PI)
     for phi in (0.0, HALF_PI, math.pi, 2.0):
-        p = coincidence_probability(inp, 0.0, HALF_PI, BS, PhaseGeometry(phi=phi))
+        p = coincidence_probability(inp, 0.0, HALF_PI, BS, phi)
         assert abs(p - 0.25) < TOL
 
 
 def test_no_polarizers_crossed_photons_coincide_half_the_time():
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, HALF_PI), BS, PhaseGeometry(phi=0.0))
+    p = coincidence_no_polarizers(InputSpec.polarized(0.0, HALF_PI), BS, 0.0)
     assert abs(p - 0.5) < TOL
 
 
 def test_no_polarizers_aligned_photons_never_coincide_at_zero_phase():
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, PhaseGeometry(phi=0.0))
+    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, 0.0)
     assert abs(p) < TOL
 
 
 def test_no_polarizers_aligned_photons_always_coincide_at_pi_phase():
     # The coincidence summed over ports saturates at one at phi = pi.
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, PhaseGeometry(phi=math.pi))
+    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, math.pi)
     assert abs(p - 1.0) < TOL
 
 
 def test_no_polarizers_result_ignores_dummy_analyzer_angles():
     inp = InputSpec.polarized(0.4, 1.0)
-    geom = PhaseGeometry(phi=1.3)
-    base = coincidence_no_polarizers(inp, BS, geom)
+    phi = 1.3
+    base = coincidence_no_polarizers(inp, BS, phi)
     # removing an analyzer sums its ports, whatever angle it was set to; a
     # perpendicular port is the parallel port a quarter turn on
     for theta1, theta2 in RNG.uniform(0.0, math.pi, size=(10, 2)):
         summed = sum(
-            coincidence_probability(inp, theta1 + a, theta2 + b, BS, geom)
+            coincidence_probability(inp, theta1 + a, theta2 + b, BS, phi)
             for a in (0.0, HALF_PI)
             for b in (0.0, HALF_PI)
         )
@@ -85,7 +87,7 @@ def test_no_polarizers_result_ignores_dummy_analyzer_angles():
 
 def test_same_arm_aligned_photons_bunch_half_the_time():
     p = same_arm_probability(
-        InputSpec.polarized(0.0, 0.0), Arm.SIDE2, 0.0, 0.0, BS, PhaseGeometry(psi=0.0)
+        InputSpec.polarized(0.0, 0.0), Arm.SIDE2, 0.0, 0.0, BS, 0.0
     )
     assert abs(p - 0.5) < TOL
 
@@ -93,43 +95,39 @@ def test_same_arm_aligned_photons_bunch_half_the_time():
 def test_same_arm_crossed_photons_never_pass_aligned_analyzers():
     # The crossed photon is blocked by whichever x analyzer it reaches.
     p = same_arm_probability(
-        InputSpec.polarized(0.0, HALF_PI), Arm.SIDE2, 0.0, 0.0, BS, PhaseGeometry(psi=0.0)
+        InputSpec.polarized(0.0, HALF_PI), Arm.SIDE2, 0.0, 0.0, BS, 0.0
     )
     assert abs(p) < TOL
 
 
 def test_same_arm_no_polarizers_follows_relative_polarization_law():
     # The bunching rate summed over ports is (1 + cos^2 of the relative incidence angle)/2.
-    geom = PhaseGeometry()
     for pol1, pol2 in RNG.uniform(0.0, math.pi, size=(15, 2)):
-        p = same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), BS, geom)
+        p = same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), BS, 0.0)
         c = math.cos(pol1 - pol2)
         assert abs(p - 0.5 * (1.0 + c * c)) < TOL
 
 
 def test_same_arm_no_polarizers_pinned_values():
-    geom = PhaseGeometry()
-    assert abs(same_arm_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, geom) - 1.0) < TOL
-    p = same_arm_no_polarizers(InputSpec.polarized(0.0, math.pi / 4.0), BS, geom)
+    assert abs(same_arm_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, 0.0) - 1.0) < TOL
+    p = same_arm_no_polarizers(InputSpec.polarized(0.0, math.pi / 4.0), BS, 0.0)
     assert abs(p - 0.75) < TOL
 
 
 def test_bunching_and_splitting_exhaust_all_pairs_at_zero_phase():
     # With analyzers removed the pair either splits or bunches.
-    geom = PhaseGeometry()
     for pol1, pol2 in RNG.uniform(0.0, math.pi, size=(10, 2)):
         inp = InputSpec.polarized(pol1, pol2)
-        split = coincidence_no_polarizers(inp, BS, geom)
-        bunch = same_arm_no_polarizers(inp, BS, geom)
+        split = coincidence_no_polarizers(inp, BS, phi=0.0)
+        bunch = same_arm_no_polarizers(inp, BS, psi=0.0)
         assert abs(split + bunch - 1.0) < TOL
 
 
 def test_no_bunching_through_clear_window_or_perfect_mirror():
     # Without one transmission and one reflection the photons cannot pair up.
-    geom = PhaseGeometry()
     for bs in (BeamSplitterSpec.from_transmission(1.0, 1.0), BeamSplitterSpec.from_transmission(0.0, 0.0)):
         for pol1, pol2, ta, tb in RNG.uniform(0.0, math.pi, size=(5, 4)):
-            p = same_arm_both_arms(InputSpec.polarized(pol1, pol2), ta, tb, bs, geom)
+            p = same_arm_both_arms(InputSpec.polarized(pol1, pol2), ta, tb, bs, 0.0)
             assert abs(p) < TOL
 
 
@@ -137,9 +135,9 @@ def test_clear_window_coincidence_ignores_fringe_phase():
     # Only the transmitted path exists, so no fringe forms.
     bs = BeamSplitterSpec.from_transmission(1.0, 1.0)
     inp = InputSpec.polarized(0.3, 0.9)
-    base = coincidence_probability(inp, 0.2, 1.1, bs, PhaseGeometry(phi=0.0))
+    base = coincidence_probability(inp, 0.2, 1.1, bs, 0.0)
     for phi in (0.5, HALF_PI, math.pi):
-        assert abs(coincidence_probability(inp, 0.2, 1.1, bs, PhaseGeometry(phi=phi)) - base) < TOL
+        assert abs(coincidence_probability(inp, 0.2, 1.1, bs, phi) - base) < TOL
 
 
 def test_double_trigger_aligned_photons_hit_one_detector_quarter_of_the_time():
@@ -166,29 +164,32 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
     rng = np.random.default_rng(18)
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 3, 1))
     bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
-    geom = PhaseGeometry(*rng.uniform(0.0, 2.0 * math.pi, size=(2, 1, 4)))
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=(2, 1, 4))
     pol = rng.uniform(0.0, math.pi, size=(2, 3, 4))
     ana_a, ana_b = rng.uniform(0.0, math.pi, size=2)
     inp = InputSpec.polarized(*pol) if polarized else InputSpec.unpolarized()
-    coincidence = coincidence_no_polarizers(inp, bs, geom)
-    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, geom)
-    no_polarizers = same_arm_no_polarizers(inp, bs, geom)
+    coincidence = coincidence_no_polarizers(inp, bs, phi)
+    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, psi)
+    no_polarizers = same_arm_no_polarizers(inp, bs, psi)
     assert coincidence.shape == both_arms.shape == no_polarizers.shape == (3, 4)
     for i, j in np.ndindex(3, 4):
         one_bs = BeamSplitterSpec(tx[i, 0], ty[i, 0], bs.rx[i, 0], bs.ry[i, 0])
-        one_geom = PhaseGeometry(geom.phi[0, j], geom.psi[0, j])
+        one_phi, one_psi = phi[0, j], psi[0, j]
         one = InputSpec.polarized(pol[0, i, j], pol[1, i, j]) if polarized else inp
 
         def detect(first, second, ports):
-            # the rows of the ports `ports` of two (role, arm, angle) detectors
-            u_a, u_b = (elements.analyzer_rows(*d, one_bs, one_geom)[k] for d, k in zip((first, second), ports))
+            # the rows of the ports `ports` of two (role, arm, phase) detectors at angle 0
+            u_a, u_b = (
+                elements.analyzer_rows(role, arm, 0.0, one_bs, phase)[k]
+                for (role, arm, phase), k in zip((first, second), ports)
+            )
             return float(engine._detect(one, u_a, u_b))
 
         ports = [(pa, pb) for pa in (0, 1) for pb in (0, 1)]
-        opposite = ((Role.OPPOSITE, Arm.SIDE1, 0.0), (Role.OPPOSITE, Arm.SIDE2, 0.0))
-        pair = {arm: ((Role.PAIR_FIRST, arm, 0.0), (Role.PAIR_SECOND, arm, 0.0)) for arm in Arm}
+        opposite = ((Role.OPPOSITE, Arm.SIDE1, one_phi), (Role.OPPOSITE, Arm.SIDE2, 0.0))
+        pair = {arm: ((Role.PAIR_FIRST, arm, one_psi), (Role.PAIR_SECOND, arm, 0.0)) for arm in Arm}
         assert coincidence[i, j] == sum(detect(*opposite, p) for p in ports)
-        assert both_arms[i, j] == sum(same_arm_probability(one, arm, ana_a, ana_b, one_bs, one_geom) for arm in Arm)
+        assert both_arms[i, j] == sum(same_arm_probability(one, arm, ana_a, ana_b, one_bs, one_psi) for arm in Arm)
         assert no_polarizers[i, j] == sum(sum(ONE_SIDED * detect(*pair[arm], p) for arm in Arm) for p in ports)
 
 
@@ -200,7 +201,7 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
     assert batch.shape == (2, 3)
     for (i, j), p in np.ndenumerate(batch):
         # the repeated detector row of the arm's own side, halved twice
-        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs, PhaseGeometry())[0]
+        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs)[0]
         state = product_state(pol1[i, 0], 0.7)
         assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
         assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
@@ -212,10 +213,9 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
 def test_unpolarized_input_is_equal_mixture_of_axis_products():
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     for ana1, ana2, phi in RNG.uniform(0.0, math.pi, size=(8, 3)):
-        geom = PhaseGeometry(phi=phi)
-        mixed = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, geom)
+        mixed = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, phi)
         avg = 0.25 * sum(
-            coincidence_probability(InputSpec.polarized(a, b), ana1, ana2, bs, geom)
+            coincidence_probability(InputSpec.polarized(a, b), ana1, ana2, bs, phi)
             for a in (0.0, HALF_PI)
             for b in (0.0, HALF_PI)
         )
@@ -227,8 +227,8 @@ def test_perpendicular_port_equals_rotated_parallel_port():
     perp_par = OUTCOMES.index("side1[perp]+side2[par]")
     for pol1, pol2, ana1, ana2 in RNG.uniform(0.0, math.pi, size=(10, 4)):
         inp = InputSpec.polarized(pol1, pol2)
-        perp = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(0.7, 0.7))[perp_par]
-        rot = coincidence_probability(inp, ana1 + HALF_PI, ana2, bs, PhaseGeometry(phi=0.7))
+        perp = full_outcome_distribution(inp, ana1, ana2, bs, 0.7, 0.7)[perp_par]
+        rot = coincidence_probability(inp, ana1 + HALF_PI, ana2, bs, 0.7)
         assert abs(perp - rot) < TOL
 
 
@@ -237,7 +237,7 @@ def test_side1_bunching_mirrors_side2_closed_form():
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     for pol1, pol2, ta, tb, psi in RNG.uniform(0.0, math.pi, size=(10, 5)):
         eng = same_arm_probability(
-            InputSpec.polarized(pol1, pol2), Arm.SIDE1, ta, tb, bs, PhaseGeometry(psi=psi)
+            InputSpec.polarized(pol1, pol2), Arm.SIDE1, ta, tb, bs, psi
         )
         ana = formulas.p_same_arm(pol2, pol1, tb, ta, bs, psi)
         assert abs(eng - ana) < TOL
@@ -247,8 +247,8 @@ def test_bunching_at_zero_psi_is_half_the_pi_phase_coincidence():
     # Same interference bracket, one extra factor of 1/2.
     for pol1, pol2, ta, tb in RNG.uniform(0.0, math.pi, size=(10, 4)):
         inp = InputSpec.polarized(pol1, pol2)
-        bunch = same_arm_probability(inp, Arm.SIDE2, ta, tb, BS, PhaseGeometry(psi=0.0))
-        coincide = coincidence_probability(inp, ta, tb, BS, PhaseGeometry(phi=math.pi))
+        bunch = same_arm_probability(inp, Arm.SIDE2, ta, tb, BS, 0.0)
+        coincide = coincidence_probability(inp, ta, tb, BS, math.pi)
         assert abs(bunch - 0.5 * coincide) < TOL
 
 
@@ -266,12 +266,12 @@ def test_outcome_partition_has_twelve_exclusive_entries():
 def test_full_distribution_normalizes_at_matched_fringe_phases():
     for pol1, pol2, ana1, ana2, phase in RNG.uniform(0.0, math.pi, size=(8, 5)):
         dist = full_outcome_distribution(
-            InputSpec.polarized(pol1, pol2), ana1, ana2, BS, PhaseGeometry(phase, phase)
+            InputSpec.polarized(pol1, pol2), ana1, ana2, BS, phase, phase
         )
         assert abs(dist.sum() - 1.0) <= TOL
     dist = full_outcome_distribution(
         InputSpec.unpolarized(), 0.3, 1.2, BeamSplitterSpec.from_transmission(0.9, 0.6),
-        PhaseGeometry(0.0, 0.0),
+        0.0, 0.0,
     )
     assert abs(dist.sum() - 1.0) <= TOL
 
@@ -282,7 +282,7 @@ def test_full_distribution_total_deviation_law_for_unequal_phases():
     for pol1, pol2, phi, psi in RNG.uniform(0.0, math.pi, size=(10, 4)):
         for bs in (BS, BeamSplitterSpec.from_transmission(0.9, 0.6)):
             dist = full_outcome_distribution(
-                InputSpec.polarized(pol1, pol2), 0.4, 1.0, bs, PhaseGeometry(phi, psi)
+                InputSpec.polarized(pol1, pol2), 0.4, 1.0, bs, phi, psi
             )
             g = bs.tx * bs.rx * math.cos(pol1) * math.cos(pol2) + bs.ty * bs.ry * math.sin(
                 pol1
@@ -294,7 +294,7 @@ def test_full_distribution_total_deviation_law_for_unequal_phases():
 def test_unpolarized_opposite_subtotal_is_one_quarter_at_zero_phase():
     for ana1, ana2 in RNG.uniform(0.0, math.pi, size=(6, 2)):
         dist = full_outcome_distribution(
-            InputSpec.unpolarized(), ana1, ana2, BS, PhaseGeometry(0.0, 0.0)
+            InputSpec.unpolarized(), ana1, ana2, BS, 0.0, 0.0
         )
         assert abs(dist[OPPOSITE].sum() - 0.25) < TOL
         assert abs(dist[~OPPOSITE].sum() - 0.75) < TOL
@@ -314,32 +314,32 @@ def test_full_distribution_broadcasts_bitwise_like_its_scalar_calls(polarized):
         return InputSpec.polarized(pol1[i, 0], pol2[i, 0]) if polarized else InputSpec.unpolarized()
 
     batch_inp = InputSpec.polarized(pol1, pol2) if polarized else InputSpec.unpolarized()
-    batch = full_outcome_distribution(batch_inp, ana1, ana2, bs, PhaseGeometry(phi, -phi))
+    batch = full_outcome_distribution(batch_inp, ana1, ana2, bs, phi, -phi)
     assert batch.shape == (5, 3, 12)
     for i, j in np.ndindex(5, 3):
         one = full_outcome_distribution(
             inp(i), ana1[i, 0], ana2[i, 0], BeamSplitterSpec(tx[i, j], ty[i, j], bs.rx[i, j], bs.ry[i, j]),
-            PhaseGeometry(phi[0, j], -phi[0, j]),
+            phi[0, j], -phi[0, j],
         )
         assert one.shape == (12,)
         assert np.array_equal(batch[i, j], one)
 
 
-def _per_port_distribution(inp, theta1, theta2, bs, geom):
+def _per_port_distribution(inp, theta1, theta2, bs, phi, psi):
     """The distribution with each outcome's two rows built from its index k,
     kept as the reference for the five-call build: its group (opposite
     side, side 1, side 2) is k // 4, its first detector's port (k // 2) % 2
     and its second detector's port k % 2.  Each label in `OUTCOMES` must
     name that group and those ports."""
 
-    def one_port(role, arm, theta, port):
-        return elements.analyzer_rows(role, arm, theta, bs, geom)[..., port, :]
+    def one_port(role, arm, theta, phase, port):
+        return elements.analyzer_rows(role, arm, theta, bs, phase)[..., port, :]
 
-    # each group's first and second detector
+    # each group's first and second detector, with the phase its role carries
     groups = (
-        ((Role.OPPOSITE, Arm.SIDE1, theta1), (Role.OPPOSITE, Arm.SIDE2, theta2)),
-        ((Role.PAIR_FIRST, Arm.SIDE1, theta1), (Role.PAIR_SECOND, Arm.SIDE1, theta1)),
-        ((Role.PAIR_FIRST, Arm.SIDE2, theta2), (Role.PAIR_SECOND, Arm.SIDE2, theta2)),
+        ((Role.OPPOSITE, Arm.SIDE1, theta1, phi), (Role.OPPOSITE, Arm.SIDE2, theta2, 0.0)),
+        ((Role.PAIR_FIRST, Arm.SIDE1, theta1, psi), (Role.PAIR_SECOND, Arm.SIDE1, theta1, 0.0)),
+        ((Role.PAIR_FIRST, Arm.SIDE2, theta2, psi), (Role.PAIR_SECOND, Arm.SIDE2, theta2, 0.0)),
     )
     names = ("par", "perp")
     pairs = []
@@ -363,22 +363,23 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
     rng = np.random.default_rng(19)
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 1, 3))
     cases = [
-        (0.3, 0.9, BeamSplitterSpec.from_transmission(0.83, 0.37), PhaseGeometry(0.4, 1.3)),
-        (0.3, 0.9, BeamSplitterSpec.from_transmission(1.0, 0.0), PhaseGeometry(-0.0, math.pi)),
+        (0.3, 0.9, BeamSplitterSpec.from_transmission(0.83, 0.37), 0.4, 1.3),
+        (0.3, 0.9, BeamSplitterSpec.from_transmission(1.0, 0.0), -0.0, math.pi),
         (
             rng.uniform(-4.0, 4.0, size=(4, 1, 1)),
             rng.uniform(-4.0, 4.0, size=(5, 1)),
             BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty)),
-            PhaseGeometry(rng.uniform(-7.0, 7.0, size=(3,)), rng.uniform(-7.0, 7.0, size=(5, 1))),
+            rng.uniform(-7.0, 7.0, size=(3,)),
+            rng.uniform(-7.0, 7.0, size=(5, 1)),
         ),
     ]
-    for theta1, theta2, bs, geom in cases:
+    for theta1, theta2, bs, phi, psi in cases:
         inp = InputSpec.polarized(0.2, rng.uniform(-4.0, 4.0, size=(5, 1))) if polarized else InputSpec.unpolarized()
-        expected = _per_port_distribution(inp, theta1, theta2, bs, geom)
+        expected = _per_port_distribution(inp, theta1, theta2, bs, phi, psi)
         builds, analyzer_rows = [], engine.analyzer_rows
         with monkeypatch.context() as m:
             m.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
-            dist = full_outcome_distribution(inp, theta1, theta2, bs, geom)
+            dist = full_outcome_distribution(inp, theta1, theta2, bs, phi, psi)
         assert len(builds) == 5
         assert dist.shape == expected.shape
         assert dist.tobytes() == expected.tobytes()
@@ -392,11 +393,10 @@ def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
 
 
 def test_unpolarized_coincidence_depends_only_on_analyzer_difference():
-    geom = PhaseGeometry(phi=0.0)
     unpol = InputSpec.unpolarized()
     for ana1, ana2, delta in RNG.uniform(0.0, math.pi, size=(8, 3)):
-        base = coincidence_probability(unpol, ana1, ana2, BS, geom)
-        shifted = coincidence_probability(unpol, ana1 + delta, ana2 + delta, BS, geom)
+        base = coincidence_probability(unpol, ana1, ana2, BS, 0.0)
+        shifted = coincidence_probability(unpol, ana1 + delta, ana2 + delta, BS, 0.0)
         assert abs(base - shifted) < TOL
 
 
@@ -414,3 +414,40 @@ def test_polarized_input_rejects_nonfinite_angles():
     with pytest.raises(ValueError, match="^theta2 must be finite, got array"):
         InputSpec.polarized(0.0, np.array([0.1, -math.inf]))
     assert InputSpec.unpolarized().polarization is None
+
+
+# each phase-taking engine function with its other arguments bound, and the
+# name of the phase it reads: the keyword it takes and its message names
+POL = InputSpec.polarized(0.2, 0.7)
+PHASE_TAKERS = {
+    "coincidence_probability": (partial(coincidence_probability, POL, 0.3, 1.1, BS), "phi"),
+    "coincidence_no_polarizers": (partial(coincidence_no_polarizers, InputSpec.unpolarized(), BS), "phi"),
+    "same_arm_probability": (partial(same_arm_probability, POL, Arm.SIDE1, 0.3, 1.1, BS), "psi"),
+    "same_arm_both_arms": (partial(same_arm_both_arms, InputSpec.unpolarized(), 0.3, 1.1, BS), "psi"),
+    "same_arm_no_polarizers": (partial(same_arm_no_polarizers, POL, BS), "psi"),
+    "full_outcome_distribution-phi": (partial(full_outcome_distribution, POL, 0.3, 1.1, BS, psi=0.0), "phi"),
+    "full_outcome_distribution-psi": (
+        partial(full_outcome_distribution, InputSpec.unpolarized(), 0.3, 1.1, BS, phi=0.0),
+        "psi",
+    ),
+}
+BAD_PHASES = {"nan": math.nan, "-inf": -math.inf, "array([0.4, nan])": np.array([0.4, math.nan])}
+
+
+@pytest.mark.parametrize("shown", BAD_PHASES)
+@pytest.mark.parametrize("function", PHASE_TAKERS)
+def test_a_fringe_phase_that_is_not_finite_is_rejected(function, shown):
+    call, name = PHASE_TAKERS[function]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {re.escape(shown)}$"):
+        call(**{name: BAD_PHASES[shown]})
+
+
+@pytest.mark.parametrize("arm", ["side1", np.array([Arm.SIDE1, Arm.SIDE2], dtype=object)], ids=["str", "array"])
+def test_same_arm_probability_rejects_an_arm_that_is_not_an_arm(arm):
+    # both once returned side 2's probability, 0.138692528137652 here, not
+    # side 1's 0.30495467182404234
+    inp, bs = InputSpec.polarized(0.3, 1.1), BeamSplitterSpec.from_transmission(0.9, 0.6)
+    assert abs(same_arm_probability(inp, Arm.SIDE1, 0.2, 0.7, bs, psi=0.4) - 0.30495467182404234) < TOL
+    assert abs(same_arm_probability(inp, Arm.SIDE2, 0.2, 0.7, bs, psi=0.4) - 0.138692528137652) < TOL
+    with pytest.raises(ValueError, match=rf"^arm must be an Arm, got {re.escape(repr(arm))}$"):
+        same_arm_probability(inp, arm, 0.2, 0.7, bs, psi=0.4)

@@ -285,9 +285,10 @@ def test_an_unknown_input_kind_is_rejected(name):
         values_at(EXPERIMENTS[name], {"input_kind": "polarised", **point, **extra})
 
 
-@pytest.mark.parametrize("step", [1.5, 2.0, np.float64(3.0), "2"])
+@pytest.mark.parametrize("step", [1.5, 2.0, np.float64(3.0), "2", True, False])
 def test_a_step_that_is_not_an_integer_is_rejected(step):
-    # a float stride would end in numpy's "only int indices permitted"
+    # a float stride would end in numpy's "only int indices permitted"; True
+    # once ran the full grid and False reported "at least 1"
     with pytest.raises(ValueError, match=rf"^step must be an integer, got {re.escape(repr(step))}$"):
         compare.run_comparison(step=step)
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry
+from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import (
     OPPOSITE,
     OUTCOMES,
@@ -30,13 +30,13 @@ POINT_MASS = np.array([float(k == SURE) for k in range(12)])
 
 def singlet_like_distribution():
     return full_outcome_distribution(
-        InputSpec.polarized(0.0, math.pi / 2.0), 0.0, math.pi / 2.0, BS, PhaseGeometry(0.0, 0.0)
+        InputSpec.polarized(0.0, math.pi / 2.0), 0.0, math.pi / 2.0, BS, 0.0, 0.0
     )
 
 
 def unpolarized_distribution():
     return full_outcome_distribution(
-        InputSpec.unpolarized(), 0.0, math.pi / 6.0, BS, PhaseGeometry(0.0, 0.0)
+        InputSpec.unpolarized(), 0.0, math.pi / 6.0, BS, 0.0, 0.0
     )
 
 
@@ -239,12 +239,12 @@ def random_angle_stack():
     # 74 engine rows at random analyzer angles and an asymmetric splitter: every
     # edge falls off any lattice, as in an mc_run sweep
     rng = np.random.default_rng(2024)
-    phase = PhaseGeometry(0.7, 0.7)
+    phase = 0.7  # phi = psi
     bs = BeamSplitterSpec.from_transmission(0.9, 0.6)
     return np.concatenate(
         [
-            full_outcome_distribution(InputSpec.unpolarized(), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase),
-            full_outcome_distribution(InputSpec.polarized(0.4, 1.3), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase),
+            full_outcome_distribution(InputSpec.unpolarized(), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase, phase),
+            full_outcome_distribution(InputSpec.polarized(0.4, 1.3), *rng.uniform(0.0, math.pi, (2, 37)), bs, phase, phase),
         ]
     )
 
@@ -335,7 +335,7 @@ def test_lower_efficiency_only_removes_events():
 def test_sampling_requires_a_normalized_distribution():
     # Unequal fringe phases break the partition and must be rejected.
     dist = full_outcome_distribution(
-        InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, PhaseGeometry(phi=0.0, psi=math.pi)
+        InputSpec.polarized(0.0, 0.0), 0.0, 0.0, BS, phi=0.0, psi=math.pi
     )
     with pytest.raises(ValueError, match="normalized"):
         sample_counts(dist, RunConfig(100))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophoton import formulas
-from twophoton.elements import BeamSplitterSpec, PhaseGeometry
+from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import (
     Arm,
     InputSpec,
@@ -43,7 +43,7 @@ def is_probability(p: float) -> bool:
 @EXAMPLES
 @given(angles, angles, angles, angles, splitters, phases)
 def test_coincidence_matches_closed_form(pol1, pol2, ana1, ana2, bs, phi):
-    eng = coincidence_probability(InputSpec.polarized(pol1, pol2), ana1, ana2, bs, PhaseGeometry(phi=phi))
+    eng = coincidence_probability(InputSpec.polarized(pol1, pol2), ana1, ana2, bs, phi)
     assert is_probability(eng)
     assert abs(eng - formulas.p_coincidence(pol1, pol2, ana1, ana2, bs, phi)) <= TOL
 
@@ -51,9 +51,9 @@ def test_coincidence_matches_closed_form(pol1, pol2, ana1, ana2, bs, phi):
 @EXAMPLES
 @given(angles, angles, angles, angles, splitters, phases)
 def test_same_arm_matches_closed_form_on_both_sides(pol1, pol2, ana_a, ana_b, bs, psi):
-    inp, geom = InputSpec.polarized(pol1, pol2), PhaseGeometry(psi=psi)
-    side2 = same_arm_probability(inp, Arm.SIDE2, ana_a, ana_b, bs, geom)
-    side1 = same_arm_probability(inp, Arm.SIDE1, ana_a, ana_b, bs, geom)
+    inp = InputSpec.polarized(pol1, pol2)
+    side2 = same_arm_probability(inp, Arm.SIDE2, ana_a, ana_b, bs, psi)
+    side1 = same_arm_probability(inp, Arm.SIDE1, ana_a, ana_b, bs, psi)
     assert is_probability(side2) and is_probability(side1)
     assert abs(side2 - formulas.p_same_arm(pol1, pol2, ana_a, ana_b, bs, psi)) <= TOL
     # side 1 is the mirror image: swap the input sides and the analyzer order
@@ -63,7 +63,7 @@ def test_same_arm_matches_closed_form_on_both_sides(pol1, pol2, ana_a, ana_b, bs
 @EXAMPLES
 @given(angles, angles, splitters, phases)
 def test_unpolarized_matches_closed_form(ana1, ana2, bs, phi):
-    eng = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, PhaseGeometry(phi=phi))
+    eng = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, phi)
     assert is_probability(eng)
     assert abs(eng - formulas.p_unpolarized(ana1, ana2, bs, phi)) <= TOL
 
@@ -82,7 +82,7 @@ def test_double_trigger_matches_closed_form(pol1, pol2, theta, arm):
 @given(st.booleans(), angles, angles, angles, angles, splitters, phases)
 def test_outcome_partition_sums_to_one_at_matched_phases(polarized, pol1, pol2, ana1, ana2, bs, phase):
     inp = InputSpec.polarized(pol1, pol2) if polarized else InputSpec.unpolarized()
-    dist = full_outcome_distribution(inp, ana1, ana2, bs, PhaseGeometry(phase, phase))
+    dist = full_outcome_distribution(inp, ana1, ana2, bs, phase, phase)
     assert dist.shape == (12,)
     assert all(is_probability(p) for p in dist)
     assert abs(dist.sum() - 1.0) <= TOL
@@ -91,9 +91,8 @@ def test_outcome_partition_sums_to_one_at_matched_phases(polarized, pol1, pol2, 
 @EXAMPLES
 @given(angles, angles, angles, angles, splitters, phases)
 def test_coincidence_is_unchanged_when_the_sides_swap(pol1, pol2, ana1, ana2, bs, phi):
-    geom = PhaseGeometry(phi=phi)
-    eng = coincidence_probability(InputSpec.polarized(pol1, pol2), ana1, ana2, bs, geom)
-    swapped = coincidence_probability(InputSpec.polarized(pol2, pol1), ana2, ana1, bs, geom)
+    eng = coincidence_probability(InputSpec.polarized(pol1, pol2), ana1, ana2, bs, phi)
+    swapped = coincidence_probability(InputSpec.polarized(pol2, pol1), ana2, ana1, bs, phi)
     assert abs(swapped - eng) <= TOL
     form = formulas.p_coincidence(pol1, pol2, ana1, ana2, bs, phi)
     assert abs(formulas.p_coincidence(pol2, pol1, ana2, ana1, bs, phi) - form) <= TOL
@@ -103,9 +102,9 @@ def test_coincidence_is_unchanged_when_the_sides_swap(pol1, pol2, ana1, ana2, bs
 @given(angles, angles, angles, st.floats(min_value=0.0, max_value=1.0), phases)
 def test_unpolarized_coincidence_is_unchanged_under_co_rotation(ana1, ana2, turn, t, phi):
     # only a polarization-independent splitter (tx = ty) has no preferred axis
-    bs, geom = BeamSplitterSpec.from_transmission(t, t), PhaseGeometry(phi=phi)
-    eng = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, geom)
-    turned = coincidence_probability(InputSpec.unpolarized(), ana1 + turn, ana2 + turn, bs, geom)
+    bs = BeamSplitterSpec.from_transmission(t, t)
+    eng = coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, phi)
+    turned = coincidence_probability(InputSpec.unpolarized(), ana1 + turn, ana2 + turn, bs, phi)
     assert abs(turned - eng) <= TOL
     form = formulas.p_unpolarized(ana1, ana2, bs, phi)
     assert abs(formulas.p_unpolarized(ana1 + turn, ana2 + turn, bs, phi) - form) <= TOL
