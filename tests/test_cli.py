@@ -638,11 +638,13 @@ def test_run_sweep_single_step_uses_start_value():
     assert lines[1].startswith("180,")
 
 
-# Distribution-backed CLI output off the pi/12 lattice, at a non-50:50
-# splitter and phi = psi != 0 (and once at phi = -psi).  The digests were
-# recorded while the distribution was still evaluated one point at a time,
-# so any change to its rounding, or to the counts drawn from it, shows here.
-# (`mc` ignores the experiment; `mc_run` only makes theta1_deg sweepable.)
+# CLI output off the pi/12 lattice, at a non-50:50 splitter and phi = psi
+# != 0 (and once at phi = -psi).  The distribution digests were recorded
+# while the distribution was still evaluated one point at a time, so any
+# change to its rounding, or to the counts drawn from it, shows here; every
+# other experiment's sweep is pinned as well.  An experiment with a closed
+# form for the 50:50 splitter only keeps the default splitter.  (`mc`
+# ignores the experiment; `mc_run` only makes theta1_deg sweepable.)
 OFF_LATTICE_SETS = [
     "theta1p_deg=17.3",
     "theta2p_deg=71.9",
@@ -666,6 +668,11 @@ INPUT_CASES = {
     "unpolarized_ignored_angle": [
         "input=unpolarized", "phi_deg=37.7", "psi_deg=37.7", "sweep.param=theta1p_deg"
     ],
+    # polarized light detected on one named side
+    "side1": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7", "arm=side1"],
+    "side2": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7", "arm=side2"],
+    # polarized light swept in its incident angle, for an experiment without analyzers
+    "incident_angle": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7", "sweep.param=theta1p_deg"],
 }
 PINNED_SHA256 = {
     ("sweep", "full_distribution", "polarized"):
@@ -690,6 +697,28 @@ PINNED_SHA256 = {
         "0b88e5f7f76410a58dc386ab34eac4ccf288fe7e73f802bd109792f6cfd6cf30",
     ("mc", "mc_run", "opposite_phases"):
         "31741a6b0239770422b2bd5026037d05a3c899052547463e47cc61a980628910",
+    ("sweep", "coincidence", "polarized"):
+        "465a2e3efd3587fcc2d49c11cf318a95e424dc335576feee77d1cfb2cd38b41d",
+    ("sweep", "unpolarized", "unpolarized"):
+        "0c6363f2e51ec912ffcc55da7f59110d80eec9d2687b759b547106818bd6cf8f",
+    ("sweep", "same_arm", "side1"):
+        "4222dfcfed9396f2b18a032b69079c56bba72b4a48fef09ac3c7c44d94458be7",
+    ("sweep", "same_arm", "side2"):
+        "018f1649f49a44464dc0059762b4d552d0a204da0bddfb24bac6483ca2e8017e",
+    ("sweep", "unpolarized_5050", "unpolarized"):
+        "4d8295d04c1fd6126e52313dddf90d48718e6e1672413a3d5329b8ead3c7f792",
+    ("sweep", "no_polarizers", "incident_angle"):
+        "ce20ecf0ce5661705506f80aaebc2603f1758ef459a4d641277619c1e1a6bef7",
+    ("sweep", "same_arm_no_polarizers", "incident_angle"):
+        "4df180bb6953c57b918bf80f9506956fa23ba068537da1a1ff6449f21add7ece",
+    ("sweep", "unpolarized_same_arm", "unpolarized"):
+        "987867900e7b65cd534b982a22565cab8c1930fecb230414c4a7a549d3c4813f",
+    ("sweep", "double_trigger", "side1"):
+        "18c5d21778f5ddbd35b3f5f6676a8ae8aec7c7cb09cef99c11f821f5511c9e71",
+    ("sweep", "double_trigger", "side2"):
+        "a2ee0b9326e7999944a60a3fe9f8246865bc9fb52f9a29c90fe598ee512cb586",
+    ("sweep", "classical", "polarized"):
+        "7383e5f76a8d77344e82b0a316ce9ea61fa09f776e385e0311f61da8a8110a53",
 }
 
 
@@ -711,7 +740,10 @@ def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)
 def test_distribution_outputs_are_pinned(command, experiment, case, capsys):
-    sets = [*OFF_LATTICE_SETS, *INPUT_CASES[case], f"experiment={experiment}"]
+    base = OFF_LATTICE_SETS
+    if comparemod.EXPERIMENTS[experiment].only_5050:
+        base = [s for s in base if not s.startswith(("tx=", "ty="))]
+    sets = [*base, *INPUT_CASES[case], f"experiment={experiment}"]
     assert main([command, *(a for s in sets for a in ("--set", s))]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command, experiment, case]
