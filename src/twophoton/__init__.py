@@ -27,6 +27,7 @@ from .elements import BeamSplitterSpec
 from .engine import (
     OPPOSITE,
     OUTCOMES,
+    Arm,
     InputSpec,
     coincidence_no_polarizers,
     coincidence_probability,
@@ -36,7 +37,7 @@ from .engine import (
     same_arm_no_polarizers,
     same_arm_probability,
 )
-from .fock import Arm, product_state, vacuum_amplitude
+from .fock import product_state, vacuum_amplitude
 from .formulas import (
     bunch_path_amplitudes,
     p_classical,

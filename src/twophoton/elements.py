@@ -7,12 +7,12 @@ Conventions fixed here and relied on everywhere else:
 * Analyzer ports: the parallel port projects onto (cos t, sin t), the
   perpendicular port onto (-sin t, cos t); the perpendicular port equals the
   parallel port rotated by pi/2.
-* Geometry enters only through two relative phases, and a measurement
-  reads one of them.  `phi` is the fringe phase between the both-transmitted
-  and the both-reflected path of an opposite-side coincidence; it is
-  attached to the reflected term of the side-1 detector operator.  `psi` is
-  the fringe phase between the two pairings of a same-side pair detection;
-  it is attached to the transmitted term of the first operator of the pair.
+* Geometry enters only through two relative phases, each on a fixed path
+  term.  `phi` is the fringe phase between the both-transmitted and the
+  both-reflected path of an opposite-side coincidence; it multiplies the
+  reflected terms of the side-1 detector row.  `psi` is the fringe phase
+  between the two pairings of a same-side pair detection; it multiplies the
+  transmitted terms of the first row of the pair.
   Detectors at positions z1, z2 fold in as the phase
   2*pi*(z2 - z1)/spacing, for the fringe spacing; equal displacement of
   both detectors leaves these relative phases (and hence all probabilities)
@@ -20,24 +20,24 @@ Conventions fixed here and relied on everywhere else:
 
 A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (in `fock`'s
-order).  `analyzer_rows` is the one row builder: it builds the rows of both
-ports of an analyzer, on an axis of their own (parallel at index 0,
-perpendicular at 1), with the phase of the detector's `Role`.  A one-port
-row is the slice `analyzer_rows(role, arm, theta, bs, phase)[..., k, :]` of
-its port index k.  Angles, phases and splitter amplitudes may be numpy
-arrays; they broadcast, and the rows gain the broadcast shape as leading
-axes.
+order).  `analyzer_rows` is the one row builder: it builds side 1's rows of
+both ports of an analyzer, on an axis of their own (parallel at index 0,
+perpendicular at 1), with the phases it is given by name.  A one-port row
+is the slice `analyzer_rows(theta, bs, phi, psi)[..., k, :]` of its port
+index k, and a side-2 row is the side-1 row with the sides' modes swapped,
+`rows[..., OTHER_SIDE]`.  Angles, phases and splitter amplitudes may be
+numpy arrays; they broadcast, and the rows gain the broadcast shape as
+leading axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .fock import N_MODES, TOL, Arm, _all_finite
+from .fock import N_MODES, TOL, _all_finite
 
 
 @dataclass(frozen=True)
@@ -96,41 +96,25 @@ def _port_weights(theta: float) -> tuple[np.ndarray, np.ndarray]:
 OTHER_SIDE = np.array([2, 3, 0, 1])
 
 
-class Role(Enum):
-    """A detector's place in a measurement, which fixes the phase its row carries."""
-
-    OPPOSITE = 0  # one of the two detectors of an opposite-side coincidence
-    PAIR_FIRST = 1  # the first detector of a same-side pair
-    PAIR_SECOND = 2  # the second detector of a same-side pair
-
-
 def analyzer_rows(
-    role: Role,
-    arm: Arm,
     theta: float,
     bs: BeamSplitterSpec,
-    phase: float = 0.0,
+    phi: float | None = None,
+    psi: float | None = None,
 ) -> np.ndarray:
-    """Rows of the analyzer at `theta` on `arm`, one per port on an axis
+    """Side 1's rows of the analyzer at `theta`, one per port on an axis
     before the modes, parallel then perpendicular: (..., 2, 4).
 
-    Each row holds the splitter outputs of its side, weighted by its port.
-    `phase` is the one fringe phase the detector's role carries, by the
-    module conventions: an opposite-side side-1 row carries exp(i*phi) on
-    its reflected (other-side) terms, the first row of a same-side pair
-    exp(i*psi) on its transmitted (same-side) terms, and every other row
-    ignores it.
+    Each row holds side 1's splitter outputs, weighted by its port.  `phi`
+    multiplies the reflected (other-side) terms by exp(i*phi) and `psi` the
+    transmitted (same-side) terms by exp(i*psi); a phase left as None puts
+    no factor on its terms.
     """
-    if not isinstance(arm, Arm):
-        raise ValueError(f"arm must be an Arm, got {arm!r}")
-    if not _all_finite(phase):
-        raise ValueError(f"{'phi' if role is Role.OPPOSITE else 'psi'} must be finite, got {phase!r}")
-    if role is Role.OPPOSITE:
-        t_phase, r_phase = 1.0, np.exp(1j * phase) if arm is Arm.SIDE1 else 1.0
-    elif role is Role.PAIR_FIRST:
-        t_phase, r_phase = np.exp(1j * phase), 1.0
-    else:
-        t_phase, r_phase = 1.0, 1.0
+    for name, phase in (("phi", phi), ("psi", psi)):
+        if phase is not None and not _all_finite(phase):
+            raise ValueError(f"{name} must be finite, got {phase!r}")
+    t_phase = 1.0 if psi is None else np.exp(1j * psi)
+    r_phase = 1.0 if phi is None else np.exp(1j * phi)
     wx, wy = _port_weights(theta)
     # array phases and amplitudes gain the ports axis
     tp, rp, tx, ty, rx, ry = (
@@ -139,7 +123,6 @@ def analyzer_rows(
     # side 1's modes in `fock`'s order: transmitted x, y, then reflected x, y
     entries = (tp * wx * tx, tp * wy * ty, rp * wx * rx, rp * wy * ry)
     rows = np.empty(np.broadcast(*entries).shape + (N_MODES,), dtype=complex)
-    for index, value in zip(range(N_MODES) if arm is Arm.SIDE1 else OTHER_SIDE, entries):
+    for index, value in enumerate(entries):
         rows[..., index] = value
     return rows
-

@@ -15,10 +15,11 @@ four basis polarization products; probabilities, never amplitudes, are
 averaged.
 
 Every angle, phase and splitter amplitude, and the arm of
-`double_trigger_probability`, may be a numpy array: the arguments
-broadcast, and the result is an array of the broadcast shape (a float when
-every argument is scalar); `full_outcome_distribution` adds a last axis of
-the twelve outcomes, whose labels `OUTCOMES` holds in the same order.
+`same_arm_probability` and `double_trigger_probability`, may be a numpy
+array: the arguments broadcast, and the result is an array of the
+broadcast shape (a float when every argument is scalar);
+`full_outcome_distribution` adds a last axis of the twelve outcomes, whose
+labels `OUTCOMES` holds in the same order.
 
 Each function takes the one fringe phase it reads, in radians: `phi` for
 an opposite-side coincidence, `psi` for a same-side pair, both for
@@ -26,18 +27,21 @@ an opposite-side coincidence, `psi` for a same-side pair, both for
 
 An analyzer port is an index on a row axis, not an argument: the single
 probabilities read the parallel port (index 0), and a perpendicular port at
-theta is the parallel port at theta + pi/2.
+theta is the parallel port at theta + pi/2.  A side is an index swap, not a
+second build: a side-2 row is its side-1 row indexed by `OTHER_SIDE`, and
+`_on_arm` makes that swap for an `Arm` argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .elements import OTHER_SIDE, BeamSplitterSpec, Role, analyzer_rows
-from .fock import Arm, product_state, vacuum_amplitude
+from .elements import OTHER_SIDE, BeamSplitterSpec, analyzer_rows
+from .fock import product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -51,6 +55,13 @@ _UNPOLARIZED_WEIGHTS = np.full(4, 0.25)
 _UNPOLARIZED_STATE = product_state(
     np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI])
 )
+
+
+class Arm(Enum):
+    """Input/output side of the beam splitter."""
+
+    SIDE1 = 0
+    SIDE2 = 1
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,17 @@ OUTCOMES = (
 OPPOSITE = np.arange(len(OUTCOMES)) < 4
 OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
+
+
+def _on_arm(u: np.ndarray, arm: Arm | np.ndarray) -> np.ndarray:
+    """Side-1 rows u moved to `arm`: unchanged on side 1, their sides' modes
+    swapped on side 2.  `arm` may be an array of `Arm`s; it broadcasts
+    against the rows' leading axes."""
+    arms = np.asarray(arm, dtype=object)
+    side2 = arms == Arm.SIDE2
+    if not np.all(side2 | (arms == Arm.SIDE1)):
+        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    return np.where(side2[..., None], u[..., OTHER_SIDE], u)
 
 
 def _both_sides(u: np.ndarray) -> np.ndarray:
@@ -136,13 +158,13 @@ def _result(p: np.ndarray) -> float | np.ndarray:
 
 
 def _pair_rows(
-    arm: Arm, theta_a: float, theta_b: float, bs: BeamSplitterSpec, psi: float
+    arm: Arm | np.ndarray, theta_a: float, theta_b: float, bs: BeamSplitterSpec, psi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-port rows of the two detectors of a same-side pair on `arm`,
     at theta_a and theta_b; the first row carries `psi`."""
-    u_a = analyzer_rows(Role.PAIR_FIRST, arm, theta_a, bs, psi)[..., 0, :]
-    u_b = analyzer_rows(Role.PAIR_SECOND, arm, theta_b, bs)[..., 0, :]
-    return u_a, u_b
+    u_a = analyzer_rows(theta_a, bs, psi=psi)[..., 0, :]
+    u_b = analyzer_rows(theta_b, bs)[..., 0, :]
+    return _on_arm(u_a, arm), _on_arm(u_b, arm)
 
 
 def coincidence_probability(
@@ -157,8 +179,8 @@ def coincidence_probability(
     Side-1 analyzer at theta1, side-2 at theta2 (parallel ports); the fringe
     phase `phi` sets the relative phase of the two contributing paths.
     """
-    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, phi)[..., 0, :]
-    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, theta2, bs)[..., 0, :]
+    u1 = analyzer_rows(theta1, bs, phi=phi)[..., 0, :]
+    u2 = analyzer_rows(theta2, bs)[..., 0, OTHER_SIDE]
     return _result(_detect(inp, u1, u2))
 
 
@@ -171,14 +193,14 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, phi: float) 
     one evaluation.
     """
     # each side's rows of its two ports on an axis before the modes
-    u1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, 0.0, bs, phi)
-    u2 = analyzer_rows(Role.OPPOSITE, Arm.SIDE2, 0.0, bs)
+    u1 = analyzer_rows(0.0, bs, phi=phi)
+    u2 = analyzer_rows(0.0, bs)[..., OTHER_SIDE]
     return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
 
 
 def same_arm_probability(
     inp: InputSpec,
-    arm: Arm,
+    arm: Arm | np.ndarray,
     theta_a: float,
     theta_b: float,
     bs: BeamSplitterSpec,
@@ -186,6 +208,8 @@ def same_arm_probability(
 ) -> float:
     """Probability that both photons exit on `arm` and its two frequency-channel
     detectors fire behind the parallel ports of analyzers at (theta_a, theta_b).
+    `arm` may be an array of `Arm`s, which broadcasts like every other
+    argument.
 
     `psi` is the relative phase between the two photon-to-detector
     pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
@@ -216,8 +240,8 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, psi: float) -> 
     (parallel first), and ports and sides are axes of one evaluation.
     """
     # first and second rows: (..., port, side, mode)
-    u_a = _both_sides(analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, 0.0, bs, psi))
-    u_b = _both_sides(analyzer_rows(Role.PAIR_SECOND, Arm.SIDE1, 0.0, bs))
+    u_a = _both_sides(analyzer_rows(0.0, bs, psi=psi))
+    u_b = _both_sides(analyzer_rows(0.0, bs))
     p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
     return _result(_in_order(_in_order(p, 1), 2))
 
@@ -234,16 +258,10 @@ def double_trigger_probability(
     amplitude of the repeated operator counts the ordered pairings twice and
     is halved, and the same one-sided 1/2 bookkeeping as in
     `same_arm_probability` applies.  One `analyzer_rows` call builds the
-    detector's row on side 1: the parallel port's first row of a same-side
-    pair at psi = 0.  On side 2 it is that row with the sides' modes swapped
-    (`OTHER_SIDE`).
+    detector's row on side 1: the parallel port's row with no phase.  On
+    side 2 it is that row with the sides' modes swapped (`_on_arm`).
     """
-    arms = np.asarray(arm, dtype=object)
-    side2 = arms == Arm.SIDE2
-    if not np.all(side2 | (arms == Arm.SIDE1)):
-        raise ValueError(f"arm must be an Arm, got {arm!r}")
-    u = analyzer_rows(Role.PAIR_FIRST, Arm.SIDE1, theta, bs)[..., 0, :]
-    u = np.where(side2[..., None], u[..., OTHER_SIDE], u)
+    u = _on_arm(analyzer_rows(theta, bs)[..., 0, :], arm)
     return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
 
@@ -268,16 +286,13 @@ def full_outcome_distribution(
 
     The ten distinct detector rows come from five `analyzer_rows` calls,
     both ports each: side 1's opposite-side rows and each side's same-side
-    pair.  A side-2 opposite-side row carries no phase, so it is the second
-    row of side 2's pair at its port.  All twelve amplitudes come from one
-    stacked evaluation.
+    pair, side 2's swapped by `OTHER_SIDE`.  A side-2 opposite-side row
+    carries no phase, so it is the second row of side 2's pair at its port.
+    All twelve amplitudes come from one stacked evaluation.
     """
-    d1 = analyzer_rows(Role.OPPOSITE, Arm.SIDE1, theta1, bs, phi)
-    f1, s1, f2, s2 = (
-        analyzer_rows(role, arm, theta, bs, psi)
-        for arm, theta in ((Arm.SIDE1, theta1), (Arm.SIDE2, theta2))
-        for role in (Role.PAIR_FIRST, Role.PAIR_SECOND)
-    )
+    d1 = analyzer_rows(theta1, bs, phi=phi)
+    f1, s1 = analyzer_rows(theta1, bs, psi=psi), analyzer_rows(theta1, bs)
+    f2, s2 = analyzer_rows(theta2, bs, psi=psi)[..., OTHER_SIDE], analyzer_rows(theta2, bs)[..., OTHER_SIDE]
     # the detector rows of all twelve outcomes, in `OUTCOMES` order:
     # (..., 12, 4).  The first detector's port changes every second outcome
     # and the second detector's port every outcome.

@@ -23,20 +23,12 @@ photon row) pair and only the permanent runs over every point.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 TOL = 1e-12  # repo-wide numeric tolerance
 
 N_MODES = 4
-
-
-class Arm(Enum):
-    """Input/output side of the beam splitter."""
-
-    SIDE1 = 0
-    SIDE2 = 1
 
 
 def _all_finite(v) -> bool:

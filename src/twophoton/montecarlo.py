@@ -219,8 +219,14 @@ def pearson_chi2(counts: np.ndarray, probs: np.ndarray, cfg: RunConfig) -> tuple
     whose probability is at most TOL cannot hold counts; it is left out of
     the sum and of the degrees of freedom (the remaining cells less one, 12
     when all twelve outcomes can occur at efficiency below 1), and a count
-    in it makes the statistic infinite.
+    in it makes the statistic infinite.  The statistic is of one run: counts
+    or probabilities of any shape but (12,), a stack of runs among them,
+    are rejected.
     """
+    shapes = np.shape(counts), np.shape(probs)
+    if shapes != ((len(OUTCOMES),),) * 2:
+        message = f"expected the {len(OUTCOMES)} outcome counts and probabilities of one run"
+        raise ValueError(f"{message}, got shapes {shapes[0]} and {shapes[1]}")
     n = cfg.n_pairs
     q = np.asarray(probs, dtype=float) * cfg.efficiency**2
     q = np.append(q, 1.0 - q.sum())

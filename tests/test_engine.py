@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twophoton import elements, engine, formulas
-from twophoton.elements import BeamSplitterSpec, Role
+from twophoton.elements import OTHER_SIDE, BeamSplitterSpec
 from twophoton.engine import (
     ONE_SIDED,
     OPPOSITE,
@@ -26,6 +26,12 @@ from twophoton.fock import TOL, product_state, vacuum_amplitude
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(77)
+
+
+def on_side(u, arm):
+    """Side-1 rows u as the rows of `arm`: a side-2 row is its side-1 row
+    with the sides' modes swapped."""
+    return u if arm is Arm.SIDE1 else u[..., OTHER_SIDE]
 
 
 def test_aligned_photons_never_coincide_at_zero_phase():
@@ -177,17 +183,17 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
         one_phi, one_psi = phi[0, j], psi[0, j]
         one = InputSpec.polarized(pol[0, i, j], pol[1, i, j]) if polarized else inp
 
+        def rows(arm, **phases):
+            # both ports' rows of a detector on `arm` at angle 0
+            return on_side(elements.analyzer_rows(0.0, one_bs, **phases), arm)
+
         def detect(first, second, ports):
-            # the rows of the ports `ports` of two (role, arm, phase) detectors at angle 0
-            u_a, u_b = (
-                elements.analyzer_rows(role, arm, 0.0, one_bs, phase)[k]
-                for (role, arm, phase), k in zip((first, second), ports)
-            )
-            return float(engine._detect(one, u_a, u_b))
+            # the rows of the ports `ports` of two detectors
+            return float(engine._detect(one, first[ports[0]], second[ports[1]]))
 
         ports = [(pa, pb) for pa in (0, 1) for pb in (0, 1)]
-        opposite = ((Role.OPPOSITE, Arm.SIDE1, one_phi), (Role.OPPOSITE, Arm.SIDE2, 0.0))
-        pair = {arm: ((Role.PAIR_FIRST, arm, one_psi), (Role.PAIR_SECOND, arm, 0.0)) for arm in Arm}
+        opposite = (rows(Arm.SIDE1, phi=one_phi), rows(Arm.SIDE2))
+        pair = {arm: (rows(arm, psi=one_psi), rows(arm)) for arm in Arm}
         assert coincidence[i, j] == sum(detect(*opposite, p) for p in ports)
         assert both_arms[i, j] == sum(same_arm_probability(one, arm, ana_a, ana_b, one_bs, one_psi) for arm in Arm)
         assert no_polarizers[i, j] == sum(sum(ONE_SIDED * detect(*pair[arm], p) for arm in Arm) for p in ports)
@@ -201,7 +207,7 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
     assert batch.shape == (2, 3)
     for (i, j), p in np.ndenumerate(batch):
         # the repeated detector row of the arm's own side, halved twice
-        u = elements.analyzer_rows(Role.PAIR_FIRST, arms[j], 0.4, bs)[0]
+        u = on_side(elements.analyzer_rows(0.4, bs)[0], arms[j])
         state = product_state(pol1[i, 0], 0.7)
         assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
         assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
@@ -332,14 +338,15 @@ def _per_port_distribution(inp, theta1, theta2, bs, phi, psi):
     and its second detector's port k % 2.  Each label in `OUTCOMES` must
     name that group and those ports."""
 
-    def one_port(role, arm, theta, phase, port):
-        return elements.analyzer_rows(role, arm, theta, bs, phase)[..., port, :]
+    def one_port(arm, theta, phases, port):
+        return on_side(elements.analyzer_rows(theta, bs, **phases)[..., port, :], arm)
 
-    # each group's first and second detector, with the phase its role carries
+    # each group's first and second detector, with the phase it carries: phi
+    # on side 1's opposite-side row, psi on the first row of a pair
     groups = (
-        ((Role.OPPOSITE, Arm.SIDE1, theta1, phi), (Role.OPPOSITE, Arm.SIDE2, theta2, 0.0)),
-        ((Role.PAIR_FIRST, Arm.SIDE1, theta1, psi), (Role.PAIR_SECOND, Arm.SIDE1, theta1, 0.0)),
-        ((Role.PAIR_FIRST, Arm.SIDE2, theta2, psi), (Role.PAIR_SECOND, Arm.SIDE2, theta2, 0.0)),
+        ((Arm.SIDE1, theta1, {"phi": phi}), (Arm.SIDE2, theta2, {})),
+        ((Arm.SIDE1, theta1, {"psi": psi}), (Arm.SIDE1, theta1, {})),
+        ((Arm.SIDE2, theta2, {"psi": psi}), (Arm.SIDE2, theta2, {})),
     )
     names = ("par", "perp")
     pairs = []
@@ -357,7 +364,7 @@ def _per_port_distribution(inp, theta1, theta2, bs, phi, psi):
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch):
-    # one `analyzer_rows` call per analyzer and role; the result equals the
+    # one `analyzer_rows` call per analyzer and phase; the result equals the
     # per-port reference bit for bit, on scalars and on broadcast arrays of
     # every argument
     rng = np.random.default_rng(19)
@@ -378,7 +385,7 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
         expected = _per_port_distribution(inp, theta1, theta2, bs, phi, psi)
         builds, analyzer_rows = [], engine.analyzer_rows
         with monkeypatch.context() as m:
-            m.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
+            m.setattr(engine, "analyzer_rows", lambda *a, **kw: builds.append(a) or analyzer_rows(*a, **kw))
             dist = full_outcome_distribution(inp, theta1, theta2, bs, phi, psi)
         assert len(builds) == 5
         assert dist.shape == expected.shape
@@ -387,7 +394,7 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
 
 def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
     builds, analyzer_rows = [], engine.analyzer_rows
-    monkeypatch.setattr(engine, "analyzer_rows", lambda *args: builds.append(args) or analyzer_rows(*args))
+    monkeypatch.setattr(engine, "analyzer_rows", lambda *a, **kw: builds.append(a) or analyzer_rows(*a, **kw))
     double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array(list(Arm), dtype=object), 0.4, BS)
     assert len(builds) == 1
 
@@ -442,12 +449,46 @@ def test_a_fringe_phase_that_is_not_finite_is_rejected(function, shown):
         call(**{name: BAD_PHASES[shown]})
 
 
-@pytest.mark.parametrize("arm", ["side1", np.array([Arm.SIDE1, Arm.SIDE2], dtype=object)], ids=["str", "array"])
+@pytest.mark.parametrize("arm", ["side1"], ids=["str"])
 def test_same_arm_probability_rejects_an_arm_that_is_not_an_arm(arm):
-    # both once returned side 2's probability, 0.138692528137652 here, not
+    # it once returned side 2's probability, 0.138692528137652 here, not
     # side 1's 0.30495467182404234
     inp, bs = InputSpec.polarized(0.3, 1.1), BeamSplitterSpec.from_transmission(0.9, 0.6)
     assert abs(same_arm_probability(inp, Arm.SIDE1, 0.2, 0.7, bs, psi=0.4) - 0.30495467182404234) < TOL
     assert abs(same_arm_probability(inp, Arm.SIDE2, 0.2, 0.7, bs, psi=0.4) - 0.138692528137652) < TOL
     with pytest.raises(ValueError, match=rf"^arm must be an Arm, got {re.escape(repr(arm))}$"):
         same_arm_probability(inp, arm, 0.2, 0.7, bs, psi=0.4)
+
+
+def test_same_arm_probability_broadcasts_over_an_array_of_arms():
+    # each element is its arm's own call, bit for bit
+    inp, bs = InputSpec.polarized(0.3, 1.1), BeamSplitterSpec.from_transmission(0.9, 0.6)
+    arms = np.array([Arm.SIDE1, Arm.SIDE2], dtype=object)
+    batch = same_arm_probability(inp, arms, 0.2, 0.7, bs, psi=0.4)
+    assert batch.shape == (2,)
+    assert batch[0] == same_arm_probability(inp, Arm.SIDE1, 0.2, 0.7, bs, psi=0.4)
+    assert batch[1] == same_arm_probability(inp, Arm.SIDE2, 0.2, 0.7, bs, psi=0.4)
+    assert abs(batch[0] - 0.30495467182404234) < TOL and abs(batch[1] - 0.138692528137652) < TOL
+    # the arms broadcast against the other arguments' axes
+    theta_a = np.array([[0.2], [1.4], [-0.6]])
+    grid = same_arm_probability(inp, arms[::-1], theta_a, 0.7, bs, psi=0.4)
+    assert grid.shape == (3, 2)
+    for (i, j), p in np.ndenumerate(grid):
+        assert p == same_arm_probability(inp, arms[::-1][j], theta_a[i, 0], 0.7, bs, psi=0.4)
+
+
+ARM_TAKERS = {
+    "same_arm_probability": lambda arm: same_arm_probability(POL, arm, 0.3, 1.1, BS, 0.4),
+    "double_trigger_probability": lambda arm: double_trigger_probability(POL, arm, 0.3, BS),
+}
+
+
+@pytest.mark.parametrize(
+    "arm",
+    ["side1", 0, None, np.array([Arm.SIDE1, "side2"], dtype=object)],
+    ids=["str", "int", "None", "array"],
+)
+@pytest.mark.parametrize("function", ARM_TAKERS)
+def test_an_arm_that_is_not_an_arm_is_rejected(function, arm):
+    with pytest.raises(ValueError, match=rf"^arm must be an Arm, got {re.escape(repr(arm))}$"):
+        ARM_TAKERS[function](arm)

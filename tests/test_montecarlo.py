@@ -493,3 +493,24 @@ def test_pearson_chi2_leaves_out_cells_that_cannot_hold_counts():
     counts[11] = 1
     counts[1] -= 1
     assert pearson_chi2(counts, dist, cfg) == (math.inf, 9)
+
+
+def test_pearson_chi2_takes_one_run_only():
+    # a stack of two runs was once summed into one table, (inf, 23), and
+    # eleven cells were read as a whole run
+    dist = full_outcome_distribution(InputSpec.unpolarized(), np.array([0.0, 0.9]), math.pi / 6.0, BS, 0.0, 0.0)
+    cfg = RunConfig(20000, efficiency=0.9, seed=3)
+    counts = sample_counts(dist, cfg)
+    for row in range(2):
+        stat, dof = pearson_chi2(counts[row], dist[row], cfg)
+        assert math.isfinite(stat) and dof == 12
+    for bad_counts, bad_probs, shown in (
+        (counts, dist, r"\(2, 12\) and \(2, 12\)"),
+        (counts[0], dist, r"\(12,\) and \(2, 12\)"),
+        (counts[0, :11], dist[0, :11], r"\(11,\) and \(11,\)"),
+        (counts[0], dist[0, :11], r"\(12,\) and \(11,\)"),
+        (counts[0].sum(), dist[0], r"\(\) and \(12,\)"),
+    ):
+        message = rf"^expected the 12 outcome counts and probabilities of one run, got shapes {shown}$"
+        with pytest.raises(ValueError, match=message):
+            pearson_chi2(bad_counts, bad_probs, cfg)

@@ -26,7 +26,7 @@ import pytest
 from twophoton import compare, engine, formulas
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
-from twophoton.fock import Arm
+from twophoton.engine import Arm
 
 K = 32
 U = 2.0**-53
