@@ -33,7 +33,6 @@ from .engine import (
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_both_arms,
     same_arm_no_polarizers,
     same_arm_probability,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "coincidence_probability",
     "coincidence_no_polarizers",
     "same_arm_probability",
-    "same_arm_both_arms",
     "same_arm_no_polarizers",
     "double_trigger_probability",
     "full_outcome_distribution",

@@ -34,6 +34,7 @@ import numpy as np
 from . import formulas
 from .elements import BeamSplitterSpec
 from .engine import (
+    _BOTH_ARMS,
     OPPOSITE,
     Arm,
     InputSpec,
@@ -41,7 +42,6 @@ from .engine import (
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_both_arms,
     same_arm_no_polarizers,
     same_arm_probability,
 )
@@ -236,7 +236,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("ana1", "ana2", "bs"),
             UNPOLARIZED,
             lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
-            lambda ana1, ana2, bs: same_arm_both_arms(InputSpec.unpolarized(), ana1, ana2, bs, 0.0),
+            # both sides on a last axis of one evaluation, added side 1 first
+            lambda ana1, ana2, bs: _running_total(
+                same_arm_probability(
+                    InputSpec.unpolarized(), _BOTH_ARMS, np.expand_dims(ana1, -1), np.expand_dims(ana2, -1), bs, 0.0
+                )
+            ),
             only_5050=True,
             grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
         ),

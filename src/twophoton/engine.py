@@ -28,8 +28,10 @@ an opposite-side coincidence, `psi` for a same-side pair, both for
 An analyzer port is an index on a row axis, not an argument: the single
 probabilities read the parallel port (index 0), and a perpendicular port at
 theta is the parallel port at theta + pi/2.  A side is an index swap, not a
-second build: a side-2 row is its side-1 row indexed by `OTHER_SIDE`, and
-`_on_arm` makes that swap for an `Arm` argument.
+second build: a side-2 row is its side-1 row indexed by `OTHER_SIDE`.  A
+function whose side is fixed indexes the rows directly; every other side
+selection goes through `_on_arm`, for an `Arm` argument or for both sides
+on an axis of their own (an array of the two `Arm`s).
 """
 
 from __future__ import annotations
@@ -104,20 +106,22 @@ OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
+# The two arms as 0-d object arrays: numpy compares an object array with
+# another array without first converting an `Arm` operand.
+_SIDE1, _SIDE2 = (np.array(arm, dtype=object) for arm in Arm)
+# Both arms, side 1 first, for a sum over the sides on an axis of its own.
+_BOTH_ARMS = np.array(tuple(Arm), dtype=object)
+
+
 def _on_arm(u: np.ndarray, arm: Arm | np.ndarray) -> np.ndarray:
     """Side-1 rows u moved to `arm`: unchanged on side 1, their sides' modes
     swapped on side 2.  `arm` may be an array of `Arm`s; it broadcasts
     against the rows' leading axes."""
     arms = np.asarray(arm, dtype=object)
-    side2 = arms == Arm.SIDE2
-    if not np.all(side2 | (arms == Arm.SIDE1)):
+    side2 = arms == _SIDE2
+    if not np.all(side2 | (arms == _SIDE1)):
         raise ValueError(f"arm must be an Arm, got {arm!r}")
     return np.where(side2[..., None], u[..., OTHER_SIDE], u)
-
-
-def _both_sides(u: np.ndarray) -> np.ndarray:
-    """Side-1 rows u and their side-2 rows, on a new axis before the modes."""
-    return np.stack((u, u[..., OTHER_SIDE]), axis=-2)
 
 
 def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int) -> np.ndarray:
@@ -155,16 +159,6 @@ def _in_order(p: np.ndarray, axes: int) -> np.ndarray:
 
 def _result(p: np.ndarray) -> float | np.ndarray:
     return float(p) if p.ndim == 0 else p
-
-
-def _pair_rows(
-    arm: Arm | np.ndarray, theta_a: float, theta_b: float, bs: BeamSplitterSpec, psi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel-port rows of the two detectors of a same-side pair on `arm`,
-    at theta_a and theta_b; the first row carries `psi`."""
-    u_a = analyzer_rows(theta_a, bs, psi=psi)[..., 0, :]
-    u_b = analyzer_rows(theta_b, bs)[..., 0, :]
-    return _on_arm(u_a, arm), _on_arm(u_b, arm)
 
 
 def coincidence_probability(
@@ -215,33 +209,23 @@ def same_arm_probability(
     pairings.  The leading `ONE_SIDED` = 1/2 is the pair bookkeeping of a
     one-sided detection.
     """
-    u_a, u_b = _pair_rows(arm, theta_a, theta_b, bs, psi)
+    # the parallel-port rows of the pair's two detectors; the first carries psi
+    u_a = _on_arm(analyzer_rows(theta_a, bs, psi=psi)[..., 0, :], arm)
+    u_b = _on_arm(analyzer_rows(theta_b, bs)[..., 0, :], arm)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
-
-
-def same_arm_both_arms(
-    inp: InputSpec,
-    theta_a: float,
-    theta_b: float,
-    bs: BeamSplitterSpec,
-    psi: float,
-) -> float:
-    """Same-side pair probability summed over both sides at fixed analyzer
-    angles, side 1 first; the sides are an axis of one evaluation."""
-    u_a, u_b = _pair_rows(Arm.SIDE1, theta_a, theta_b, bs, psi)
-    return _result(_in_order(ONE_SIDED * _detect(inp, _both_sides(u_a), _both_sides(u_b), axes=1), 1))
 
 
 def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, psi: float) -> float:
     """Same-side pair probability, both sides, analyzers removed (all ports
     summed, so the analyzer angle drops out and is taken as 0).
 
-    The four port pairs of `same_arm_both_arms` are added in port order
-    (parallel first), and ports and sides are axes of one evaluation.
+    Each port pair's `same_arm_probability` is summed over the sides, side 1
+    first, and the four port pairs are added in port order (parallel
+    first); ports and sides are axes of one evaluation.
     """
     # first and second rows: (..., port, side, mode)
-    u_a = _both_sides(analyzer_rows(0.0, bs, psi=psi))
-    u_b = _both_sides(analyzer_rows(0.0, bs))
+    u_a = _on_arm(analyzer_rows(0.0, bs, psi=psi)[..., None, :], _BOTH_ARMS)
+    u_b = _on_arm(analyzer_rows(0.0, bs)[..., None, :], _BOTH_ARMS)
     p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
     return _result(_in_order(_in_order(p, 1), 2))
 

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from twophoton import elements, engine, formulas
+from twophoton import compare, elements, engine, formulas
 from twophoton.elements import OTHER_SIDE, BeamSplitterSpec
 from twophoton.engine import (
     ONE_SIDED,
@@ -17,7 +17,6 @@ from twophoton.engine import (
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_both_arms,
     same_arm_no_polarizers,
     same_arm_probability,
 )
@@ -26,6 +25,7 @@ from twophoton.fock import TOL, product_state, vacuum_amplitude
 BS = BeamSplitterSpec.fifty_fifty()
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(77)
+BOTH_ARMS = np.array(tuple(Arm), dtype=object)  # side 1 first
 
 
 def on_side(u, arm):
@@ -133,8 +133,8 @@ def test_no_bunching_through_clear_window_or_perfect_mirror():
     # Without one transmission and one reflection the photons cannot pair up.
     for bs in (BeamSplitterSpec.from_transmission(1.0, 1.0), BeamSplitterSpec.from_transmission(0.0, 0.0)):
         for pol1, pol2, ta, tb in RNG.uniform(0.0, math.pi, size=(5, 4)):
-            p = same_arm_both_arms(InputSpec.polarized(pol1, pol2), ta, tb, bs, 0.0)
-            assert abs(p) < TOL
+            p = same_arm_probability(InputSpec.polarized(pol1, pol2), BOTH_ARMS, ta, tb, bs, 0.0)
+            assert abs(p[0] + p[1]) < TOL
 
 
 def test_clear_window_coincidence_ignores_fringe_phase():
@@ -175,7 +175,10 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
     ana_a, ana_b = rng.uniform(0.0, math.pi, size=2)
     inp = InputSpec.polarized(*pol) if polarized else InputSpec.unpolarized()
     coincidence = coincidence_no_polarizers(inp, bs, phi)
-    both_arms = same_arm_both_arms(inp, ana_a, ana_b, bs, psi)
+    # the arms on a leading axis of their own, summed side 1 first
+    same_arm = same_arm_probability(inp, BOTH_ARMS[:, None, None], ana_a, ana_b, bs, psi)
+    assert same_arm.shape == (2, 3, 4)
+    both_arms = same_arm[0] + same_arm[1]
     no_polarizers = same_arm_no_polarizers(inp, bs, psi)
     assert coincidence.shape == both_arms.shape == no_polarizers.shape == (3, 4)
     for i, j in np.ndindex(3, 4):
@@ -430,7 +433,10 @@ PHASE_TAKERS = {
     "coincidence_probability": (partial(coincidence_probability, POL, 0.3, 1.1, BS), "phi"),
     "coincidence_no_polarizers": (partial(coincidence_no_polarizers, InputSpec.unpolarized(), BS), "phi"),
     "same_arm_probability": (partial(same_arm_probability, POL, Arm.SIDE1, 0.3, 1.1, BS), "psi"),
-    "same_arm_both_arms": (partial(same_arm_both_arms, InputSpec.unpolarized(), 0.3, 1.1, BS), "psi"),
+    "same_arm_probability-both_arms": (
+        partial(same_arm_probability, InputSpec.unpolarized(), BOTH_ARMS, 0.3, 1.1, BS),
+        "psi",
+    ),
     "same_arm_no_polarizers": (partial(same_arm_no_polarizers, POL, BS), "psi"),
     "full_outcome_distribution-phi": (partial(full_outcome_distribution, POL, 0.3, 1.1, BS, psi=0.0), "phi"),
     "full_outcome_distribution-psi": (
@@ -475,6 +481,26 @@ def test_same_arm_probability_broadcasts_over_an_array_of_arms():
     assert grid.shape == (3, 2)
     for (i, j), p in np.ndenumerate(grid):
         assert p == same_arm_probability(inp, arms[::-1][j], theta_a[i, 0], 0.7, bs, psi=0.4)
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_the_sum_over_both_arms_equals_the_two_arms_added_bit_for_bit(polarized):
+    # the arms on a last axis of their own, added left to right as `compare`
+    # adds them for unpolarized_same_arm, against one call per arm
+    rng = np.random.default_rng(28)
+    theta_a, theta_b = rng.uniform(0.0, math.pi, size=(5, 1)), rng.uniform(0.0, math.pi, size=(1, 6))
+    bs, psi = BeamSplitterSpec.from_transmission(0.9, 0.6), 0.4
+    inp = InputSpec.polarized(0.3, 1.1) if polarized else InputSpec.unpolarized()
+    both = same_arm_probability(inp, BOTH_ARMS, theta_a[..., None], theta_b[..., None], bs, psi)
+    total = np.cumsum(both, axis=-1)[..., -1]
+    side1 = same_arm_probability(inp, Arm.SIDE1, theta_a, theta_b, bs, psi)
+    side2 = same_arm_probability(inp, Arm.SIDE2, theta_a, theta_b, bs, psi)
+    assert total.shape == (5, 6)
+    assert np.array_equal(total, side1 + side2)
+    if not polarized:  # compare's unpolarized_same_arm engine, at psi = 0 on the 50:50 splitter
+        route = compare.EXPERIMENTS["unpolarized_same_arm"].engine(ana1=theta_a, ana2=theta_b, bs=BS)
+        side1, side2 = (same_arm_probability(inp, arm, theta_a, theta_b, BS, 0.0) for arm in Arm)
+        assert np.array_equal(route, side1 + side2)
 
 
 ARM_TAKERS = {
