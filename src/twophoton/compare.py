@@ -153,6 +153,15 @@ def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
     return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
 
 
+def _unpolarized_same_arm(ana1, ana2, bs) -> np.ndarray:
+    """Same-side pair probability of unpolarized light, summed over both
+    sides, side 1 first.  The sides are a leading axis of one evaluation,
+    ahead of every axis of the angles and the splitter."""
+    ndim = np.broadcast(ana1, ana2, bs.tx, bs.ty, bs.rx, bs.ry).ndim
+    p = same_arm_probability(InputSpec.unpolarized(), _BOTH_ARMS.reshape(2, *(1,) * ndim), ana1, ana2, bs, 0.0)
+    return p[0] + p[1]
+
+
 def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:
     return coincidence_probability(InputSpec.unpolarized(), ana1, ana2, bs, phi)
 
@@ -236,12 +245,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("ana1", "ana2", "bs"),
             UNPOLARIZED,
             lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
-            # both sides on a last axis of one evaluation, added side 1 first
-            lambda ana1, ana2, bs: _running_total(
-                same_arm_probability(
-                    InputSpec.unpolarized(), _BOTH_ARMS, np.expand_dims(ana1, -1), np.expand_dims(ana2, -1), bs, 0.0
-                )
-            ),
+            _unpolarized_same_arm,
             only_5050=True,
             grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
         ),

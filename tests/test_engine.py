@@ -485,8 +485,8 @@ def test_same_arm_probability_broadcasts_over_an_array_of_arms():
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_the_sum_over_both_arms_equals_the_two_arms_added_bit_for_bit(polarized):
-    # the arms on a last axis of their own, added left to right as `compare`
-    # adds them for unpolarized_same_arm, against one call per arm
+    # the arms on an axis of their own, added side 1 first, against one
+    # call per arm
     rng = np.random.default_rng(28)
     theta_a, theta_b = rng.uniform(0.0, math.pi, size=(5, 1)), rng.uniform(0.0, math.pi, size=(1, 6))
     bs, psi = BeamSplitterSpec.from_transmission(0.9, 0.6), 0.4
@@ -497,9 +497,12 @@ def test_the_sum_over_both_arms_equals_the_two_arms_added_bit_for_bit(polarized)
     side2 = same_arm_probability(inp, Arm.SIDE2, theta_a, theta_b, bs, psi)
     assert total.shape == (5, 6)
     assert np.array_equal(total, side1 + side2)
-    if not polarized:  # compare's unpolarized_same_arm engine, at psi = 0 on the 50:50 splitter
-        route = compare.EXPERIMENTS["unpolarized_same_arm"].engine(ana1=theta_a, ana2=theta_b, bs=BS)
-        side1, side2 = (same_arm_probability(inp, arm, theta_a, theta_b, BS, 0.0) for arm in Arm)
+    if not polarized:  # compare's unpolarized_same_arm engine at psi = 0, with a splitter per column
+        t = np.linspace(0.6, 0.8, 6)
+        columns = BeamSplitterSpec(t, t, np.sqrt(1.0 - t * t), np.sqrt(1.0 - t * t))
+        route = compare.EXPERIMENTS["unpolarized_same_arm"].engine(ana1=theta_a, ana2=theta_b, bs=columns)
+        side1, side2 = (same_arm_probability(inp, arm, theta_a, theta_b, columns, 0.0) for arm in Arm)
+        assert route.shape == (5, 6)
         assert np.array_equal(route, side1 + side2)
 
 
