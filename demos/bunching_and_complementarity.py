@@ -12,7 +12,6 @@ photons at once (a double trigger).
 import math
 
 from twophoton import (
-    Arm,
     BeamSplitterSpec,
     InputSpec,
     coincidence_no_polarizers,
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"{'psi/deg':>8} {'engine':>12} {'closed form':>12}")
     for deg in (0, 60, 90, 120, 180):
         psi = math.radians(deg)
-        eng = same_arm_probability(inp, Arm.SIDE2, 0.0, 0.0, bs, psi)
+        eng = same_arm_probability(inp, "side2", 0.0, 0.0, bs, psi)
         ana = p_same_arm(0.0, 0.0, 0.0, 0.0, bs, psi)
         print(f"{deg:8d} {eng:12.6f} {ana:12.6f}")
     print()
@@ -58,7 +57,7 @@ def main() -> None:
     print("double-trigger rate of a single detector behind an analyzer:")
     for deg in (0, 45, 90):
         theta = math.radians(deg)
-        p = double_trigger_probability(inp, Arm.SIDE1, theta, bs)
+        p = double_trigger_probability(inp, "side1", theta, bs)
         print(f"  analyzer at {deg:3d} deg -> {p:.6f}")
     print()
     print("at 0 deg both pairings land in the open channel (rate 1/4); at")

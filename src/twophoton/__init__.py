@@ -27,7 +27,6 @@ from .elements import BeamSplitterSpec
 from .engine import (
     OPPOSITE,
     OUTCOMES,
-    Arm,
     InputSpec,
     coincidence_no_polarizers,
     coincidence_probability,
@@ -63,7 +62,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm",
     "product_state",
     "vacuum_amplitude",
     "BeamSplitterSpec",

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import compare as comparemod
 from .elements import BeamSplitterSpec
-from .engine import OUTCOMES, Arm
+from .engine import OUTCOMES
 from .montecarlo import RunConfig, consistency_z, estimate, pearson_chi2, sample_counts
 
 SCHEMA_VERSION = 1
@@ -253,7 +253,7 @@ def _library_args(cfg: dict[str, Any]) -> dict[str, Any]:
     args: dict[str, Any] = {name: math.radians(cfg[key]) for key, name in LIBRARY_NAMES.items()}
     args.update(
         bs=BeamSplitterSpec.from_transmission(cfg["tx"], cfg["ty"]),
-        arm=Arm[cfg["arm"].upper()],
+        arm=cfg["arm"],
         input_kind=cfg["input"],
         run=RunConfig(cfg["n_pairs"], cfg["efficiency"], cfg["seed"]),
     )

@@ -36,8 +36,8 @@ from .elements import BeamSplitterSpec
 from .engine import (
     _BOTH_ARMS,
     OPPOSITE,
-    Arm,
     InputSpec,
+    _in_order,
     coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
@@ -137,18 +137,13 @@ def outcome_distribution(
     return np.broadcast_to(dist, (*shape, dist.shape[-1]))
 
 
-def _running_total(probs: np.ndarray) -> np.ndarray:
-    """The sum over the last axis, added left to right."""
-    return np.cumsum(probs, axis=-1)[..., -1][()]
-
-
 def _unit_total(input_kind, bs, **angles) -> np.ndarray:
     """The expected total of the exclusive partition: 1 at every point."""
     return np.ones(np.broadcast(*angles.values(), bs.tx, bs.ty).shape)[()]
 
 
 def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
-    if arm is Arm.SIDE1:  # mirror image of the side-2 form
+    if arm == "side1":  # mirror image of the side-2 form
         return formulas.p_same_arm(pol2, pol1, ana2, ana1, bs, psi)
     return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
 
@@ -200,7 +195,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda arm, pol1, pol2, ana1, ana2, psi, bs: same_arm_probability(
                 InputSpec.polarized(pol1, pol2), arm, ana1, ana2, bs, psi
             ),
-            grid=[("arm", (Arm.SIDE2,)), *((n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2"))],
+            grid=[("arm", ("side2",)), *((n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2"))],
             cycle=[("psi", PHASES), ("bs", standard_splitters())],
         ),
         Experiment(
@@ -258,7 +253,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 InputSpec.polarized(pol1, pol2), arm, ana1, bs
             ),
             only_5050=True,
-            grid=[("arm", tuple(Arm)), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
+            grid=[("arm", ("side1", "side2")), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
         ),
         # benchmark rate only; there is no quantum-engine counterpart
         Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None),
@@ -268,14 +263,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             DISTRIBUTION_PARAMS,
             BOTH_INPUTS,
             _unit_total,
-            lambda **point: _running_total(outcome_distribution(**point)),
+            lambda **point: _in_order(outcome_distribution(**point), 1)[()],
         ),
         # the engine's opposite-side total against its Monte Carlo estimate
         Experiment(
             "mc_run",
             (*DISTRIBUTION_PARAMS, "run"),
             BOTH_INPUTS,
-            lambda shared, **_: _running_total(shared[..., OPPOSITE]),
+            lambda shared, **_: _in_order(shared[..., OPPOSITE], 1)[()],
             _opposite_estimate,
             columns=("exact", "estimate"),
             shared=lambda run, **point: outcome_distribution(**point),
@@ -332,8 +327,6 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
     for name, value in point.items():
         if isinstance(value, BeamSplitterSpec):
             out.update(tx=value.tx, ty=value.ty)
-        elif isinstance(value, Arm):
-            out[name] = value.name.lower()
         else:
             out[name] = value
     return out
@@ -353,8 +346,8 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     grid axes whose size n divides, so a row's combination is the same
     under every leading index; at a larger step the kept points do not
     factor, there is no leading axis, and every kept point is a row.  The
-    whole mesh is one call of the engine and of `formula`; an `Arm`
-    parameter is an object array like any other column.
+    whole mesh is one call of the engine and of `formula`; an `arm`
+    parameter is a column of side labels like any other.
     """
     t0 = time.perf_counter()
     order = [name for name, _ in (*entry.grid, *entry.cycle)]

@@ -30,15 +30,15 @@ probabilities read the parallel port (index 0), and a perpendicular port at
 theta is the parallel port at theta + pi/2.  A side is an index swap, not a
 second build: a side-2 row is its side-1 row indexed by `OTHER_SIDE`.  A
 function whose side is fixed indexes the rows directly; every other side
-selection goes through `_on_arm`, for an `Arm` argument or for both sides
-on an axis of their own (an array of the two `Arm`s).
+selection goes through `_on_arm`.  A side is named by the same label the
+`arm` config key takes, "side1" or "side2", the prefixes of the `OUTCOMES`
+labels; an array of labels puts sides on an axis of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -57,13 +57,6 @@ _UNPOLARIZED_WEIGHTS = np.full(4, 0.25)
 _UNPOLARIZED_STATE = product_state(
     np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI])
 )
-
-
-class Arm(Enum):
-    """Input/output side of the beam splitter."""
-
-    SIDE1 = 0
-    SIDE2 = 1
 
 
 @dataclass(frozen=True)
@@ -106,21 +99,18 @@ OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
-# The two arms as 0-d object arrays: numpy compares an object array with
-# another array without first converting an `Arm` operand.
-_SIDE1, _SIDE2 = (np.array(arm, dtype=object) for arm in Arm)
 # Both arms, side 1 first, for a sum over the sides on an axis of its own.
-_BOTH_ARMS = np.array(tuple(Arm), dtype=object)
+_BOTH_ARMS = np.array(("side1", "side2"))
 
 
-def _on_arm(u: np.ndarray, arm: Arm | np.ndarray) -> np.ndarray:
+def _on_arm(u: np.ndarray, arm: str | np.ndarray) -> np.ndarray:
     """Side-1 rows u moved to `arm`: unchanged on side 1, their sides' modes
-    swapped on side 2.  `arm` may be an array of `Arm`s; it broadcasts
+    swapped on side 2.  `arm` may be an array of labels; it broadcasts
     against the rows' leading axes."""
-    arms = np.asarray(arm, dtype=object)
-    side2 = arms == _SIDE2
-    if not np.all(side2 | (arms == _SIDE1)):
-        raise ValueError(f"arm must be an Arm, got {arm!r}")
+    arms = np.asarray(arm)
+    side2 = arms == "side2"
+    if not np.all(side2 | (arms == "side1")):
+        raise ValueError(f"arm must be 'side1' or 'side2', got {arm!r}")
     return np.where(side2[..., None], u[..., OTHER_SIDE], u)
 
 
@@ -194,7 +184,7 @@ def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, phi: float) 
 
 def same_arm_probability(
     inp: InputSpec,
-    arm: Arm | np.ndarray,
+    arm: str | np.ndarray,
     theta_a: float,
     theta_b: float,
     bs: BeamSplitterSpec,
@@ -202,7 +192,7 @@ def same_arm_probability(
 ) -> float:
     """Probability that both photons exit on `arm` and its two frequency-channel
     detectors fire behind the parallel ports of analyzers at (theta_a, theta_b).
-    `arm` may be an array of `Arm`s, which broadcasts like every other
+    `arm` may be an array of labels, which broadcasts like every other
     argument.
 
     `psi` is the relative phase between the two photon-to-detector
@@ -231,10 +221,10 @@ def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, psi: float) -> 
 
 
 def double_trigger_probability(
-    inp: InputSpec, arm: Arm | np.ndarray, theta: float, bs: BeamSplitterSpec
+    inp: InputSpec, arm: str | np.ndarray, theta: float, bs: BeamSplitterSpec
 ) -> float:
     """Probability that a single detector on `arm` behind a theta analyzer
-    registers both photons.  `arm` may be an array of `Arm`s, which
+    registers both photons.  `arm` may be an array of labels, which
     broadcasts like every other argument.
 
     Both photons reach one detector, so the two pairings share one position

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from twophoton import formulas
 from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import (
-    Arm,
     InputSpec,
     coincidence_probability,
     double_trigger_probability,
@@ -29,11 +28,8 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
-splitters = st.builds(
-    BeamSplitterSpec.from_transmission,
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
+transmissions = st.floats(min_value=0.0, max_value=1.0)
+splitters = st.builds(BeamSplitterSpec.from_transmission, transmissions, transmissions)
 
 
 def is_probability(p: float) -> bool:
@@ -52,8 +48,8 @@ def test_coincidence_matches_closed_form(pol1, pol2, ana1, ana2, bs, phi):
 @given(angles, angles, angles, angles, splitters, phases)
 def test_same_arm_matches_closed_form_on_both_sides(pol1, pol2, ana_a, ana_b, bs, psi):
     inp = InputSpec.polarized(pol1, pol2)
-    side2 = same_arm_probability(inp, Arm.SIDE2, ana_a, ana_b, bs, psi)
-    side1 = same_arm_probability(inp, Arm.SIDE1, ana_a, ana_b, bs, psi)
+    side2 = same_arm_probability(inp, "side2", ana_a, ana_b, bs, psi)
+    side1 = same_arm_probability(inp, "side1", ana_a, ana_b, bs, psi)
     assert is_probability(side2) and is_probability(side1)
     assert abs(side2 - formulas.p_same_arm(pol1, pol2, ana_a, ana_b, bs, psi)) <= TOL
     # side 1 is the mirror image: swap the input sides and the analyzer order
@@ -69,13 +65,28 @@ def test_unpolarized_matches_closed_form(ana1, ana2, bs, phi):
 
 
 @EXAMPLES
-@given(angles, angles, angles, st.sampled_from(Arm))
+@given(angles, angles, angles, st.sampled_from(("side1", "side2")))
 def test_double_trigger_matches_closed_form(pol1, pol2, theta, arm):
     eng = double_trigger_probability(
         InputSpec.polarized(pol1, pol2), arm, theta, BeamSplitterSpec.fifty_fifty()
     )
     assert is_probability(eng)
     assert abs(eng - formulas.p_double_trigger(pol1, pol2, theta)) <= TOL
+
+
+@EXAMPLES
+@given(angles, angles, angles, transmissions, transmissions)
+def test_double_trigger_at_a_general_splitter_reads_its_own_side(pol1, pol2, theta, tx, ty):
+    # both photons on one detector: on side 1 photon 1 is transmitted and
+    # photon 2 reflected, on side 2 the reverse; off 50:50 the sides differ
+    inp, bs = InputSpec.polarized(pol1, pol2), BeamSplitterSpec.from_transmission(tx, ty)
+    rx, ry = math.sqrt(1.0 - tx * tx), math.sqrt(1.0 - ty * ty)
+    c, s = math.cos(theta), math.sin(theta)
+    c1, s1, c2, s2 = math.cos(pol1), math.sin(pol1), math.cos(pol2), math.sin(pol2)
+    side1 = (tx * c * c1 + ty * s * s1) ** 2 * (rx * c * c2 + ry * s * s2) ** 2
+    side2 = (rx * c * c1 + ry * s * s1) ** 2 * (tx * c * c2 + ty * s * s2) ** 2
+    assert abs(double_trigger_probability(inp, "side1", theta, bs) - side1) <= 1e-15
+    assert abs(double_trigger_probability(inp, "side2", theta, bs) - side2) <= 1e-15
 
 
 @EXAMPLES

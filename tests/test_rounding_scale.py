@@ -26,7 +26,6 @@ import pytest
 from twophoton import compare, engine, formulas
 from twophoton.compare import EXPERIMENTS
 from twophoton.elements import BeamSplitterSpec
-from twophoton.engine import Arm
 
 K = 32
 U = 2.0**-53
@@ -56,7 +55,7 @@ def scaled_deviation(entry, formula, fixed, columns, monkeypatch):
 
     def at_worst(value):
         value = np.broadcast_to(value, ratio.shape)[worst]
-        return value.name.lower() if isinstance(value, Arm) else float(value)
+        return str(value) if isinstance(value, str) else float(value)  # an arm is an np.str_ here
 
     point = {}
     for name, value in {**fixed, **columns}.items():
@@ -97,7 +96,7 @@ def test_random_points_agree_to_the_rounding_scale(name, monkeypatch):
     # unless the family holds at 50:50 only, and each arm in turn
     entry = EXPERIMENTS[name]
     rng = np.random.default_rng(FAMILIES.index(name))
-    arms = tuple(Arm) if "arm" in entry.params else (None,)
+    arms = ("side1", "side2") if "arm" in entry.params else (None,)
     n = POINTS // len(arms)
     for arm in arms:
         columns = {}
