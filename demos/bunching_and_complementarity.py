@@ -2,22 +2,24 @@
 """Photon bunching: what does not split must bunch.
 
 With analyzers removed, a photon pair either splits (one photon per side) or
-bunches (both photons on one side).  The two port-summed rates add to one at
-fringe phase 0, so the interference that suppresses splitting of identical
-photons shows up as enhanced bunching.  Same-side pairs carry their own
-fringe in the pairing phase psi, and a single detector can also swallow both
-photons at once (a double trigger).
+bunches (both photons on one side).  Removing an analyzer sums its ports, so
+both rates are sums of the twelve-outcome distribution: the opposite-side
+outcomes split the pair and the same-side ones bunch it.  The two rates add
+to one at fringe phase 0, so the interference that suppresses splitting of
+identical photons shows up as enhanced bunching.  Same-side pairs carry
+their own fringe in the pairing phase psi, and a single detector can also
+swallow both photons at once (a double trigger).
 """
 
 import math
 
 from twophoton import (
+    OPPOSITE,
     BeamSplitterSpec,
     InputSpec,
-    coincidence_no_polarizers,
     double_trigger_probability,
+    full_outcome_distribution,
     p_same_arm,
-    same_arm_no_polarizers,
     same_arm_probability,
 )
 
@@ -32,8 +34,9 @@ def main() -> None:
     print(f"{'rel pol/deg':>12} {'p(split)':>10} {'p(bunch)':>10} {'sum':>8}")
     for deg in (0, 30, 45, 60, 90):
         inp = InputSpec.polarized(0.0, math.radians(deg))
-        split = coincidence_no_polarizers(inp, bs, phi=0.0)
-        bunch = same_arm_no_polarizers(inp, bs, psi=0.0)
+        # every port of both analyzers, each at angle 0
+        dist = full_outcome_distribution(inp, 0.0, 0.0, bs, phi=0.0, psi=0.0)
+        split, bunch = dist[OPPOSITE].sum(), dist[~OPPOSITE].sum()
         print(f"{deg:12d} {split:10.6f} {bunch:10.6f} {split + bunch:8.4f}")
     print()
 

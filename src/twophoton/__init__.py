@@ -28,11 +28,9 @@ from .engine import (
     OPPOSITE,
     OUTCOMES,
     InputSpec,
-    coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_no_polarizers,
     same_arm_probability,
 )
 from .fock import product_state, vacuum_amplitude
@@ -69,9 +67,7 @@ __all__ = [
     "OUTCOMES",
     "OPPOSITE",
     "coincidence_probability",
-    "coincidence_no_polarizers",
     "same_arm_probability",
-    "same_arm_no_polarizers",
     "double_trigger_probability",
     "full_outcome_distribution",
     "pair_path_amplitudes",

@@ -34,15 +34,12 @@ import numpy as np
 from . import formulas
 from .elements import BeamSplitterSpec
 from .engine import (
-    _BOTH_ARMS,
     OPPOSITE,
     InputSpec,
     _in_order,
-    coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_no_polarizers,
     same_arm_probability,
 )
 from .montecarlo import RunConfig, sample_counts
@@ -137,6 +134,19 @@ def outcome_distribution(
     return np.broadcast_to(dist, (*shape, dist.shape[-1]))
 
 
+def _opposite_total(dist: np.ndarray) -> np.ndarray:
+    """The opposite-side total of a distribution: its four opposite-side
+    entries added in order."""
+    return _in_order(dist[..., OPPOSITE])[()]
+
+
+def _same_side_total(dist: np.ndarray) -> np.ndarray:
+    """The same-side total of a distribution: each port pair's entries of
+    the two sides (side 1's four, then side 2's, in `OUTCOMES` order) added,
+    side 1 first, then the four port pairs in order."""
+    return _in_order(dist[..., 4:8] + dist[..., 8:])[()]
+
+
 def _unit_total(input_kind, bs, **angles) -> np.ndarray:
     """The expected total of the exclusive partition: 1 at every point."""
     return np.ones(np.broadcast(*angles.values(), bs.tx, bs.ty).shape)[()]
@@ -146,6 +156,10 @@ def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
     if arm == "side1":  # mirror image of the side-2 form
         return formulas.p_same_arm(pol2, pol1, ana2, ana1, bs, psi)
     return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
+
+
+# Both arms, side 1 first, for a sum over the sides on an axis of its own.
+_BOTH_ARMS = np.array(("side1", "side2"))
 
 
 def _unpolarized_same_arm(ana1, ana2, bs) -> np.ndarray:
@@ -222,7 +236,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("pol1", "pol2", "phi", "bs"),
             POLARIZED,
             lambda pol1, pol2, phi, bs: formulas.p_no_polarizers(pol1, pol2, phi),
-            lambda pol1, pol2, phi, bs: coincidence_no_polarizers(InputSpec.polarized(pol1, pol2), bs, phi),
+            # removing the analyzers sums their ports, at analyzer angle 0;
+            # the opposite-side entries do not read psi
+            lambda pol1, pol2, phi, bs: _opposite_total(
+                full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, phi, 0.0)
+            ),
             only_5050=True,
             grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
         ),
@@ -231,7 +249,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("pol1", "pol2", "bs"),
             POLARIZED,
             lambda pol1, pol2, bs: formulas.p_same_arm_no_polarizers(pol1, pol2),
-            lambda pol1, pol2, bs: same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), bs, 0.0),
+            # the same-side entries do not read phi
+            lambda pol1, pol2, bs: _same_side_total(
+                full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, 0.0, 0.0)
+            ),
             only_5050=True,
             grid=[("pol1", ANGLES), ("pol2", ANGLES), FIFTY_FIFTY],
         ),
@@ -263,14 +284,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             DISTRIBUTION_PARAMS,
             BOTH_INPUTS,
             _unit_total,
-            lambda **point: _in_order(outcome_distribution(**point), 1)[()],
+            lambda **point: _in_order(outcome_distribution(**point))[()],
         ),
         # the engine's opposite-side total against its Monte Carlo estimate
         Experiment(
             "mc_run",
             (*DISTRIBUTION_PARAMS, "run"),
             BOTH_INPUTS,
-            lambda shared, **_: _in_order(shared[..., OPPOSITE], 1)[()],
+            lambda shared, **_: _opposite_total(shared),
             _opposite_estimate,
             columns=("exact", "estimate"),
             shared=lambda run, **point: outcome_distribution(**point),

@@ -4,9 +4,7 @@ Every probability here comes from one mechanism: write each detector
 operator as its row over the four occupied input modes
 (`elements.analyzer_rows`), take the pair amplitude <0| d_a d_b |psi> of
 the input product state, whose photon rows `InputSpec` holds, as a 2x2
-permanent (`fock.vacuum_amplitude`), and square its magnitude.  A sum
-over analyzer ports or over the two sides is one evaluation with the ports
-or sides on broadcast axes, added in the order of a loop over them.  No
+permanent (`fock.vacuum_amplitude`), and square its magnitude.  No
 closed-form trigonometric shortcuts are used, so this module serves as the
 independent oracle for `formulas`.
 
@@ -27,12 +25,15 @@ an opposite-side coincidence, `psi` for a same-side pair, both for
 
 An analyzer port is an index on a row axis, not an argument: the single
 probabilities read the parallel port (index 0), and a perpendicular port at
-theta is the parallel port at theta + pi/2.  A side is an index swap, not a
-second build: a side-2 row is its side-1 row indexed by `OTHER_SIDE`.  A
-function whose side is fixed indexes the rows directly; every other side
-selection goes through `_on_arm`.  A side is named by the same label the
-`arm` config key takes, "side1" or "side2", the prefixes of the `OUTCOMES`
-labels; an array of labels puts sides on an axis of their own.
+theta is the parallel port at theta + pi/2.  Removing an analyzer sums its
+two ports, so a rate without analyzers is a sum of the entries of
+`full_outcome_distribution` at analyzer angle 0, which span both ports of
+every detector on both sides.  A side is an index swap, not a second build:
+a side-2 row is its side-1 row indexed by `OTHER_SIDE`.  A function whose
+side is fixed indexes the rows directly; every other side selection goes
+through `_on_arm`.  A side is named by the same label the `arm` config key
+takes, "side1" or "side2", the prefixes of the `OUTCOMES` labels; an array
+of labels puts sides on an axis of their own.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ OPPOSITE.setflags(write=False)
 _FACTORS = np.where(OPPOSITE, 1.0, ONE_SIDED)
 
 
-# Both arms, side 1 first, for a sum over the sides on an axis of its own.
-_BOTH_ARMS = np.array(("side1", "side2"))
-
-
 def _on_arm(u: np.ndarray, arm: str | np.ndarray) -> np.ndarray:
     """Side-1 rows u moved to `arm`: unchanged on side 1, their sides' modes
     swapped on side 2.  `arm` may be an array of labels; it broadcasts
@@ -117,9 +114,9 @@ def _on_arm(u: np.ndarray, arm: str | np.ndarray) -> np.ndarray:
 def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int) -> np.ndarray:
     """|<0| d_a d_b |psi>|^2 for detector rows u_a, u_b.
 
-    The last `axes` batch axes of the rows (ports, sides, outcomes) are ones
-    the incident angles do not span.  Unpolarized input adds a last axis of
-    its four components.
+    The last `axes` batch axes of the rows (a distribution's outcomes) are
+    ones the incident angles do not span.  Unpolarized input adds a last
+    axis of its four components.
     """
     if inp.polarization is None:
         return np.abs(vacuum_amplitude(u_a[..., None, :], u_b[..., None, :], _UNPOLARIZED_STATE)) ** 2
@@ -128,23 +125,23 @@ def _squared_amplitudes(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: 
     return np.abs(vacuum_amplitude(u_a, u_b, (p1[lift], p2[lift]))) ** 2
 
 
-def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray, axes: int = 0) -> np.ndarray:
-    """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b
-    (see `_squared_amplitudes` for `axes`).
+def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b,
+    whose batch axes all broadcast against the incident angles'.
 
     The components are added in order, so a batch of points rounds exactly
     as each of its points evaluated alone.
     """
-    p = _squared_amplitudes(inp, u_a, u_b, axes)
+    p = _squared_amplitudes(inp, u_a, u_b, 0)
     if inp.polarization is None:
         return (p * _UNPOLARIZED_WEIGHTS).sum(-1)
     return p
 
 
-def _in_order(p: np.ndarray, axes: int) -> np.ndarray:
-    """The sum over the last `axes` axes of p, its terms added one at a time
-    in C order: the rounding of a Python `sum` over them."""
-    return np.cumsum(p.reshape(*p.shape[: p.ndim - axes], -1), axis=-1)[..., -1]
+def _in_order(p: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of p, its terms added one at a time: the
+    rounding of a Python `sum` over them."""
+    return np.cumsum(p, axis=-1)[..., -1]
 
 
 def _result(p: np.ndarray) -> float | np.ndarray:
@@ -168,20 +165,6 @@ def coincidence_probability(
     return _result(_detect(inp, u1, u2))
 
 
-def coincidence_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, phi: float) -> float:
-    """Opposite-side coincidence with analyzers removed.
-
-    Removing an analyzer is summing its two ports, so this is the sum over
-    the four port pairs, added in port order (parallel first); the analyzer
-    angle drops out of the sum and is taken as 0.  The ports are axes of
-    one evaluation.
-    """
-    # each side's rows of its two ports on an axis before the modes
-    u1 = analyzer_rows(0.0, bs, phi=phi)
-    u2 = analyzer_rows(0.0, bs)[..., OTHER_SIDE]
-    return _result(_in_order(_detect(inp, u1[..., :, None, :], u2[..., None, :, :], axes=2), 2))
-
-
 def same_arm_probability(
     inp: InputSpec,
     arm: str | np.ndarray,
@@ -203,21 +186,6 @@ def same_arm_probability(
     u_a = _on_arm(analyzer_rows(theta_a, bs, psi=psi)[..., 0, :], arm)
     u_b = _on_arm(analyzer_rows(theta_b, bs)[..., 0, :], arm)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
-
-
-def same_arm_no_polarizers(inp: InputSpec, bs: BeamSplitterSpec, psi: float) -> float:
-    """Same-side pair probability, both sides, analyzers removed (all ports
-    summed, so the analyzer angle drops out and is taken as 0).
-
-    Each port pair's `same_arm_probability` is summed over the sides, side 1
-    first, and the four port pairs are added in port order (parallel
-    first); ports and sides are axes of one evaluation.
-    """
-    # first and second rows: (..., port, side, mode)
-    u_a = _on_arm(analyzer_rows(0.0, bs, psi=psi)[..., None, :], _BOTH_ARMS)
-    u_b = _on_arm(analyzer_rows(0.0, bs)[..., None, :], _BOTH_ARMS)
-    p = ONE_SIDED * _detect(inp, u_a[..., :, None, :, :], u_b[..., None, :, :, :], axes=3)
-    return _result(_in_order(_in_order(p, 1), 2))
 
 
 def double_trigger_probability(

@@ -139,7 +139,7 @@ def sample_counts(probs: np.ndarray, cfg: RunConfig) -> np.ndarray:
         k = int(np.argmin(rows[r]))
         value = float(rows[r, k])
         raise ValueError(f"{_at_row(r, lead)}negative probability {value!r} for {OUTCOMES[k]}")
-    totals = _in_order(rows, 1)
+    totals = _in_order(rows)
     unnormalized = ~(np.abs(totals - 1.0) <= TOL)  # a nan total fails too
     if unnormalized.any():
         r = int(np.argmax(unnormalized))

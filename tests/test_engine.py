@@ -13,11 +13,9 @@ from twophoton.engine import (
     OPPOSITE,
     OUTCOMES,
     InputSpec,
-    coincidence_no_polarizers,
     coincidence_probability,
     double_trigger_probability,
     full_outcome_distribution,
-    same_arm_no_polarizers,
     same_arm_probability,
 )
 from twophoton.fock import TOL, product_state, vacuum_amplitude
@@ -33,6 +31,17 @@ def on_side(u, arm):
     """Side-1 rows u as the rows of `arm`: a side-2 row is its side-1 row
     with the sides' modes swapped."""
     return u if arm == "side1" else u[..., OTHER_SIDE]
+
+
+# With analyzers removed (every port summed, analyzer angle 0) a pair splits
+# or bunches: the opposite-side and same-side totals of the distribution, as
+# compare's no_polarizers and same_arm_no_polarizers engines read them.
+def split_rate(inp, bs, phi):
+    return compare._opposite_total(full_outcome_distribution(inp, 0.0, 0.0, bs, phi, 0.0))
+
+
+def bunch_rate(inp, bs, psi):
+    return compare._same_side_total(full_outcome_distribution(inp, 0.0, 0.0, bs, 0.0, psi))
 
 
 def test_aligned_photons_never_coincide_at_zero_phase():
@@ -62,25 +71,25 @@ def test_crossed_photons_crossed_analyzers_give_one_quarter_at_any_phase():
 
 
 def test_no_polarizers_crossed_photons_coincide_half_the_time():
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, HALF_PI), BS, 0.0)
+    p = split_rate(InputSpec.polarized(0.0, HALF_PI), BS, 0.0)
     assert abs(p - 0.5) < TOL
 
 
 def test_no_polarizers_aligned_photons_never_coincide_at_zero_phase():
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, 0.0)
+    p = split_rate(InputSpec.polarized(0.0, 0.0), BS, 0.0)
     assert abs(p) < TOL
 
 
 def test_no_polarizers_aligned_photons_always_coincide_at_pi_phase():
     # The coincidence summed over ports saturates at one at phi = pi.
-    p = coincidence_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, math.pi)
+    p = split_rate(InputSpec.polarized(0.0, 0.0), BS, math.pi)
     assert abs(p - 1.0) < TOL
 
 
 def test_no_polarizers_result_ignores_dummy_analyzer_angles():
     inp = InputSpec.polarized(0.4, 1.0)
     phi = 1.3
-    base = coincidence_no_polarizers(inp, BS, phi)
+    base = split_rate(inp, BS, phi)
     # removing an analyzer sums its ports, whatever angle it was set to; a
     # perpendicular port is the parallel port a quarter turn on
     for theta1, theta2 in RNG.uniform(0.0, math.pi, size=(10, 2)):
@@ -110,14 +119,14 @@ def test_same_arm_crossed_photons_never_pass_aligned_analyzers():
 def test_same_arm_no_polarizers_follows_relative_polarization_law():
     # The bunching rate summed over ports is (1 + cos^2 of the relative incidence angle)/2.
     for pol1, pol2 in RNG.uniform(0.0, math.pi, size=(15, 2)):
-        p = same_arm_no_polarizers(InputSpec.polarized(pol1, pol2), BS, 0.0)
+        p = bunch_rate(InputSpec.polarized(pol1, pol2), BS, 0.0)
         c = math.cos(pol1 - pol2)
         assert abs(p - 0.5 * (1.0 + c * c)) < TOL
 
 
 def test_same_arm_no_polarizers_pinned_values():
-    assert abs(same_arm_no_polarizers(InputSpec.polarized(0.0, 0.0), BS, 0.0) - 1.0) < TOL
-    p = same_arm_no_polarizers(InputSpec.polarized(0.0, math.pi / 4.0), BS, 0.0)
+    assert abs(bunch_rate(InputSpec.polarized(0.0, 0.0), BS, 0.0) - 1.0) < TOL
+    p = bunch_rate(InputSpec.polarized(0.0, math.pi / 4.0), BS, 0.0)
     assert abs(p - 0.75) < TOL
 
 
@@ -125,9 +134,23 @@ def test_bunching_and_splitting_exhaust_all_pairs_at_zero_phase():
     # With analyzers removed the pair either splits or bunches.
     for pol1, pol2 in RNG.uniform(0.0, math.pi, size=(10, 2)):
         inp = InputSpec.polarized(pol1, pol2)
-        split = coincidence_no_polarizers(inp, BS, phi=0.0)
-        bunch = same_arm_no_polarizers(inp, BS, psi=0.0)
+        split = split_rate(inp, BS, phi=0.0)
+        bunch = bunch_rate(inp, BS, psi=0.0)
         assert abs(split + bunch - 1.0) < TOL
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_splitting_and_bunching_exhaust_all_pairs_wherever_the_fringe_phases_match(polarized):
+    # at any lossless splitter, once cos(phi) = cos(psi)
+    rng = np.random.default_rng(31)
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 200))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=200)
+    pol1, pol2 = rng.uniform(0.0, math.pi, size=(2, 200))
+    inp = InputSpec.polarized(pol1, pol2) if polarized else InputSpec.unpolarized()
+    for psi in (phi, -phi):
+        total = split_rate(inp, bs, phi) + bunch_rate(inp, bs, psi)
+        assert np.all(np.abs(total - 1.0) < TOL)
 
 
 def test_no_bunching_through_clear_window_or_perfect_mirror():
@@ -167,7 +190,7 @@ def test_double_trigger_blocked_for_crossed_photon():
 def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
     # the loops over ports and sides, one evaluation of a pair of one-port
     # rows per term, added in order as a Python sum adds them, are the
-    # reference
+    # reference for the distribution's totals
     rng = np.random.default_rng(18)
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 3, 1))
     bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
@@ -175,13 +198,13 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
     pol = rng.uniform(0.0, math.pi, size=(2, 3, 4))
     ana_a, ana_b = rng.uniform(0.0, math.pi, size=2)
     inp = InputSpec.polarized(*pol) if polarized else InputSpec.unpolarized()
-    coincidence = coincidence_no_polarizers(inp, bs, phi)
+    split = split_rate(inp, bs, phi)
     # the arms on a leading axis of their own, summed side 1 first
     same_arm = same_arm_probability(inp, BOTH_ARMS[:, None, None], ana_a, ana_b, bs, psi)
     assert same_arm.shape == (2, 3, 4)
     both_arms = same_arm[0] + same_arm[1]
-    no_polarizers = same_arm_no_polarizers(inp, bs, psi)
-    assert coincidence.shape == both_arms.shape == no_polarizers.shape == (3, 4)
+    bunch = bunch_rate(inp, bs, psi)
+    assert split.shape == both_arms.shape == bunch.shape == (3, 4)
     for i, j in np.ndindex(3, 4):
         one_bs = BeamSplitterSpec(tx[i, 0], ty[i, 0], bs.rx[i, 0], bs.ry[i, 0])
         one_phi, one_psi = phi[0, j], psi[0, j]
@@ -198,9 +221,41 @@ def test_port_and_side_sums_equal_their_loops_bit_for_bit(polarized):
         ports = [(pa, pb) for pa in (0, 1) for pb in (0, 1)]
         opposite = (rows("side1", phi=one_phi), rows("side2"))
         pair = {arm: (rows(arm, psi=one_psi), rows(arm)) for arm in SIDES}
-        assert coincidence[i, j] == sum(detect(*opposite, p) for p in ports)
+        assert split[i, j] == sum(detect(*opposite, p) for p in ports)
         assert both_arms[i, j] == sum(same_arm_probability(one, arm, ana_a, ana_b, one_bs, one_psi) for arm in SIDES)
-        assert no_polarizers[i, j] == sum(sum(ONE_SIDED * detect(*pair[arm], p) for arm in SIDES) for p in ports)
+        assert bunch[i, j] == sum(sum(ONE_SIDED * detect(*pair[arm], p) for arm in SIDES) for p in ports)
+
+
+# SHA-256 of the split and bunch rates below, recorded from the analyzer-free
+# engine functions that preceded the distribution's totals
+ANALYZER_FREE_SHA256 = {
+    "polarized": "b332c1e345032d460f216f0a9729570d9cefc382f44f2e25326f482c74c3f37c",
+    "unpolarized": "4e027aede07d4d8786a11117c374bb554c7fc795c1690bcb127aa8282709b7aa",
+}
+
+
+@pytest.mark.parametrize("input_kind", ANALYZER_FREE_SHA256)
+def test_analyzer_free_totals_reproduce_the_retired_functions(input_kind):
+    # 4 000 random general splitters, fringe phases and incident angles
+    rng = np.random.default_rng(30)
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 4000))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=(2, 4000))
+    pol1, pol2 = rng.uniform(0.0, math.pi, size=(2, 4000))
+    inp = InputSpec.polarized(pol1, pol2) if input_kind == "polarized" else InputSpec.unpolarized()
+    rates = np.stack([split_rate(inp, bs, phi), bunch_rate(inp, bs, psi)])
+    assert rates.shape == (2, 4000)
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == ANALYZER_FREE_SHA256[input_kind]
+
+
+def test_in_order_adds_the_last_axis_as_a_python_sum_does():
+    # terms of very different sizes, so the order of the additions shows
+    rng = np.random.default_rng(30)
+    p = rng.uniform(0.0, 1.0, size=(3, 4, 12)) * 10.0 ** rng.integers(-17, 1, size=(3, 4, 12))
+    total = engine._in_order(p)
+    assert total.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        assert total[i, j] == sum(p[i, j].tolist())
 
 
 def test_double_trigger_broadcasts_over_an_array_of_arms():
@@ -432,13 +487,11 @@ def test_polarized_input_rejects_nonfinite_angles():
 POL = InputSpec.polarized(0.2, 0.7)
 PHASE_TAKERS = {
     "coincidence_probability": (partial(coincidence_probability, POL, 0.3, 1.1, BS), "phi"),
-    "coincidence_no_polarizers": (partial(coincidence_no_polarizers, InputSpec.unpolarized(), BS), "phi"),
     "same_arm_probability": (partial(same_arm_probability, POL, "side1", 0.3, 1.1, BS), "psi"),
     "same_arm_probability-both_arms": (
         partial(same_arm_probability, InputSpec.unpolarized(), BOTH_ARMS, 0.3, 1.1, BS),
         "psi",
     ),
-    "same_arm_no_polarizers": (partial(same_arm_no_polarizers, POL, BS), "psi"),
     "full_outcome_distribution-phi": (partial(full_outcome_distribution, POL, 0.3, 1.1, BS, psi=0.0), "phi"),
     "full_outcome_distribution-psi": (
         partial(full_outcome_distribution, InputSpec.unpolarized(), 0.3, 1.1, BS, phi=0.0),

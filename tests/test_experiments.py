@@ -250,12 +250,29 @@ def test_overlaps_run_once_per_distinct_setting(monkeypatch):
         # one analyzer's rows against the four components of unpolarized light
         "unpolarized": 12 * 4 * 4 * 4,
         "unpolarized_5050": 12 * 4 * 4,
-        # ports and sides are axes of the rows: 2 ports, then 2 ports x 2 sides
-        "no_polarizers": 12 * 4 * 2,
-        "same_arm_no_polarizers": 12 * 2 * 2,
+        # analyzer-free totals read the distribution, whose rows carry all
+        # twelve outcomes: 4 phases x 12 outcomes, then 12 outcomes
+        "no_polarizers": 12 * 4 * 12,
+        "same_arm_no_polarizers": 12 * 12,
         "unpolarized_same_arm": 12 * 4 * 2,
         "double_trigger": 2 * 12 * 12,
     }
+
+
+def test_mc_run_exact_column_is_the_no_polarizers_engine_at_analyzer_angle_zero():
+    # both are the opposite-side total of the twelve-outcome distribution
+    rng = np.random.default_rng(30)
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 40))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    pol1, pol2 = rng.uniform(0.0, math.pi, size=(2, 40))
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=(2, 40))
+    point = {"input_kind": "polarized", "pol1": pol1, "pol2": pol2, "ana1": 0.0, "ana2": 0.0, "phi": phi,
+             "psi": psi, "bs": bs}
+    mc_run = EXPERIMENTS["mc_run"]
+    exact = mc_run.formula(shared=mc_run.shared(run=RunConfig(1), **point), **point)
+    split = EXPERIMENTS["no_polarizers"].engine(pol1=pol1, pol2=pol2, phi=phi, bs=bs)
+    assert exact.shape == split.shape == (40,)
+    assert np.array_equal(exact, split)
 
 
 def test_a_comparison_pass_stays_within_its_memory_budget():
