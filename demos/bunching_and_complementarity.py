@@ -17,7 +17,6 @@ from twophoton import (
     OPPOSITE,
     BeamSplitterSpec,
     InputSpec,
-    double_trigger_probability,
     full_outcome_distribution,
     p_same_arm,
     same_arm_probability,
@@ -60,7 +59,9 @@ def main() -> None:
     print("double-trigger rate of a single detector behind an analyzer:")
     for deg in (0, 45, 90):
         theta = math.radians(deg)
-        p = double_trigger_probability(inp, "side1", theta, bs)
+        # a same-side pair whose two channels are this one detector, halved
+        # because its two clicks are one event
+        p = 0.5 * same_arm_probability(inp, "side1", theta, theta, bs, 0.0)
         print(f"  analyzer at {deg:3d} deg -> {p:.6f}")
     print()
     print("at 0 deg both pairings land in the open channel (rate 1/4); at")

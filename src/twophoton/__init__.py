@@ -29,7 +29,6 @@ from .engine import (
     OUTCOMES,
     InputSpec,
     coincidence_probability,
-    double_trigger_probability,
     full_outcome_distribution,
     same_arm_probability,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "OPPOSITE",
     "coincidence_probability",
     "same_arm_probability",
-    "double_trigger_probability",
     "full_outcome_distribution",
     "pair_path_amplitudes",
     "bunch_path_amplitudes",

@@ -282,7 +282,7 @@ def run_sweep(cfg: dict[str, Any]) -> str:
         problems.append(("sweep.param", f"{message} (allowed: {sweepable})"))
     if cfg["input"] not in entry.inputs:
         problems.append(("input", f"experiment {entry.name!r} requires input in {sorted(entry.inputs)}"))
-    if entry.only_5050 and not all(abs(cfg[key] - _SQRT_HALF) <= 1e-12 for key in ("tx", "ty")):
+    if entry.only_5050 and not all(abs(cfg[key] - _SQRT_HALF) <= comparemod.DEFAULT_TOL for key in ("tx", "ty")):
         problems.append(("tx", f"experiment {entry.name!r} has a closed form only for the 50:50 splitter"))
     if problems:
         raise ConfigError(problems)

@@ -38,13 +38,13 @@ from .engine import (
     InputSpec,
     _in_order,
     coincidence_probability,
-    double_trigger_probability,
     full_outcome_distribution,
     same_arm_probability,
 )
+from .fock import TOL
 from .montecarlo import RunConfig, sample_counts
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = TOL
 
 ANGLE_STEP = math.pi / 12.0
 ANGLES = tuple(k * ANGLE_STEP for k in range(12))  # [0, pi), step pi/12
@@ -270,8 +270,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("arm", "pol1", "pol2", "ana1", "bs"),
             POLARIZED,
             lambda arm, pol1, pol2, ana1, bs: formulas.p_double_trigger(pol1, pol2, ana1),
-            lambda arm, pol1, pol2, ana1, bs: double_trigger_probability(
-                InputSpec.polarized(pol1, pol2), arm, ana1, bs
+            # the same-side pair with both channels at one detector (one
+            # setting, one position: psi = 0), halved because its two
+            # clicks are one event
+            lambda arm, pol1, pol2, ana1, bs: (
+                0.5 * same_arm_probability(InputSpec.polarized(pol1, pol2), arm, ana1, ana1, bs, 0.0)
             ),
             only_5050=True,
             grid=[("arm", ("side1", "side2")), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],

@@ -13,15 +13,15 @@ four basis polarization products; probabilities, never amplitudes, are
 averaged.
 
 Every angle, phase and splitter amplitude, and the arm of
-`same_arm_probability` and `double_trigger_probability`, may be a numpy
-array: the arguments broadcast, and the result is an array of the
-broadcast shape (a float when every argument is scalar);
+`same_arm_probability`, may be a numpy array: the arguments broadcast, and
+the result is an array of the broadcast shape (a float when every argument
+is scalar);
 `full_outcome_distribution` adds a last axis of the twelve outcomes, whose
 labels `OUTCOMES` holds in the same order.
 
 Each function takes the one fringe phase it reads, in radians: `phi` for
-an opposite-side coincidence, `psi` for a same-side pair, both for
-`full_outcome_distribution` and none for `double_trigger_probability`.
+an opposite-side coincidence, `psi` for a same-side pair and both for
+`full_outcome_distribution`.
 
 An analyzer port is an index on a row axis, not an argument: the single
 probabilities read the parallel port (index 0), and a perpendicular port at
@@ -186,25 +186,6 @@ def same_arm_probability(
     u_a = _on_arm(analyzer_rows(theta_a, bs, psi=psi)[..., 0, :], arm)
     u_b = _on_arm(analyzer_rows(theta_b, bs)[..., 0, :], arm)
     return _result(ONE_SIDED * _detect(inp, u_a, u_b))
-
-
-def double_trigger_probability(
-    inp: InputSpec, arm: str | np.ndarray, theta: float, bs: BeamSplitterSpec
-) -> float:
-    """Probability that a single detector on `arm` behind a theta analyzer
-    registers both photons.  `arm` may be an array of labels, which
-    broadcasts like every other argument.
-
-    Both photons reach one detector, so the two pairings share one position
-    and their relative phase is identically zero.  The squared vacuum
-    amplitude of the repeated operator counts the ordered pairings twice and
-    is halved, and the same one-sided 1/2 bookkeeping as in
-    `same_arm_probability` applies.  One `analyzer_rows` call builds the
-    detector's row on side 1: the parallel port's row with no phase.  On
-    side 2 it is that row with the sides' modes swapped (`_on_arm`).
-    """
-    u = _on_arm(analyzer_rows(theta, bs)[..., 0, :], arm)
-    return _result(0.5 * ONE_SIDED * _detect(inp, u, u))
 
 
 def full_outcome_distribution(

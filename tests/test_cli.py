@@ -738,7 +738,7 @@ def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
     assert digest == PINNED_SHA256[("sweep", "mc_run", "polarized")]
 
 
-@pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids="-".join)
+@pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids=["-".join(key) for key in PINNED_SHA256])
 def test_distribution_outputs_are_pinned(command, experiment, case, capsys):
     base = OFF_LATTICE_SETS
     if comparemod.EXPERIMENTS[experiment].only_5050:

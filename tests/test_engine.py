@@ -14,7 +14,6 @@ from twophoton.engine import (
     OUTCOMES,
     InputSpec,
     coincidence_probability,
-    double_trigger_probability,
     full_outcome_distribution,
     same_arm_probability,
 )
@@ -170,19 +169,21 @@ def test_clear_window_coincidence_ignores_fringe_phase():
         assert abs(coincidence_probability(inp, 0.2, 1.1, bs, phi) - base) < TOL
 
 
+# A double trigger is a same-side pair whose two channels are one detector
+# (theta_a = theta_b, psi = 0), halved because its two clicks are one event.
 def test_double_trigger_aligned_photons_hit_one_detector_quarter_of_the_time():
-    p = double_trigger_probability(InputSpec.polarized(0.0, 0.0), "side1", 0.0, BS)
+    p = 0.5 * same_arm_probability(InputSpec.polarized(0.0, 0.0), "side1", 0.0, 0.0, BS, 0.0)
     assert abs(p - 0.25) < TOL
 
 
 def test_double_trigger_through_diagonal_analyzer():
     # Both cos^2 projections are 1/2, so the rate drops to 1/16.
-    p = double_trigger_probability(InputSpec.polarized(0.0, 0.0), "side2", math.pi / 4.0, BS)
+    p = 0.5 * same_arm_probability(InputSpec.polarized(0.0, 0.0), "side2", math.pi / 4.0, math.pi / 4.0, BS, 0.0)
     assert abs(p - 0.0625) < TOL
 
 
 def test_double_trigger_blocked_for_crossed_photon():
-    p = double_trigger_probability(InputSpec.polarized(0.0, HALF_PI), "side1", HALF_PI, BS)
+    p = 0.5 * same_arm_probability(InputSpec.polarized(0.0, HALF_PI), "side1", HALF_PI, HALF_PI, BS, 0.0)
     assert abs(p) < TOL
 
 
@@ -262,17 +263,39 @@ def test_double_trigger_broadcasts_over_an_array_of_arms():
     bs = BeamSplitterSpec.from_transmission(0.83, 0.37)
     pol1 = np.array([[0.2], [1.1]])
     arms = np.array(["side1", "side2", "side2"])
-    batch = double_trigger_probability(InputSpec.polarized(pol1, 0.7), arms, 0.4, bs)
+    batch = 0.5 * same_arm_probability(InputSpec.polarized(pol1, 0.7), arms, 0.4, 0.4, bs, 0.0)
     assert batch.shape == (2, 3)
     for (i, j), p in np.ndenumerate(batch):
         # the repeated detector row of the arm's own side, halved twice
         u = on_side(elements.analyzer_rows(0.4, bs)[0], arms[j])
         state = product_state(pol1[i, 0], 0.7)
         assert p == 0.25 * abs(vacuum_amplitude(u, u, state)) ** 2
-        assert p == double_trigger_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, bs)
+        assert p == 0.5 * same_arm_probability(InputSpec.polarized(pol1[i, 0], 0.7), arms[j], 0.4, 0.4, bs, 0.0)
     assert batch[0, 0] != batch[0, 1]  # an asymmetric splitter tells the sides apart
-    with pytest.raises(ValueError, match="^arm must be 'side1' or 'side2', got"):
-        double_trigger_probability(InputSpec.polarized(0.2, 0.7), np.array(["side1", "left"]), 0.4, bs)
+
+
+def test_double_trigger_reads_its_own_side_at_general_splitters():
+    # compare's double_trigger engine route at 4 000 seeded random general
+    # splitters, off the 50:50 grid it is checked on.  Both photons on one
+    # detector: on side 1 photon 1 is transmitted and photon 2 reflected, on
+    # side 2 the reverse, so each side has its own product of projections.
+    rng = np.random.default_rng(31)
+    pol1, pol2, theta = rng.uniform(-math.pi, math.pi, size=(3, 4000))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, 4000))
+    rx, ry = np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty)
+    bs = BeamSplitterSpec(tx, ty, rx, ry)
+    c, s = np.cos(theta), np.sin(theta)
+    c1, s1, c2, s2 = np.cos(pol1), np.sin(pol1), np.cos(pol2), np.sin(pol2)
+    forms = {
+        "side1": (tx * c * c1 + ty * s * s1) ** 2 * (rx * c * c2 + ry * s * s2) ** 2,
+        "side2": (rx * c * c1 + ry * s * s1) ** 2 * (tx * c * c2 + ty * s * s2) ** 2,
+    }
+    route = partial(compare.EXPERIMENTS["double_trigger"].engine, pol1=pol1, pol2=pol2, ana1=theta, bs=bs)
+    for side, form in forms.items():
+        assert np.max(np.abs(route(arm=side) - form)) <= 1e-15
+    # a random array of sides reads each point's own side
+    arms = np.array(SIDES)[rng.integers(0, 2, size=4000)]
+    assert np.max(np.abs(route(arm=arms) - np.where(arms == "side1", forms["side1"], forms["side2"]))) <= 1e-15
 
 
 def test_unpolarized_input_is_equal_mixture_of_axis_products():
@@ -451,13 +474,6 @@ def test_full_distribution_builds_its_rows_in_five_calls(polarized, monkeypatch)
         assert dist.tobytes() == expected.tobytes()
 
 
-def test_double_trigger_builds_only_the_row_it_uses(monkeypatch):
-    builds, analyzer_rows = [], engine.analyzer_rows
-    monkeypatch.setattr(engine, "analyzer_rows", lambda *a, **kw: builds.append(a) or analyzer_rows(*a, **kw))
-    double_trigger_probability(InputSpec.polarized(0.2, 0.7), BOTH_ARMS, 0.4, BS)
-    assert len(builds) == 1
-
-
 def test_unpolarized_coincidence_depends_only_on_analyzer_difference():
     unpol = InputSpec.unpolarized()
     for ana1, ana2, delta in RNG.uniform(0.0, math.pi, size=(8, 3)):
@@ -563,7 +579,6 @@ def test_the_sum_over_both_arms_equals_the_two_arms_added_bit_for_bit(polarized)
 
 ARM_TAKERS = {
     "same_arm_probability": lambda arm: same_arm_probability(POL, arm, 0.3, 1.1, BS, 0.4),
-    "double_trigger_probability": lambda arm: double_trigger_probability(POL, arm, 0.3, BS),
 }
 
 
@@ -579,9 +594,10 @@ def test_an_arm_that_is_not_an_arm_is_rejected(function, arm):
 
 
 def arm_outputs(side1, side2):
-    """Both arm-taking functions at 4 000 seeded random points (random
-    splitters, polarized and unpolarized input), on each side alone and on
-    a random array of sides, as the bytes of their float64 results."""
+    """The same-side pair and the double trigger (a same-side pair at one
+    detector, halved) at 4 000 seeded random points (random splitters,
+    polarized and unpolarized input), on each side alone and on a random
+    array of sides, as the bytes of their float64 results."""
     rng = np.random.default_rng(29)
     pol1, pol2, theta_a, theta_b, psi = rng.uniform(-math.pi, math.pi, size=(5, 4000))
     tx, ty = rng.uniform(0.0, 1.0, size=(2, 4000))
@@ -591,7 +607,7 @@ def arm_outputs(side1, side2):
     for inp in (InputSpec.polarized(pol1, pol2), InputSpec.unpolarized()):
         for arm in (side1, side2, arms):
             out.append(same_arm_probability(inp, arm, theta_a, theta_b, bs, psi))
-            out.append(double_trigger_probability(inp, arm, theta_a, bs))
+            out.append(0.5 * same_arm_probability(inp, arm, theta_a, theta_a, bs, 0.0))
     return np.concatenate(out).tobytes()
 
 

@@ -18,7 +18,6 @@ from twophoton.elements import BeamSplitterSpec
 from twophoton.engine import (
     InputSpec,
     coincidence_probability,
-    double_trigger_probability,
     full_outcome_distribution,
     same_arm_probability,
 )
@@ -64,12 +63,13 @@ def test_unpolarized_matches_closed_form(ana1, ana2, bs, phi):
     assert abs(eng - formulas.p_unpolarized(ana1, ana2, bs, phi)) <= TOL
 
 
+# A double trigger is a same-side pair whose two channels are one detector
+# (theta_a = theta_b, psi = 0), halved because its two clicks are one event.
 @EXAMPLES
 @given(angles, angles, angles, st.sampled_from(("side1", "side2")))
 def test_double_trigger_matches_closed_form(pol1, pol2, theta, arm):
-    eng = double_trigger_probability(
-        InputSpec.polarized(pol1, pol2), arm, theta, BeamSplitterSpec.fifty_fifty()
-    )
+    inp, bs = InputSpec.polarized(pol1, pol2), BeamSplitterSpec.fifty_fifty()
+    eng = 0.5 * same_arm_probability(inp, arm, theta, theta, bs, 0.0)
     assert is_probability(eng)
     assert abs(eng - formulas.p_double_trigger(pol1, pol2, theta)) <= TOL
 
@@ -85,8 +85,8 @@ def test_double_trigger_at_a_general_splitter_reads_its_own_side(pol1, pol2, the
     c1, s1, c2, s2 = math.cos(pol1), math.sin(pol1), math.cos(pol2), math.sin(pol2)
     side1 = (tx * c * c1 + ty * s * s1) ** 2 * (rx * c * c2 + ry * s * s2) ** 2
     side2 = (rx * c * c1 + ry * s * s1) ** 2 * (tx * c * c2 + ty * s * s2) ** 2
-    assert abs(double_trigger_probability(inp, "side1", theta, bs) - side1) <= 1e-15
-    assert abs(double_trigger_probability(inp, "side2", theta, bs) - side2) <= 1e-15
+    assert abs(0.5 * same_arm_probability(inp, "side1", theta, theta, bs, 0.0) - side1) <= 1e-15
+    assert abs(0.5 * same_arm_probability(inp, "side2", theta, theta, bs, 0.0) - side2) <= 1e-15
 
 
 @EXAMPLES
