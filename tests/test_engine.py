@@ -579,6 +579,8 @@ def test_the_sum_over_both_arms_equals_the_two_arms_added_bit_for_bit(polarized)
 
 ARM_TAKERS = {
     "same_arm_probability": lambda arm: same_arm_probability(POL, arm, 0.3, 1.1, BS, 0.4),
+    # compare's double_trigger engine route hands its arm on unchecked
+    "compare.double_trigger": lambda arm: compare.EXPERIMENTS["double_trigger"].engine(arm, 0.2, 0.7, 0.3, BS),
 }
 
 
