@@ -83,6 +83,8 @@ CASES = {
         ["--perturb", "unpolarized_5050_prefactor=nan"],
         ["unpolarized_5050_prefactor: must be a finite number, got nan"],
     ),
+    "perturb_not_a_pair": ("compare", None, ["--perturb", "bogus"], ["bogus: expected name=value"]),
+    "perturb_not_a_float": ("compare", None, ["--perturb", "x=abc"], ["x: cannot parse 'abc' as float"]),
     "sweep_steps": ("sweep", None, sets("sweep.steps=0"), ["sweep.steps: must be an integer >= 1, got 0"]),
     "sweep_stop": ("sweep", None, sets("sweep.stop=nan"), ["sweep.stop: must be a finite number, got nan"]),
     "schema_version": ("sweep", None, sets("schema_version=2"), ["schema_version: expected 1, got 2"]),
@@ -314,6 +316,8 @@ USAGE_ERRORS = {
     # a value may start with "-" only if it reads as a negative number
     "dash_value": (["sweep", "--set", "-x=1"], "twophoton sweep: error: argument --set: expected one argument"),
     "seed_not_integral": (["mc", "--seed", "1.5"], "twophoton mc: error: argument --seed: invalid int value: '1.5'"),
+    "help_with_value": (["sweep", "-h=x"], "twophoton sweep: error: argument -h/--help: ignored explicit argument 'x'"),
+    "extra_positional": (["sweep", "extra"], "twophoton: error: unrecognized arguments: extra"),
 }
 
 
