@@ -26,14 +26,14 @@ digits, and is byte-stable for a fixed configuration and seed; `_csv`
 writes every CSV, one format string per row.
 
 `_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
-config keys: each flag's attribute, value type, whether it repeats, its
-placeholder and its help; usage lines and `--help` text are generated from
-it.  `_parse` reads argv against it in one pass and accepts what argparse
-would: `--flag value` and `--flag=value`, any unique prefix of a long flag,
-a value that starts with `-` only where it reads as a negative number, and
-a flag given twice (the last value wins; `--set` and `--perturb` append in
-order).  Each `main` call builds its arguments afresh, so no `--set` list,
-seed or default carries from one call to the next.
+config keys.  `_read_pairs` reads the argv every caller writes in one pass:
+a subcommand, then exact `--flag value` pairs, no value starting with `-`.
+Any other argv (`--flag=value`, a prefix of a long flag, a negative value,
+`-h`) goes to the parser `_argparser` builds from `_COMMANDS`; only then is
+argparse imported, and it reports every usage error.  Both readers keep a
+flag's last value, append `--set` and `--perturb` in order and read
+integral float text for an int flag (`--seed 1e3` is 1000).  Each `main`
+call reads its arguments afresh, so no `--set` list or seed carries over.
 
 Exit codes: 0 success, 1 invalid configuration or command line, 2
 comparison failure, 3 file I/O failure.
@@ -44,10 +44,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 import sys
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -55,6 +54,9 @@ from . import compare as comparemod
 from .elements import BeamSplitterSpec
 from .engine import OUTCOMES
 from .montecarlo import RunConfig, consistency_z, estimate, pearson_chi2, sample_counts
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 
@@ -422,16 +424,23 @@ def cmd_mc(args: SimpleNamespace) -> int:
     return 0
 
 
+def _int(raw: str) -> int:
+    """An int flag's value, read as an int config key's: `1e3` is 1000."""
+    return _coerce_set_value(raw, 0)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 class _Flag(NamedTuple):
     """A command-line flag: the attribute it sets, its value's placeholder
-    in usage text, its help, its value's type (an `int` flag reads `1e3` as
-    1000, as an int config key does), whether it repeats (each value is
-    appended) and its value when absent."""
+    in usage text, its help, the function that reads its value, whether it
+    repeats (each value is appended) and its value when absent."""
 
     dest: str
     metavar: str
     help: str
-    type: type = str
+    type: Callable[[str], Any] = str
     repeats: bool = False
     default: Any = None
 
@@ -447,7 +456,7 @@ class _Command(NamedTuple):
 _CONFIG_FLAGS = {
     "--config": _Flag("config", "CONFIG", "JSON configuration file"),
     "--out": _Flag("out", "OUT", "output file path (default: stdout)"),
-    "--seed": _Flag("seed", "SEED", "override the configured seed", int),
+    "--seed": _Flag("seed", "SEED", "override the configured seed", _int),
     "--set": _Flag(
         "set",
         "KEY=VALUE",
@@ -455,7 +464,7 @@ _CONFIG_FLAGS = {
         repeats=True,
     ),
 }
-# Every subcommand and its flags; usage lines and --help text come from here.
+# Every subcommand and its flags; both readers of argv and --help come from here.
 _COMMANDS = {
     "sweep": _Command(cmd_sweep, "evaluate an experiment along a swept parameter", _CONFIG_FLAGS),
     "compare": _Command(
@@ -463,7 +472,7 @@ _COMMANDS = {
         "cross-check the engine against the closed forms",
         {
             "--out": _Flag("out", "OUT", "write the report as CSV to this path"),
-            "--step": _Flag("step", "STEP", "thin the four-angle grids by this stride (default 1)", int, default=1),
+            "--step": _Flag("step", "STEP", "thin the four-angle grids by this stride (default 1)", _int, default=1),
             "--perturb": _Flag(
                 "perturb",
                 "NAME=VALUE",
@@ -474,121 +483,67 @@ _COMMANDS = {
     ),
     "mc": _Command(cmd_mc, "sample a detection run and report estimates", _CONFIG_FLAGS),
 }
-_HELP = ("-h", "--help")
-# argparse's rule: a token that starts with "-" is a value only if it reads
-# as a negative number or holds a space
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: twophoton [-h] {{{','.join(_COMMANDS)}}} ..."
-    flags = "".join(f" [{name} {flag.metavar}]" for name, flag in _COMMANDS[command].flags.items())
-    return f"usage: twophoton {command} [-h]{flags}"
+def _read_pairs(argv: Sequence[str]) -> dict[str, Any] | None:
+    """The parsed arguments of `argv`, `command` among them, if it is a
+    subcommand followed by exact `--flag value` pairs of its flags, with no
+    value that starts with "-" and each value readable; None for any other
+    argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    values = {"command": argv[0]}
+    values.update((flag.dest, [] if flag.repeats else flag.default) for flag in command.flags.values())
+    for name, raw in zip(argv[1::2], argv[2::2]):
+        flag = command.flags.get(name)
+        if flag is None or raw[:1] == "-":
+            return None
+        try:
+            value = flag.type(raw)
+        except ValueError:
+            return None
+        if flag.repeats:
+            values[flag.dest].append(value)
+        else:
+            values[flag.dest] = value
+    return values
 
 
-def _help(command: str | None) -> str:
-    """The --help text of `twophoton` (command None) or of a subcommand."""
-    if command is None:
-        description, flags = "Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.", {}
-        sections = {"commands": [(name, c.help) for name, c in _COMMANDS.items()]}
-    else:
-        (_, description, flags), sections = _COMMANDS[command], {}
-    sections["options"] = [("-h, --help", "show this help message and exit")]
-    sections["options"] += [(f"{name} {flag.metavar}", flag.help) for name, flag in flags.items()]
-    width = max(len(left) for rows in sections.values() for left, _ in rows)
-    lines = [_usage(command), "", description]
-    for title, rows in sections.items():
-        lines += ["", f"{title}:", *(f"  {left:{width}}  {right}" for left, right in rows)]
-    return "\n".join(lines) + "\n"
-
-
-def _fail(command: str | None, message: str) -> NoReturn:
-    """Report a usage error as argparse does, but under the exit code of an
-    invalid configuration (1), not argparse's 2, the code of a comparison
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS`.  A usage error exits 1, the code
+    of an invalid command line, not argparse's 2, the code of a comparison
     failure."""
-    prog = "twophoton" if command is None else f"twophoton {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(1)
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
 
-def _option(token: str, names: Sequence[str], command: str | None) -> tuple[str | None, str | None] | None:
-    """How argparse reads `token` against the flag `names` of `command`:
-    None for a value or a positional; otherwise the flag it names (None for
-    an unknown one) and the value it carries after "=" (None if it carries
-    none).  A long flag may be any unique prefix of its name."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    name, sep, value = token.partition("=")
-    if sep and name in names:
-        return name, value
-    if len(name) > 2 and name.startswith("--"):
-        matches = [full for full in names if full.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if sep else None
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
+    parser = Parser("twophoton", description="Two-photon splitter interference: sweeps, cross-checks, Monte Carlo.")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help, description=command.help)
+        for option, flag in command.flags.items():
+            sub.add_argument(
+                option,
+                dest=flag.dest,
+                metavar=flag.metavar,
+                help=flag.help,
+                type=flag.type,
+                action="append" if flag.repeats else "store",
+                default=[] if flag.repeats else flag.default,
+            )
+    return parser
 
 
 def _parse(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
-    """Read `argv` against `_COMMANDS` in one pass: the first positional
-    names the subcommand, and the flags after it set its arguments.
-    Unknown flags and extra positionals are collected and reported last,
-    under the top-level usage, as argparse reports them."""
-    command: str | None = None
-    flags: dict[str, _Flag] = {}
-    names: tuple[str, ...] = _HELP
-    values: dict[str, Any] = {}
-    extras: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        option = _option(token, names, command)
-        if option is None:
-            if command is not None:
-                extras.append(token)
-            elif token in _COMMANDS:
-                command, flags = token, _COMMANDS[token].flags
-                names = (*_HELP, *flags)
-                values = {flag.dest: [] if flag.repeats else flag.default for flag in flags.values()}
-            else:
-                choices = ", ".join(map(repr, _COMMANDS))
-                _fail(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
-            continue
-        name, raw = option
-        if name is None:
-            extras.append(token)
-        elif name in _HELP:
-            if raw is not None:
-                _fail(command, f"argument -h/--help: ignored explicit argument {raw!r}")
-            sys.stdout.write(_help(command))
-            raise SystemExit(0)
-        else:
-            if raw is None:
-                if i == len(argv) or _option(argv[i], names, command) is not None:
-                    _fail(command, f"argument {name}: expected one argument")
-                raw = argv[i]
-                i += 1
-            flag = flags[name]
-            try:
-                value = _coerce_set_value(raw, flag.type())
-            except ValueError:
-                _fail(command, f"argument {name}: invalid {flag.type.__name__} value: {raw!r}")
-            if flag.repeats:
-                values[flag.dest].append(value)
-            else:
-                values[flag.dest] = value
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return _COMMANDS[command], SimpleNamespace(**values)
+    """The subcommand of `argv` and its arguments, each absent flag at its
+    default; argparse reads only the argv that `_read_pairs` declines."""
+    values = _read_pairs(argv) or vars(_argparser().parse_args(argv))
+    return _COMMANDS[values.pop("command")], SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -381,3 +381,51 @@ def test_accepted_command_line_forms(name, tmp_path, capsys):
     given, same, other = outputs
     assert given == same
     assert given != other
+
+
+# the given form of these rows is not exact `--flag value` pairs
+NOT_PAIRS = ("flag_equals_value", "set_equals_pair", "unique_prefix")
+# argv of exact pairs: every other row of ACCEPTED_FORMS, and argv shaped
+# as the benchmark's sweep, compare and mc ops
+PAIRS = {
+    **{
+        f"{name}_{i}": argv
+        for name, rows in ACCEPTED_FORMS.items()
+        for i, argv in enumerate(rows)
+        if i or name not in NOT_PAIRS
+    },
+    "sweep_op": [
+        "sweep",
+        "--seed",
+        "123",
+        *sets(
+            "experiment=same_arm",
+            "input=polarized",
+            "theta1p_deg=12.25",
+            "theta2p_deg=-33.5",
+            "tx=0.83",
+            "ty=0.37",
+            "arm=side1",
+            "sweep.param=psi_deg",
+        ),
+    ],
+    "compare_op": ["compare", "--step", "1"],
+    "negative_control_op": ["compare", "--step", "4096", "--perturb", "unpolarized_5050_prefactor=0.13"],
+    "mc_op": ["mc", "--seed", "1e3", *sets("experiment=mc_run", "input=unpolarized", "efficiency=0.9")],
+}
+# argv that argparse reads: the given form of NOT_PAIRS and every usage error
+DECLINED = {
+    **{name: ACCEPTED_FORMS[name][0] for name in NOT_PAIRS},
+    **{name: argv for name, (argv, _) in USAGE_ERRORS.items()},
+}
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_the_pair_reader_reads_exact_pairs_as_argparse_does(name):
+    argv = PAIRS[name]
+    assert cli._read_pairs(argv) == vars(cli._argparser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", DECLINED)
+def test_the_pair_reader_leaves_every_other_argv_to_argparse(name):
+    assert cli._read_pairs(DECLINED[name]) is None
