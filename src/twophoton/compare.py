@@ -158,17 +158,12 @@ def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
     return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
 
 
-# Both arms, side 1 first, for a sum over the sides on an axis of its own.
-_BOTH_ARMS = np.array(("side1", "side2"))
-
-
 def _unpolarized_same_arm(ana1, ana2, bs) -> np.ndarray:
     """Same-side pair probability of unpolarized light, summed over both
-    sides, side 1 first.  The sides are a leading axis of one evaluation,
-    ahead of every axis of the angles and the splitter."""
-    ndim = np.broadcast(ana1, ana2, bs.tx, bs.ty, bs.rx, bs.ry).ndim
-    p = same_arm_probability(InputSpec.unpolarized(), _BOTH_ARMS.reshape(2, *(1,) * ndim), ana1, ana2, bs, 0.0)
-    return p[0] + p[1]
+    sides, side 1 first."""
+    unpol = InputSpec.unpolarized()
+    side1 = same_arm_probability(unpol, "side1", ana1, ana2, bs, 0.0)
+    return side1 + same_arm_probability(unpol, "side2", ana1, ana2, bs, 0.0)
 
 
 def _unpolarized_coincidence(ana1, ana2, phi, bs) -> float:

@@ -254,7 +254,7 @@ def test_overlaps_run_once_per_distinct_setting(monkeypatch):
         # twelve outcomes: 4 phases x 12 outcomes, then 12 outcomes
         "no_polarizers": 12 * 4 * 12,
         "same_arm_no_polarizers": 12 * 12,
-        "unpolarized_same_arm": 12 * 4 * 2,
+        "unpolarized_same_arm": 12 * 4,
         "double_trigger": 2 * 12 * 12,
     }
 
