@@ -18,9 +18,10 @@ can be overridden on the command line with repeated `--set key=value`
 default, its rule and, for an angle, the library parameter it sets.  Angles
 cross this boundary in degrees and are converted to radians internally.
 `parse_config` checks each key against its own rule only.  The sweepable
-parameters, accepted inputs and domain (50:50 splitter; cos(phi) = cos(psi)
-at every swept point) of each experiment come from its table entry, and
-`run_sweep` checks them, as only a sweep evaluates the experiment.  CSV
+parameters, accepted inputs and domain (the 50:50 splitter or psi = 0 where
+the closed form holds them fixed; cos(phi) = cos(psi) at every swept point)
+of each experiment come from its table entry, and `run_sweep` checks them,
+as only a sweep evaluates the experiment.  CSV
 output uses a comma delimiter, `.` decimal separator, and 15 significant
 digits, and is byte-stable for a fixed configuration and seed; `_csv`
 writes every CSV, one format string per row.
@@ -271,10 +272,16 @@ def _check_phases(phi_deg: float, psi_deg: float) -> None:
         raise ConfigError([("phi_deg/psi_deg", message)])
 
 
+# The config keys of each parameter a closed form may hold fixed (at their
+# defaults), and where it holds it.
+_HELD = {"bs": (("tx", "ty"), "for the 50:50 splitter"), "psi": (("psi_deg",), "at psi_deg = 0")}
+
+
 def run_sweep(cfg: dict[str, Any]) -> str:
     """Evaluate the configured sweep and return its CSV text.  `cfg` has
     passed `parse_config`; it is first checked against its experiment's
-    table entry: the swept key, the input and the splitter."""
+    table entry: the swept key, the input and the parameters its closed
+    form holds fixed."""
     entry = comparemod.EXPERIMENTS[cfg["experiment"]]
     param = cfg["sweep"]["param"]
     problems = []
@@ -284,8 +291,10 @@ def run_sweep(cfg: dict[str, Any]) -> str:
         problems.append(("sweep.param", f"{message} (allowed: {sweepable})"))
     if cfg["input"] not in entry.inputs:
         problems.append(("input", f"experiment {entry.name!r} requires input in {sorted(entry.inputs)}"))
-    if entry.only_5050 and not all(abs(cfg[key] - _SQRT_HALF) <= comparemod.DEFAULT_TOL for key in ("tx", "ty")):
-        problems.append(("tx", f"experiment {entry.name!r} has a closed form only for the 50:50 splitter"))
+    for name in entry.held:
+        keys, where = _HELD[name]
+        if any(abs(cfg[key] - KEYS[key].default) > comparemod.DEFAULT_TOL for key in keys):
+            problems.append((keys[0], f"experiment {entry.name!r} has a closed form only {where}"))
     if problems:
         raise ConfigError(problems)
     values = _sweep_values(cfg["sweep"])

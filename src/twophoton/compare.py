@@ -80,9 +80,10 @@ class Experiment:
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
     callables take them as keywords and broadcast over numpy arrays.
-    `columns` names the two values in a sweep's CSV.  Domain: `only_5050`
-    entries hold for the 50:50 splitter only, and an entry that takes both
-    fringe phases (`matched_phases`, derived from `params`) only where
+    `columns` names the two values in a sweep's CSV.  Domain: `held` names
+    the parameters the closed form holds fixed, `bs` at the 50:50 splitter
+    and `psi` at 0, and an entry that takes both fringe phases
+    (`matched_phases`, derived from `params`) holds only where
     cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid (see
     `_check`); an entry without a grid is not compared.  `shared`, when set,
     is a step that both routes read: `evaluate` calls it once with the
@@ -95,7 +96,7 @@ class Experiment:
     inputs: tuple[str, ...]
     formula: Callable[..., Any]
     engine: Callable[..., Any] | None
-    only_5050: bool = False
+    held: tuple[str, ...] = ()
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
     cycle: Params = ()
@@ -178,8 +179,8 @@ def _opposite_estimate(shared: np.ndarray, run: RunConfig, **_) -> np.ndarray:
     return (counts[..., OPPOSITE].sum(-1) / (run.n_pairs * run.efficiency**2))[()]
 
 
-# 50:50-only entries take the splitter so that a sweep runs the engine on the
-# configured amplitudes; `compare` gives them this one.
+# Entries that hold the splitter at 50:50 still take it, so that a sweep runs
+# the engine on the configured amplitudes; `compare` gives them this one.
 FIFTY_FIFTY = ("bs", (BeamSplitterSpec.fifty_fifty(),))
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -223,7 +224,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 ana1, ana2, phi, **perturbed
             ),
             _unpolarized_coincidence,
-            only_5050=True,
+            held=("bs",),
             grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
         ),
         Experiment(
@@ -236,7 +237,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda pol1, pol2, phi, bs: _opposite_total(
                 full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, phi, 0.0)
             ),
-            only_5050=True,
+            held=("bs",),
             grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
         ),
         Experiment(
@@ -248,7 +249,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda pol1, pol2, bs: _same_side_total(
                 full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, 0.0, 0.0)
             ),
-            only_5050=True,
+            held=("bs", "psi"),
             grid=[("pol1", ANGLES), ("pol2", ANGLES), FIFTY_FIFTY],
         ),
         Experiment(
@@ -257,7 +258,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             UNPOLARIZED,
             lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
             _unpolarized_same_arm,
-            only_5050=True,
+            held=("bs", "psi"),
             grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
         ),
         Experiment(
@@ -271,11 +272,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda arm, pol1, pol2, ana1, bs: (
                 0.5 * same_arm_probability(InputSpec.polarized(pol1, pol2), arm, ana1, ana1, bs, 0.0)
             ),
-            only_5050=True,
+            held=("bs",),
             grid=[("arm", ("side1", "side2")), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
         ),
-        # benchmark rate only; there is no quantum-engine counterpart
-        Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None),
+        # benchmark rate only, for the 50:50 splitter; there is no quantum-engine counterpart
+        Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None, held=("bs",)),
         # the closed form is the expected total of the exclusive partition
         Experiment(
             "full_distribution",

@@ -642,9 +642,10 @@ def test_run_sweep_single_step_uses_start_value():
 # != 0 (and once at phi = -psi).  The distribution digests were recorded
 # while the distribution was still evaluated one point at a time, so any
 # change to its rounding, or to the counts drawn from it, shows here; every
-# other experiment's sweep is pinned as well.  An experiment with a closed
-# form for the 50:50 splitter only keeps the default splitter.  (`mc`
-# ignores the experiment; `mc_run` only makes theta1_deg sweepable.)
+# other experiment's sweep is pinned as well.  An experiment whose closed
+# form holds the splitter or psi fixed leaves them at their defaults (50:50,
+# psi = 0).  (`mc` ignores the experiment; `mc_run` only makes theta1_deg
+# sweepable.)
 OFF_LATTICE_SETS = [
     "theta1p_deg=17.3",
     "theta2p_deg=71.9",
@@ -740,10 +741,9 @@ def test_an_mc_run_sweep_builds_one_distribution(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command, experiment, case", PINNED_SHA256, ids=["-".join(key) for key in PINNED_SHA256])
 def test_distribution_outputs_are_pinned(command, experiment, case, capsys):
-    base = OFF_LATTICE_SETS
-    if comparemod.EXPERIMENTS[experiment].only_5050:
-        base = [s for s in base if not s.startswith(("tx=", "ty="))]
-    sets = [*base, *INPUT_CASES[case], f"experiment={experiment}"]
+    held = tuple(f"{key}=" for name in comparemod.EXPERIMENTS[experiment].held for key in cli._HELD[name][0])
+    sets = [s for s in (*OFF_LATTICE_SETS, *INPUT_CASES[case]) if not s.startswith(held)]
+    sets.append(f"experiment={experiment}")
     assert main([command, *(a for s in sets for a in ("--set", s))]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command, experiment, case]

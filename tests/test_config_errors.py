@@ -169,6 +169,35 @@ CASES = {
         sets("experiment=no_polarizers", "tx=0.9", "ty=0.6"),
         ["tx: experiment 'no_polarizers' has a closed form only for the 50:50 splitter"],
     ),
+    # p_classical assumes the 50:50 splitter
+    "classical_fifty_fifty": (
+        "sweep",
+        None,
+        sets("experiment=classical", "tx=0.9", "ty=0.2", "sweep.steps=3"),
+        ["tx: experiment 'classical' has a closed form only for the 50:50 splitter"],
+    ),
+    # the two same-side totals without a fringe phase hold at psi = 0 only
+    "psi_zero": (
+        "sweep",
+        None,
+        sets("experiment=same_arm_no_polarizers", "psi_deg=90", "sweep.param=theta1p_deg"),
+        ["psi_deg: experiment 'same_arm_no_polarizers' has a closed form only at psi_deg = 0"],
+    ),
+    "psi_zero_and_fifty_fifty": (
+        "sweep",
+        None,
+        sets(
+            "experiment=unpolarized_same_arm",
+            "input=unpolarized",
+            "tx=0.9",
+            "psi_deg=-30",
+            "sweep.param=theta1_deg",
+        ),
+        [
+            "tx: experiment 'unpolarized_same_arm' has a closed form only for the 50:50 splitter",
+            "psi_deg: experiment 'unpolarized_same_arm' has a closed form only at psi_deg = 0",
+        ],
+    ),
     # a file with several problems stops before its --set overrides apply;
     # each key's own problem comes in config key order, and a key problem
     # stops the run before the sweep checks the experiment

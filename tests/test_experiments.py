@@ -56,7 +56,7 @@ def test_engine_matches_closed_form_inside_the_domain(entry, data):
         elif name in ("phi", "psi"):
             point[name] = data.draw(phases, label=name)
         elif name == "bs":
-            fixed = BeamSplitterSpec.fifty_fifty() if entry.only_5050 else None
+            fixed = BeamSplitterSpec.fifty_fifty() if "bs" in entry.held else None
             point[name] = fixed or data.draw(splitters, label=name)
         elif name == "arm":
             point[name] = data.draw(st.sampled_from(("side1", "side2")), label=name)
@@ -79,8 +79,10 @@ def off_lattice_config(name: str) -> dict:
     entry = EXPERIMENTS[name]
     cfg = {key: rng.uniform(0.0, 180.0) for key in LIBRARY_NAMES}
     cfg.update(experiment=name, input=entry.inputs[-1], n_pairs=3000, efficiency=0.9, arm="side1")
-    if not entry.only_5050:
+    if "bs" not in entry.held:
         cfg.update(tx=rng.uniform(0.05, 0.95), ty=rng.uniform(0.05, 0.95))
+    if "psi" in entry.held:
+        del cfg["psi_deg"]  # left at its default, 0
     if entry.matched_phases:
         cfg["psi_deg"] = cfg["phi_deg"]
         param = "theta1_deg"

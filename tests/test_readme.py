@@ -68,7 +68,8 @@ def test_experiment_table_row_matches_its_entry(name):
     else:
         assert [f"{angle}_deg" for angle in sweepable.split(", ")] == angles
     assert INPUT_WORDS[inputs] == entry.inputs
-    assert ("50:50 splitter only" in notes) == entry.only_5050
+    assert ("50:50 splitter only" in notes) == ("bs" in entry.held)
+    assert ("ψ = 0" in notes) == ("psi" in entry.held)
     assert ("cos φ = cos ψ" in notes) == entry.matched_phases
     assert ("engine cells empty" in notes) == (entry.engine is None)
     assert ("`arm` picks the side" in notes) == ("arm" in entry.params)

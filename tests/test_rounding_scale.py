@@ -101,7 +101,7 @@ def test_random_points_agree_to_the_rounding_scale(name, monkeypatch):
     for arm in arms:
         columns = {}
         for param in entry.params:
-            if param == "bs" and entry.only_5050:
+            if param == "bs" and "bs" in entry.held:
                 columns[param] = BeamSplitterSpec.fifty_fifty()
             elif param == "bs":
                 tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
