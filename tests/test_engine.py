@@ -379,6 +379,45 @@ def test_full_distribution_total_deviation_law_for_unequal_phases():
             assert abs(dist.sum() - expected) < TOL
 
 
+def closed_form_outcomes(pol1, pol2, theta1, theta2, bs, phi, psi):
+    """The twelve outcome probabilities of a polarized pair from the closed
+    forms, on a last axis in `OUTCOMES` order: an opposite-side entry is
+    `p_coincidence` at its two ports, side 2's same-side entry `p_same_arm`
+    at its two channels' ports and side 1's its mirror image."""
+    ports = [(a * HALF_PI, b * HALF_PI) for a in (0, 1) for b in (0, 1)]
+    return np.stack(
+        [
+            *(formulas.p_coincidence(pol1, pol2, theta1 + a, theta2 + b, bs, phi) for a, b in ports),
+            *(formulas.p_same_arm(pol2, pol1, theta1 + b, theta1 + a, bs, psi) for a, b in ports),
+            *(formulas.p_same_arm(pol1, pol2, theta2 + a, theta2 + b, bs, psi) for a, b in ports),
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("polarized", [True, False], ids=["polarized", "unpolarized"])
+def test_every_distribution_entry_matches_its_closed_form(polarized):
+    # entry by entry, at random general splitters and independent fringe
+    # phases: a swap of the two sides' same-side rows passes every compare
+    # family, whose totals add the sides or hold the splitter at 50:50
+    rng = np.random.default_rng(16)
+    n = 2000
+    pol1, pol2, theta1, theta2 = rng.uniform(-math.pi, math.pi, size=(4, n))
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    if polarized:
+        inp = InputSpec.polarized(pol1, pol2)
+        expected = closed_form_outcomes(pol1, pol2, theta1, theta2, bs, phi, psi)
+    else:  # the equal-weight average of the four basis products
+        inp = InputSpec.unpolarized()
+        basis = [(p1, p2) for p1 in (0.0, HALF_PI) for p2 in (0.0, HALF_PI)]
+        expected = sum(closed_form_outcomes(p1, p2, theta1, theta2, bs, phi, psi) for p1, p2 in basis) / 4.0
+    dist = full_outcome_distribution(inp, theta1, theta2, bs, phi, psi)
+    assert dist.shape == expected.shape == (n, len(OUTCOMES))
+    assert np.abs(dist - expected).max() <= compare.DEFAULT_TOL
+
+
 def test_unpolarized_opposite_subtotal_is_one_quarter_at_zero_phase():
     for ana1, ana2 in RNG.uniform(0.0, math.pi, size=(6, 2)):
         dist = full_outcome_distribution(
