@@ -21,10 +21,10 @@ cross this boundary in degrees and are converted to radians internally.
 parameters, accepted inputs and domain (the 50:50 splitter or psi = 0 where
 the closed form holds them fixed; cos(phi) = cos(psi) at every swept point)
 of each experiment come from its table entry, and `run_sweep` checks them,
-as only a sweep evaluates the experiment.  CSV
-output uses a comma delimiter, `.` decimal separator, and 15 significant
-digits, and is byte-stable for a fixed configuration and seed; `_csv`
-writes every CSV, one format string per row.
+as only a sweep evaluates the experiment.  CSV output uses a comma
+delimiter, `.` decimal separator, and 15 significant digits, and is
+byte-stable for a fixed configuration and seed; `_csv` writes every CSV,
+one format string per row.
 
 `_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
 config keys.  `_read_pairs` reads the argv every caller writes in one pass:
