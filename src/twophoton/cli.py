@@ -23,8 +23,8 @@ the closed form holds them fixed; cos(phi) = cos(psi) at every swept point)
 of each experiment come from its table entry, and `run_sweep` checks them,
 as only a sweep evaluates the experiment.  CSV output uses a comma
 delimiter, `.` decimal separator, and 15 significant digits, and is
-byte-stable for a fixed configuration and seed; `_csv` writes every CSV,
-one format string per row.
+byte-stable for a fixed configuration and seed.  `_csv` writes every CSV
+from its columns, each of one cell type, with one row format per table.
 
 `_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
 config keys.  `_read_pairs` reads the argv every caller writes in one pass:
@@ -221,7 +221,6 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-@functools.cache
 def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
     """The formatter of a CSV row whose cells have `types`: a float cell
     with 15 significant digits, a None cell as an empty field, any other
@@ -233,11 +232,12 @@ def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
     return ",".join(fields).format
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(_row_format(tuple(map(type, row)))(*row))
-    return "\n".join(lines) + "\n"
+def _csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
+    """The CSV text of a table given as columns of equal length, each
+    holding one cell type: the first cell of each column sets the format of
+    every row, built once per table."""
+    fmt = _row_format(tuple(type(column[0]) for column in columns if len(column)))
+    return "\n".join([",".join(header), *map(fmt, *columns)]) + "\n"
 
 
 def _sweep_values(sweep: dict[str, Any]) -> list[float]:
@@ -308,11 +308,13 @@ def run_sweep(cfg: dict[str, Any]) -> str:
     fixed = {name: args[name] for name in entry.params if name != swept}
     radians = np.array([math.radians(v) for v in values])
     ana, eng = comparemod.evaluate(entry, entry.formula, fixed, {swept: radians})
+    ana_cells = ana.tolist()
     if eng is None:
-        rows = [(v, a, None, None) for v, a in zip(values, ana.tolist())]
+        eng_cells = dev_cells = [None] * len(values)
     else:
-        rows = [(v, a, e, abs(a - e)) for v, a, e in zip(values, ana.tolist(), eng.tolist())]
-    return _csv([param, *entry.columns, "abs_deviation"], rows)
+        eng_cells = eng.tolist()
+        dev_cells = [abs(a - e) for a, e in zip(ana_cells, eng_cells)]
+    return _csv([param, *entry.columns, "abs_deviation"], [values, ana_cells, eng_cells, dev_cells])
 
 
 def _load_config(args: SimpleNamespace) -> dict[str, Any]:
@@ -388,34 +390,31 @@ def cmd_compare(args: SimpleNamespace) -> int:
         raise ConfigError([("step" if args.step < 1 else "perturb", str(exc))]) from None
     tol = comparemod.DEFAULT_TOL
     header = ["check", "n_points", "max_abs_deviation", "mean_abs_deviation", "status"]
-    rows = []
-    all_ok = True
+    statuses = []
     for r in results:
         ok = r.passed(tol)
-        all_ok &= ok
-        rows.append((r.name, r.n_points, r.max_dev, r.mean_dev, "pass" if ok else "FAIL"))
+        statuses.append("pass" if ok else "FAIL")
         print(
             f"{r.name:24s} n={r.n_points:6d}  max|dev|={r.max_dev:.3e}  "
             f"mean|dev|={r.mean_dev:.3e}  {'pass' if ok else 'FAIL'}"
         )
         if not ok:
             print(f"    worst point: {_point_text(r.worst_point)}")
+    all_ok = "FAIL" not in statuses
     print(f"tolerance {tol:g}: {'all checks passed' if all_ok else 'DISAGREEMENT FOUND'}")
     if args.out is not None:
-        _write_out(_csv(header, rows), args.out)
+        names, n_points = [r.name for r in results], [r.n_points for r in results]
+        max_devs, mean_devs = [r.max_dev for r in results], [r.mean_dev for r in results]
+        _write_out(_csv(header, [names, n_points, max_devs, mean_devs, statuses]), args.out)
     return 0 if all_ok else 2
 
 
 def _mc_report(counts: np.ndarray, probs: np.ndarray, run: RunConfig) -> str:
     probability, stderr = estimate(counts, run)
     header = ["outcome", "count", "estimate", "stderr", "exact", "z"]
-    rows = [
-        (label, count, p, se, exact, consistency_z(p, exact, run))
-        for label, count, p, se, exact in zip(
-            OUTCOMES, counts.tolist(), probability.tolist(), stderr.tolist(), probs.tolist()
-        )
-    ]
-    return _csv(header, rows)
+    estimates, exact = probability.tolist(), probs.tolist()
+    z = [consistency_z(p, q, run) for p, q in zip(estimates, exact)]
+    return _csv(header, [OUTCOMES, counts.tolist(), estimates, stderr.tolist(), exact, z])
 
 
 def cmd_mc(args: SimpleNamespace) -> int:

@@ -604,30 +604,50 @@ def _csv_cell_by_cell(header, rows):
 
 
 def test_row_formatter_matches_the_cell_by_cell_rule():
-    floats = [-0.0, 0.0, 1e-300, 5e-324, 1e16, 1.0 / 3.0, -2.5, math.inf, -math.inf, math.nan]
-    rows = [
+    floats = [-0.0, 0.0, 1e-300, 5e-324, 1e16, 1.0 / 3.0, -2.5, math.inf, -math.inf, math.nan, np.float64(0.1)]
+    n = len(floats)
+    columns = [
         floats,
-        [1.0 / 7.0, 3, "pass", None],
-        [-0.0, -12, "{0}", None],  # the same cell types again, and braces in a string
-        [None, None],
-        [],
-        [7, 2**70, True, "side1[par]+side2[perp]", 1e16, None, 5e-324],
-        (np.float64(0.1), np.int64(-3), np.float64(math.nan), "FAIL"),
-        [4.0],
+        [7, 2**70, np.int64(-3)] * 3 + [0, -1],
+        [True, False] * 5 + [True],
+        ["pass", "{0}", "x{{y}}", "side1[par]+side2[perp]", "FAIL", "{}", "", "{:.15g}", "}", "{", "side2[par]"],
+        [None] * n,
+        floats[::-1],
     ]
-    header = ["a", "b", "c"]
-    assert _csv(header, rows) == _csv_cell_by_cell(header, rows)
-    assert _csv(header, []) == "a,b,c\n"
+    assert all(len(column) == n for column in columns)
+    rows = list(zip(*columns))
+    header = ["a", "b", "c", "d", "e", "f"]
+    assert _csv(header, columns) == _csv_cell_by_cell(header, rows)
     # a header is text even where it looks like a format field
-    braces = ["{0}", "{}", "x{{y}}", "{:.15g}"]
-    assert _csv(braces, rows) == _csv_cell_by_cell(braces, rows)
-    # a sweep-sized block of rows of one layout
+    braces = ["{0}", "{}", "x{{y}}", "{:.15g}", "{", "}"]
+    assert _csv(braces, columns) == _csv_cell_by_cell(braces, rows)
+    # a table with zero rows is its header
+    assert _csv(header, [[] for _ in header]) == "a,b,c,d,e,f\n" == _csv_cell_by_cell(header, [])
+    # the two sweep layouts, 73 rows each
     values = np.linspace(-1.0, 1.0, 73).tolist()
     for block in (
-        [(v, v / 3.0, v * 1e300, abs(v - 0.5)) for v in values],
-        [(v, 3.0 + v, None, None) for v in values],
+        [values, [v / 3.0 for v in values], [v * 1e300 for v in values], [abs(v - 0.5) for v in values]],
+        [values, [3.0 + v for v in values], [None] * 73, [None] * 73],
     ):
-        assert _csv(braces, block) == _csv_cell_by_cell(braces, block)
+        assert _csv(braces[:4], block) == _csv_cell_by_cell(braces[:4], list(zip(*block)))
+
+
+def test_each_table_builds_one_row_format(tmp_path, monkeypatch, capsys):
+    calls = []
+    row_format = cli._row_format
+
+    def counting(types):
+        calls.append(types)
+        return row_format(types)
+
+    monkeypatch.setattr(cli, "_row_format", counting)
+    assert main(["sweep", "--set", "sweep.steps=73"]) == 0
+    assert capsys.readouterr().out.count("\n") == 74
+    assert len(calls) == 1
+    assert main(["mc", "--set", "n_pairs=1000"]) == 0
+    assert len(calls) == 2
+    assert main(["compare", "--step", "4096", "--out", str(tmp_path / "report.csv")]) == 0
+    assert len(calls) == 3
 
 
 def test_run_sweep_single_step_uses_start_value():

@@ -103,7 +103,7 @@ def test_sweep_csv_equals_its_scalar_rows(name):
         args = _library_args({**cfg, param: value})
         ana, eng = values_at(entry, {k: args[k] for k in entry.params})
         rows.append((value, ana, eng, None if eng is None else abs(ana - eng)))
-    assert run_sweep(cfg) == _csv([param, *entry.columns, "abs_deviation"], rows)
+    assert run_sweep(cfg) == _csv([param, *entry.columns, "abs_deviation"], list(zip(*rows)))
 
 
 def flat_reference(entry, formula, step=1):
