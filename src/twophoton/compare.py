@@ -7,23 +7,22 @@ and `run_comparison` checks every entry that has a grid; both go through
 arrays.
 
 The default grid steps every angle by pi/12 over a half turn (all
-probabilities are pi-periodic in every angle), crosses the fringe phases
-{0, pi/2, pi, 2pi/3} and four splitters (50:50, an asymmetric one, a clear
-window, a perfect mirror), and interleaves the phase/splitter combinations
-through the four-angle grids: the j-th point kept takes combination j % 16.
-A comparison fails if any |engine - closed form| exceeds the tolerance
-(1e-12 unless overridden).  Both routes take a family's points as an open
-mesh of broadcast axes (see `_check`), in one call each per family, so
-trigonometry and detector rows run once per distinct setting, each
-photon's row once per incident angle and the overlaps once per (detector
-row, photon row) pair; only the permanent and the closed-form arithmetic
-run once per point.  A result names its worst point and its wall time.
+probabilities are pi-periodic in every angle), by pi/6 in the two families
+that take all four angles, and crosses the fringe phases {0, pi/2, pi,
+2pi/3} and four splitters (50:50, an asymmetric one, a clear window, a
+perfect mirror).  A comparison fails if any |engine - closed form| exceeds
+the tolerance (1e-12 unless overridden).  Both routes take a family's
+points as an open mesh of broadcast axes (see `_check`), in one call each
+per family, so trigonometry and detector rows run once per distinct
+setting, each photon's row once per incident angle and the overlaps once
+per (detector row, photon row) pair; only the permanent and the
+closed-form arithmetic run once per point.  A result names its worst point
+and its wall time.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -84,11 +83,10 @@ class Experiment:
     the parameters the closed form holds fixed, `bs` at the 50:50 splitter
     and `psi` at 0, and an entry that takes both fringe phases
     (`matched_phases`, derived from `params`) holds only where
-    cos(phi) = cos(psi).  `grid` and `cycle` are the `compare` grid (see
-    `_check`); an entry without a grid is not compared.  `shared`, when set,
-    is a step that both routes read: `evaluate` calls it once with the
-    parameters and hands its result to both callables as the keyword
-    `shared`.
+    cos(phi) = cos(psi).  `grid` is the `compare` grid (see `_check`); an
+    entry without a grid is not compared.  `shared`, when set, is a step
+    that both routes read: `evaluate` calls it once with the parameters and
+    hands its result to both callables as the keyword `shared`.
     """
 
     name: str
@@ -99,7 +97,6 @@ class Experiment:
     held: tuple[str, ...] = ()
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
-    cycle: Params = ()
     shared: Callable[..., Any] | None = None
 
     @property
@@ -154,6 +151,8 @@ def _unit_total(input_kind, bs, **angles) -> np.ndarray:
 
 
 def _same_arm_formula(arm, pol1, pol2, ana1, ana2, bs, psi) -> float:
+    if not isinstance(arm, str) or arm not in ("side1", "side2"):
+        raise ValueError(f"arm must be 'side1' or 'side2', got {arm!r}")
     if arm == "side1":  # mirror image of the side-2 form
         return formulas.p_same_arm(pol2, pol1, ana2, ana1, bs, psi)
     return formulas.p_same_arm(pol1, pol2, ana1, ana2, bs, psi)
@@ -194,8 +193,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda pol1, pol2, ana1, ana2, phi, bs: coincidence_probability(
                 InputSpec.polarized(pol1, pol2), ana1, ana2, bs, phi
             ),
-            grid=[(n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2")],
-            cycle=[("phi", PHASES), ("bs", standard_splitters())],
+            grid=[
+                ("phi", PHASES),
+                ("bs", standard_splitters()),
+                *((n, ANGLES[::2]) for n in ("pol1", "pol2", "ana1", "ana2")),
+            ],
         ),
         Experiment(
             "same_arm",
@@ -205,8 +207,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda arm, pol1, pol2, ana1, ana2, psi, bs: same_arm_probability(
                 InputSpec.polarized(pol1, pol2), arm, ana1, ana2, bs, psi
             ),
-            grid=[("arm", ("side2",)), *((n, ANGLES) for n in ("pol1", "pol2", "ana1", "ana2"))],
-            cycle=[("psi", PHASES), ("bs", standard_splitters())],
+            grid=[
+                ("arm", ("side2",)),
+                ("psi", PHASES),
+                ("bs", standard_splitters()),
+                *((n, ANGLES[::2]) for n in ("pol1", "pol2", "ana1", "ana2")),
+            ],
         ),
         Experiment(
             "unpolarized",
@@ -356,46 +362,29 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     """Compare the engine of `entry` with `formula` over the entry's grid.
 
     `grid` parameters are crossed in order and every `step`-th point is
-    kept; the j-th kept point takes the (j % n)-th of the n combinations of
-    the `cycle` parameters (crossed in order).  A grid parameter with one
-    value is passed as it is.
-
-    Both routes see the kept points as an open mesh: every leading grid
-    axis is an axis of its own, and a last axis of rows carries the other
-    grid axes and the cycle.  At step 1 the rows are the fewest trailing
-    grid axes whose size n divides, so a row's combination is the same
-    under every leading index; at a larger step the kept points do not
-    factor, there is no leading axis, and every kept point is a row.  The
-    whole mesh is one call of the engine and of `formula`; an `arm`
-    parameter is a column of side labels like any other.
+    kept; a grid parameter with one value is passed as it is.  At step 1
+    the points are an open mesh, each other grid parameter on an axis of
+    its own; at a larger step the kept points do not factor, and each
+    parameter is a flat column of them.  Either way the whole grid is one
+    call of the engine and of `formula`; an `arm` parameter is a column of
+    side labels like any other.
     """
     t0 = time.perf_counter()
-    order = [name for name, _ in (*entry.grid, *entry.cycle)]
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
-    params = [*grid, *entry.cycle]
     shape = tuple(len(values) for _, values in grid)
     step = min(step, math.prod(shape))  # a larger stride also keeps only the first point
-    combos = np.array(list(itertools.product(*(range(len(values)) for _, values in entry.cycle))), dtype=int)
-    lead = 0 if step > 1 else max(k for k in range(len(shape) + 1) if math.prod(shape[k:]) % len(combos) == 0)
-    rows = np.arange(0, math.prod(shape[lead:]), step)
-    mesh = (*shape[:lead], rows.size)
-    # each parameter's mesh axis, and the indices of its values along that
-    # axis (the leading 1 lets rows of no trailing grid axis unravel)
-    axes = [min(k, lead) for k in range(len(params))]
-    indices = [
-        *map(np.arange, shape[:lead]),
-        *np.unravel_index(rows, (1, *shape[lead:]))[1:],
-        *combos[np.arange(rows.size) % len(combos)].T,
-    ]
+    if step == 1:
+        indices = np.indices(shape, sparse=True)
+    else:
+        indices = np.unravel_index(np.arange(0, math.prod(shape), step), shape)
     columns = {}
-    for k, ((name, values), i) in enumerate(zip(params, indices)):
-        laid = [-1 if axis == axes[k] else 1 for axis in range(len(mesh))]
+    for (name, values), i in zip(grid, indices):
         if isinstance(values[0], BeamSplitterSpec):
             table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
-            columns[name] = BeamSplitterSpec(*(f.reshape(laid) for f in table.T))
+            columns[name] = BeamSplitterSpec(*np.moveaxis(table, -1, 0))
         else:
-            columns[name] = np.asarray(values)[i].reshape(laid)
+            columns[name] = np.asarray(values)[i]
     # a closed form, a deviation or a sum past the largest float (or an
     # inf - inf) is a failing point, not a warning.  The engine runs outside
     # the errstate, which slows its many small array operations.
@@ -408,9 +397,10 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
         dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
         total = math.inf
     i = int(np.argmax(dev))
-    at = np.unravel_index(i, dev.shape)
-    point = {**fixed, **{n: values[indices[k][at[axes[k]]]] for k, (n, values) in enumerate(params)}}
-    worst_point = _describe({name: point[name] for name in order})
+    # the i-th kept point, in grid order at every step
+    at = np.unravel_index(i * step, shape)
+    point = {**fixed, **{name: values[k] for (name, values), k in zip(grid, at)}}
+    worst_point = _describe({name: point[name] for name in entry.params})
     return CheckResult(
         entry.name, dev.size, float(dev.flat[i]), total / dev.size, worst_point, time.perf_counter() - t0
     )
@@ -421,8 +411,7 @@ def run_comparison(
 ) -> list[CheckResult]:
     """Check every experiment that has a grid; `perturbations` may override
     named constants (used as a negative control), and `step` (an integer,
-    at least 1) thins the four-angle grids, the ones that interleave phases
-    and splitters."""
+    at least 1) thins the grids of the entries that take all four angles."""
     if isinstance(step, bool) or not isinstance(step, (int, np.integer)):
         raise ValueError(f"step must be an integer, got {step!r}")
     if step < 1:
@@ -438,5 +427,5 @@ def run_comparison(
         formula = entry.formula
         if entry.name == "unpolarized_5050" and perturbations:
             formula = functools.partial(formula, prefactor=perturbations["unpolarized_5050_prefactor"])
-        results.append(_check(entry, formula, step if entry.cycle else 1))
+        results.append(_check(entry, formula, step if {"pol1", "pol2", "ana1", "ana2"} <= set(entry.params) else 1))
     return results

@@ -499,18 +499,18 @@ def test_compare_step_beyond_the_grid_keeps_the_first_point(capsys):
     assert huge == capsys.readouterr().out
 
 
-# `compare` output, recorded while each family still ran one engine call per
-# value of its first parameter, so a change to how the grid is split into
-# calls, or to the kernel's rounding, shows here.
+# `compare` output, recorded with the two four-angle families on the pi/6
+# lattice crossed with every phase and splitter, so a change to which points
+# a grid keeps, or to the kernel's rounding, shows here.
 COMPARE_SHA256 = {
-    "1": "68ece9aa42bc9323775510987c3eb4ef122ae303f1f44f70d9f9bc65d6b0d248",
-    "7": "30af28db9d592cc6bb8a61ee1745b4c62fbc011d45eac6c2d34d9d30cf5c2410",
-    "16": "73b9dcab9eae01932744cea821fe48ec0c48c3c766c2725c56f7840ec2620439",
-    "4096": "7d47afeecceb263d17f68f235187df8d08ad6f12be938197dd6a47d504701155",
+    "1": "31f0350485b6be173152c1a2bc58101ebb26cc4d397639e956004278c7f0ce14",
+    "7": "16638c14923b18d04d5689214a54da2a4d7a579b403b2cf07a2404ba4caaef00",
+    "16": "3383dc5d7855f7efd16ed95f84b7896d840d01307d99d6e473c8fae5facd09f4",
+    "4096": "a566d9a22ae2099a54d73da49837ba448cbe92368622f031d8b778d8cf60de8b",
 }
 NEGATIVE_CONTROL_SHA256 = {
-    "stdout": "c6d2ba7f41295181240d4d5ed1945bcbdc2d80e04e928411cd92c2cc22d23056",
-    "csv": "152803b8edc5b708317f05180e6bfc61aa7072c527d20793d703fd092438ee4e",
+    "stdout": "f1fc709799dddd9f501bcf723537fb413b872fa4d4cce970c3855db67e024e03",
+    "csv": "1866d7147ca2870557aa6d1afbe6cf88a9bbad3ad813604943170dc4bd379717",
 }
 
 
@@ -522,7 +522,7 @@ def test_compare_output_is_pinned(step, capsys):
 
 
 # the full-grid report carries every family's deviations to 15 digits
-COMPARE_CSV_SHA256 = "16e1cdf82d268b09dc5a68ea2d80c70328327023c1a8234e7eaa750f4c3d7b62"
+COMPARE_CSV_SHA256 = "76ee6485544f9e7aa38ab70dec0f100dbf91eefb287e588bb21f1185a2a86383"
 
 
 def test_compare_full_grid_csv_is_pinned(tmp_path, capsys):

@@ -620,6 +620,8 @@ ARM_TAKERS = {
     "same_arm_probability": lambda arm: same_arm_probability(POL, arm, 0.3, 1.1, BS, 0.4),
     # compare's double_trigger engine route hands its arm on unchecked
     "compare.double_trigger": lambda arm: compare.EXPERIMENTS["double_trigger"].engine(arm, 0.2, 0.7, 0.3, BS),
+    # and same_arm's closed form takes one label
+    "compare.same_arm_formula": lambda arm: compare.EXPERIMENTS["same_arm"].formula(arm, 0.1, 0.2, 0.3, 0.4, BS, 0.0),
 }
 
 

@@ -108,24 +108,20 @@ def test_sweep_csv_equals_its_scalar_rows(name):
 
 def flat_reference(entry, formula, step=1):
     """(n_points, max_dev, mean_dev, worst_point) of `entry`, point by
-    point: every `step`-th grid point, the j-th kept one with the (j % n)-th
-    cycle combination, gathered into flat columns, one `evaluate` call per
-    arm."""
+    point: every `step`-th point of the product of its grid, gathered into
+    flat columns, one `evaluate` call per arm."""
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
-    params = [*grid, *entry.cycle]
-    combos = list(itertools.product(*(range(len(values)) for _, values in entry.cycle)))
-    grid_points = itertools.islice(itertools.product(*(range(len(values)) for _, values in grid)), 0, None, step)
-    points = [(*g, *combos[j % len(combos)]) for j, g in enumerate(grid_points)]
+    points = itertools.islice(itertools.product(*(range(len(values)) for _, values in grid)), 0, None, step)
     n_points, total, max_dev, worst = 0, 0.0, 0.0, None
 
     def arm_of(p):
-        return [values[i] for (name, values), i in zip(params, p) if name == "arm"]
+        return [values[i] for (name, values), i in zip(grid, p) if name == "arm"]
 
     for _, group in itertools.groupby(points, key=arm_of):
         group = np.array(list(group))
         point, columns = dict(fixed), {}
-        for (name, values), index in zip(params, group.T):
+        for (name, values), index in zip(grid, group.T):
             if name == "arm":
                 point[name] = values[index[0]]
             elif isinstance(values[0], BeamSplitterSpec):
@@ -141,9 +137,8 @@ def flat_reference(entry, formula, step=1):
         i = int(np.argmax(dev))
         if worst is None or dev[i] > max_dev:
             max_dev = float(dev[i])
-            worst = {**point, **{name: values[k] for (name, values), k in zip(params, group[i])}}
-    order = [name for name, _ in (*entry.grid, *entry.cycle)]
-    return n_points, max_dev, total / n_points, compare._describe({name: worst[name] for name in order})
+            worst = {**point, **{name: values[k] for (name, values), k in zip(grid, group[i])}}
+    return n_points, max_dev, total / n_points, compare._describe({name: worst[name] for name in entry.params})
 
 
 def side2_offset(arm, **point):
@@ -181,20 +176,48 @@ def test_check_equals_its_point_by_point_reference(entry, formula, step):
 
 def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
     # trig, photon states and detector rows run once per distinct setting:
-    # pol1, pol2 and the (ana1, ana2, phi, bs) rows lie on separate axes
+    # every grid parameter, pol1 and pol2 included, lies on an axis of its own
     entry = EXPERIMENTS["coincidence"]
     calls = []
 
     def engine(pol1, pol2, ana1, ana2, phi, bs):
-        settings = np.broadcast(ana1, ana2, phi, bs.tx, bs.ty).size
-        calls.append((np.size(pol1) * np.size(pol2) * settings, np.broadcast(pol1, pol2, ana1).size, settings))
+        calls.append([np.shape(value) for value in (phi, bs.tx, bs.ty, pol1, pol2, ana1, ana2)])
         return entry.engine(pol1, pol2, ana1, ana2, phi, bs)
 
     result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
     assert result.passed()
-    [(factored, points, settings)] = calls
-    assert factored == points == result.n_points == 12**4
-    assert settings <= 144
+    assert result.n_points == 12**4
+    [shapes] = calls
+    assert shapes == [
+        (4, 1, 1, 1, 1, 1),
+        (1, 4, 1, 1, 1, 1),
+        (1, 4, 1, 1, 1, 1),
+        (1, 1, 6, 1, 1, 1),
+        (1, 1, 1, 6, 1, 1),
+        (1, 1, 1, 1, 6, 1),
+        (1, 1, 1, 1, 1, 6),
+    ]
+
+
+@pytest.mark.parametrize("step", [4, 7, 16, 4096])
+@pytest.mark.parametrize(("name", "phase"), [("coincidence", "phi"), ("same_arm", "psi")])
+def test_a_thinned_four_angle_grid_visits_every_phase_and_splitter(name, phase, step):
+    # the phase and the splitter lead the grid, so a stride walks the angles
+    # within each of the 16 (phase, splitter) combinations; with the angles
+    # first, step 16 would keep phase 0 at 50:50 only
+    entry = EXPERIMENTS[name]
+    calls = []
+
+    def engine(**point):
+        calls.append(point)
+        return entry.engine(**point)
+
+    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula, step)
+    assert result.passed()
+    [point] = calls
+    combos = set(zip(point[phase].tolist(), point["bs"].tx.tolist(), point["bs"].ty.tolist()))
+    assert len(combos) == (6 if step == 4096 else 16)
+    assert result.n_points == len(range(0, 12**4, step))
 
 
 def test_each_family_is_one_engine_call(monkeypatch):
@@ -247,8 +270,9 @@ def test_overlaps_run_once_per_distinct_setting(monkeypatch):
     monkeypatch.setattr(engine, "vacuum_amplitude", tracked_amplitude)
     assert all(r.passed() for r in compare.run_comparison())
     assert largest == {
-        "coincidence": 12**3,
-        "same_arm": 12**3,
+        # (phase, splitter, analyzer) rows against one photon's six angles
+        "coincidence": 4 * 4 * 6 * 6,
+        "same_arm": 4 * 4 * 6 * 6,
         # one analyzer's rows against the four components of unpolarized light
         "unpolarized": 12 * 4 * 4 * 4,
         "unpolarized_5050": 12 * 4 * 4,
@@ -279,7 +303,7 @@ def test_mc_run_exact_column_is_the_no_polarizers_engine_at_analyzer_angle_zero(
 
 def test_a_comparison_pass_stays_within_its_memory_budget():
     # each family is one engine call with no cap on its points, so the grid
-    # bounds the memory: a full pass peaks near 1.10 MiB
+    # bounds the memory: a full pass peaks near 0.98 MiB
     compare.run_comparison()
     tracemalloc.start()
     try:
