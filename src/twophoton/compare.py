@@ -12,18 +12,20 @@ that take all four angles, and crosses the fringe phases {0, pi/2, pi,
 2pi/3} and four splitters (50:50, an asymmetric one, a clear window, a
 perfect mirror).  A comparison fails if any |engine - closed form| exceeds
 the tolerance (1e-12 unless overridden).  Both routes take a family's
-points as an open mesh of broadcast axes (see `_check`), in one call each
-per family, so trigonometry and detector rows run once per distinct
-setting, each photon's row once per incident angle and the overlaps once
-per (detector row, photon row) pair; only the permanent and the
-closed-form arithmetic run once per point.  A result names its worst point
-and its wall time.
+whole grid as an open mesh of broadcast axes (see `_check`), in one call
+each per family and at every step, so trigonometry and detector rows run
+once per distinct setting, each photon's row once per incident angle and
+the overlaps once per (detector row, photon row) pair; only the permanent
+and the closed-form arithmetic run once per point.  A step only selects
+the points that are checked.  A result names its worst point and its wall
+time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -361,25 +363,18 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
 def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> CheckResult:
     """Compare the engine of `entry` with `formula` over the entry's grid.
 
-    `grid` parameters are crossed in order and every `step`-th point is
-    kept; a grid parameter with one value is passed as it is.  At step 1
-    the points are an open mesh, each other grid parameter on an axis of
-    its own; at a larger step the kept points do not factor, and each
-    parameter is a flat column of them.  Either way the whole grid is one
-    call of the engine and of `formula`; an `arm` parameter is a column of
-    side labels like any other.
+    `grid` parameters are crossed in order as an open mesh, each grid
+    parameter with more than one value on an axis of its own (one with one
+    value is passed as it is), and the whole mesh is one call of the engine
+    and of `formula`; an `arm` parameter is an axis of side labels like any
+    other.  Every `step`-th point of the mesh, in grid order, is checked.
     """
     t0 = time.perf_counter()
     fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     shape = tuple(len(values) for _, values in grid)
-    step = min(step, math.prod(shape))  # a larger stride also keeps only the first point
-    if step == 1:
-        indices = np.indices(shape, sparse=True)
-    else:
-        indices = np.unravel_index(np.arange(0, math.prod(shape), step), shape)
     columns = {}
-    for (name, values), i in zip(grid, indices):
+    for (name, values), i in zip(grid, np.indices(shape, sparse=True)):
         if isinstance(values[0], BeamSplitterSpec):
             table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
             columns[name] = BeamSplitterSpec(*np.moveaxis(table, -1, 0))
@@ -391,18 +386,17 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
     quiet = np.errstate(over="ignore", invalid="ignore")
     ana, eng = evaluate(entry, quiet(formula), fixed, columns)
     with quiet:
-        dev = np.abs(eng - ana)
+        dev = np.abs((eng - ana).ravel()[::step])
         total = float(dev.sum())
     if math.isnan(total):
         dev[np.isnan(dev)] = np.inf  # a point that evaluates to nan fails
         total = math.inf
     i = int(np.argmax(dev))
-    # the i-th kept point, in grid order at every step
-    at = np.unravel_index(i * step, shape)
+    at = np.unravel_index(i * step, shape)  # the i-th checked point of the mesh
     point = {**fixed, **{name: values[k] for (name, values), k in zip(grid, at)}}
     worst_point = _describe({name: point[name] for name in entry.params})
     return CheckResult(
-        entry.name, dev.size, float(dev.flat[i]), total / dev.size, worst_point, time.perf_counter() - t0
+        entry.name, dev.size, float(dev[i]), total / dev.size, worst_point, time.perf_counter() - t0
     )
 
 
@@ -410,8 +404,10 @@ def run_comparison(
     perturbations: dict[str, float] | None = None, step: int = 1
 ) -> list[CheckResult]:
     """Check every experiment that has a grid; `perturbations` may override
-    named constants (used as a negative control), and `step` (an integer,
-    at least 1) thins the grids of the entries that take all four angles."""
+    named constants with real numbers (used as a negative control).  Every
+    entry is evaluated on its whole grid; `step` (an integer, at least 1)
+    checks only every `step`-th point of the entries that take all four
+    angles."""
     if isinstance(step, bool) or not isinstance(step, (int, np.integer)):
         raise ValueError(f"step must be an integer, got {step!r}")
     if step < 1:
@@ -420,6 +416,9 @@ def run_comparison(
     unknown = set(perturbations) - {"unpolarized_5050_prefactor"}
     if unknown:
         raise ValueError(f"unknown perturbation(s): {sorted(unknown)}")
+    for name, value in perturbations.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"perturbation {name!r} must be a real number, got {value!r}")
     results = []
     for entry in EXPERIMENTS.values():
         if not entry.grid:

@@ -161,7 +161,7 @@ COMPARED = [(e.name, e, e.formula) for e in EXPERIMENTS.values() if e.grid] + [
 ]
 REFERENCE_CASES = [
     pytest.param(entry, formula, step, id=name if step == 1 else f"{name}-step{step}")
-    for step in (1, 7)
+    for step in (1, 7, 4096)
     for name, entry, formula in COMPARED
 ]
 
@@ -174,9 +174,11 @@ def test_check_equals_its_point_by_point_reference(entry, formula, step):
     assert result.mean_dev == pytest.approx(mean_dev, rel=1e-12)
 
 
-def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
+@pytest.mark.parametrize("step", [1, 7])
+def test_coincidence_engine_sees_the_polarizations_as_mesh_axes(step):
     # trig, photon states and detector rows run once per distinct setting:
-    # every grid parameter, pol1 and pol2 included, lies on an axis of its own
+    # every grid parameter, pol1 and pol2 included, lies on an axis of its
+    # own, at every step
     entry = EXPERIMENTS["coincidence"]
     calls = []
 
@@ -184,9 +186,9 @@ def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
         calls.append([np.shape(value) for value in (phi, bs.tx, bs.ty, pol1, pol2, ana1, ana2)])
         return entry.engine(pol1, pol2, ana1, ana2, phi, bs)
 
-    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula)
+    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula, step)
     assert result.passed()
-    assert result.n_points == 12**4
+    assert result.n_points == len(range(0, 12**4, step))
     [shapes] = calls
     assert shapes == [
         (4, 1, 1, 1, 1, 1),
@@ -204,25 +206,23 @@ def test_coincidence_engine_sees_the_polarizations_as_mesh_axes():
 def test_a_thinned_four_angle_grid_visits_every_phase_and_splitter(name, phase, step):
     # the phase and the splitter lead the grid, so a stride walks the angles
     # within each of the 16 (phase, splitter) combinations; with the angles
-    # first, step 16 would keep phase 0 at 50:50 only
+    # first, step 16 would check phase 0 at 50:50 only
     entry = EXPERIMENTS[name]
-    calls = []
-
-    def engine(**point):
-        calls.append(point)
-        return entry.engine(**point)
-
-    result = compare._check(dataclasses.replace(entry, engine=engine), entry.formula, step)
+    result = compare._check(entry, entry.formula, step)
     assert result.passed()
-    [point] = calls
-    combos = set(zip(point[phase].tolist(), point["bs"].tx.tolist(), point["bs"].ty.tolist()))
-    assert len(combos) == (6 if step == 4096 else 16)
     assert result.n_points == len(range(0, 12**4, step))
+    # the i-th checked point is the (i * step)-th point of the declared grid
+    names = [n for n, _ in entry.grid]
+    checked = np.unravel_index(np.arange(result.n_points) * step, [len(values) for _, values in entry.grid])
+    combos = set(zip(checked[names.index(phase)].tolist(), checked[names.index("bs")].tolist()))
+    assert len(combos) == (6 if step == 4096 else 16)
 
 
-def test_each_family_is_one_engine_call(monkeypatch):
+@pytest.mark.parametrize("step", [1, 7])
+def test_each_family_is_one_engine_call(monkeypatch, step):
     # double_trigger's arm is an axis of the mesh like any other, so every
-    # family, that one included, is one engine call over all its points
+    # family, that one included, is one engine call over all its points, at
+    # every step
     calls = []
     for name, entry in list(EXPERIMENTS.items()):
         if entry.grid:
@@ -233,7 +233,7 @@ def test_each_family_is_one_engine_call(monkeypatch):
                 return values
 
             monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(entry, engine=engine))
-    results = compare.run_comparison()
+    results = compare.run_comparison(step=step)
     assert all(r.passed() for r in results)
     assert calls == [
         ("coincidence", 12**4),
@@ -301,13 +301,15 @@ def test_mc_run_exact_column_is_the_no_polarizers_engine_at_analyzer_angle_zero(
     assert np.array_equal(exact, split)
 
 
-def test_a_comparison_pass_stays_within_its_memory_budget():
-    # each family is one engine call with no cap on its points, so the grid
-    # bounds the memory: a full pass peaks near 0.98 MiB
-    compare.run_comparison()
+@pytest.mark.parametrize("step", [1, 4096])
+def test_a_comparison_pass_stays_within_its_memory_budget(step):
+    # each family is one engine call over its whole grid with no cap on its
+    # points, at every step, so the grid bounds the memory: a full pass
+    # peaks near 0.98 MiB
+    compare.run_comparison(step=step)
     tracemalloc.start()
     try:
-        compare.run_comparison()
+        compare.run_comparison(step=step)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,6 +335,16 @@ def test_a_step_that_is_not_an_integer_is_rejected(step):
     # once ran the full grid and False reported "at least 1"
     with pytest.raises(ValueError, match=rf"^step must be an integer, got {re.escape(repr(step))}$"):
         compare.run_comparison(step=step)
+
+
+@pytest.mark.parametrize("value", ["x", "0.13", True, None, 1j, [0.13]])
+def test_a_perturbation_that_is_not_a_real_number_is_rejected(monkeypatch, value):
+    # "x" once ended in numpy's UFuncTypeError and True ran as a prefactor of
+    # 1; the value is rejected before any family runs
+    monkeypatch.setattr(compare, "_check", lambda *args: pytest.fail("a family ran"))
+    message = rf"^perturbation 'unpolarized_5050_prefactor' must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        compare.run_comparison({"unpolarized_5050_prefactor": value}, step=4096)
 
 
 def test_a_numpy_integer_step_thins_as_its_int_does():
