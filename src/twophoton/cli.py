@@ -24,7 +24,8 @@ of each experiment come from its table entry, and `run_sweep` checks them,
 as only a sweep evaluates the experiment.  CSV output uses a comma
 delimiter, `.` decimal separator, and 15 significant digits, and is
 byte-stable for a fixed configuration and seed.  `_csv` writes every CSV
-from its columns, each of one cell type, with one row format per table.
+from its columns, each of one cell type, with one `%` format per table:
+the row template its columns' types set, repeated for every row.
 
 `_COMMANDS` declares each subcommand's flags once, as `KEYS` declares the
 config keys.  `_read_pairs` reads the argv every caller writes in one pass:
@@ -221,23 +222,27 @@ def parse_config(data: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-def _row_format(types: tuple[type, ...]) -> Callable[..., str]:
-    """The formatter of a CSV row whose cells have `types`: a float cell
-    with 15 significant digits, a None cell as an empty field, any other
-    cell as str() of it."""
-    fields = (
-        "" if t is type(None) else f"{{{i}:.15g}}" if issubclass(t, float) else f"{{{i}!s}}"
-        for i, t in enumerate(types)
-    )
-    return ",".join(fields).format
+def _row_format(types: tuple[type, ...]) -> str:
+    """The `%` template of a CSV row whose cells have `types`: a float cell
+    with 15 significant digits, any other cell as str() of it, and a None
+    cell as an empty field that takes no argument."""
+    return ",".join("" if t is type(None) else "%.15g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     """The CSV text of a table given as columns of equal length, each
-    holding one cell type: the first cell of each column sets the format of
-    every row, built once per table."""
-    fmt = _row_format(tuple(type(column[0]) for column in columns if len(column)))
-    return "\n".join([",".join(header), *map(fmt, *columns)]) + "\n"
+    holding one cell type: the first cell of each column sets the `%`
+    template of every row, and one `%` over the template of the whole table
+    formats its cells in row-major order.  The header is not part of the
+    template, so no header text is read as a format."""
+    types = tuple(type(column[0]) for column in columns if len(column))
+    cells = [column for column, t in zip(columns, types) if t is not type(None)]
+    n_rows = len(columns[0])
+    flat = [None] * (len(cells) * n_rows)
+    for index, column in enumerate(cells):
+        flat[index :: len(cells)] = column
+    rows = (_row_format(types) + "\n") * n_rows
+    return ",".join(header) + "\n" + rows % tuple(flat)
 
 
 def _sweep_values(sweep: dict[str, Any]) -> list[float]:

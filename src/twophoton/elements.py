@@ -22,7 +22,12 @@ A detector operator is linear in the input annihilators, so it is returned
 as its coefficient row over the four occupied input modes (in `fock`'s
 order).  `analyzer_rows` is the one row builder: it builds side 1's rows of
 both ports of an analyzer, on an axis of their own (parallel at index 0,
-perpendicular at 1), with the phases it is given by name.  A one-port row
+perpendicular at 1), with the phases it is given by name.  Each entry of
+a row is (phase x port weight) x amplitude of its mode, multiplied in that
+order: over side 1's modes the phases are (e^{i psi}, e^{i psi}, i e^{i phi},
+i e^{i phi}), the amplitudes (tx, ty, rx, ry) and the weights (cos, sin,
+cos, sin) of the analyzer angle for the parallel port, (-sin, cos, -sin,
+cos) for the perpendicular one; a phase left as None is 1.  A one-port row
 is the slice `analyzer_rows(theta, bs, phi, psi)[..., k, :]` of its port
 index k, and a side-2 row is the side-1 row with the sides' modes swapped,
 `rows[..., OTHER_SIDE]`.  Angles, phases and splitter amplitudes may be
@@ -50,20 +55,26 @@ class BeamSplitterSpec:
     ry: float
 
     def __post_init__(self) -> None:
-        # Python numbers are checked with plain comparisons, arrays elementwise
-        numbers = all(isinstance(v, (int, float)) for v in (self.tx, self.ty, self.rx, self.ry))
-        for name in ("tx", "ty", "rx", "ry"):
-            v = getattr(self, name)
-            if numbers:
-                valid = math.isfinite(v) and -TOL <= v <= 1.0 + TOL
-            else:
-                valid = _all_finite(v) and np.all((-TOL <= v) & (v <= 1.0 + TOL))
-            if not valid:
+        # Python numbers are checked with plain comparisons, one at a time;
+        # arrays are stacked once, and each rule is one expression over every
+        # field (a comparison with NaN is False)
+        fields = (self.tx, self.ty, self.rx, self.ry)
+        numbers = all(isinstance(v, (int, float)) for v in fields)
+        if not numbers:
+            stacked = np.empty((len(fields), *np.broadcast(*fields).shape), dtype=np.result_type(*fields))
+            for index, v in enumerate(fields):
+                stacked[index] = v
+            stacked = stacked.reshape(len(fields), -1)
+            inside = ((-TOL <= stacked) & (stacked <= 1.0 + TOL)).all(axis=1)
+        for index, name in enumerate(("tx", "ty", "rx", "ry")):
+            v = fields[index]
+            if not (math.isfinite(v) and -TOL <= v <= 1.0 + TOL if numbers else inside[index]):
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        for axis, t, r in (("x", self.tx, self.rx), ("y", self.ty, self.ry)):
-            norm = t**2 + r**2
-            if abs(norm - 1.0) > TOL if numbers else np.any(np.abs(norm - 1.0) > TOL):
-                raise ValueError(f"lossy {axis} axis: t{axis}^2 + r{axis}^2 = {norm!r}")
+        if not numbers:
+            lossy = (np.abs(stacked[:2] ** 2 + stacked[2:] ** 2 - 1.0) > TOL).any(axis=1)
+        for index, (axis, t, r) in enumerate((("x", self.tx, self.rx), ("y", self.ty, self.ry))):
+            if abs(t**2 + r**2 - 1.0) > TOL if numbers else lossy[index]:
+                raise ValueError(f"lossy {axis} axis: t{axis}^2 + r{axis}^2 = {t**2 + r**2!r}")
 
     @classmethod
     def from_transmission(cls, tx: float, ty: float) -> "BeamSplitterSpec":
@@ -79,16 +90,21 @@ class BeamSplitterSpec:
         return cls(s, s, s, s)
 
 
-def _port_weights(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projection weights (wx, wy) of the two ports of an analyzer at
-    `theta`, on a last axis: parallel at index 0, perpendicular at 1."""
-    if not _all_finite(theta):
-        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
-    c, s = np.cos(theta), np.sin(theta)
-    wx, wy = np.empty((*np.shape(c), 2)), np.empty((*np.shape(c), 2))
-    wx[..., 0], wy[..., 0] = c, s
-    wx[..., 1], wy[..., 1] = -s, c
-    return wx, wy
+def _per_mode(*values) -> np.ndarray:
+    """The four modes' factors on a last axis, with an axis of length one
+    for the ports before it when any factor is an array."""
+    if not any(isinstance(v, np.ndarray) for v in values):
+        return np.array(values)
+    out = np.empty((*np.broadcast(*values).shape, 1, N_MODES), dtype=np.result_type(*values))
+    for index, value in enumerate(values):
+        out[..., 0, index] = value
+    return out
+
+
+# The port weights per mode, as indexes into (cos, sin, -sin) of the
+# analyzer angle: the parallel port weighs x by cos and y by sin, the
+# perpendicular port x by -sin and y by cos, on both sides' modes.
+_WEIGHTS = np.array([[0, 1, 0, 1], [2, 0, 2, 0]])
 
 
 # A side-2 row is the side-1 row of the same setting and phases with the two
@@ -113,16 +129,12 @@ def analyzer_rows(
     for name, phase in (("phi", phi), ("psi", psi)):
         if phase is not None and not _all_finite(phase):
             raise ValueError(f"{name} must be finite, got {phase!r}")
-    t_phase = 1.0 if psi is None else np.exp(1j * psi)
-    r_phase = 1.0 if phi is None else np.exp(1j * phi)
-    wx, wy = _port_weights(theta)
-    # array phases and amplitudes gain the ports axis
-    tp, rp, tx, ty, rx, ry = (
-        a[..., None] if isinstance(a, np.ndarray) else a for a in (t_phase, 1j * r_phase, bs.tx, bs.ty, bs.rx, bs.ry)
-    )
+    if not _all_finite(theta):
+        raise ValueError(f"analyzer angle must be finite, got {theta!r}")
+    tp = 1.0 + 0.0j if psi is None else np.exp(1j * psi)
+    rp = 1j * (1.0 + 0.0j if phi is None else np.exp(1j * phi))
+    c, s = np.cos(theta), np.sin(theta)
+    cs = np.empty((*np.shape(c), 3))
+    cs[..., 0], cs[..., 1], cs[..., 2] = c, s, -s
     # side 1's modes in `fock`'s order: transmitted x, y, then reflected x, y
-    entries = (tp * wx * tx, tp * wy * ty, rp * wx * rx, rp * wy * ry)
-    rows = np.empty(np.broadcast(*entries).shape + (N_MODES,), dtype=complex)
-    for index, value in enumerate(entries):
-        rows[..., index] = value
-    return rows
+    return _per_mode(tp, tp, rp, rp) * cs[..., _WEIGHTS] * _per_mode(bs.tx, bs.ty, bs.rx, bs.ry)

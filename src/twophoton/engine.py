@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import OTHER_SIDE, BeamSplitterSpec, analyzer_rows
-from .fock import product_state, vacuum_amplitude
+from .fock import N_MODES, product_state, vacuum_amplitude
 
 HALF_PI = math.pi / 2.0
 
@@ -216,11 +216,15 @@ def full_outcome_distribution(
     d1 = analyzer_rows(theta1, bs, phi=phi)
     f1, s1 = analyzer_rows(theta1, bs, psi=psi), analyzer_rows(theta1, bs)
     f2, s2 = analyzer_rows(theta2, bs, psi=psi)[..., OTHER_SIDE], analyzer_rows(theta2, bs)[..., OTHER_SIDE]
-    # the detector rows of all twelve outcomes, in `OUTCOMES` order:
-    # (..., 12, 4).  The first detector's port changes every second outcome
-    # and the second detector's port every outcome.
-    u_a = np.repeat(np.concatenate(np.broadcast_arrays(d1, f1, f2), axis=-2), 2, axis=-2)
-    u_b = np.concatenate(np.broadcast_arrays(s2, s2, s1, s1, s2, s2), axis=-2)
+    # the detector rows of all twelve outcomes, in `OUTCOMES` order: three
+    # groups, each over the first detector's port, then the second's
+    lead_a, lead_b = np.broadcast(d1, f1, f2).shape[:-2], np.broadcast(s1, s2).shape[:-2]
+    u_a = np.empty((*lead_a, 3, 2, 2, N_MODES), dtype=complex)
+    u_b = np.empty((*lead_b, 3, 2, 2, N_MODES), dtype=complex)
+    for group, (first, second) in enumerate(((d1, s2), (f1, s1), (f2, s2))):
+        u_a[..., group, :, :, :] = first[..., :, None, :]
+        u_b[..., group, :, :, :] = second[..., None, :, :]
+    u_a, u_b = u_a.reshape(*lead_a, 12, N_MODES), u_b.reshape(*lead_b, 12, N_MODES)
     p = _squared_amplitudes(inp, u_a, u_b, axes=1)
     if inp.polarization is None:
         # Unlike `_detect`, the four components are added as

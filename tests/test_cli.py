@@ -613,23 +613,27 @@ def test_row_formatter_matches_the_cell_by_cell_rule():
         ["pass", "{0}", "x{{y}}", "side1[par]+side2[perp]", "FAIL", "{}", "", "{:.15g}", "}", "{", "side2[par]"],
         [None] * n,
         floats[::-1],
+        # a cell is text even where it looks like a `%` field
+        ["%s", "100%", "%.15g", "%%", "%(x)s", "%", "%d", "50% off", "%r", "%%s", "x%"],
     ]
     assert all(len(column) == n for column in columns)
     rows = list(zip(*columns))
-    header = ["a", "b", "c", "d", "e", "f"]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
     assert _csv(header, columns) == _csv_cell_by_cell(header, rows)
     # a header is text even where it looks like a format field
-    braces = ["{0}", "{}", "x{{y}}", "{:.15g}", "{", "}"]
-    assert _csv(braces, columns) == _csv_cell_by_cell(braces, rows)
+    for fields in (["{0}", "{}", "x{{y}}", "{:.15g}", "{", "}", "%"], ["%s", "100%", "%.15g", "%%", "%(x)s", "%d", ""]):
+        assert _csv(fields, columns) == _csv_cell_by_cell(fields, rows)
+    braces = ["{0}", "{}", "x{{y}}", "{:.15g}"]
     # a table with zero rows is its header
-    assert _csv(header, [[] for _ in header]) == "a,b,c,d,e,f\n" == _csv_cell_by_cell(header, [])
+    assert _csv(header, [[] for _ in header]) == "a,b,c,d,e,f,g\n" == _csv_cell_by_cell(header, [])
+    assert _csv(["100%", "%s"], [[], []]) == "100%,%s\n"
     # the two sweep layouts, 73 rows each
     values = np.linspace(-1.0, 1.0, 73).tolist()
     for block in (
         [values, [v / 3.0 for v in values], [v * 1e300 for v in values], [abs(v - 0.5) for v in values]],
         [values, [3.0 + v for v in values], [None] * 73, [None] * 73],
     ):
-        assert _csv(braces[:4], block) == _csv_cell_by_cell(braces[:4], list(zip(*block)))
+        assert _csv(braces, block) == _csv_cell_by_cell(braces, list(zip(*block)))
 
 
 def test_each_table_builds_one_row_format(tmp_path, monkeypatch, capsys):

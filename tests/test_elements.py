@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 
@@ -243,3 +244,40 @@ def test_analyzer_rows_hold_both_ports_with_their_phases(phi, psi):
             assert np.max(np.abs(side_rows[..., port, :] - outputs * factor)) < TOL
     with pytest.raises(ValueError, match="^analyzer angle must be finite"):
         analyzer_rows(np.array([0.1, math.nan]), bs, phi, psi)
+
+
+def row_outputs() -> bytes:
+    """`analyzer_rows` at seeded random points, as the bytes of its complex
+    results: real and imaginary parts, zero signs included.  Scalar and
+    array angles, each phase left as None or given (as a Python float or an
+    array), a scalar and an array splitter, and an open mesh.  The first
+    points sit on lattice angles and clear or opaque splitters, whose exact
+    zeros carry signs."""
+    rng = np.random.default_rng(3713)
+    n = 64
+    theta, phi, psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(3, n))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
+    theta[:6] = (0.0, math.pi / 2.0, -math.pi / 4.0, math.pi, -0.0, -math.pi / 2.0)
+    tx[:6], ty[:6] = (1.0, 0.0, 1.0, 0.0, 0.5, 1.0), (0.0, 1.0, 1.0, 0.0, 1.0, 0.5)
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    phase_sets = ({}, {"phi": phi}, {"psi": psi}, {"phi": phi, "psi": psi})
+    out = []
+    for i in range(n):
+        point = BeamSplitterSpec(float(tx[i]), float(ty[i]), float(bs.rx[i]), float(bs.ry[i]))
+        for phases in phase_sets:
+            out.append(analyzer_rows(float(theta[i]), point, **{k: float(v[i]) for k, v in phases.items()}))
+    for phases in phase_sets:
+        out.append(analyzer_rows(theta, BeamSplitterSpec.fifty_fifty(), **phases))
+        out.append(analyzer_rows(theta, bs, **phases))
+        out.append(analyzer_rows(0.4, bs, **phases))
+        # an open mesh: angles, splitters and phases each on an axis of their own
+        mesh = BeamSplitterSpec(*(v[:5, None, None] for v in (bs.tx, bs.ty, bs.rx, bs.ry)))
+        out.append(analyzer_rows(theta[:7, None], mesh, **{k: v[:3] for k, v in phases.items()}))
+    return b"".join(rows.tobytes() for rows in out)
+
+
+def test_rows_keep_their_bits_at_random_points():
+    # recorded at commit 13bb8ea, before a row was built as phase x weight x
+    # amplitude per mode; the rows must change no bit, zero signs included
+    digest = "cc3eb84ff779a92a461cad432abb6d0d60ad79d8c4e0465dce9371169274aee4"
+    assert hashlib.sha256(row_outputs()).hexdigest() == digest

@@ -659,3 +659,41 @@ def test_side_labels_reproduce_the_outputs_of_the_retired_enum():
     # the labels replaced; the labels must change no bit
     digest = "65f3dab749de6cddc5e43d1a769d293d38bfe1d31f8b0fab3c925379d48f2408"
     assert hashlib.sha256(arm_outputs("side1", "side2")).hexdigest() == digest
+
+
+def distribution_outputs() -> bytes:
+    """`full_outcome_distribution` for polarized and unpolarized input at
+    seeded random points, as the bytes of its float64 results: scalar points
+    given as Python floats, arrays of points with a scalar and an array
+    splitter, and an open mesh.  The first points sit on lattice angles and
+    clear or opaque splitters."""
+    rng = np.random.default_rng(3714)
+    n = 64
+    theta1, theta2, phi, psi, pol1, pol2 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(6, n))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
+    theta1[:4], theta2[:4] = (0.0, HALF_PI, -0.0, math.pi), (HALF_PI, 0.0, math.pi / 4.0, -HALF_PI)
+    phi[:4], psi[:4] = (0.0, math.pi, -0.0, HALF_PI), (0.0, -math.pi, 0.0, HALF_PI)
+    tx[:4], ty[:4] = (1.0, 0.0, 1.0, 0.5), (0.0, 1.0, 1.0, 0.0)
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    mesh = BeamSplitterSpec(*(v[:5, None, None, None] for v in (bs.tx, bs.ty, bs.rx, bs.ry)))
+    out = []
+    for inp in (InputSpec.polarized(pol1, pol2), InputSpec.unpolarized()):
+        for i in range(n):
+            point = BeamSplitterSpec(float(tx[i]), float(ty[i]), float(bs.rx[i]), float(bs.ry[i]))
+            one = inp if inp.polarization is None else InputSpec.polarized(float(pol1[i]), float(pol2[i]))
+            args = (float(v[i]) for v in (theta1, theta2))
+            out.append(full_outcome_distribution(one, *args, point, float(phi[i]), float(psi[i])))
+        out.append(full_outcome_distribution(inp, theta1, theta2, BS, phi, psi))
+        out.append(full_outcome_distribution(inp, theta1, theta2, bs, phi, psi))
+        out.append(full_outcome_distribution(inp, theta1, 0.3, bs, 0.0, 0.0))
+    # an open mesh: angles, splitters and phases each on an axis of their own
+    for inp in (InputSpec.polarized(pol1[:3, None, None, None, None], 0.2), InputSpec.unpolarized()):
+        out.append(full_outcome_distribution(inp, theta1[:7, None], theta2[:2, None, None], mesh, phi[:4], phi[:4]))
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in out)
+
+
+def test_the_distribution_keeps_its_bits_at_random_points():
+    # recorded at commit 13bb8ea, before the twelve outcomes' rows were
+    # written into one array; no bit may change
+    digest = "541cbf6442f2503abc54b59b08826c1d5fc10fb0ce8bdd830ef9df302fd09da7"
+    assert hashlib.sha256(distribution_outputs()).hexdigest() == digest
