@@ -81,11 +81,12 @@ class Experiment:
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
     callables take them as keywords and broadcast over numpy arrays.
-    `columns` names the two values in a sweep's CSV.  Domain: `held` names
-    the parameters the closed form holds fixed, `bs` at the 50:50 splitter
-    and `psi` at 0, and an entry that takes both fringe phases
-    (`matched_phases`, derived from `params`) holds only where
-    cos(phi) = cos(psi).  `grid` is the `compare` grid (see `_check`); an
+    `columns` names the two values in a sweep's CSV.  Domain: `held` maps
+    each parameter the closed form holds fixed to its value (`bs` to the
+    50:50 splitter, `psi` to 0; a sweep still runs the engine on its
+    configured value), and an entry that takes both fringe phases
+    (`matched_phases`) holds only where cos(phi) = cos(psi).  `grid`, which
+    leaves held parameters out, is the `compare` grid (see `_check`); an
     entry without a grid is not compared.  `shared`, when set, is a step
     that both routes read: `evaluate` calls it once with the parameters and
     hands its result to both callables as the keyword `shared`.
@@ -96,7 +97,7 @@ class Experiment:
     inputs: tuple[str, ...]
     formula: Callable[..., Any]
     engine: Callable[..., Any] | None
-    held: tuple[str, ...] = ()
+    held: dict[str, Any] = field(default_factory=dict)
     columns: tuple[str, str] = ("analytic", "engine")
     grid: Params = ()
     shared: Callable[..., Any] | None = None
@@ -180,10 +181,6 @@ def _opposite_estimate(shared: np.ndarray, run: RunConfig, **_) -> np.ndarray:
     return (counts[..., OPPOSITE].sum(-1) / (run.n_pairs * run.efficiency**2))[()]
 
 
-# Entries that hold the splitter at 50:50 still take it, so that a sweep runs
-# the engine on the configured amplitudes; `compare` gives them this one.
-FIFTY_FIFTY = ("bs", (BeamSplitterSpec.fifty_fifty(),))
-
 EXPERIMENTS: dict[str, Experiment] = {
     e.name: e
     for e in (
@@ -232,8 +229,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                 ana1, ana2, phi, **perturbed
             ),
             _unpolarized_coincidence,
-            held=("bs",),
-            grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
+            held={"bs": BeamSplitterSpec.fifty_fifty()},
+            grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES)],
         ),
         Experiment(
             "no_polarizers",
@@ -245,8 +242,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda pol1, pol2, phi, bs: _opposite_total(
                 full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, phi, 0.0)
             ),
-            held=("bs",),
-            grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES), FIFTY_FIFTY],
+            held={"bs": BeamSplitterSpec.fifty_fifty()},
+            grid=[("pol1", ANGLES), ("pol2", ANGLES), ("phi", PHASES)],
         ),
         Experiment(
             "same_arm_no_polarizers",
@@ -257,8 +254,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda pol1, pol2, bs: _same_side_total(
                 full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, 0.0, 0.0)
             ),
-            held=("bs", "psi"),
-            grid=[("pol1", ANGLES), ("pol2", ANGLES), FIFTY_FIFTY],
+            held={"bs": BeamSplitterSpec.fifty_fifty(), "psi": 0.0},
+            grid=[("pol1", ANGLES), ("pol2", ANGLES)],
         ),
         Experiment(
             "unpolarized_same_arm",
@@ -266,8 +263,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             UNPOLARIZED,
             lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
             _unpolarized_same_arm,
-            held=("bs", "psi"),
-            grid=[("ana1", ANGLES), ("ana2", ANGLES), FIFTY_FIFTY],
+            held={"bs": BeamSplitterSpec.fifty_fifty(), "psi": 0.0},
+            grid=[("ana1", ANGLES), ("ana2", ANGLES)],
         ),
         Experiment(
             "double_trigger",
@@ -280,11 +277,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda arm, pol1, pol2, ana1, bs: (
                 0.5 * same_arm_probability(InputSpec.polarized(pol1, pol2), arm, ana1, ana1, bs, 0.0)
             ),
-            held=("bs",),
-            grid=[("arm", ("side1", "side2")), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES), FIFTY_FIFTY],
+            held={"bs": BeamSplitterSpec.fifty_fifty()},
+            grid=[("arm", ("side1", "side2")), ("pol1", ANGLES), ("pol2", ANGLES), ("ana1", ANGLES)],
         ),
         # benchmark rate only, for the 50:50 splitter; there is no quantum-engine counterpart
-        Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None, held=("bs",)),
+        Experiment("classical", ("ana1", "ana2", "phi"), BOTH_INPUTS, formulas.p_classical, None,
+                   held={"bs": BeamSplitterSpec.fifty_fifty()}),
         # the closed form is the expected total of the exclusive partition
         Experiment(
             "full_distribution",
@@ -363,14 +361,16 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
 def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> CheckResult:
     """Compare the engine of `entry` with `formula` over the entry's grid.
 
-    `grid` parameters are crossed in order as an open mesh, each grid
-    parameter with more than one value on an axis of its own (one with one
-    value is passed as it is), and the whole mesh is one call of the engine
-    and of `formula`; an `arm` parameter is an axis of side labels like any
-    other.  Every `step`-th point of the mesh, in grid order, is checked.
+    Each held parameter the entry takes is passed at its held value.  `grid`
+    parameters are crossed in order as an open mesh, each grid parameter
+    with more than one value on an axis of its own (one with one value is
+    passed as it is), and the whole mesh is one call of the engine and of
+    `formula`; an `arm` parameter is an axis of side labels like any other.
+    Every `step`-th point of the mesh, in grid order, is checked.
     """
     t0 = time.perf_counter()
-    fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
+    fixed = {name: value for name, value in entry.held.items() if name in entry.params}
+    fixed.update((name, values[0]) for name, values in entry.grid if len(values) == 1)
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     shape = tuple(len(values) for _, values in grid)
     columns = {}

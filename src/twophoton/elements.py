@@ -78,9 +78,8 @@ class BeamSplitterSpec:
 
     @classmethod
     def from_transmission(cls, tx: float, ty: float) -> "BeamSplitterSpec":
-        """Build a lossless splitter from transmission amplitudes alone."""
-        if not (0.0 <= tx <= 1.0 and 0.0 <= ty <= 1.0):
-            raise ValueError(f"transmissions must lie in [0, 1], got {(tx, ty)!r}")
+        """Build a lossless splitter from transmission amplitudes alone, each
+        r = sqrt(max(0, 1 - t^2)); the constructor's rules are the only check."""
         return cls(tx, ty, math.sqrt(max(0.0, 1.0 - tx * tx)), math.sqrt(max(0.0, 1.0 - ty * ty)))
 
     @classmethod

@@ -54,7 +54,6 @@ ONE_SIDED = 0.5
 
 # The four equally weighted polarization products that make up unpolarized
 # light on both sides: (x,x), (x,y), (y,x), (y,y).
-_UNPOLARIZED_WEIGHTS = np.full(4, 0.25)
 _UNPOLARIZED_STATE = product_state(
     np.array([0.0, 0.0, HALF_PI, HALF_PI]), np.array([0.0, HALF_PI, 0.0, HALF_PI])
 )
@@ -129,12 +128,12 @@ def _detect(inp: InputSpec, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     """Mixture-averaged |<0| d_a d_b |psi>|^2 for detector rows u_a, u_b,
     whose batch axes all broadcast against the incident angles'.
 
-    The components are added in order, so a batch of points rounds exactly
-    as each of its points evaluated alone.
+    The four unpolarized components are added in order, so a batch of points
+    rounds exactly as each of its points alone, then weighted once by 1/4.
     """
     p = _squared_amplitudes(inp, u_a, u_b, 0)
     if inp.polarization is None:
-        return (p * _UNPOLARIZED_WEIGHTS).sum(-1)
+        return p.sum(-1) * 0.25
     return p
 
 

@@ -81,6 +81,28 @@ def test_from_transmission_is_lossless():
         BeamSplitterSpec.from_transmission(1.5, 0.5)
 
 
+@pytest.mark.parametrize(
+    ("t", "valid"),
+    [(0.0, True), (1.0, True), (-5e-13, True), (-2 * TOL, False), (1.0 + 5e-13, False), (1.5, False),
+     (math.nan, False), (math.inf, False)],
+)
+def test_from_transmission_has_only_the_constructors_range_rule(t, valid):
+    # a transmission fails exactly when the constructor fails on the same
+    # amplitudes, with its message, which names the field; just below 0 lies
+    # within the constructor's tolerance, just above 1 breaks its lossless rule
+    def outcome(build, *args):
+        try:
+            build(*args)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    expected = outcome(BeamSplitterSpec, t, 0.5, math.sqrt(max(0.0, 1.0 - t * t)), math.sqrt(0.75))
+    assert outcome(BeamSplitterSpec.from_transmission, t, 0.5) == expected
+    assert (expected is None) == valid
+    assert valid or re.match(r"^(tx must lie in \[0, 1\], got |lossy x axis: tx\^2 )", expected)
+
+
 def test_fifty_fifty_amplitudes():
     bs = BeamSplitterSpec.fifty_fifty()
     s = 1.0 / math.sqrt(2.0)

@@ -55,9 +55,10 @@ def test_engine_matches_closed_form_inside_the_domain(entry, data):
             point[name] = data.draw(angles, label=name)
         elif name in ("phi", "psi"):
             point[name] = data.draw(phases, label=name)
+        elif name == "bs" and "bs" in entry.held:
+            point[name] = entry.held["bs"]
         elif name == "bs":
-            fixed = BeamSplitterSpec.fifty_fifty() if "bs" in entry.held else None
-            point[name] = fixed or data.draw(splitters, label=name)
+            point[name] = data.draw(splitters, label=name)
         elif name == "arm":
             point[name] = data.draw(st.sampled_from(("side1", "side2")), label=name)
         else:
@@ -109,8 +110,10 @@ def test_sweep_csv_equals_its_scalar_rows(name):
 def flat_reference(entry, formula, step=1):
     """(n_points, max_dev, mean_dev, worst_point) of `entry`, point by
     point: every `step`-th point of the product of its grid, gathered into
-    flat columns, one `evaluate` call per arm."""
-    fixed = {name: values[0] for name, values in entry.grid if len(values) == 1}
+    flat columns, one `evaluate` call per arm, with the held parameters the
+    entry takes at their held values."""
+    fixed = {name: entry.held[name] for name in entry.params if name in entry.held}
+    fixed.update((name, values[0]) for name, values in entry.grid if len(values) == 1)
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     points = itertools.islice(itertools.product(*(range(len(values)) for _, values in grid)), 0, None, step)
     n_points, total, max_dev, worst = 0, 0.0, 0.0, None
@@ -172,6 +175,23 @@ def test_check_equals_its_point_by_point_reference(entry, formula, step):
     n_points, max_dev, mean_dev, worst_point = flat_reference(entry, formula, step)
     assert (result.n_points, result.max_dev, result.worst_point) == (n_points, max_dev, worst_point)
     assert result.mean_dev == pytest.approx(mean_dev, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry", [e for e in EXPERIMENTS.values() if e.grid], ids=lambda e: e.name)
+def test_held_parameters_come_from_held_not_from_the_grid(entry):
+    # each convention is stated once: the grid leaves a held parameter out,
+    # and the check hands the engine the held value of each one it takes
+    assert not {name for name, _ in entry.grid} & set(entry.held)
+    calls = []
+
+    def engine(**point):
+        calls.append(point)
+        return entry.engine(**point)
+
+    assert compare._check(dataclasses.replace(entry, engine=engine), entry.formula, 4096).passed()
+    [point] = calls
+    taken = set(entry.held) & set(entry.params)
+    assert {name: point[name] for name in taken} == {name: entry.held[name] for name in taken}
 
 
 @pytest.mark.parametrize("step", [1, 7])

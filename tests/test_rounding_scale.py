@@ -102,7 +102,7 @@ def test_random_points_agree_to_the_rounding_scale(name, monkeypatch):
         columns = {}
         for param in entry.params:
             if param == "bs" and "bs" in entry.held:
-                columns[param] = BeamSplitterSpec.fifty_fifty()
+                columns[param] = entry.held["bs"]
             elif param == "bs":
                 tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
                 columns[param] = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
