@@ -312,7 +312,7 @@ def run_sweep(cfg: dict[str, Any]) -> str:
     args = _library_args(cfg)
     fixed = {name: args[name] for name in entry.params if name != swept}
     radians = np.array([math.radians(v) for v in values])
-    ana, eng = comparemod.evaluate(entry, entry.formula, fixed, {swept: radians})
+    ana, eng = comparemod.evaluate(entry, fixed, {swept: radians})
     ana_cells = ana.tolist()
     if eng is None:
         eng_cells = dev_cells = [None] * len(values)

@@ -27,7 +27,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -80,7 +80,9 @@ class Experiment:
     each engine function takes the one it reads, the distribution both),
     the splitter `bs`, the side `arm`, the input kind `input_kind`
     ("polarized" or "unpolarized") and the Monte Carlo run `run`.  Both
-    callables take them as keywords and broadcast over numpy arrays.
+    callables, the closed form `formula` and the `engine`, take them as
+    keywords and broadcast over numpy arrays; a perturbed or swapped route
+    is a copy of the entry with that field replaced.
     `columns` names the two values in a sweep's CSV.  Domain: `held` maps
     each parameter the closed form holds fixed to its value (`bs` to the
     50:50 splitter, `psi` to 0; a sweep still runs the engine on its
@@ -306,10 +308,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def evaluate(
-    entry: Experiment,
-    formula: Callable[..., Any],
-    fixed: dict[str, Any],
-    columns: dict[str, Any],
+    entry: Experiment, fixed: dict[str, Any], columns: dict[str, Any]
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form and engine values of `entry` at a batch of points.
 
@@ -317,12 +316,16 @@ def evaluate(
     other parameter to its values, an array (or a splitter of arrays), and
     the arrays broadcast together to the points: flat columns or the axes
     of an open mesh.  The entry's `shared` step, if any, runs first; then
-    `formula` (the entry's, or a perturbed one) and the engine each run once
-    on the arrays.  The engine value is None for an entry without an engine.
+    its closed form and its engine each run once on the arrays.  A closed
+    form past the largest float (or an inf - inf) gives an inf or nan point,
+    not a warning; the engine runs outside that errstate, which slows its
+    many small array operations.  The engine value is None for an entry
+    without an engine.
     """
     if entry.shared is not None:
         fixed = {**fixed, "shared": entry.shared(**fixed, **columns)}
-    ana = formula(**fixed, **columns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ana = entry.formula(**fixed, **columns)
     if entry.engine is None:
         return ana, None
     return ana, entry.engine(**fixed, **columns)
@@ -358,14 +361,14 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
     return out
 
 
-def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> CheckResult:
-    """Compare the engine of `entry` with `formula` over the entry's grid.
+def _check(entry: Experiment, step: int = 1) -> CheckResult:
+    """Compare the engine of `entry` with its closed form over its grid.
 
     Each held parameter the entry takes is passed at its held value.  `grid`
     parameters are crossed in order as an open mesh, each grid parameter
     with more than one value on an axis of its own (one with one value is
-    passed as it is), and the whole mesh is one call of the engine and of
-    `formula`; an `arm` parameter is an axis of side labels like any other.
+    passed as it is), and the whole mesh is one `evaluate` call; an `arm`
+    parameter is an axis of side labels like any other.
     Every `step`-th point of the mesh, in grid order, is checked.
     """
     t0 = time.perf_counter()
@@ -380,12 +383,10 @@ def _check(entry: Experiment, formula: Callable[..., Any], step: int = 1) -> Che
             columns[name] = BeamSplitterSpec(*np.moveaxis(table, -1, 0))
         else:
             columns[name] = np.asarray(values)[i]
-    # a closed form, a deviation or a sum past the largest float (or an
-    # inf - inf) is a failing point, not a warning.  The engine runs outside
-    # the errstate, which slows its many small array operations.
-    quiet = np.errstate(over="ignore", invalid="ignore")
-    ana, eng = evaluate(entry, quiet(formula), fixed, columns)
-    with quiet:
+    ana, eng = evaluate(entry, fixed, columns)
+    # a deviation or a sum past the largest float (or an inf - inf) is a
+    # failing point, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs((eng - ana).ravel()[::step])
         total = float(dev.sum())
     if math.isnan(total):
@@ -404,10 +405,10 @@ def run_comparison(
     perturbations: dict[str, float] | None = None, step: int = 1
 ) -> list[CheckResult]:
     """Check every experiment that has a grid; `perturbations` may override
-    named constants with real numbers (used as a negative control).  Every
-    entry is evaluated on its whole grid; `step` (an integer, at least 1)
-    checks only every `step`-th point of the entries that take all four
-    angles."""
+    named constants with real numbers (used as a negative control), and a
+    perturbed closed form replaces its entry's.  Every entry is evaluated on
+    its whole grid; `step` (an integer, at least 1) checks only every
+    `step`-th point of the entries that take all four angles."""
     if isinstance(step, bool) or not isinstance(step, (int, np.integer)):
         raise ValueError(f"step must be an integer, got {step!r}")
     if step < 1:
@@ -423,8 +424,8 @@ def run_comparison(
     for entry in EXPERIMENTS.values():
         if not entry.grid:
             continue
-        formula = entry.formula
         if entry.name == "unpolarized_5050" and perturbations:
-            formula = functools.partial(formula, prefactor=perturbations["unpolarized_5050_prefactor"])
-        results.append(_check(entry, formula, step if {"pol1", "pol2", "ana1", "ana2"} <= set(entry.params) else 1))
+            prefactor = perturbations["unpolarized_5050_prefactor"]
+            entry = replace(entry, formula=functools.partial(entry.formula, prefactor=prefactor))
+        results.append(_check(entry, step if {"pol1", "pol2", "ana1", "ana2"} <= set(entry.params) else 1))
     return results

@@ -27,9 +27,10 @@ a row is (phase x port weight) x amplitude of its mode, multiplied in that
 order: over side 1's modes the phases are (e^{i psi}, e^{i psi}, i e^{i phi},
 i e^{i phi}), the amplitudes (tx, ty, rx, ry) and the weights (cos, sin,
 cos, sin) of the analyzer angle for the parallel port, (-sin, cos, -sin,
-cos) for the perpendicular one; a phase left as None is 1.  A one-port row
-is the slice `analyzer_rows(theta, bs, phi, psi)[..., k, :]` of its port
-index k, and a side-2 row is the side-1 row with the sides' modes swapped,
+cos) for the perpendicular one; a phase defaults to 0, which puts no factor
+on its terms.  A one-port row is the slice
+`analyzer_rows(theta, bs, phi, psi)[..., k, :]` of its port index k, and a
+side-2 row is the side-1 row with the sides' modes swapped,
 `rows[..., OTHER_SIDE]`.  Angles, phases and splitter amplitudes may be
 numpy arrays; they broadcast, and the rows gain the broadcast shape as
 leading axes.
@@ -114,24 +115,23 @@ OTHER_SIDE = np.array([2, 3, 0, 1])
 def analyzer_rows(
     theta: float,
     bs: BeamSplitterSpec,
-    phi: float | None = None,
-    psi: float | None = None,
+    phi: float = 0.0,
+    psi: float = 0.0,
 ) -> np.ndarray:
     """Side 1's rows of the analyzer at `theta`, one per port on an axis
     before the modes, parallel then perpendicular: (..., 2, 4).
 
     Each row holds side 1's splitter outputs, weighted by its port.  `phi`
     multiplies the reflected (other-side) terms by exp(i*phi) and `psi` the
-    transmitted (same-side) terms by exp(i*psi); a phase left as None puts
-    no factor on its terms.
+    transmitted (same-side) terms by exp(i*psi); a phase defaults to 0,
+    which puts no factor on its terms.
     """
     for name, phase in (("phi", phi), ("psi", psi)):
-        if phase is not None and not _all_finite(phase):
+        if not _all_finite(phase):
             raise ValueError(f"{name} must be finite, got {phase!r}")
     if not _all_finite(theta):
         raise ValueError(f"analyzer angle must be finite, got {theta!r}")
-    tp = 1.0 + 0.0j if psi is None else np.exp(1j * psi)
-    rp = 1j * (1.0 + 0.0j if phi is None else np.exp(1j * phi))
+    tp, rp = np.exp(1j * psi), 1j * np.exp(1j * phi)
     c, s = np.cos(theta), np.sin(theta)
     cs = np.empty((*np.shape(c), 3))
     cs[..., 0], cs[..., 1], cs[..., 2] = c, s, -s

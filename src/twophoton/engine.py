@@ -14,8 +14,8 @@ averaged.
 
 Every angle, phase and splitter amplitude, and the arm of
 `same_arm_probability`, may be a numpy array: the arguments broadcast, and
-the result is an array of the broadcast shape (a float when every argument
-is scalar);
+the result is an array of the broadcast shape (a numpy scalar, not a
+Python `float`, when every argument is scalar);
 `full_outcome_distribution` adds a last axis of the twelve outcomes, whose
 labels `OUTCOMES` holds in the same order.
 
@@ -143,10 +143,6 @@ def _in_order(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p, axis=-1)[..., -1]
 
 
-def _result(p: np.ndarray) -> float | np.ndarray:
-    return float(p) if p.ndim == 0 else p
-
-
 def coincidence_probability(
     inp: InputSpec,
     theta1: float,
@@ -161,7 +157,7 @@ def coincidence_probability(
     """
     u1 = analyzer_rows(theta1, bs, phi=phi)[..., 0, :]
     u2 = analyzer_rows(theta2, bs)[..., 0, OTHER_SIDE]
-    return _result(_detect(inp, u1, u2))
+    return _detect(inp, u1, u2)
 
 
 def same_arm_probability(
@@ -184,7 +180,7 @@ def same_arm_probability(
     # the parallel-port rows of the pair's two detectors; the first carries psi
     u_a = _on_arm(analyzer_rows(theta_a, bs, psi=psi)[..., 0, :], arm)
     u_b = _on_arm(analyzer_rows(theta_b, bs)[..., 0, :], arm)
-    return _result(ONE_SIDED * _detect(inp, u_a, u_b))
+    return ONE_SIDED * _detect(inp, u_a, u_b)
 
 
 def full_outcome_distribution(

@@ -698,6 +698,8 @@ INPUT_CASES = {
     "side2": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7", "arm=side2"],
     # polarized light swept in its incident angle, for an experiment without analyzers
     "incident_angle": ["input=polarized", "phi_deg=37.7", "psi_deg=37.7", "sweep.param=theta1p_deg"],
+    # the same at the symmetric detector position, where the fringe is widest
+    "incident_angle_zero_phase": ["input=polarized", "phi_deg=0", "psi_deg=0", "sweep.param=theta1p_deg"],
 }
 PINNED_SHA256 = {
     ("sweep", "full_distribution", "polarized"):
@@ -734,6 +736,8 @@ PINNED_SHA256 = {
         "4d8295d04c1fd6126e52313dddf90d48718e6e1672413a3d5329b8ead3c7f792",
     ("sweep", "no_polarizers", "incident_angle"):
         "ce20ecf0ce5661705506f80aaebc2603f1758ef459a4d641277619c1e1a6bef7",
+    ("sweep", "no_polarizers", "incident_angle_zero_phase"):
+        "180b3fc012ce06d0f41643cc511f80c46464ca501b6c6c7e0ea11eb5d2ee6092",
     ("sweep", "same_arm_no_polarizers", "incident_angle"):
         "4df180bb6953c57b918bf80f9506956fa23ba068537da1a1ff6449f21add7ece",
     ("sweep", "unpolarized_same_arm", "unpolarized"):

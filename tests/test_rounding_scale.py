@@ -17,6 +17,7 @@ points with random splitters, and three wrong constants that pass
 `compare` must fail it.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -43,10 +44,10 @@ def magnitude_amplitude(u_a, u_b, state):
     return first + (a[..., 2] * c2 + a[..., 3] * s2) * (b[..., 0] * c1 + b[..., 1] * s1)
 
 
-def scaled_deviation(entry, formula, fixed, columns, monkeypatch):
-    """|engine - formula| / (u (s + 1/4)) at each point of a batch, and the
-    point where it is largest."""
-    ana, eng = EVALUATE(entry, formula, fixed, columns)
+def scaled_deviation(entry, fixed, columns, monkeypatch):
+    """|engine - closed form| / (u (s + 1/4)) at each point of a batch, and
+    the point where it is largest."""
+    ana, eng = EVALUATE(entry, fixed, columns)
     with monkeypatch.context() as m:
         m.setattr(engine, "vacuum_amplitude", magnitude_amplitude)
         scale = entry.engine(**fixed, **columns)
@@ -66,18 +67,18 @@ def scaled_deviation(entry, formula, fixed, columns, monkeypatch):
     return ratio, point
 
 
-def grid_check(entry, formula, monkeypatch):
-    """`compare`'s check of `entry` against `formula` on the full grid, and
-    the scaled deviation of its points with its worst point."""
+def grid_check(entry, monkeypatch):
+    """`compare`'s check of `entry` on the full grid, and the scaled
+    deviation of its points with its worst point."""
     seen = []
 
-    def scaled(entry, formula, fixed, columns):
-        seen.append(scaled_deviation(entry, formula, fixed, columns, monkeypatch))
-        return EVALUATE(entry, formula, fixed, columns)
+    def scaled(entry, fixed, columns):
+        seen.append(scaled_deviation(entry, fixed, columns, monkeypatch))
+        return EVALUATE(entry, fixed, columns)
 
     with monkeypatch.context() as m:
         m.setattr(compare, "evaluate", scaled)
-        result = compare._check(entry, formula)
+        result = compare._check(entry)
     [(ratio, point)] = seen
     return result, ratio, point
 
@@ -85,7 +86,7 @@ def grid_check(entry, formula, monkeypatch):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_the_compare_grid_agrees_to_the_rounding_scale(name, monkeypatch):
     entry = EXPERIMENTS[name]
-    result, ratio, point = grid_check(entry, entry.formula, monkeypatch)
+    result, ratio, point = grid_check(entry, monkeypatch)
     assert result.n_points == ratio.size
     assert ratio.max() <= K, f"{name}: {ratio.max():.1f} u (s + 1/4) at {point}"
 
@@ -109,7 +110,7 @@ def test_random_points_agree_to_the_rounding_scale(name, monkeypatch):
             elif param != "arm":
                 columns[param] = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)
         fixed = {} if arm is None else {"arm": arm}
-        ratio, point = scaled_deviation(entry, entry.formula, fixed, columns, monkeypatch)
+        ratio, point = scaled_deviation(entry, fixed, columns, monkeypatch)
         assert ratio.max() <= K, f"{name}: {ratio.max():.1f} u (s + 1/4) at {point}"
 
 
@@ -117,18 +118,22 @@ def test_random_points_agree_to_the_rounding_scale(name, monkeypatch):
 SHORT_HALF = 0.7071067811865
 SHORT_5050 = BeamSplitterSpec(SHORT_HALF, SHORT_HALF, SHORT_HALF, SHORT_HALF)
 
-# name -> (family, the mutated closed form of the family, or None for its
-# own, and whether `formulas._FIFTY_FIFTY` is the 13-digit splitter)
+# name -> (the family's entry, with its closed form mutated or as it is,
+# and whether `formulas._FIFTY_FIFTY` is the 13-digit splitter)
+UNPOLARIZED_5050 = EXPERIMENTS["unpolarized_5050"]
 MUTATIONS = {
     "short_splitter_to_p_unpolarized": (
-        "unpolarized_5050",
-        lambda ana1, ana2, phi, bs: formulas.p_unpolarized(ana1, ana2, SHORT_5050, phi),
+        dataclasses.replace(
+            UNPOLARIZED_5050,
+            formula=lambda ana1, ana2, phi, bs: formulas.p_unpolarized(ana1, ana2, SHORT_5050, phi),
+        ),
         False,
     ),
-    "short_fifty_fifty_constant": ("no_polarizers", None, True),
+    "short_fifty_fifty_constant": (EXPERIMENTS["no_polarizers"], True),
     "prefactor": (
-        "unpolarized_5050",
-        functools.partial(EXPERIMENTS["unpolarized_5050"].formula, prefactor=0.1250000000001),
+        dataclasses.replace(
+            UNPOLARIZED_5050, formula=functools.partial(UNPOLARIZED_5050.formula, prefactor=0.1250000000001)
+        ),
         False,
     ),
 }
@@ -136,10 +141,9 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_the_rounding_scale_finds_wrong_constants_that_compare_passes(mutation, monkeypatch):
-    name, formula, short_constant = MUTATIONS[mutation]
-    entry = EXPERIMENTS[name]
+    entry, short_constant = MUTATIONS[mutation]
     if short_constant:
         monkeypatch.setattr(formulas, "_FIFTY_FIFTY", SHORT_5050)
-    result, ratio, _ = grid_check(entry, formula or entry.formula, monkeypatch)
+    result, ratio, _ = grid_check(entry, monkeypatch)
     assert result.passed() and result.max_dev > 1e-14
     assert ratio.max() > K
