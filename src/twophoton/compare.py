@@ -85,8 +85,9 @@ class Experiment:
     is a copy of the entry with that field replaced.
     `columns` names the two values in a sweep's CSV.  Domain: `held` maps
     each parameter the closed form holds fixed to its value (`bs` to the
-    50:50 splitter, `psi` to 0; a sweep still runs the engine on its
-    configured value), and an entry that takes both fringe phases
+    50:50 splitter, `psi` to 0).  A held parameter is not an argument of
+    the closed form; the engine still takes it (a sweep passes its
+    configured value).  An entry that takes both fringe phases
     (`matched_phases`) holds only where cos(phi) = cos(psi).  `grid`, which
     leaves held parameters out, is the `compare` grid (see `_check`); an
     entry without a grid is not compared.  `shared`, when set, is a step
@@ -227,9 +228,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "unpolarized_5050",
             ("ana1", "ana2", "phi", "bs"),
             UNPOLARIZED,
-            lambda ana1, ana2, phi, bs, **perturbed: formulas.p_unpolarized_5050(
-                ana1, ana2, phi, **perturbed
-            ),
+            formulas.p_unpolarized_5050,
             _unpolarized_coincidence,
             held={"bs": BeamSplitterSpec.fifty_fifty()},
             grid=[("ana1", ANGLES), ("ana2", ANGLES), ("phi", PHASES)],
@@ -238,7 +237,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "no_polarizers",
             ("pol1", "pol2", "phi", "bs"),
             POLARIZED,
-            lambda pol1, pol2, phi, bs: formulas.p_no_polarizers(pol1, pol2, phi),
+            formulas.p_no_polarizers,
             # removing the analyzers sums their ports, at analyzer angle 0;
             # the opposite-side entries do not read psi
             lambda pol1, pol2, phi, bs: _opposite_total(
@@ -251,7 +250,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "same_arm_no_polarizers",
             ("pol1", "pol2", "bs"),
             POLARIZED,
-            lambda pol1, pol2, bs: formulas.p_same_arm_no_polarizers(pol1, pol2),
+            formulas.p_same_arm_no_polarizers,
             # the same-side entries do not read phi
             lambda pol1, pol2, bs: _same_side_total(
                 full_outcome_distribution(InputSpec.polarized(pol1, pol2), 0.0, 0.0, bs, 0.0, 0.0)
@@ -263,7 +262,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "unpolarized_same_arm",
             ("ana1", "ana2", "bs"),
             UNPOLARIZED,
-            lambda ana1, ana2, bs: formulas.p_unpolarized_same_arm(ana1, ana2),
+            lambda ana1, ana2: formulas.p_unpolarized_same_arm(ana1, ana2),
             _unpolarized_same_arm,
             held={"bs": BeamSplitterSpec.fifty_fifty(), "psi": 0.0},
             grid=[("ana1", ANGLES), ("ana2", ANGLES)],
@@ -272,7 +271,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "double_trigger",
             ("arm", "pol1", "pol2", "ana1", "bs"),
             POLARIZED,
-            lambda arm, pol1, pol2, ana1, bs: formulas.p_double_trigger(pol1, pol2, ana1),
+            lambda arm, pol1, pol2, ana1: formulas.p_double_trigger(pol1, pol2, ana1),
             # the same-side pair with both channels at one detector (one
             # setting, one position: psi = 0), halved because its two
             # clicks are one event
@@ -316,16 +315,18 @@ def evaluate(
     other parameter to its values, an array (or a splitter of arrays), and
     the arrays broadcast together to the points: flat columns or the axes
     of an open mesh.  The entry's `shared` step, if any, runs first; then
-    its closed form and its engine each run once on the arrays.  A closed
-    form past the largest float (or an inf - inf) gives an inf or nan point,
-    not a warning; the engine runs outside that errstate, which slows its
-    many small array operations.  The engine value is None for an entry
+    its closed form, which is not handed the entry's held parameters, and
+    its engine each run once on the arrays.  A closed form past the largest
+    float (or an inf - inf) gives an inf or nan point, not a warning; the
+    engine runs outside that errstate, which slows its many small array
+    operations.  The engine value is None for an entry
     without an engine.
     """
     if entry.shared is not None:
         fixed = {**fixed, "shared": entry.shared(**fixed, **columns)}
+    taken = {name: value for name, value in {**fixed, **columns}.items() if name not in entry.held}
     with np.errstate(over="ignore", invalid="ignore"):
-        ana = entry.formula(**fixed, **columns)
+        ana = entry.formula(**taken)
     if entry.engine is None:
         return ana, None
     return ana, entry.engine(**fixed, **columns)
@@ -364,11 +365,12 @@ def _describe(point: dict[str, object]) -> dict[str, float | str]:
 def _check(entry: Experiment, step: int = 1) -> CheckResult:
     """Compare the engine of `entry` with its closed form over its grid.
 
-    Each held parameter the entry takes is passed at its held value.  `grid`
+    The engine gets each held parameter it takes at its held value.  `grid`
     parameters are crossed in order as an open mesh, each grid parameter
-    with more than one value on an axis of its own (one with one value is
-    passed as it is), and the whole mesh is one `evaluate` call; an `arm`
-    parameter is an axis of side labels like any other.
+    with more than one value on an axis of its own, its values reshaped
+    onto that axis (one with one value is passed as it is), and the whole
+    mesh is one `evaluate` call; an `arm` parameter is an axis of side
+    labels like any other.
     Every `step`-th point of the mesh, in grid order, is checked.
     """
     t0 = time.perf_counter()
@@ -377,12 +379,13 @@ def _check(entry: Experiment, step: int = 1) -> CheckResult:
     grid = [(name, values) for name, values in entry.grid if len(values) > 1]
     shape = tuple(len(values) for _, values in grid)
     columns = {}
-    for (name, values), i in zip(grid, np.indices(shape, sparse=True)):
+    for k, (name, values) in enumerate(grid):
+        axis = (-1, *(1,) * (len(grid) - 1 - k))  # broadcasting supplies the leading axes
         if isinstance(values[0], BeamSplitterSpec):
-            table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])[i]
-            columns[name] = BeamSplitterSpec(*np.moveaxis(table, -1, 0))
+            table = np.array([[s.tx, s.ty, s.rx, s.ry] for s in values])
+            columns[name] = BeamSplitterSpec(*(column.reshape(axis) for column in table.T))
         else:
-            columns[name] = np.asarray(values)[i]
+            columns[name] = np.asarray(values).reshape(axis)
     ana, eng = evaluate(entry, fixed, columns)
     # a deviation or a sum past the largest float (or an inf - inf) is a
     # failing point, not a warning

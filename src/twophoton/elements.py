@@ -62,14 +62,11 @@ class BeamSplitterSpec:
         fields = (self.tx, self.ty, self.rx, self.ry)
         numbers = all(isinstance(v, (int, float)) for v in fields)
         if not numbers:
-            stacked = np.empty((len(fields), *np.broadcast(*fields).shape), dtype=np.result_type(*fields))
-            for index, v in enumerate(fields):
-                stacked[index] = v
-            stacked = stacked.reshape(len(fields), -1)
+            stacked = np.stack(np.broadcast_arrays(*fields)).reshape(len(fields), -1)
             inside = ((-TOL <= stacked) & (stacked <= 1.0 + TOL)).all(axis=1)
         for index, name in enumerate(("tx", "ty", "rx", "ry")):
             v = fields[index]
-            if not (math.isfinite(v) and -TOL <= v <= 1.0 + TOL if numbers else inside[index]):
+            if not (-TOL <= v <= 1.0 + TOL if numbers else inside[index]):
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         if not numbers:
             lossy = (np.abs(stacked[:2] ** 2 + stacked[2:] ** 2 - 1.0) > TOL).any(axis=1)

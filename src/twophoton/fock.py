@@ -22,7 +22,7 @@ photon row) pair and only the permanent runs over every point.
 
 from __future__ import annotations
 
-import math
+import sys
 
 import numpy as np
 
@@ -33,7 +33,7 @@ N_MODES = 4
 
 def _all_finite(v) -> bool:
     if isinstance(v, (int, float)):
-        return math.isfinite(v)
+        return abs(v) <= sys.float_info.max  # false for nan, +-inf and an int past every float
     return bool(np.isfinite(v).all())
 
 

@@ -17,6 +17,7 @@ def test_demo_exits_zero(demo):
     # the child imports the same package as this process
     package_root = str(Path(twophoton.__file__).resolve().parents[1])
     path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # a warning fails the demo as `filterwarnings = error` fails a test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONWARNINGS": "error"}
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -40,6 +40,8 @@ def test_beam_splitter_rejects_lossy_amplitudes():
         BeamSplitterSpec(0.9, 0.6, 0.9, 0.8)  # tx^2 + rx^2 != 1
     with pytest.raises(ValueError):
         BeamSplitterSpec(1.2, 0.0, 0.0, 1.0)  # out of range
+    with pytest.raises(ValueError, match=r"^tx must lie in \[0, 1\], got 1000"):
+        BeamSplitterSpec(10**400, 0, 0, 1)  # an int past every float
     s = 1.0 / math.sqrt(2.0)
     with pytest.raises(ValueError):  # one lossy entry of an array-valued splitter
         BeamSplitterSpec(np.array([s, 0.9]), s, np.array([s, 0.9]), s)
@@ -148,12 +150,15 @@ def test_perpendicular_port_is_parallel_rotated_quarter_turn(phases):
 def test_analyzer_angle_validation():
     with pytest.raises(ValueError, match="^analyzer angle must be finite, got nan$"):
         one_row(math.nan, BeamSplitterSpec.fifty_fifty())
+    with pytest.raises(ValueError, match="^analyzer angle must be finite, got 1000"):
+        one_row(10**400, BeamSplitterSpec.fifty_fifty())  # an int past every float
 
 
 @pytest.mark.parametrize(
     "phase, shown",
-    [(math.nan, "nan"), (math.inf, "inf"), (np.array([0.1, math.nan]), "array([0.1, nan])")],
-    ids=["nan", "inf", "array"],
+    [(math.nan, "nan"), (math.inf, "inf"), (np.array([0.1, math.nan]), "array([0.1, nan])"),
+     (10**400, str(10**400))],
+    ids=["nan", "inf", "array", "int_past_every_float"],
 )
 def test_a_phase_that_is_not_finite_is_rejected_by_its_name(phase, shown):
     # a phase is checked whether or not the other one is given

@@ -331,6 +331,20 @@ def test_side1_bunching_mirrors_side2_closed_form():
         assert abs(eng - ana) < TOL
 
 
+def test_side2_bunching_is_the_exchanged_pair_on_side1_bit_for_bit():
+    # Exchanging the photons maps side 2's pair onto side 1's: the
+    # permanent's two terms trade places, and IEEE addition commutes.
+    rng = np.random.default_rng(40)
+    n = 2000
+    pol1, pol2, ta, tb, psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(5, n))
+    tx, ty = rng.uniform(0.0, 1.0, size=(2, n))
+    bs = BeamSplitterSpec(tx, ty, np.sqrt(1.0 - tx * tx), np.sqrt(1.0 - ty * ty))
+    side2 = same_arm_probability(InputSpec.polarized(pol1, pol2), "side2", ta, tb, bs, psi)
+    side1 = same_arm_probability(InputSpec.polarized(pol2, pol1), "side1", ta, tb, bs, psi)
+    assert side2.shape == (n,)
+    assert np.array_equal(side2, side1)
+
+
 def test_bunching_at_zero_psi_is_half_the_pi_phase_coincidence():
     # Same interference bracket, one extra factor of 1/2.
     for pol1, pol2, ta, tb in RNG.uniform(0.0, math.pi, size=(10, 4)):

@@ -151,9 +151,9 @@ def side2_offset(arm, **point):
     return EXPERIMENTS["double_trigger"].formula(arm, **point) + np.where(arm == "side2", 1e-9, 0.0)
 
 
-def nan_at_one_point(ana1, ana2, bs):
+def nan_at_one_point(ana1, ana2):
     # a point that evaluates to nan fails with an infinite deviation
-    value = EXPERIMENTS["unpolarized_same_arm"].formula(ana1, ana2, bs)
+    value = EXPERIMENTS["unpolarized_same_arm"].formula(ana1, ana2)
     return np.where((ana1 == compare.ANGLES[7]) & (ana2 == compare.ANGLES[0]), np.nan, value)
 
 
@@ -186,18 +186,26 @@ def test_check_equals_its_point_by_point_reference(entry, step):
 @pytest.mark.parametrize("entry", [e for e in EXPERIMENTS.values() if e.grid], ids=lambda e: e.name)
 def test_held_parameters_come_from_held_not_from_the_grid(entry):
     # each convention is stated once: the grid leaves a held parameter out,
-    # and the check hands the engine the held value of each one it takes
+    # the check hands the engine the held value of each one it takes, and
+    # no closed form is handed a held parameter
     assert not {name for name, _ in entry.grid} & set(entry.held)
-    calls = []
+    calls = {"formula": [], "engine": []}
 
-    def engine(**point):
-        calls.append(point)
-        return entry.engine(**point)
+    def recorded(name, route):
+        def run(**point):
+            calls[name].append(point)
+            return route(**point)
 
-    assert compare._check(dataclasses.replace(entry, engine=engine), 4096).passed()
-    [point] = calls
+        return run
+
+    swapped = dataclasses.replace(
+        entry, formula=recorded("formula", entry.formula), engine=recorded("engine", entry.engine)
+    )
+    assert compare._check(swapped, 4096).passed()
+    [formula_point], [engine_point] = calls["formula"], calls["engine"]
+    assert not set(formula_point) & set(entry.held)
     taken = set(entry.held) & set(entry.params)
-    assert {name: point[name] for name in taken} == {name: entry.held[name] for name in taken}
+    assert {name: engine_point[name] for name in taken} == {name: entry.held[name] for name in taken}
 
 
 @pytest.mark.parametrize("call", ["check", "evaluate"])
@@ -243,14 +251,16 @@ def test_coincidence_engine_sees_the_polarizations_as_mesh_axes(step):
     assert result.passed()
     assert result.n_points == len(range(0, 12**4, step))
     [shapes] = calls
+    # each column spans only its own axis; broadcasting supplies the axes
+    # before it
     assert shapes == [
         (4, 1, 1, 1, 1, 1),
-        (1, 4, 1, 1, 1, 1),
-        (1, 4, 1, 1, 1, 1),
-        (1, 1, 6, 1, 1, 1),
-        (1, 1, 1, 6, 1, 1),
-        (1, 1, 1, 1, 6, 1),
-        (1, 1, 1, 1, 1, 6),
+        (4, 1, 1, 1, 1),
+        (4, 1, 1, 1, 1),
+        (6, 1, 1, 1),
+        (6, 1, 1),
+        (6, 1),
+        (6,),
     ]
 
 

@@ -95,6 +95,8 @@ def test_product_state_rejects_nonfinite_angles():
         product_state(0.0, math.inf)
     with pytest.raises(ValueError, match="^theta1 must be finite"):
         product_state(np.array([0.0, math.nan]), 0.0)
+    with pytest.raises(ValueError, match="^theta1 must be finite, got 1000"):
+        product_state(10**400, 0.0)  # an int past every float
 
 
 def test_repeated_operator_counts_both_pairings():

@@ -125,7 +125,7 @@ MUTATIONS = {
     "short_splitter_to_p_unpolarized": (
         dataclasses.replace(
             UNPOLARIZED_5050,
-            formula=lambda ana1, ana2, phi, bs: formulas.p_unpolarized(ana1, ana2, SHORT_5050, phi),
+            formula=lambda ana1, ana2, phi: formulas.p_unpolarized(ana1, ana2, SHORT_5050, phi),
         ),
         False,
     ),
